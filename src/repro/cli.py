@@ -15,9 +15,9 @@ Provides quick access to the main experiments without writing code:
   cycle-level controllers, with per-request latency percentiles.
 * ``rome-repro trace-report`` -- span self-time profile of a trace
   exported via ``--trace-out``.
-* ``rome-repro bench-smoke`` -- CI perf smoke: seed-tick vs event-driven
-  simulation-core throughput, with a ``--min-speedup`` gate, plus
-  sweep-runner, trace-cache, and serving-workload checks.
+* ``rome-repro bench-smoke`` -- CI perf smoke: builds the report
+  sections of :data:`repro.sim.bench.SECTIONS` and checks them against
+  the gate table :data:`repro.sim.bench.GATES`.
 
 ``workload`` and ``fleet`` accept ``--trace-out``/``--metrics-out``
 (plus ``--metrics-interval-ns``) to record the run through the
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import Any, Dict, List, Optional
 
 
@@ -521,79 +520,25 @@ def cmd_bench_smoke(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro import __version__
-    from repro.sim.bench import (
-        checkpoint_roundtrip_comparison,
-        fleet_resilience_comparison,
-        max_sustainable_rate_comparison,
-        observability_comparison,
-        reliability_comparison,
-        rome_refresh_comparison,
-        streaming_conventional_comparison,
-        streaming_conventional_refresh_comparison,
-        sweep_throughput,
-        throughput_comparison,
-        trace_cache_comparison,
-        workload_decode_serving_comparison,
-    )
+    from repro.sim import bench
 
-    if args.bytes < 4096:
-        print("error: --bytes must be at least 4096 (one effective row)",
-              file=sys.stderr)
-        return 2
-    if args.repeats < 1:
-        print("error: --repeats must be at least 1", file=sys.stderr)
-        return 2
-    core_rows = throughput_comparison(
-        rome_bytes=args.bytes,
-        hbm4_bytes=min(args.bytes, 64 * 1024),
-        repeats=args.repeats,
-    )
-    # Burst-train gates: the conventional controller on the paper's
-    # headline saturation scenario (512 KiB streaming drain by default),
-    # refresh off and -- the configuration the paper actually evaluates --
-    # refresh on.
-    streaming = streaming_conventional_comparison(
-        total_bytes=args.conventional_bytes, repeats=args.repeats,
-    )
-    streaming_refresh = streaming_conventional_refresh_comparison(
-        total_bytes=args.conventional_bytes, repeats=args.repeats,
-    )
-    rome_refresh = rome_refresh_comparison(
-        total_bytes=args.bytes, repeats=args.repeats,
-    )
-    # Serving-workload smoke: the saturating open-loop decode scenario on
-    # both controllers, event core vs forced lockstep on the same
-    # compiled arrival schedule (cycle-exactness asserted inside).
-    workload_rows = workload_decode_serving_comparison(repeats=args.repeats)
-    # Closed-loop smoke: bisect the max sustainable arrival rate under a
-    # tight SLO on both controllers (search determinism asserted inside).
-    rate_rows = max_sustainable_rate_comparison()
-    # Checkpoint smoke: snapshot+restore round-trip at the halfway point
-    # of a refresh-enabled drain, gated on bit-identity and overhead.
-    checkpoint_rows = checkpoint_roundtrip_comparison(
-        rome_bytes=args.bytes,
-        hbm4_bytes=min(args.conventional_bytes, 96 * 1024),
-        repeats=args.repeats,
-    )
-    # Reliability smoke: the seeded fault campaign on both controllers,
-    # gated on zero-rate bit-identity and campaign determinism.
-    reliability_rows = reliability_comparison()
-    # Fleet smoke: a zero-fault one-replica fleet (bit-identical to the
-    # plain closed-loop run) and a live failover campaign (deterministic
-    # across worker counts, with a degraded->down->recovered ladder).
-    fleet_rows = fleet_resilience_comparison()
-    # Observability smoke: obs-off runs must be bit-identical to the
-    # no-obs baseline on both controllers and on the live fleet
-    # campaign, obs-on exports must be byte-deterministic, and the
-    # recording overhead is gated.
-    obs_rows = observability_comparison(repeats=args.repeats)
-    # Sweep-runner smoke: per-worker point throughput, cold vs warm cache.
-    sweep_rows = sweep_throughput(workers=args.workers)
-    # Trace-cache smoke: the cached second derivation of a sweep point's
-    # traces must beat the cold derivation.
-    cache = trace_cache_comparison(total_bytes=min(args.bytes, 512 * 1024),
-                                   repeats=args.repeats)
-
+    for flag, value, floor, why in (
+        ("--bytes", args.bytes, 4096, " (one effective row)"),
+        ("--conventional-bytes", args.conventional_bytes, 4096,
+         " (one 4 KiB request)"),
+        ("--repeats", args.repeats, 1, ""),
+    ):
+        if value < floor:
+            print(f"error: {flag} must be at least {floor}{why}",
+                  file=sys.stderr)
+            return 2
+    parameters = {
+        "bytes": args.bytes,
+        "conventional_bytes": args.conventional_bytes,
+        "repeats": args.repeats,
+        "workers": args.workers,
+    }
+    sections = {key: produce(parameters) for key, produce in bench.SECTIONS}
     report = {
         "meta": {
             "schema": 8,
@@ -602,186 +547,28 @@ def cmd_bench_smoke(args: argparse.Namespace) -> int:
             "package_version": __version__,
             "cpu_count": os.cpu_count(),
             "label": args.label,
-            "parameters": {
-                "bytes": args.bytes,
-                "conventional_bytes": args.conventional_bytes,
-                "repeats": args.repeats,
-                "workers": args.workers,
-            },
+            "parameters": parameters,
         },
-        "core": core_rows,
-        "streaming_conventional": streaming,
-        "streaming_conventional_refresh": streaming_refresh,
-        "rome_refresh": rome_refresh,
-        "workload": workload_rows,
-        "max_sustainable_rate": rate_rows,
-        "checkpoint": checkpoint_rows,
-        "reliability": reliability_rows,
-        "fleet": fleet_rows,
-        "observability": obs_rows,
-        "sweep": sweep_rows,
-        "cache": cache,
+        **sections,
     }
     if args.json:
         print(json.dumps(report, indent=2, default=str))
     else:
-        _print_rows(core_rows, False)
-        print()
-        _print_rows([streaming, streaming_refresh, rome_refresh], False)
-        print()
-        _print_rows(workload_rows, False)
-        print()
-        _print_rows(rate_rows, False)
-        print()
-        _print_rows(checkpoint_rows, False)
-        print()
-        _print_rows(reliability_rows, False)
-        print()
-        _print_rows(fleet_rows, False)
-        print()
-        _print_rows(obs_rows, False)
-        print()
-        _print_rows(sweep_rows, False)
-        print()
-        _print_rows([cache], False)
+        for key, rows in sections.items():
+            print(f"{key}:")
+            _print_rows(rows if isinstance(rows, list) else [rows], False)
+            print()
 
-    failures = []
-    rome = next(row for row in core_rows if row["system"] == "rome")
-    if args.min_speedup > 0 and rome["speedup"] < args.min_speedup:
-        failures.append(
-            f"event core speedup {rome['speedup']:.1f}x is below the "
-            f"--min-speedup gate of {args.min_speedup:g}x"
-        )
-    if args.min_conventional_speedup > 0 \
-            and streaming["speedup"] < args.min_conventional_speedup:
-        failures.append(
-            f"conventional streaming speedup {streaming['speedup']:.2f}x is "
-            f"below the --min-conventional-speedup gate of "
-            f"{args.min_conventional_speedup:g}x"
-        )
-    if args.min_evaluation_reduction > 0 \
-            and streaming["evaluation_reduction"] < args.min_evaluation_reduction:
-        failures.append(
-            f"conventional scheduler-evaluation reduction "
-            f"{streaming['evaluation_reduction']:.1f}x is below the "
-            f"--min-evaluation-reduction gate of "
-            f"{args.min_evaluation_reduction:g}x"
-        )
-    if args.min_refresh_evaluation_reduction > 0 \
-            and streaming_refresh["evaluation_reduction"] \
-            < args.min_refresh_evaluation_reduction:
-        failures.append(
-            f"refresh-enabled evaluation reduction "
-            f"{streaming_refresh['evaluation_reduction']:.1f}x is below the "
-            f"--min-refresh-evaluation-reduction gate of "
-            f"{args.min_refresh_evaluation_reduction:g}x"
-        )
-    if args.min_workload_bandwidth_fraction > 0:
-        for row in workload_rows:
-            if row["bandwidth_fraction"] < args.min_workload_bandwidth_fraction:
-                failures.append(
-                    f"{row['system']} saturating decode-serving workload "
-                    f"delivered {row['bandwidth_fraction']:.2f} of peak "
-                    f"bandwidth, below the --min-workload-bandwidth-fraction "
-                    f"gate of {args.min_workload_bandwidth_fraction:g}"
-                )
-    if args.min_goodput_fraction > 0:
-        for row in rate_rows:
-            if row["max_rate_per_s"] <= 0 \
-                    or row["goodput_fraction"] < args.min_goodput_fraction:
-                failures.append(
-                    f"{row['system']} max-sustainable-rate search found "
-                    f"{row['max_rate_per_s']:g} req/s at goodput fraction "
-                    f"{row['goodput_fraction']:.2f}, below the "
-                    f"--min-goodput-fraction gate of "
-                    f"{args.min_goodput_fraction:g}"
-                )
-    for row in checkpoint_rows:
-        # Bit-identity is always gated: a checkpoint that changes the
-        # simulation is a correctness bug, not a perf regression.
-        if not row["identical"]:
-            failures.append(
-                f"{row['system']} checkpoint-resume run diverged from the "
-                f"uninterrupted run (bit-identity violated)"
-            )
-        if args.max_checkpoint_overhead > 0 \
-                and row["overhead_fraction"] > args.max_checkpoint_overhead:
-            failures.append(
-                f"{row['system']} checkpoint snapshot+restore took "
-                f"{row['overhead_fraction']:.2f} of the run's wall time, "
-                f"above the --max-checkpoint-overhead gate of "
-                f"{args.max_checkpoint_overhead:g}"
-            )
-    for row in reliability_rows:
-        # Both reliability gates are structural and always enforced: a
-        # zero-rate config that perturbs the simulation, or a fault
-        # campaign that is not bit-reproducible, is a correctness bug.
-        if not row["zero_rate_identical"]:
-            failures.append(
-                f"{row['system']} zero-fault-rate run diverged from the "
-                f"no-reliability baseline (bit-identity violated)"
-            )
-        if not row["campaign_identical"]:
-            failures.append(
-                f"{row['system']} seeded fault campaign was not "
-                f"deterministic or did not exercise the RAS ladder "
-                f"(corrected={row['corrected']}, due={row['due']}, "
-                f"retries={row['retries']}, scrubs={row['scrub_passes']})"
-            )
-    for row in fleet_rows:
-        # Both fleet gates are structural and always enforced: a fleet
-        # wrapper that perturbs a zero-fault run, or a failover campaign
-        # that is not bit-reproducible across worker counts (or never
-        # exercised failover at all), is a correctness bug.
-        if not row.get("zero_fault_identical", True):
-            failures.append(
-                "zero-fault single-replica fleet diverged from the plain "
-                "closed-loop run (bit-identity violated)"
-            )
-        if not row.get("campaign_identical", True):
-            failures.append(
-                f"seeded failover campaign was not deterministic across "
-                f"worker counts or did not exercise failover "
-                f"(rerouted={row['rerouted']}, hedged={row['hedged']}, "
-                f"availability={row['availability']:.3f})"
-            )
-    for row in obs_rows:
-        # Both identity gates are structural and always enforced: a
-        # disabled obs config that perturbs the simulation, or an
-        # enabled one whose exported bytes are not reproducible, is a
-        # correctness bug.  Only the overhead ceiling is tunable.
-        if not row["obs_off_identical"]:
-            failures.append(
-                f"{row['target']} run with observability disabled diverged "
-                f"from the no-obs baseline (bit-identity violated)"
-            )
-        if not row["obs_on_deterministic"]:
-            failures.append(
-                f"{row['target']} obs-enabled run was not byte-deterministic "
-                f"(trace or metrics differed between identical runs)"
-            )
-        if args.max_obs_overhead > 0 \
-                and row["overhead_x"] > args.max_obs_overhead:
-            failures.append(
-                f"{row['target']} obs-enabled run took {row['overhead_x']:.2f}x "
-                f"the obs-off wall time, above the --max-obs-overhead gate "
-                f"of {args.max_obs_overhead:g}x"
-            )
-    warm = next(row for row in sweep_rows if row["phase"] == "warm")
-    if warm["cache_hits"] == 0:
-        failures.append("warm sweep run recorded no trace-cache hits")
-    if cache["warm_hits"] == 0 or cache["warm_ms"] >= cache["cold_ms"]:
-        failures.append(
-            f"cached trace setup ({cache['warm_ms']:.3f} ms) is not faster "
-            f"than the cold run ({cache['cold_ms']:.3f} ms)"
-        )
+    thresholds = {gate.flag: getattr(args, gate.name.replace("-", "_"))
+                  for gate in bench.GATES if gate.default is not None}
+    failures = bench.evaluate_gates(report, thresholds)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
 
     # Persist the full document so the perf trajectory accumulates; one
     # file per UTC day (reruns overwrite, so the day's *latest* run wins).
-    # ``--bench-out ''`` disables the write.
-    out = args.bench_out
+    # ``--output ''`` disables the write.
+    out = args.output
     if out is None:
         date = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%d")
         out = f"BENCH_{date}.json"
@@ -791,26 +578,6 @@ def cmd_bench_smoke(args: argparse.Namespace) -> int:
             json.dumps(report, indent=2, default=str) + "\n"
         )
     return 1 if failures else 0
-
-
-class _DeprecatedAliasAction(argparse.Action):
-    """Store the value, warning when the deprecated spelling was used."""
-
-    deprecated = "--bench-out"
-    replacement = "--output"
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == self.deprecated:
-            # FutureWarning is shown by default (DeprecationWarning is
-            # filtered outside __main__/pytest, so real CLI users would
-            # never see the migration nudge).
-            warnings.warn(
-                f"{self.deprecated} is deprecated and will be removed; "
-                f"use {self.replacement}",
-                FutureWarning,
-                stacklevel=2,
-            )
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1100,13 +867,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of span names to show")
     p.set_defaults(func=cmd_trace_report)
 
+    from repro.sim.bench import GATES, SECTIONS
+
     p = sub.add_parser(
         "bench-smoke",
-        help="CI perf smoke: seed-tick vs event-driven cores, the "
-             "conventional burst-train gates (refresh off and on), the "
-             "refresh-enabled RoMe row, sweep-runner throughput, and the "
-             "trace-cache cold/warm gate; writes BENCH_<UTC-date>.json "
-             "stamped with run metadata",
+        help="CI perf smoke: measures the "
+             + ", ".join(key for key, _ in SECTIONS)
+             + " sections, checks every bench gate, and writes "
+             "BENCH_<UTC-date>.json stamped with run metadata",
     )
     add_workers_arg(p)
     p.add_argument("--bytes", type=int, default=128 * 1024,
@@ -1116,53 +884,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "burst-train gate (the paper's headline saturation "
                         "scenario)")
     p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--min-speedup", type=float, default=5.0,
-                   help="exit non-zero when the event core is slower than "
-                        "this multiple of the seed core (0 disables)")
-    p.add_argument("--min-conventional-speedup", type=float, default=1.2,
-                   help="exit non-zero when the conventional event core "
-                        "(burst trains) is slower than this multiple of its "
-                        "tick core on the streaming drain (0 disables)")
-    p.add_argument("--min-evaluation-reduction", type=float, default=10.0,
-                   help="exit non-zero when burst trains cut conventional "
-                        "scheduler evaluations by less than this factor on "
-                        "the streaming drain (0 disables)")
-    p.add_argument("--min-refresh-evaluation-reduction", type=float,
-                   default=5.0,
-                   help="exit non-zero when refresh-aware burst trains cut "
-                        "conventional scheduler evaluations by less than "
-                        "this factor on the refresh-enabled streaming drain "
-                        "-- the configuration the paper evaluates "
-                        "(0 disables)")
-    p.add_argument("--min-workload-bandwidth-fraction", type=float,
-                   default=0.5,
-                   help="exit non-zero when the saturating decode-serving "
-                        "workload delivers less than this fraction of peak "
-                        "bandwidth on either controller (0 disables)")
-    p.add_argument("--min-goodput-fraction", type=float, default=0.9,
-                   help="exit non-zero when the max-sustainable-rate search "
-                        "finds no rate, or the goodput fraction at the "
-                        "found rate is below this, on either controller "
-                        "(0 disables)")
-    p.add_argument("--max-checkpoint-overhead", type=float, default=1.0,
-                   help="exit non-zero when a controller's checkpoint "
-                        "snapshot+restore round-trip costs more than this "
-                        "fraction of the uninterrupted run's wall time "
-                        "(0 disables; resume bit-identity is always gated)")
-    p.add_argument("--max-obs-overhead", type=float, default=1.5,
-                   help="exit non-zero when an obs-enabled run takes more "
-                        "than this multiple of the obs-off wall time "
-                        "(0 disables; obs-off bit-identity and obs-on "
-                        "byte-determinism are always gated)")
+    for gate in GATES:
+        if gate.default is not None:
+            p.add_argument(gate.flag, type=float, default=gate.default,
+                           help=gate.help)
     p.add_argument("--label", default=None,
                    help="free-form label stamped into the perf document's "
                         "metadata (e.g. the tier-1 commit under test)")
-    p.add_argument("--output", "--bench-out", dest="bench_out", default=None,
-                   action=_DeprecatedAliasAction,
+    p.add_argument("--output", default=None,
                    help="path for the JSON perf document (default: "
                         "BENCH_<UTC-date>.json in the current directory; "
-                        "'' disables the write; --bench-out is a deprecated "
-                        "alias that warns)")
+                        "'' disables the write)")
     p.set_defaults(func=cmd_bench_smoke)
     return parser
 

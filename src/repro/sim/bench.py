@@ -17,12 +17,17 @@ Three cores are measured for the RoMe system:
 The headline ``speedup`` of a comparison row is event vs. seed-tick: the
 wall-clock improvement of this tree over the seed for the same simulated
 drain.
+
+The ``bench-smoke`` report is data: :data:`SECTIONS` lists each report
+key with the producer that builds it, and :data:`GATES` lists every
+check on those rows, applied by :func:`evaluate_gates`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Sequence
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import RequestKind
@@ -428,8 +433,8 @@ def checkpoint_roundtrip_comparison(
 ) -> List[Dict[str, Any]]:
     """Per-system ``checkpoint`` rows for ``bench-smoke``.
 
-    One row per controller, each gated by the CLI on ``identical`` (must
-    be ``True``: a checkpoint that changes the simulation is a
+    One row per controller, each gated in :data:`GATES` on ``identical``
+    (must be ``True``: a checkpoint that changes the simulation is a
     correctness bug, not a perf regression) and on ``overhead_fraction``
     (``--max-checkpoint-overhead``).
     """
@@ -467,7 +472,7 @@ def fault_campaign_spec(system: str):
 def reliability_comparison() -> List[Dict[str, Any]]:
     """Per-system ``reliability`` rows for ``bench-smoke``.
 
-    One row per controller, double-gated by the CLI:
+    One row per controller, double-gated in :data:`GATES`:
 
     * ``zero_rate_identical`` -- a run carrying an all-zero-rate
       :class:`~repro.reliability.faults.ReliabilityConfig` must be
@@ -571,7 +576,7 @@ def fleet_campaign_spec():
 
 
 def fleet_resilience_comparison() -> List[Dict[str, Any]]:
-    """``fleet`` rows for ``bench-smoke``, double-gated by the CLI:
+    """``fleet`` rows for ``bench-smoke``, double-gated in :data:`GATES`:
 
     * ``zero_fault_identical`` -- a one-replica zero-fault fleet must be
       bit-identical to the plain closed-loop run of its base spec (the
@@ -646,8 +651,8 @@ def fleet_resilience_comparison() -> List[Dict[str, Any]]:
 
 
 def observability_comparison(repeats: int = 1) -> List[Dict[str, Any]]:
-    """``observability`` rows for ``bench-smoke``, triple-gated by the
-    CLI:
+    """``observability`` rows for ``bench-smoke``, triple-gated in
+    :data:`GATES`:
 
     * ``obs_off_identical`` -- a run carrying a present-but-disabled
       :class:`~repro.obs.config.ObsConfig` must be bit-identical to the
@@ -881,3 +886,221 @@ def throughput_comparison(
         row.update(_hbm4_tick_vs_event(hbm4_bytes, repeats))
         rows.append(row)
     return rows
+
+
+# ------------------------------------------------------------ bench-smoke
+
+
+#: The ``bench-smoke`` report sections, in report and run order: each
+#: report key with the producer that builds it from the run parameters
+#: (``bytes``, ``conventional_bytes``, ``repeats``, ``workers``).
+SECTIONS: List[Tuple[str, Callable[[Dict[str, int]], Any]]] = [
+    ("core", lambda p: throughput_comparison(
+        rome_bytes=p["bytes"], hbm4_bytes=min(p["bytes"], 64 * 1024),
+        repeats=p["repeats"])),
+    # The conventional controller on the paper's headline saturation
+    # scenario, refresh off and -- the configuration the paper
+    # evaluates -- refresh on.
+    ("streaming_conventional", lambda p: streaming_conventional_comparison(
+        total_bytes=p["conventional_bytes"], repeats=p["repeats"])),
+    ("streaming_conventional_refresh",
+     lambda p: streaming_conventional_refresh_comparison(
+         total_bytes=p["conventional_bytes"], repeats=p["repeats"])),
+    ("rome_refresh", lambda p: rome_refresh_comparison(
+        total_bytes=p["bytes"], repeats=p["repeats"])),
+    ("workload", lambda p: workload_decode_serving_comparison(
+        repeats=p["repeats"])),
+    ("max_sustainable_rate", lambda p: max_sustainable_rate_comparison()),
+    ("checkpoint", lambda p: checkpoint_roundtrip_comparison(
+        rome_bytes=p["bytes"],
+        hbm4_bytes=min(p["conventional_bytes"], 96 * 1024),
+        repeats=p["repeats"])),
+    ("reliability", lambda p: reliability_comparison()),
+    ("fleet", lambda p: fleet_resilience_comparison()),
+    ("observability", lambda p: observability_comparison(
+        repeats=p["repeats"])),
+    ("sweep", lambda p: sweep_throughput(workers=p["workers"])),
+    ("cache", lambda p: trace_cache_comparison(
+        total_bytes=min(p["bytes"], 512 * 1024), repeats=p["repeats"])),
+]
+
+
+class Gate(NamedTuple):
+    """One ``bench-smoke`` check on the rows of one report section.
+
+    ``select`` is a ``(field, value)`` pair naming the rows the gate
+    judges (``None``: every row); ``fails(row, threshold)`` is true when
+    a row misses the gate, and ``message`` formats the failure line from
+    ``row``, ``threshold`` and ``flag``.  A gate with a ``default`` is
+    tunable through its ``--<name>`` flag (``help`` is the flag's help
+    text); the others are always on.
+    """
+
+    name: str
+    section: str
+    select: Optional[Tuple[str, str]]
+    fails: Callable[[Dict[str, Any], Optional[float]], bool]
+    message: str
+    default: Optional[float] = None
+    help: Optional[str] = None
+
+    @property
+    def flag(self) -> str:
+        return f"--{self.name}"
+
+
+#: Every ``bench-smoke`` gate, grouped by section in report order.  The
+#: identity gates are always on: a checkpoint, fault config, fleet
+#: wrapper or obs config that perturbs the simulation, or a campaign
+#: that is not bit-reproducible, is a correctness bug, not a perf
+#: regression.
+GATES: List[Gate] = [
+    Gate("min-speedup", "core", ("system", "rome"),
+         lambda row, t: row["speedup"] < t,
+         "event core speedup {row[speedup]:.1f}x is below the {flag} gate "
+         "of {threshold:g}x",
+         5.0, "exit non-zero when the event core is slower than this "
+              "multiple of the seed core (0 disables)"),
+    Gate("min-conventional-speedup", "streaming_conventional", None,
+         lambda row, t: row["speedup"] < t,
+         "conventional streaming speedup {row[speedup]:.2f}x is below the "
+         "{flag} gate of {threshold:g}x",
+         1.2, "exit non-zero when the conventional event core (burst "
+              "trains) is slower than this multiple of its tick core on "
+              "the streaming drain (0 disables)"),
+    Gate("min-evaluation-reduction", "streaming_conventional", None,
+         lambda row, t: row["evaluation_reduction"] < t,
+         "conventional scheduler-evaluation reduction "
+         "{row[evaluation_reduction]:.1f}x is below the {flag} gate of "
+         "{threshold:g}x",
+         10.0, "exit non-zero when burst trains cut conventional scheduler "
+               "evaluations by less than this factor on the streaming "
+               "drain (0 disables)"),
+    Gate("min-refresh-evaluation-reduction", "streaming_conventional_refresh",
+         None,
+         lambda row, t: row["evaluation_reduction"] < t,
+         "refresh-enabled evaluation reduction "
+         "{row[evaluation_reduction]:.1f}x is below the {flag} gate of "
+         "{threshold:g}x",
+         5.0, "exit non-zero when refresh-aware burst trains cut "
+              "conventional scheduler evaluations by less than this factor "
+              "on the refresh-enabled streaming drain -- the configuration "
+              "the paper evaluates (0 disables)"),
+    Gate("min-workload-bandwidth-fraction", "workload", None,
+         lambda row, t: row["bandwidth_fraction"] < t,
+         "{row[system]} saturating decode-serving workload delivered "
+         "{row[bandwidth_fraction]:.2f} of peak bandwidth, below the {flag} "
+         "gate of {threshold:g}",
+         0.5, "exit non-zero when the saturating decode-serving workload "
+              "delivers less than this fraction of peak bandwidth on "
+              "either controller (0 disables)"),
+    Gate("min-goodput-fraction", "max_sustainable_rate", None,
+         lambda row, t: (row["max_rate_per_s"] <= 0
+                         or row["goodput_fraction"] < t),
+         "{row[system]} max-sustainable-rate search found "
+         "{row[max_rate_per_s]:g} req/s at goodput fraction "
+         "{row[goodput_fraction]:.2f}, below the {flag} gate of "
+         "{threshold:g}",
+         0.9, "exit non-zero when the max-sustainable-rate search finds no "
+              "rate, or the goodput fraction at the found rate is below "
+              "this, on either controller (0 disables)"),
+    Gate("checkpoint-identical", "checkpoint", None,
+         lambda row, t: not row["identical"],
+         "{row[system]} checkpoint-resume run diverged from the "
+         "uninterrupted run (bit-identity violated)"),
+    Gate("max-checkpoint-overhead", "checkpoint", None,
+         lambda row, t: row["overhead_fraction"] > t,
+         "{row[system]} checkpoint snapshot+restore took "
+         "{row[overhead_fraction]:.2f} of the run's wall time, above the "
+         "{flag} gate of {threshold:g}",
+         1.0, "exit non-zero when a controller's checkpoint "
+              "snapshot+restore round-trip costs more than this fraction "
+              "of the uninterrupted run's wall time (0 disables; resume "
+              "bit-identity is always gated)"),
+    Gate("zero-rate-identical", "reliability", None,
+         lambda row, t: not row["zero_rate_identical"],
+         "{row[system]} zero-fault-rate run diverged from the "
+         "no-reliability baseline (bit-identity violated)"),
+    Gate("fault-campaign-identical", "reliability", None,
+         lambda row, t: not row["campaign_identical"],
+         "{row[system]} seeded fault campaign was not deterministic or did "
+         "not exercise the RAS ladder (corrected={row[corrected]}, "
+         "due={row[due]}, retries={row[retries]}, "
+         "scrubs={row[scrub_passes]})"),
+    Gate("fleet-zero-fault-identical", "fleet",
+         ("scenario", "fleet-zero-fault"),
+         lambda row, t: not row["zero_fault_identical"],
+         "zero-fault single-replica fleet diverged from the plain "
+         "closed-loop run (bit-identity violated)"),
+    Gate("fleet-campaign-identical", "fleet", ("scenario", "fleet-failover"),
+         lambda row, t: not row["campaign_identical"],
+         "seeded failover campaign was not deterministic across worker "
+         "counts or did not exercise failover (rerouted={row[rerouted]}, "
+         "hedged={row[hedged]}, availability={row[availability]:.3f})"),
+    Gate("obs-off-identical", "observability", None,
+         lambda row, t: not row["obs_off_identical"],
+         "{row[target]} run with observability disabled diverged from the "
+         "no-obs baseline (bit-identity violated)"),
+    Gate("obs-on-deterministic", "observability", None,
+         lambda row, t: not row["obs_on_deterministic"],
+         "{row[target]} obs-enabled run was not byte-deterministic (trace "
+         "or metrics differed between identical runs)"),
+    Gate("max-obs-overhead", "observability", None,
+         lambda row, t: row["overhead_x"] > t,
+         "{row[target]} obs-enabled run took {row[overhead_x]:.2f}x the "
+         "obs-off wall time, above the {flag} gate of {threshold:g}x",
+         1.5, "exit non-zero when an obs-enabled run takes more than this "
+              "multiple of the obs-off wall time (0 disables; obs-off "
+              "bit-identity and obs-on byte-determinism are always gated)"),
+    Gate("warm-sweep-cache-hits", "sweep", ("phase", "warm"),
+         lambda row, t: row["cache_hits"] == 0,
+         "warm sweep run recorded no trace-cache hits"),
+    Gate("cached-trace-setup", "cache", None,
+         lambda row, t: (row["warm_hits"] == 0
+                         or row["warm_ms"] >= row["cold_ms"]),
+         "cached trace setup ({row[warm_ms]:.3f} ms) is not faster than the "
+         "cold run ({row[cold_ms]:.3f} ms)"),
+]
+
+
+def default_thresholds() -> Dict[str, float]:
+    """Each tunable gate's flag mapped to its default threshold."""
+    return {gate.flag: gate.default for gate in GATES
+            if gate.default is not None}
+
+
+def _selects(gate: Gate, row: Dict[str, Any]) -> bool:
+    return gate.select is None or row[gate.select[0]] == gate.select[1]
+
+
+def evaluate_gates(report: Dict[str, Any],
+                   thresholds: Dict[str, float]) -> List[str]:
+    """The failure messages of ``report`` against :data:`GATES` (empty
+    when every gate passes).
+
+    ``thresholds`` maps every tunable gate's flag to its threshold; a
+    threshold of ``0`` (or below) disables that gate.  Failures are
+    listed section by section, then row by row, then in table order.  A
+    gate that selects no row, or a row missing a field a gate reads,
+    raises instead of passing.
+    """
+    failures: List[str] = []
+    for section in dict.fromkeys(gate.section for gate in GATES):
+        gates = [gate for gate in GATES if gate.section == section]
+        rows = report[section]
+        if not isinstance(rows, list):
+            rows = [rows]
+        for gate in gates:
+            if not any(_selects(gate, row) for row in rows):
+                raise ValueError(f"bench report has no {section} row for "
+                                 f"the {gate.name} gate")
+        for row in rows:
+            for gate in gates:
+                threshold = (None if gate.default is None
+                             else thresholds[gate.flag])
+                if threshold is not None and not threshold > 0:
+                    continue
+                if _selects(gate, row) and gate.fails(row, threshold):
+                    failures.append(gate.message.format(
+                        row=row, threshold=threshold, flag=gate.flag))
+    return failures

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -115,8 +114,7 @@ class WorkloadResult:
     closed-loop run it derives from the SLO accounting (goodput below
     :data:`GOODPUT_OVERLOAD_THRESHOLD` of the offered rate); open-loop
     runs keep the drain-tail proxy (tail > 10 % of the arrival horizon,
-    or every arrival due at t=0).  The former ``saturated`` field is a
-    deprecated read-only alias.
+    or every arrival due at t=0).
 
     The SLO block (``requests`` .. ``peak_kv_bytes``) is populated only by
     closed-loop runs: per-request TTFT/TPOT percentile summaries, the
@@ -158,16 +156,6 @@ class WorkloadResult:
     #: worker counts, start methods, and checkpoint cuts.
     trace: Optional[TraceRecorder] = None
     metrics: Optional[MetricRegistry] = None
-
-    @property
-    def saturated(self) -> bool:
-        """Deprecated alias of :attr:`overloaded`."""
-        warnings.warn(
-            "WorkloadResult.saturated is deprecated; read "
-            "WorkloadResult.overloaded instead",
-            FutureWarning, stacklevel=2,
-        )
-        return self.overloaded
 
     @property
     def goodput_fraction(self) -> float:

@@ -119,101 +119,6 @@ def test_design_space_simulate_reports_utilization(capsys):
     assert all(row["utilization"] > 0.9 for row in rows)
 
 
-def test_bench_smoke_reports_sweep_and_cache_rows(capsys, tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(["--json", "bench-smoke", "--bytes", "65536",
-                 "--conventional-bytes", "65536", "--repeats", "1",
-                 "--min-speedup", "0", "--min-conventional-speedup", "0",
-                 "--min-evaluation-reduction", "0",
-                 "--max-checkpoint-overhead", "100",
-                 "--max-obs-overhead", "100",
-                 "--output", str(out)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"meta", "core", "streaming_conventional",
-                           "streaming_conventional_refresh", "rome_refresh",
-                           "workload", "max_sustainable_rate", "checkpoint",
-                           "reliability", "fleet", "observability",
-                           "sweep", "cache"}
-    assert {row["system"] for row in report["reliability"]} == {"rome", "hbm4"}
-    assert all(row["zero_rate_identical"] and row["campaign_identical"]
-               for row in report["reliability"])
-    assert {row["scenario"] for row in report["fleet"]} \
-        == {"fleet-zero-fault", "fleet-failover"}
-    assert all(row.get("zero_fault_identical", True)
-               and row.get("campaign_identical", True)
-               for row in report["fleet"])
-    assert {row["system"] for row in report["core"]} == {"rome", "hbm4"}
-    assert {row["system"] for row in report["workload"]} == {"rome", "hbm4"}
-    assert {row["system"] for row in report["max_sustainable_rate"]} \
-        == {"rome", "hbm4"}
-    assert all(row["max_rate_per_s"] > 0
-               for row in report["max_sustainable_rate"])
-    assert {row["system"] for row in report["checkpoint"]} == {"rome", "hbm4"}
-    assert all(row["identical"] for row in report["checkpoint"])
-    assert {row["phase"] for row in report["sweep"]} == {"cold", "warm"}
-    warm = next(row for row in report["sweep"] if row["phase"] == "warm")
-    assert warm["cache_hits"] > 0
-    assert report["cache"]["warm_hits"] > 0
-    assert report["cache"]["warm_ms"] < report["cache"]["cold_ms"]
-    streaming = report["streaming_conventional"]
-    assert streaming["tick_evaluations"] > streaming["event_evaluations"] > 0
-    # The gated document is also persisted for the perf trajectory.
-    persisted = json.loads(out.read_text())
-    assert persisted["gates_passed"] is True
-    assert persisted["streaming_conventional"]["simulated_ns"] \
-        == streaming["simulated_ns"]
-
-
-def test_bench_smoke_parallel_warm_sweep_still_hits_cache(capsys):
-    # Worker-derived cache entries must flow back to the parent so the
-    # warm sweep hits even though each sweep builds a fresh pool.
-    assert main(["--json", "bench-smoke", "--bytes", "65536",
-                 "--conventional-bytes", "65536", "--repeats",
-                 "1", "--min-speedup", "0", "--min-conventional-speedup",
-                 "0", "--min-evaluation-reduction", "0",
-                 "--max-checkpoint-overhead", "100",
-                 "--max-obs-overhead", "100", "--output", "",
-                 "--workers", "4"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    warm = next(row for row in report["sweep"] if row["phase"] == "warm")
-    assert warm["cache_hits"] > 0
-    assert warm["cache_misses"] == 0
-
-
-def test_bench_out_alias_still_works_but_warns(capsys, tmp_path):
-    # The deprecated spelling stays functional for one more release; it
-    # must warn so scripts migrate before the alias is dropped.  This is
-    # the single remaining --bench-out pathway test: every other test
-    # exercises --output only.
-    out = tmp_path / "bench_alias.json"
-    argv = ["--json", "bench-smoke", "--bytes", "65536",
-            "--conventional-bytes", "65536", "--repeats", "1",
-            "--min-speedup", "0", "--min-conventional-speedup", "0",
-            "--min-evaluation-reduction", "0",
-            "--max-checkpoint-overhead", "100",
-            "--max-obs-overhead", "100", "--bench-out", str(out)]
-    # FutureWarning, not DeprecationWarning: the latter is filtered out by
-    # default outside pytest, so real CLI users would never see it.
-    with pytest.warns(FutureWarning, match="--bench-out is deprecated"):
-        assert main(argv) == 0
-    capsys.readouterr()
-    assert json.loads(out.read_text())["gates_passed"] is True
-
-
-def test_output_flag_does_not_warn(recwarn, capsys, tmp_path):
-    out = tmp_path / "bench_output.json"
-    assert main(["--json", "bench-smoke", "--bytes", "65536",
-                 "--conventional-bytes", "65536", "--repeats", "1",
-                 "--min-speedup", "0", "--min-conventional-speedup", "0",
-                 "--min-evaluation-reduction", "0",
-                 "--max-checkpoint-overhead", "100",
-                 "--max-obs-overhead", "100",
-                 "--output", str(out)]) == 0
-    capsys.readouterr()
-    assert not [w for w in recwarn.list
-                if issubclass(w.category, (DeprecationWarning, FutureWarning))]
-
-
 def test_workload_command_runs_both_controllers(capsys):
     assert main(["--json", "workload", "--scenario", "decode-serving",
                  "--rate", "200", "--seed", "0", "--requests", "3"]) == 0

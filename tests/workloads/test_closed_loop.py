@@ -278,14 +278,6 @@ class TestGoodputProperties:
         assert result.requests == 0 and result.ttft is None
 
 
-class TestSaturatedAlias:
-    def test_saturated_warns_and_aliases_overloaded(self):
-        result = run_workload(_spec())
-        with pytest.warns(FutureWarning, match="overloaded"):
-            alias = result.saturated
-        assert alias == result.overloaded
-
-
 # ----------------------------------------------------- open/closed identity
 
 
