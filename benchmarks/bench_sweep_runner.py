@@ -1,11 +1,13 @@
 """Sweep-runner and trace-cache benchmarks.
 
 Not a paper figure: these track the infrastructure that every sweep-style
-experiment (Figures 12/13, Section V-A, Section IV-B) runs on -- the
-process-parallel sweep runner in :mod:`repro.sim.sweep` and the trace-setup
+experiment (Figures 12/13, Section V-A, Section IV-B) runs on -- the sweep
+runner's single attempt loop in :mod:`repro.sim.sweep` (inline at one
+worker, one child process per attempt above that) and the trace-setup
 memoization in :mod:`repro.trace_cache`.  They assert the load-bearing
-properties (parallel == serial, warm == cold results, cached setup faster
-than cold) while pytest-benchmark records the timings.
+properties (parallel == serial, warm == cold results, an inline warm
+sweep hits the cache, cached setup faster than cold) while
+pytest-benchmark records the timings.
 """
 
 from repro.sim.bench import sweep_throughput, trace_cache_comparison

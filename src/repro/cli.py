@@ -27,10 +27,10 @@ byte-deterministic across worker counts and start methods.
 
 Sweep-style subcommands (``tpot``, ``lbr``, ``queue-depth``,
 ``design-space``, ``bandwidth``, ``workload``) accept ``--workers N`` to
-shard their independent points across a process pool via
-:mod:`repro.sim.sweep`; ``--workers 1`` (default) is the exact serial
-path and ``--workers 0`` means one worker per CPU.  Results are
-identical at any worker count.
+run their independent points in up to ``N`` worker processes at a time
+(one per point attempt) via :mod:`repro.sim.sweep`; ``--workers 1``
+(default) is the exact in-process serial path and ``--workers 0`` means
+one worker per CPU.  Results are identical at any worker count.
 """
 
 from __future__ import annotations

@@ -270,10 +270,10 @@ def run_fleet(spec: FleetSpec, workers: int = 1, *,
               start_method: Optional[str] = None) -> FleetResult:
     """Run one fleet episode; see the module docstring for the phases.
 
-    ``workers`` shards replica episodes across a process pool (results
+    ``workers`` shards replica episodes across worker processes (results
     are bit-identical at any count); ``journal`` makes a killed campaign
     resumable through the sweep journal (completed replicas are skipped
-    on re-run); ``start_method`` pins the pool's start method -- results
+    on re-run); ``start_method`` pins the workers' start method -- results
     are identical under ``fork`` and ``spawn``.
     """
     base = replace(spec.base, closed_loop=True,

@@ -1,5 +1,5 @@
 """Simulation engine, workload traces, multi-channel memory systems, and
-the process-parallel sweep runner (:mod:`repro.sim.sweep`)."""
+the sweep runner (:mod:`repro.sim.sweep`)."""
 
 from repro.sim.stats import BandwidthResult, LatencyResult, SimulationResult
 from repro.sim.traces import (
@@ -24,7 +24,6 @@ from repro.sim.checkpoint import (
     snapshot_controller,
 )
 from repro.sim.sweep import (
-    CacheStats,
     FaultInjection,
     FaultPlan,
     PointFailure,
@@ -33,9 +32,7 @@ from repro.sim.sweep import (
     SweepStats,
     SystemRunResult,
     run_sweep,
-    run_system_until_idle,
     run_system_until_idle_result,
-    trace_cache_stats,
 )
 from repro.sim.runner import (
     measure_conventional_streaming,
@@ -47,7 +44,6 @@ from repro.sim.runner import (
 
 __all__ = [
     "BandwidthResult",
-    "CacheStats",
     "Checkpoint",
     "CheckpointError",
     "ConventionalMemorySystem",
@@ -73,12 +69,10 @@ __all__ = [
     "random_trace",
     "restore_controller",
     "run_sweep",
-    "run_system_until_idle",
     "run_system_until_idle_result",
     "save_checkpoint",
     "snapshot_controller",
     "streaming_trace",
     "strided_trace",
-    "trace_cache_stats",
     "vba_design_space_sweep",
 ]

@@ -10,12 +10,12 @@ results.
 Worker semantics
 ----------------
 Helpers that accept ``workers`` treat ``1`` (the default) as "exactly the
-serial code path" -- no process pool is created and results are
+serial code path" -- no worker process is started and results are
 bit-identical to pre-sweep versions of this module.  ``workers > 1``
 parallelizes at the natural grain:
 
 * the streaming measurers shard their per-channel controllers
-  (:func:`repro.sim.sweep.run_system_until_idle`);
+  (:func:`repro.sim.sweep.run_system_until_idle_result`);
 * the sweeps shard independent simulation points
   (:func:`repro.sim.sweep.run_sweep`).
 
@@ -45,7 +45,11 @@ from repro.sim.memory_system import (
     RoMeMemorySystem,
 )
 from repro.sim.stats import SimulationResult
-from repro.sim.sweep import SweepResult, run_sweep, run_system_until_idle
+from repro.sim.sweep import (
+    SweepResult,
+    run_sweep,
+    run_system_until_idle_result,
+)
 from repro.sim.traces import streaming_trace
 
 
@@ -80,7 +84,7 @@ def measure_conventional_streaming(
         streaming_trace(total_bytes, request_bytes=request_bytes,
                         kind=RequestKind.READ)
     )
-    run_system_until_idle(system, workers=workers)
+    run_system_until_idle_result(system, workers=workers)
     return system.result(name=f"hbm4-q{read_queue_depth}")
 
 
@@ -129,7 +133,7 @@ def measure_rome_streaming(
             start_row=1 << 10,
         )
     system.enqueue_many(requests)
-    run_system_until_idle(system, workers=workers)
+    run_system_until_idle_result(system, workers=workers)
     return system.result(name=f"rome-q{request_queue_depth}")
 
 

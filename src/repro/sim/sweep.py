@@ -4,9 +4,9 @@ Every headline experiment in the paper -- TPOT (Figure 12), LBR
 (Figure 13), queue-depth sensitivity (Section V-A), the VBA design space
 (Section IV-B) -- is a *sweep*: many independent simulation or model
 evaluations over batch sizes, queue depths, or controller configurations.
-This module runs such sweeps across worker processes and reports
-aggregate statistics, including trace-cache hit/miss counters from
-:mod:`repro.trace_cache`.
+This module runs such sweeps, optionally across worker processes, and
+reports aggregate statistics, including trace-cache hit/miss counters
+from :mod:`repro.trace_cache`.
 
 Sweep points may be load-then-drain measurements *or* arrival-driven
 workloads: a workload point is a picklable
@@ -15,50 +15,59 @@ recompiled deterministically inside the worker (seeded arrival
 processes), so both families shard identically and ``workers=1`` stays
 bit-identical to any parallel run.
 
+One executor
+------------
+Every point attempt goes through one attempt loop with one retry,
+quarantine, journal and raise policy.  Only *where* an attempt runs
+varies:
+
+* **in a child process** -- a fresh process and pipe per attempt, at
+  most ``workers`` at a time, killed at an optional wall-clock deadline
+  -- when ``fn`` and the first point pickle and either more than one
+  worker has more than one point to run, or ``point_timeout_s`` or
+  ``fault_plan`` asks for isolation;
+* **inline**, in the calling process, in every other case.  The default
+  ``workers=1`` sweep is exactly a hand-written loop: nothing is pickled
+  or probed.
+
 Guarantees
 ----------
 *Deterministic ordering.*  ``run_sweep`` returns one value per input
 point, in input order, regardless of worker count or completion order.
 
-*Serial equivalence.*  ``workers=1`` (the default) never creates a pool:
-points run in-process, in order, through exactly the same code path as a
-hand-written loop, so single-worker results are bit-identical to the
-pre-sweep serial helpers.
+*No silent fallbacks.*  An unpicklable function or point at
+``workers > 1`` runs inline, and the stats record ``parallel=False``
+with ``fallback_reason="unpicklable function or point"``; with a
+timeout or fault plan, which need a child process, it raises
+``ValueError`` instead.  An ``OSError`` starting a child runs the rest of
+the sweep inline, again with the reason recorded.
 
-*Graceful fallback.*  If the pool cannot run the sweep -- the callable
-or the representative point fails an upfront pickling probe, process
-creation fails, a result will not pickle back, or a worker dies -- the
-sweep transparently runs serially in-process and the stats record
-``parallel=False`` plus the ``fallback_reason``.  Exceptions raised by
-the swept function itself are *not* swallowed; they propagate to the
-caller (unless quarantined, below).
+*One raise rule.*  Under ``on_error="raise"`` the first point to
+exhaust its attempts stops new points from starting; attempts already
+running, and their retries, settle; then the *lowest-index* exhausted
+point raises.  Points start in index order, so that is the same point
+at any worker count.  It raises its own exception when one came back
+(unpickled from the child); kills, timeouts, injected faults and
+unpicklable results raise :class:`SweepPointError`.
 
-*Fault tolerance.*  The hardened execution mode (engaged by any of
-``point_timeout_s``, ``retries``, ``fault_plan``, or
-``on_error="quarantine"``) runs each point in a dedicated child process
-with a wall-clock deadline, retries failed attempts with a deterministic
-linear backoff, and -- under ``on_error="quarantine"`` -- returns
-partial results with structured :class:`PointFailure` records instead of
-aborting the whole sweep.  :class:`FaultPlan` injects deterministic
+*Fault tolerance.*  Failed attempts retry with a deterministic linear
+backoff (``retries``, ``backoff_s``); under ``on_error="quarantine"`` the
+sweep returns partial results with structured :class:`PointFailure`
+records instead of raising.  :class:`FaultPlan` injects deterministic
 worker kills, delays, and exceptions so every failure path is testable.
 
 *Resumability.*  Passing ``journal=<path>`` keeps an append-only on-disk
 journal of completed point values keyed by a content hash of
 ``(fn, point)``; a re-run of a killed sweep skips finished points.
 
-*Cache warmth survives the pool.*  Trace-cache entries derived inside
-workers are journaled, shipped back, and installed into the parent's
-cache, so a repeated sweep hits the cache even though each ``run_sweep``
-call builds (and tears down) fresh worker processes.
-
 Two levels of parallelism are offered:
 
 * :func:`run_sweep` -- shard independent sweep *points* across workers
   (one simulation per point);
-* :func:`run_system_until_idle` -- shard the per-channel *controllers* of
-  one multi-channel memory system across workers (the controllers are
-  independent between arrival points; the engine's
-  ``advance_to``/``next_event_ns`` protocol is the cut point).
+* :func:`run_system_until_idle_result` -- shard the per-channel
+  *controllers* of one multi-channel memory system through the same
+  executor (the controllers are independent between arrival points; the
+  engine's ``advance_to``/``next_event_ns`` protocol is the cut point).
 """
 
 from __future__ import annotations
@@ -73,8 +82,6 @@ import pickle
 import random
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -90,15 +97,9 @@ from typing import (
 )
 
 from repro.reliability.taxonomy import HarnessFaultKind
-from repro.trace_cache import (
-    CacheStats,
-    global_trace_cache,
-    reset_trace_cache,
-    trace_cache_stats,
-)
+from repro.trace_cache import CacheStats, trace_cache_stats
 
 __all__ = [
-    "CacheStats",
     "FaultInjection",
     "FaultPlan",
     "HarnessFaultKind",
@@ -108,22 +109,10 @@ __all__ = [
     "SweepResult",
     "SweepStats",
     "SystemRunResult",
-    "global_trace_cache",
-    "reset_trace_cache",
     "resolve_workers",
     "run_sweep",
-    "run_system_until_idle",
     "run_system_until_idle_result",
-    "trace_cache_stats",
 ]
-
-#: Pool-infrastructure failures observable while gathering results: a
-#: result that cannot be pickled back, or a worker dying.  Kept narrow so
-#: errors raised *by the swept function* are not mistaken for pool
-#: failures; unpicklable functions/points are screened upfront by
-#: :func:`_picklable`, and ``OSError`` is only treated as a pool failure
-#: around process creation/submission (see :func:`_run_pool`).
-_POOL_FAILURES = (pickle.PicklingError, BrokenProcessPool)
 
 #: Exit code a :class:`FaultPlan` ``"kill"`` injection dies with (the
 #: conventional SIGKILL-style code, chosen so failure records are
@@ -132,66 +121,13 @@ _KILL_EXIT_CODE = 137
 
 
 def _picklable(*objects: Any) -> bool:
-    """Whether every object survives pickling (pool-transport probe)."""
+    """Whether every object survives pickling (child-transport probe)."""
     try:
         for obj in objects:
             pickle.dumps(obj)
     except Exception:
         return False
     return True
-
-
-def _seed_worker_cache(entries: list) -> None:
-    """Pool-worker initializer: adopt the parent's trace-cache entries.
-
-    Under the ``fork`` start method this is a harmless no-op (the worker
-    already inherited the entries); under ``spawn``/``forkserver`` it is
-    what makes parent-side warmth visible to workers at all.
-    """
-    global_trace_cache().install(entries)
-
-
-def _run_pool(tasks: List[Tuple[Any, ...]], workers: int, seed_cache: bool,
-              start_method: Optional[str] = None,
-              ) -> Tuple[Optional[List[Any]], Optional[str]]:
-    """Run ``(fn, *args)`` tasks on a process pool.
-
-    Returns ``(results, None)`` on success and ``(None, reason)`` on a
-    pool-infrastructure failure (process creation forbidden, worker
-    death, unpicklable results) so the caller can fall back to serial
-    execution and record *why*.  Exceptions raised by the tasks
-    themselves propagate unchanged.  ``start_method`` pins the pool's
-    multiprocessing context (``None`` keeps the platform default);
-    results must be identical either way, which the fleet and sweep
-    determinism suites assert.
-    """
-    initializer = initargs = None
-    if seed_cache:
-        initializer = _seed_worker_cache
-        initargs = (global_trace_cache().export_entries(),)
-    context = (multiprocessing.get_context(start_method)
-               if start_method is not None else None)
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=context,
-                                   initializer=initializer,
-                                   initargs=initargs or ())
-    except OSError:
-        return None, "process pool unavailable (OSError at pool creation)"
-    with pool:
-        # Submission may spawn processes, so OSError here is a pool
-        # failure; once the futures exist, an OSError can only come from
-        # the task itself and must propagate to the caller.
-        try:
-            futures = [pool.submit(*task) for task in tasks]
-        except OSError:
-            return None, "process pool unavailable (OSError at submission)"
-        try:
-            return [future.result() for future in futures], None
-        except pickle.PicklingError:
-            return None, "pool transport failed (unpicklable task or result)"
-        except BrokenProcessPool:
-            return None, "worker process died (BrokenProcessPool)"
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -213,7 +149,9 @@ class InjectedFault(RuntimeError):
 
 
 class SweepPointError(RuntimeError):
-    """A sweep point exhausted its retry budget under ``on_error="raise"``.
+    """A sweep point exhausted its retry budget under ``on_error="raise"``
+    without an exception of its own to raise (killed, timed out, injected
+    fault, or unpicklable result).
 
     Carries the structured :class:`PointFailure` record as ``failure``.
     """
@@ -258,7 +196,7 @@ class FaultInjection:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic set of faults to inject into a hardened sweep.
+    """A deterministic set of faults to inject into a sweep.
 
     Plans are plain frozen data, so they pickle into worker processes and
     two runs with the same plan fail identically -- the tests use this to
@@ -330,13 +268,13 @@ class SweepStats:
     """Aggregate statistics of one :func:`run_sweep` call.
 
     ``workers`` is the worker count actually used (after clamping to the
-    point count); ``parallel`` records whether points really ran
-    concurrently in worker processes -- it is ``False`` for ``workers=1``
-    and for pools that fell back to serial execution, in which case
-    ``fallback_reason`` says why.  ``cache`` aggregates the trace-cache
-    hits/misses accrued while running the points, summed across worker
-    processes.  ``evaluations`` sums the scheduler-evaluation counters of
-    swept values that expose one (a
+    point count; 1 when attempts ran inline); ``parallel`` records
+    whether attempts really ran concurrently in child processes -- it is
+    ``False`` for ``workers=1`` and for sweeps that ran inline instead,
+    in which case ``fallback_reason`` says why.  ``cache`` aggregates the
+    trace-cache hits/misses accrued while running the points, summed
+    across child processes.  ``evaluations`` sums the
+    scheduler-evaluation counters of swept values that expose one (a
     :class:`~repro.sim.stats.SimulationResult` or a mapping with an
     ``"evaluations"`` key); it is 0 for sweeps whose points return bare
     numbers.  ``failures`` holds one :class:`PointFailure` per quarantined
@@ -418,43 +356,6 @@ def _apply(fn: Callable[..., Any], point: Any) -> Any:
     return fn(point)
 
 
-def _run_point(fn: Callable[..., Any], point: Any) -> Tuple[Any, int, int, list]:
-    """Worker entry point: run one point, report cache deltas and entries.
-
-    Runs in the worker process (or inline for serial sweeps).  The
-    hit/miss deltas let the parent aggregate trace-cache traffic from
-    workers whose counters it cannot see; the journaled entries let it
-    adopt warmth derived in a worker before the pool is torn down, so a
-    repeat sweep hits the cache even though it forks fresh workers.
-    """
-    cache = global_trace_cache()
-    before = cache.stats()
-    cache.start_journal()
-    try:
-        value = _apply(fn, point)
-    finally:
-        entries = cache.take_journal()
-    delta = cache.stats().delta(before)
-    return value, delta.hits, delta.misses, entries
-
-
-def _run_serial(fn: Callable[..., Any], points: Sequence[Any],
-                indices: Sequence[int],
-                on_complete: Optional[Callable[[int, Any], None]] = None,
-                ) -> Tuple[Dict[int, Any], CacheStats]:
-    """Run the listed points in order, reporting each as it completes
-    (which is what journals a killed serial sweep incrementally)."""
-    values: Dict[int, Any] = {}
-    cache = CacheStats()
-    for index in indices:
-        value, hits, misses, _ = _run_point(fn, points[index])
-        values[index] = value
-        cache = cache.merge(CacheStats(hits=hits, misses=misses))
-        if on_complete is not None:
-            on_complete(index, value)
-    return values, cache
-
-
 # ------------------------------------------------------------- sweep journal
 
 
@@ -517,46 +418,68 @@ class _SweepJournal:
             os.fsync(stream.fileno())
 
 
-# --------------------------------------------------------- hardened executor
+# ----------------------------------------------------------------- attempts
+#
+# An attempt's outcome is ``("ok", value, cache_hits, cache_misses)`` or
+# ``("error", message, exception-or-None)``, wherever it ran.
 
 
-def _fault_child(conn, fn: Callable[..., Any], point: Any,
-                 injection: Optional[FaultInjection],
-                 cache_entries: list) -> None:
-    """Child-process entry point of the hardened executor.
+def _attempt(fn: Callable[..., Any], point: Any) -> tuple:
+    """Run one point, reporting the trace-cache traffic it caused (the
+    parent cannot see a child's counters)."""
+    before = trace_cache_stats()
+    value = _apply(fn, point)
+    delta = trace_cache_stats().delta(before)
+    return "ok", value, delta.hits, delta.misses
 
-    Executes one point attempt, applying any planned fault first, and
-    reports ``("ok", value, hits, misses, entries)`` or
-    ``("error", message)`` through the pipe.  A ``"kill"`` injection
-    exits without reporting anything -- exactly what a crashed or OOM-killed
-    worker looks like to the parent.
-    """
-    global_trace_cache().install(cache_entries)
-    if injection is not None and injection.action == HarnessFaultKind.KILL:
-        os._exit(_KILL_EXIT_CODE)
-    if injection is not None and injection.action == HarnessFaultKind.DELAY:
-        time.sleep(injection.delay_s)
+
+def _run_inline(fn: Callable[..., Any], point: Any) -> tuple:
     try:
-        if injection is not None and injection.action == HarnessFaultKind.RAISE:
-            raise InjectedFault(
-                f"injected fault at sweep point {injection.index}"
-            )
-        value, hits, misses, entries = _run_point(fn, point)
-    except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
-        conn.send(("error", repr(exc)))
+        return _attempt(fn, point)
+    except Exception as exc:  # noqa: BLE001 - settled by the attempt loop
+        return "error", repr(exc), exc
+
+
+def _child_main(conn, fn: Callable[..., Any], point: Any,
+                injection: Optional[FaultInjection]) -> None:
+    """Child-process entry point: one attempt, reported through the pipe.
+
+    A ``"kill"`` injection exits without reporting anything -- exactly
+    what a crashed or OOM-killed worker looks like to the parent.  The
+    swept function's exception travels pickled, so the parent can raise
+    it as its own; an injected fault travels as its repr only.
+    """
+    action = injection.action if injection is not None else None
+    if action == HarnessFaultKind.KILL:
+        os._exit(_KILL_EXIT_CODE)
+    if action == HarnessFaultKind.DELAY:
+        time.sleep(injection.delay_s)
+    if action == HarnessFaultKind.RAISE:
+        fault = InjectedFault(
+            f"injected fault at sweep point {injection.index}")
+        conn.send(("error", repr(fault), None))
         return
     try:
-        conn.send(("ok", value, hits, misses, entries))
+        outcome = _attempt(fn, point)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        try:
+            blob = pickle.dumps(exc)
+        except Exception:
+            blob = None
+        outcome = ("error", repr(exc), blob)
+    try:
+        conn.send(outcome)
     except Exception as exc:
         # The value itself refused to pickle.  Connection.send pickles the
         # whole message before writing, so the channel is still clean for
         # the normalized error below (normalized because reprs of
         # unpicklable objects embed memory addresses).
-        conn.send(("error", f"unpicklable result ({type(exc).__name__})"))
+        conn.send(("error", f"unpicklable result ({type(exc).__name__})",
+                   None))
 
 
 @dataclass
-class _GuardedTask:
+class _Child:
     index: int
     attempt: int
     process: Any
@@ -564,155 +487,82 @@ class _GuardedTask:
     started: float
     deadline: Optional[float]
 
+    def stop(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
-def _finish_task(task: _GuardedTask) -> Tuple[Optional[tuple], Optional[str]]:
-    """Collect a finished child: ``(ok-message, None)`` or ``(None, error)``."""
+
+def _launch(context, fn: Callable[..., Any], point: Any, index: int,
+            attempt: int, fault_plan: Optional[FaultPlan],
+            point_timeout_s: Optional[float], started: float) -> _Child:
+    """Start one attempt in a fresh child process with a private pipe."""
+    injection = (fault_plan.for_attempt(index, attempt)
+                 if fault_plan is not None else None)
+    parent_conn, child_conn = context.Pipe(duplex=False)
+    process = context.Process(target=_child_main,
+                              args=(child_conn, fn, point, injection))
+    try:
+        process.start()
+    finally:
+        child_conn.close()
+    deadline = None if point_timeout_s is None else started + point_timeout_s
+    return _Child(index=index, attempt=attempt, process=process,
+                  conn=parent_conn, started=started, deadline=deadline)
+
+
+def _unpickled(blob: Optional[bytes]) -> Optional[BaseException]:
+    try:
+        return pickle.loads(blob) if blob is not None else None
+    except Exception:
+        return None
+
+
+def _finish(child: _Child) -> tuple:
+    """Collect a child whose pipe is readable (a message, or EOF)."""
     message = None
     try:
-        if task.conn.poll():
-            message = task.conn.recv()
+        if child.conn.poll():
+            message = child.conn.recv()
     except (EOFError, OSError):
         message = None
-    task.process.join()
-    task.conn.close()
+    except Exception as exc:
+        message = ("error", f"unpicklable result ({type(exc).__name__})",
+                   None)
+    child.process.join()
+    child.conn.close()
     if message is None:
-        return None, f"worker killed (exit code {task.process.exitcode})"
-    if message[0] == "ok":
-        return message, None
-    return None, message[1]
+        return ("error",
+                f"worker killed (exit code {child.process.exitcode})", None)
+    if message[0] == "error":
+        return "error", message[1], _unpickled(message[2])
+    return message
 
 
-def _run_guarded(fn: Callable[..., Any], points: Sequence[Any],
-                 indices: Sequence[int], workers: int,
-                 point_timeout_s: Optional[float], retries: int,
-                 backoff_s: float, fault_plan: Optional[FaultPlan],
-                 start_method: Optional[str],
-                 on_complete: Optional[Callable[[int, Any], None]] = None,
-                 ) -> Tuple[Dict[int, Any], CacheStats, List[PointFailure]]:
-    """Run points in dedicated child processes with deadlines and retries.
-
-    Each attempt gets a fresh process and a private pipe; a hung attempt
-    is killed at its wall-clock deadline, a dead worker (no message, any
-    exit code) is a failed attempt, and failed attempts retry after a
-    deterministic linear backoff (``backoff_s * attempt``) up to
-    ``retries`` times.  Values come back keyed by point index, so results
-    are input-ordered and independent of completion order and worker
-    count.
-    """
-    context = multiprocessing.get_context(start_method)
-    pending: deque = deque((index, 1) for index in indices)
-    active: Dict[int, _GuardedTask] = {}
-    values: Dict[int, Any] = {}
-    spent: Dict[int, float] = {}
-    failures: List[PointFailure] = []
-    cache = CacheStats()
-
-    def launch(index: int, attempt: int) -> None:
-        injection = (fault_plan.for_attempt(index, attempt)
-                     if fault_plan is not None else None)
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_fault_child,
-            args=(child_conn, fn, points[index], injection,
-                  global_trace_cache().export_entries()),
-        )
-        process.start()
-        child_conn.close()
-        started = time.monotonic()
-        deadline = (None if point_timeout_s is None
-                    else started + point_timeout_s)
-        active[index] = _GuardedTask(index=index, attempt=attempt,
-                                     process=process, conn=parent_conn,
-                                     started=started, deadline=deadline)
-
-    def settle(task: _GuardedTask, error: str) -> None:
-        spent[task.index] = (spent.get(task.index, 0.0)
-                             + (time.monotonic() - task.started))
-        if task.attempt <= retries:
-            if backoff_s > 0:
-                time.sleep(backoff_s * task.attempt)
-            pending.append((task.index, task.attempt + 1))
+def _wait(running: Dict[int, _Child],
+          point_timeout_s: Optional[float]) -> List[Tuple[_Child, tuple]]:
+    """Block until a running child reports or passes its deadline; return
+    the settled children with their outcomes, in launch order."""
+    deadlines = [child.deadline for child in running.values()
+                 if child.deadline is not None]
+    timeout = (max(0.0, min(deadlines) - time.monotonic())
+               if deadlines else None)
+    ready = set(multiprocessing.connection.wait(
+        [child.conn for child in running.values()], timeout=timeout))
+    now = time.monotonic()
+    settled = []
+    for index, child in list(running.items()):
+        if child.conn in ready:
+            outcome = _finish(child)
+        elif child.deadline is not None and now >= child.deadline:
+            child.stop()
+            outcome = ("error", f"point timed out after {point_timeout_s:g}s",
+                       None)
         else:
-            failures.append(PointFailure(index=task.index,
-                                         attempts=task.attempt,
-                                         error=error,
-                                         wall_s=spent[task.index]))
-
-    while pending or active:
-        while pending and len(active) < workers:
-            index, attempt = pending.popleft()
-            launch(index, attempt)
-        wait_timeout: Optional[float] = None
-        if any(task.deadline is not None for task in active.values()):
-            nearest = min(task.deadline for task in active.values()
-                          if task.deadline is not None)
-            wait_timeout = max(0.0, nearest - time.monotonic())
-        ready = multiprocessing.connection.wait(
-            [task.conn for task in active.values()], timeout=wait_timeout
-        )
-        ready_set = set(ready)
-        now = time.monotonic()
-        for index in list(active):
-            task = active[index]
-            if task.conn in ready_set:
-                del active[index]
-                message, error = _finish_task(task)
-                if message is not None:
-                    _, value, hits, misses, entries = message
-                    values[index] = value
-                    spent[index] = (spent.get(index, 0.0)
-                                    + (now - task.started))
-                    cache = cache.merge(CacheStats(hits=hits, misses=misses))
-                    global_trace_cache().install(entries)
-                    if on_complete is not None:
-                        on_complete(index, value)
-                else:
-                    settle(task, error)
-            elif task.deadline is not None and now >= task.deadline:
-                del active[index]
-                task.process.kill()
-                task.process.join()
-                task.conn.close()
-                settle(task, f"point timed out after {point_timeout_s:g}s")
-    return values, cache, failures
-
-
-def _run_attempts_inprocess(
-    fn: Callable[..., Any], points: Sequence[Any], indices: Sequence[int],
-    retries: int, backoff_s: float,
-    on_complete: Optional[Callable[[int, Any], None]] = None,
-) -> Tuple[Dict[int, Any], CacheStats, List[PointFailure]]:
-    """In-process retry/quarantine loop for unpicklable sweeps.
-
-    Mirrors :func:`_run_guarded` minus process isolation -- the only
-    hardening features that genuinely require a child process (wall-clock
-    timeouts and kill/delay injection) are rejected upfront by
-    :func:`run_sweep` for unpicklable functions.
-    """
-    values: Dict[int, Any] = {}
-    failures: List[PointFailure] = []
-    cache = CacheStats()
-    for index in indices:
-        started = time.monotonic()
-        for attempt in range(1, retries + 2):
-            try:
-                value, hits, misses, _ = _run_point(fn, points[index])
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                if attempt <= retries:
-                    if backoff_s > 0:
-                        time.sleep(backoff_s * attempt)
-                    continue
-                failures.append(PointFailure(
-                    index=index, attempts=attempt, error=repr(exc),
-                    wall_s=time.monotonic() - started,
-                ))
-            else:
-                values[index] = value
-                cache = cache.merge(CacheStats(hits=hits, misses=misses))
-                if on_complete is not None:
-                    on_complete(index, value)
-            break
-    return values, cache, failures
+            continue
+        del running[index]
+        settled.append((child, outcome))
+    return settled
 
 
 # ------------------------------------------------------------------ run_sweep
@@ -736,34 +586,34 @@ def run_sweep(
     Parameters
     ----------
     fn:
-        The function evaluated per point.  For ``workers > 1`` it must be
-        picklable (a module-level function); unpicklable callables fall
-        back to serial execution rather than failing.
+        The function evaluated per point.  Attempts run in child
+        processes only when ``fn`` and the first point pickle (a
+        module-level function); see the module docstring for when.
     points:
         Sweep points, applied per :func:`_apply` (dict -> kwargs,
         tuple -> args, scalar -> single argument).
     workers:
-        Maximum concurrent worker processes.  ``1`` (default) runs
-        serially in-process; values < 1 or ``None`` mean one worker per
-        CPU.  The effective count never exceeds the number of points left
-        to run.
+        Maximum concurrent child processes.  ``1`` (default) runs inline;
+        values < 1 or ``None`` mean one worker per CPU.  The effective
+        count never exceeds the number of points left to run.
     point_timeout_s:
-        Wall-clock deadline per point *attempt*; a worker still running at
-        its deadline is killed and the attempt fails.  Requires a
-        picklable ``fn``/point (attempts run in dedicated child
-        processes).
+        Wall-clock deadline per point *attempt*; a child still running at
+        its deadline is killed and the attempt fails.  Forces child
+        processes, so it requires a picklable ``fn``/point.
     retries:
         Failed attempts per point beyond the first; retries back off
-        deterministically (``backoff_s * attempt`` seconds, default 0).
+        deterministically (``backoff_s * attempt`` seconds, default 0)
+        and run before any later point starts.
     fault_plan:
         A :class:`FaultPlan` injecting deterministic kills, delays, or
-        exceptions -- how the tests exercise every failure path.
+        exceptions -- how the tests exercise every failure path.  Forces
+        child processes, like ``point_timeout_s``.
     on_error:
-        ``"raise"`` (default) re-raises the first exhausted point as
-        :class:`SweepPointError` after the sweep finishes (completed
-        values are still journaled, so a resume skips them);
-        ``"quarantine"`` returns partial results with ``None`` in failed
-        slots and :class:`PointFailure` records in ``stats.failures``.
+        ``"raise"`` (default) raises the lowest-index exhausted point once
+        every started attempt has settled (completed values are still
+        journaled, so a resume skips them); ``"quarantine"`` returns
+        partial results with ``None`` in failed slots and
+        :class:`PointFailure` records in ``stats.failures``.
     journal:
         Path of an append-only on-disk journal of completed point values
         keyed by a content hash of ``(fn, point)``.  Points already in
@@ -771,10 +621,9 @@ def run_sweep(
         completed points are appended, so a killed sweep resumes where it
         stopped.
     start_method:
-        Multiprocessing start method for worker processes -- the plain
-        pool and the hardened executor both honor it (``None`` uses the
-        platform default; results are identical either way, which is what
-        lets fleet campaigns assert fork/spawn bit-identity).
+        Multiprocessing start method for child processes (``None`` uses
+        the platform default; results are identical either way, which is
+        what lets fleet campaigns assert fork/spawn bit-identity).
 
     Returns
     -------
@@ -801,105 +650,97 @@ def run_sweep(
     todo = [index for index in range(len(points)) if index not in restored]
 
     workers = min(resolve_workers(workers), max(1, len(todo)))
-    hardened = (point_timeout_s is not None or retries > 0
-                or fault_plan is not None or on_error == "quarantine")
-
-    parallel = False
+    isolate = point_timeout_s is not None or fault_plan is not None
+    context = None
     fallback_reason: Optional[str] = None
-    failures: List[PointFailure] = []
-    cache = CacheStats()
-    by_index: Dict[int, Any] = {}
-    journaled: set = set()
-
-    def record_value(index: int, value: Any) -> None:
-        """Journal one completed point immediately (not at sweep end), so
-        a sweep killed mid-run leaves every finished point recoverable."""
-        if journal_store is None:
-            return
-        journal_store.record(journal_store.key(points[index]), value)
-        journaled.add(index)
-
-    if not todo:
-        pass
-    elif hardened:
-        transportable = _picklable(fn) and _picklable(points[todo[0]])
-        if not transportable:
-            if point_timeout_s is not None or fault_plan is not None:
-                raise ValueError(
-                    "point timeouts and fault injection need isolated "
-                    "worker processes, which require a picklable fn and "
-                    "points"
-                )
+    if todo and (isolate or workers > 1):
+        if _picklable(fn, points[todo[0]]):
+            context = multiprocessing.get_context(start_method)
+        elif isolate:
+            raise ValueError(
+                "point timeouts and fault injection need isolated "
+                "worker processes, which require a picklable fn and "
+                "points"
+            )
+        else:
             fallback_reason = "unpicklable function or point"
-            by_index, cache, failures = _run_attempts_inprocess(
-                fn, points, todo, retries, backoff_s,
-                on_complete=record_value,
-            )
-            workers = 1
-        else:
-            by_index, cache, failures = _run_guarded(
-                fn, points, todo, workers, point_timeout_s, retries,
-                backoff_s, fault_plan, start_method,
-                on_complete=record_value,
-            )
-            parallel = workers > 1 and len(todo) > 1
-    else:
-        run_points = [points[index] for index in todo]
-        pool_workers = workers
-        if pool_workers > 1 and not _picklable(fn):
-            fallback_reason = "unpicklable function"
-            pool_workers = 1
-        elif pool_workers > 1 and not _picklable(run_points[0]):
-            # Probe a single representative point, not the whole list --
-            # large sweeps should not pay an extra full-list pickle, and
-            # an unpicklable straggler surfaces through the pool-transport
-            # fallback below anyway.
-            fallback_reason = "unpicklable sweep point"
-            pool_workers = 1
-        outcomes = None
-        if pool_workers > 1 and len(run_points) > 1:
-            outcomes, pool_reason = _run_pool(
-                [(_run_point, fn, point) for point in run_points],
-                pool_workers, seed_cache=True, start_method=start_method,
-            )
-            if outcomes is None:
-                fallback_reason = pool_reason
-        if outcomes is None:
-            # Serial path: workers=1, a single point, or a
-            # pool-infrastructure failure (process creation forbidden,
-            # dead worker, unpicklable result) -- never an error from the
-            # swept function itself.
-            by_index, cache = _run_serial(fn, points, todo,
-                                          on_complete=record_value)
-            workers = 1
-        else:
-            parallel = True
-            values = [value for value, _, _, _ in outcomes]
-            for _, hits, misses, entries in outcomes:
-                cache = cache.merge(CacheStats(hits=hits, misses=misses))
-                global_trace_cache().install(entries)
-            by_index = dict(zip(todo, values))
 
-    if journal_store is not None:
-        # Pool-path values arrive all at once when the futures resolve;
-        # journal whatever the per-point hook has not already written.
-        for index, value in sorted(by_index.items()):
-            if index not in journaled:
+    values: Dict[int, Any] = {}
+    raised: Dict[int, Optional[BaseException]] = {}
+    failures: List[PointFailure] = []
+    spent: Dict[int, float] = {}
+    cache = CacheStats()
+    pending: deque = deque((index, 1) for index in todo)
+    running: Dict[int, _Child] = {}
+
+    def settle(index: int, attempt: int, started: float,
+               outcome: tuple) -> None:
+        nonlocal cache, pending
+        spent[index] = spent.get(index, 0.0) + (time.monotonic() - started)
+        if outcome[0] == "ok":
+            _, value, hits, misses = outcome
+            values[index] = value
+            cache = cache.merge(CacheStats(hits=hits, misses=misses))
+            if journal_store is not None:
+                # Journal each point as it completes, so a sweep killed
+                # mid-run leaves every finished point recoverable.
                 journal_store.record(journal_store.key(points[index]), value)
+        elif attempt <= retries:
+            if backoff_s > 0:
+                time.sleep(backoff_s * attempt)
+            pending.appendleft((index, attempt + 1))
+        else:
+            failures.append(PointFailure(index=index, attempts=attempt,
+                                         error=outcome[1],
+                                         wall_s=spent[index]))
+            if on_error == "raise":
+                raised[index] = outcome[2]
+                # Start no new points; queued retries still run.
+                pending = deque(task for task in pending if task[1] > 1)
+
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                index, attempt = pending.popleft()
+                started = time.monotonic()
+                if context is not None:
+                    try:
+                        running[index] = _launch(
+                            context, fn, points[index], index, attempt,
+                            fault_plan, point_timeout_s, started)
+                        continue
+                    except OSError as exc:
+                        if isolate:
+                            raise
+                        context = None
+                        fallback_reason = (f"child process unavailable "
+                                           f"({type(exc).__name__} at start)")
+                settle(index, attempt, started,
+                       _run_inline(fn, points[index]))
+            if running:
+                for child, outcome in _wait(running, point_timeout_s):
+                    settle(child.index, child.attempt, child.started,
+                           outcome)
+    finally:
+        for child in running.values():
+            child.stop()
 
     if failures and on_error == "raise":
-        raise SweepPointError(failures[0])
+        first = min(failures, key=lambda failure: failure.index)
+        exc = raised[first.index]
+        raise exc if exc is not None else SweepPointError(first)
 
     final_values = [
-        restored[index] if index in restored else by_index.get(index)
+        restored[index] if index in restored else values.get(index)
         for index in range(len(points))
     ]
-    wall_s = time.perf_counter() - start
+    parallel = context is not None and workers > 1
     return SweepResult(
         values=tuple(final_values),
         stats=SweepStats(
-            points=len(points), workers=workers, parallel=parallel,
-            wall_s=wall_s, cache=cache,
+            points=len(points), workers=workers if parallel else 1,
+            parallel=parallel, wall_s=time.perf_counter() - start,
+            cache=cache,
             evaluations=sum(_evaluations_of(v) for v in final_values),
             failures=tuple(sorted(failures, key=lambda f: f.index)),
             fallback_reason=fallback_reason,
@@ -912,7 +753,7 @@ def run_sweep(
 
 def _drain_controller(controller: Any, max_ns: Optional[int],
                       event_driven: bool) -> Tuple[Any, int]:
-    """Worker entry point: drain one channel controller to idle."""
+    """Sweep point: drain one channel controller to idle."""
     if max_ns is None:
         end = controller.run_until_idle(event_driven=event_driven)
     else:
@@ -922,13 +763,12 @@ def _drain_controller(controller: Any, max_ns: Optional[int],
 
 @dataclass(frozen=True)
 class SystemRunResult:
-    """How one :func:`run_system_until_idle` call actually ran.
+    """How one :func:`run_system_until_idle_result` call actually ran.
 
-    ``parallel`` records whether channels really drained in worker
-    processes; when the pool path was requested but did not run,
-    ``fallback_reason`` says why (single channel, unpicklable
-    controllers, or a pool-infrastructure failure) -- previously the
-    fallback was silent and indistinguishable from a parallel run.
+    ``parallel`` records whether channels really drained in child
+    processes; when more than one worker was requested but they did not
+    run in parallel, ``fallback_reason`` says why (a single channel, or
+    the sweep runner's own reason, such as unpicklable controllers).
     """
 
     end_ns: int
@@ -949,51 +789,27 @@ def run_system_until_idle_result(
     or :class:`~repro.sim.memory_system.RoMeMemorySystem` (anything with a
     ``controllers`` list whose members implement ``run_until_idle``).
     Channels are independent once their requests are enqueued, so each
-    worker drains a subset and the drained controllers -- stats, energy
-    counters and all -- replace the originals in channel order.
+    controller is one :func:`run_sweep` point, and the drained controllers
+    -- stats, energy counters and all -- replace the originals in channel
+    order.  ``end_ns`` is the latest channel's end time.
 
-    ``workers=1`` calls ``system.run_until_idle`` directly and is
-    bit-identical to the serial path; ``max_ns=None`` keeps each system's
-    own drain deadline.  Pool failures fall back to the serial path with
-    the reason recorded in the returned :class:`SystemRunResult`.
+    ``workers=1`` drains every controller inline, in channel order, which
+    is exactly ``system.run_until_idle``; ``max_ns=None`` keeps each
+    controller's own drain deadline.
     """
-    requested = resolve_workers(workers)
-    workers = min(requested, max(1, len(system.controllers)))
-    fallback_reason: Optional[str] = None
-    outcomes = None
-    if requested > 1 and len(system.controllers) <= 1:
-        fallback_reason = "single channel"
-    if workers > 1 and len(system.controllers) > 1:
-        if _picklable(system.controllers):
-            outcomes, fallback_reason = _run_pool(
-                [(_drain_controller, controller, max_ns, event_driven)
-                 for controller in system.controllers],
-                workers, seed_cache=False,
-            )
-        else:
-            fallback_reason = "unpicklable controllers"
-    if outcomes is None:
-        if max_ns is None:
-            end = system.run_until_idle(event_driven=event_driven)
-        else:
-            end = system.run_until_idle(max_ns, event_driven=event_driven)
-        return SystemRunResult(end_ns=end, workers=1, parallel=False,
-                               fallback_reason=fallback_reason)
-    system.controllers = [controller for controller, _ in outcomes]
-    return SystemRunResult(
-        end_ns=max(end for _, end in outcomes),
-        workers=workers, parallel=True,
+    sweep = run_sweep(
+        _drain_controller,
+        [(controller, max_ns, event_driven)
+         for controller in system.controllers],
+        workers=workers,
     )
-
-
-def run_system_until_idle(
-    system: Any,
-    workers: int = 1,
-    max_ns: Optional[int] = None,
-    event_driven: bool = True,
-) -> int:
-    """Compatibility wrapper for :func:`run_system_until_idle_result`
-    returning only the simulation end time (max over channels)."""
-    return run_system_until_idle_result(
-        system, workers=workers, max_ns=max_ns, event_driven=event_driven,
-    ).end_ns
+    system.controllers = [controller for controller, _ in sweep.values]
+    fallback_reason = sweep.stats.fallback_reason
+    if len(system.controllers) <= 1 and resolve_workers(workers) > 1:
+        fallback_reason = "single channel"
+    return SystemRunResult(
+        end_ns=max(end for _, end in sweep.values),
+        workers=sweep.stats.workers,
+        parallel=sweep.stats.parallel,
+        fallback_reason=fallback_reason,
+    )

@@ -17,15 +17,16 @@ uncached calls are observably identical apart from wall-clock time.
 
 A process-global :class:`TraceCache` instance serves both call sites; the
 sweep runner (:mod:`repro.sim.sweep`) snapshots its hit/miss counters
-around each sweep point and aggregates them -- including across worker
-processes -- into :class:`~repro.sim.sweep.SweepStats`.
+around each sweep point and sums them -- including the deltas child
+processes report back -- into :class:`~repro.sim.sweep.SweepStats`.
+Entries derived in a child process die with it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Hashable
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,6 @@ class TraceCache:
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._hits = 0
         self._misses = 0
-        self._journal: Optional[List[Tuple[Hashable, Any]]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -90,8 +90,6 @@ class TraceCache:
             self._misses += 1
             value = compute()
             self._entries[key] = value
-            if self._journal is not None:
-                self._journal.append((key, value))
             if len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
             return value
@@ -102,54 +100,14 @@ class TraceCache:
     def stats(self) -> CacheStats:
         return CacheStats(hits=self._hits, misses=self._misses)
 
-    # ------------------------------------------------- cross-process warmth
-
-    def start_journal(self) -> None:
-        """Begin recording entries added by subsequent misses.
-
-        The sweep runner journals inside worker processes so freshly
-        derived entries can be shipped back and :meth:`install`-ed into
-        the parent's cache -- otherwise warmth accrued in a worker would
-        die with its pool.
-        """
-        self._journal = []
-
-    def take_journal(self) -> List[Tuple[Hashable, Any]]:
-        """Stop journaling and return the recorded ``(key, value)`` pairs."""
-        journal = self._journal or []
-        self._journal = None
-        return journal
-
-    def export_entries(self) -> List[Tuple[Hashable, Any]]:
-        """All ``(key, value)`` pairs, oldest first (for seeding workers).
-
-        The sweep runner passes these to each pool worker's initializer so
-        parent-side warmth reaches workers even under ``spawn``/
-        ``forkserver`` start methods, where nothing is inherited.
-        """
-        return list(self._entries.items())
-
-    def install(self, entries: List[Tuple[Hashable, Any]]) -> None:
-        """Adopt entries journaled elsewhere (no effect on hit/miss counts).
-
-        Already-present keys are left untouched so installing a worker's
-        journal never reorders or replaces what the parent derived itself.
-        """
-        for key, value in entries:
-            if key not in self._entries:
-                self._entries[key] = value
-                if len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-
     def clear(self) -> None:
-        """Drop all entries, reset the counters, and discard any journal."""
+        """Drop all entries and reset the counters."""
         self._entries.clear()
         self._hits = 0
         self._misses = 0
-        self._journal = None
 
 
-#: Process-global cache shared by the trace-setup call sites.  Worker
+#: Process-global cache shared by the trace-setup call sites.  Child
 #: processes forked by the sweep runner inherit the parent's warm entries
 #: and report their own counter deltas back to the parent.
 _GLOBAL_CACHE = TraceCache()

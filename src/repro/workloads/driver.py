@@ -713,8 +713,8 @@ def run_workload_point(spec: ScenarioSpec) -> WorkloadResult:
     """One arrival-driven sweep point (picklable: takes only the spec).
 
     This is to workloads what ``queue_depth_point`` is to drain sweeps --
-    the unit :func:`repro.sim.sweep.run_sweep` shards across the process
-    pool.  The schedule is recompiled inside the worker from the spec's
+    the unit :func:`repro.sim.sweep.run_sweep` shards across worker
+    processes.  The schedule is recompiled inside the worker from the spec's
     seed, so results are identical at any worker count.
     """
     return run_workload(spec)
@@ -729,7 +729,7 @@ def workload_sweep(specs: Sequence[ScenarioSpec],
                    backoff_s: float = 0.0,
                    on_error: str = "raise",
                    fault_plan: Optional[FaultPlan] = None) -> SweepResult:
-    """Shard independent workload points across a process pool.
+    """Shard independent workload points across worker processes.
 
     ``workers=1`` runs the exact serial loop; results come back in
     ``specs`` order at any worker count, with scheduler evaluations
@@ -738,7 +738,7 @@ def workload_sweep(specs: Sequence[ScenarioSpec],
     :func:`repro.sim.sweep.run_sweep`: ``journal`` makes a killed sweep
     resumable (finished specs are skipped on re-run), and
     ``point_timeout_s``/``retries``/``on_error``/``fault_plan`` engage the
-    hardened per-point executor.
+    sweep runner's fault-tolerance paths.
     """
     return run_sweep(run_workload_point, list(specs), workers=workers,
                      journal=journal, point_timeout_s=point_timeout_s,
@@ -821,7 +821,7 @@ def rate_sweep(spec: ScenarioSpec, rates_per_s: Sequence[float],
                ) -> List[WorkloadResult]:
     """Sweep ``spec`` over arrival rates for one or both controllers.
 
-    Points are ordered rate-major, system-minor and shard across the pool
+    Points are ordered rate-major, system-minor and shard across workers
     exactly like drain points (the CLI ``workload`` command's backend).
 
     ``warm_start=True`` switches to serial per-system execution where

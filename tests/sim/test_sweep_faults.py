@@ -1,17 +1,18 @@
-"""Fault-tolerance tests for the hardened sweep runner.
+"""Fault-tolerance tests for the sweep runner's attempt loop.
 
-Covers the failure paths that were untested before the hardened
-executor existed: workers killed mid-sweep (via :class:`FaultPlan`),
-unpicklable *results*, and per-point timeout expiry -- each asserting
-deterministic values and quarantine records across ``workers=1/2`` and
-the fork/spawn start methods -- plus retries, the sweep journal, and the
-:class:`SystemRunResult` fallback-reason satellite.
+Covers the failure paths: workers killed mid-sweep (via
+:class:`FaultPlan`), unpicklable *results*, per-point timeout expiry and
+the lowest-index raise rule -- each asserting deterministic values and
+quarantine records across ``workers=1/2`` and the fork/spawn start
+methods -- plus retries, the sweep journal, inline fallbacks, and
+:class:`SystemRunResult` fallback reasons.
 """
 
 import json
 import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
@@ -44,6 +45,14 @@ class _UnpicklableResult:
 
 def _make_unpicklable(x):
     return _UnpicklableResult()
+
+
+def _fail_slow_then_fast(index):
+    """Point 0 fails after 0.5 s, point 1 at once: at two workers point 1
+    finishes first, yet point 0 is the one that must raise."""
+    if index == 0:
+        time.sleep(0.5)
+    raise ValueError(f"point {index} failed")
 
 
 def _start_methods():
@@ -143,6 +152,12 @@ class TestInjectedExceptions:
                           retries=2, on_error="quarantine")
         assert sweep.stats.failures[0].attempts == 3
 
+    @pytest.mark.parametrize("kwargs", [{}, {"point_timeout_s": 30.0}],
+                             ids=["plain", "timeout"])
+    def test_raise_mode_raises_the_lowest_index_failure(self, kwargs):
+        with pytest.raises(ValueError, match="point 0 failed"):
+            run_sweep(_fail_slow_then_fast, [0, 1], workers=2, **kwargs)
+
     def test_injected_fault_is_a_runtime_error(self):
         assert issubclass(InjectedFault, RuntimeError)
 
@@ -186,20 +201,35 @@ class TestPointTimeout:
 
 
 class TestUnpicklableResult:
-    def test_legacy_pool_falls_back_serially_with_a_reason(self):
-        sweep = run_sweep(_make_unpicklable, [1, 2], workers=2)
+    def test_parallel_sweep_raises_a_sweep_point_error(self):
+        with pytest.raises(SweepPointError,
+                           match=r"unpicklable result \(PicklingError\)"):
+            run_sweep(_make_unpicklable, [1, 2], workers=2)
+        sweep = run_sweep(_make_unpicklable, [1, 2], workers=2,
+                          on_error="quarantine")
+        assert sweep.values == (None, None)
+        assert sweep.stats.failures == (
+            PointFailure(index=0, attempts=1,
+                         error="unpicklable result (PicklingError)"),
+            PointFailure(index=1, attempts=1,
+                         error="unpicklable result (PicklingError)"),
+        )
+
+    def test_inline_sweep_never_pickles_results(self):
+        sweep = run_sweep(_make_unpicklable, [1, 2], workers=1,
+                          on_error="quarantine")
         assert all(isinstance(v, _UnpicklableResult) for v in sweep.values)
-        assert sweep.stats.parallel is False
-        assert sweep.stats.fallback_reason \
-            == "pool transport failed (unpicklable task or result)"
+        assert sweep.stats.failures == ()
+        assert sweep.stats.fallback_reason is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hardened_mode_quarantines_with_a_normalized_error(self, workers):
         # Reprs of unpicklable objects embed memory addresses; the
-        # hardened executor normalizes the error so quarantine records
-        # are identical across runs and worker counts.
+        # attempt loop normalizes the error so quarantine records are
+        # identical across runs and worker counts.  The timeout puts the
+        # workers=1 attempts in child processes too.
         sweep = run_sweep(_make_unpicklable, [1, 2], workers=workers,
-                          on_error="quarantine")
+                          point_timeout_s=30.0, on_error="quarantine")
         assert sweep.values == (None, None)
         assert {f.error for f in sweep.stats.failures} \
             == {"unpicklable result (PicklingError)"}
@@ -209,7 +239,22 @@ class TestFallbackReasons:
     def test_unpicklable_function_reason(self):
         sweep = run_sweep(lambda x: x + 1, [1, 2], workers=2)
         assert list(sweep.values) == [2, 3]
-        assert sweep.stats.fallback_reason == "unpicklable function"
+        assert sweep.stats.fallback_reason == "unpicklable function or point"
+
+    def test_child_start_oserror_runs_inline_with_a_reason(self,
+                                                           monkeypatch):
+        def refuse(self):
+            raise OSError("process creation forbidden")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        sweep = run_sweep(_square, [1, 2, 3], workers=2)
+        assert sweep.values == (1, 4, 9)
+        assert sweep.stats.parallel is False
+        assert sweep.stats.fallback_reason \
+            == "child process unavailable (OSError at start)"
+        with pytest.raises(OSError, match="forbidden"):
+            run_sweep(_square, [1, 2], workers=2, point_timeout_s=30.0)
 
     def test_serial_sweeps_have_no_reason(self):
         sweep = run_sweep(_square, [1, 2], workers=1)
@@ -307,8 +352,8 @@ class TestArgumentValidation:
 
     def test_unpicklable_quarantine_without_isolation_still_works(self):
         # Quarantine alone does not need child processes, so unpicklable
-        # callables keep working through the in-process retry loop.
-        sweep = run_sweep(lambda x: 1 // x, [1, 0], retries=1,
+        # callables keep working through the inline attempt loop.
+        sweep = run_sweep(lambda x: 1 // x, [1, 0], workers=2, retries=1,
                           on_error="quarantine")
         assert sweep.values == (1, None)
         assert sweep.stats.fallback_reason == "unpicklable function or point"
@@ -345,6 +390,16 @@ class TestSystemRunResult:
         assert result.parallel is True
         assert result.workers == 2
         assert result.fallback_reason is None
+
+    def test_unpicklable_controllers_drain_inline_with_a_reason(self):
+        system = self._system()
+        for controller in system.controllers:
+            controller.unpicklable = lambda: None
+        result = run_system_until_idle_result(system, workers=2)
+        assert result.parallel is False
+        assert result.fallback_reason == "unpicklable function or point"
+        assert result.end_ns \
+            == run_system_until_idle_result(self._system()).end_ns
 
     def test_single_channel_reports_why_it_stayed_serial(self):
         result = run_system_until_idle_result(self._system(num_channels=1),

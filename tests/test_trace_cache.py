@@ -72,33 +72,6 @@ class TestTraceCache:
         with pytest.raises(ValueError):
             TraceCache(max_entries=0)
 
-    def test_journal_records_only_misses(self):
-        cache = TraceCache()
-        cache.get_or_compute("warm", lambda: 0)
-        cache.start_journal()
-        cache.get_or_compute("warm", lambda: 0)  # hit: not journaled
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        assert cache.take_journal() == [("a", 1), ("b", 2)]
-        # Journal is one-shot.
-        cache.get_or_compute("c", lambda: 3)
-        assert cache.take_journal() == []
-
-    def test_install_adopts_foreign_entries_without_counting(self):
-        cache = TraceCache()
-        cache.get_or_compute("mine", lambda: 0)
-        before = cache.stats()
-        cache.install([("theirs", 42), ("mine", -1)])
-        assert cache.stats() == before
-        # Installed entry hits; pre-existing keys are not overwritten.
-        assert cache.get_or_compute("theirs", lambda: None) == 42
-        assert cache.get_or_compute("mine", lambda: None) == 0
-
-    def test_install_respects_max_entries(self):
-        cache = TraceCache(max_entries=2)
-        cache.install([("a", 1), ("b", 2), ("c", 3)])
-        assert len(cache) == 2
-
 
 class TestDecomposeCaching:
     def _mapping(self):
