@@ -439,19 +439,32 @@ class FrFcfsScheduler:
         order, so the controller can prioritize reads or drain writes.
         Queue entries are stored in arrival order, so the first transaction
         that can legally issue is the oldest ready one (FR-FCFS).
+
+        Each bank is tested once per scan: a column command's readiness
+        depends only on its pseudo-channel/stack/bank group/bank, RD vs
+        WR, the open row (every candidate is a hit on it) and ``now`` --
+        never on the column or the request -- so once a bank's oldest hit
+        is blocked, its younger hits of the same direction are too.
         """
+        blocked = set()
         for queue, enabled in queues:
             if not enabled:
                 continue
             for transaction in queue:
                 if transaction.served:
                     continue
+                coord = transaction.coordinate
+                key = (coord.pseudo_channel, coord.stack_id,
+                       coord.bank_group, coord.bank, transaction.is_write)
+                if key in blocked:
+                    continue
                 bank = self._bank_for(transaction)
-                if not bank.is_row_hit(transaction.coordinate.row):
+                if not bank.is_row_hit(coord.row):
                     continue
                 command = self._column_command(transaction)
                 if self.channel.can_issue(command, now):
                     return SchedulerDecision(command=command, transaction=transaction)
+                blocked.add(key)
         return None
 
     # ----------------------------------------------------------- burst trains

@@ -17,6 +17,9 @@ from repro.trace_cache import global_trace_cache
 
 _row_request_ids = itertools.count()
 
+#: Rows per virtual bank in the default striping layout.
+DEFAULT_ROWS_PER_VBA = 1 << 14
+
 
 class RowRequestKind(enum.Enum):
     """Row-level request types exposed by the RoMe interface."""
@@ -82,7 +85,7 @@ def requests_for_transfer(
     effective_row_bytes: int,
     num_channels: int,
     vbas_per_channel: int,
-    rows_per_vba: int = 1 << 14,
+    rows_per_vba: int = DEFAULT_ROWS_PER_VBA,
     start_row: int = 0,
     arrival_ns: int = 0,
 ) -> List[RowRequest]:

@@ -320,10 +320,12 @@ def max_sustainable_rate_comparison() -> List[Dict[str, Any]]:
     the two searches agree bit-for-bit (rate, probe sequence, goodput at
     every probe) -- the determinism contract of the closed-loop driver.
     The hbm4 search shares that contract (asserted by the tier-1
-    equivalence suite) but each conventional-scheduler probe costs ~1 s
-    of wall time, so the smoke runs it once.  The ``bench-smoke`` gate
-    (``--min-goodput-fraction``) checks the goodput fraction achieved at
-    the found rate.
+    equivalence suite) but costs tens of times the RoMe search in wall
+    time (~0.4 s per probe on a 2-vCPU host), so the smoke runs it once.
+    ``evaluations`` sums the probes' scheduler evaluations, the
+    deterministic work counter behind ``wall_ms``.  The ``bench-smoke``
+    gate (``--min-goodput-fraction``) checks the goodput fraction
+    achieved at the found rate.
     """
     from repro.workloads.driver import find_max_sustainable_rate
 
@@ -353,6 +355,7 @@ def max_sustainable_rate_comparison() -> List[Dict[str, Any]]:
             "goodput_fraction": best.goodput_fraction if best else 0.0,
             "threshold": first.threshold,
             "probes": len(first.probes),
+            "evaluations": sum(probe.evaluations for probe in first.probes),
             "wall_ms": wall_s * 1e3,
         })
     return rows

@@ -43,7 +43,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
-from repro.core.interface import RowRequestKind, requests_for_transfer
+from repro.core.interface import (
+    DEFAULT_ROWS_PER_VBA,
+    RowRequestKind,
+    requests_for_transfer,
+)
 from repro.core.virtual_bank import paper_vba_config
 from repro.defaults import DEFAULT_DRAIN_HORIZON_NS
 from repro.latency import LatencyAccumulator
@@ -204,20 +208,26 @@ class _RomeMaterializer:
 
     def enqueue(self, transfer: Transfer, now: int) -> List:
         requests = []
+        vbas = self.vba.vbas_per_channel_per_sid
         for nbytes, kind in ((transfer.read_bytes, RowRequestKind.RD_ROW),
                              (transfer.write_bytes, RowRequestKind.WR_ROW)):
             if not nbytes:
                 continue
+            rows = -(-nbytes // (self.vba.effective_row_bytes * vbas))
+            if self._row_cursor + rows > DEFAULT_ROWS_PER_VBA:
+                # Wrap like the hbm4 address decode: a transfer that does
+                # not fit in the rows left starts over at row 0.
+                self._row_cursor = 0
             batch = requests_for_transfer(
                 nbytes,
                 kind=kind,
                 effective_row_bytes=self.vba.effective_row_bytes,
                 num_channels=1,
-                vbas_per_channel=self.vba.vbas_per_channel_per_sid,
+                vbas_per_channel=vbas,
                 start_row=self._row_cursor,
                 arrival_ns=now,
             )
-            self._row_cursor += -(-len(batch) // self.vba.vbas_per_channel_per_sid)
+            self._row_cursor += rows
             requests.extend(batch)
         for request in requests:
             self.controller.enqueue(request)
@@ -413,12 +423,15 @@ def _advance_until_complete(simulation: Simulation, controller: Any,
     """Advance until every request of one iteration has completed; return
     the iteration's completion instant (the closed-loop launch gate).
 
-    Advance targets come from ``controller.next_event_ns()`` -- the same
+    :func:`_run_closed_loop` has already advanced to the iteration's
+    cadence instant in one ``run_for``, so this loop only runs for an
+    iteration that overran its cadence (or the last one, which is not
+    sliced).  It steps to ``controller.next_event_ns()`` -- the same
     instants the event core picks on its own -- so the advance trajectory
     (and with it every launch decision) is a pure function of controller
     state.  The cycle-exact controllers reach identical states at
-    identical instants under the event and lockstep cores, which keeps
-    closed-loop results bit-identical across the two.
+    identical instants under any advance slicing, and under the event and
+    lockstep cores, which keeps closed-loop results bit-identical.
     """
     while any(request.completion_ns is None for request in requests):
         target = controller.next_event_ns()
@@ -450,6 +463,14 @@ def _run_closed_loop(spec: ScenarioSpec, materializer, simulation: Simulation,
     launch gates on ``max(accelerator cadence, completion)``.  Returns
     the result plus the server, whose per-request records tests inspect.
 
+    Cadence slicing: since no launch comes before ``launch +
+    iteration_interval_ns``, the driver first reaches that instant in one
+    ``run_for`` -- long enough for burst trains to engage -- and steps
+    event by event (:func:`_advance_until_complete`) only past it, i.e.
+    when the iteration overran its cadence.  The server's last iteration
+    (:meth:`ClosedLoopServer.finishing`) is not sliced: advancing past its
+    completion would stretch ``end_ns`` and the bandwidth window.
+
     ``plan`` overrides the scenario registry's serving plan -- the fleet
     layer replays *routed* arrival instants through the same loop, so a
     replica's episode is the plain closed-loop run of its assignment.
@@ -462,6 +483,7 @@ def _run_closed_loop(spec: ScenarioSpec, materializer, simulation: Simulation,
                               obs=getattr(materializer, "obs", None))
     horizon_abs = max(times) if times else start_ns
     deadline_ns = horizon_abs + max_drain_ns
+    interval = plan.serving.iteration_interval_ns
     issued: List[Tuple[int, Transfer, List]] = []
     while True:
         launch = server.next_launch_ns()
@@ -482,6 +504,13 @@ def _run_closed_loop(spec: ScenarioSpec, materializer, simulation: Simulation,
             issued.extend(fired)
             requests = [request for _, _, batch in fired
                         for request in batch]
+            if not server.finishing():
+                # The next launch is never before the cadence instant, so
+                # reach it in one advance (trains engage); the last
+                # iteration stops at its completion to keep ``end_ns``.
+                cadence = min(launch + interval, deadline_ns)
+                if cadence > simulation.now:
+                    simulation.run_for(cadence - simulation.now)
             completion = _advance_until_complete(simulation, controller,
                                                  requests, deadline_ns)
         else:
@@ -857,10 +886,12 @@ def rate_sweep(spec: ScenarioSpec, rates_per_s: Sequence[float],
 class RateProbe:
     """One bisection probe: the rate offered and what it achieved.
 
-    ``wall_s`` is the wall-clock cost of simulating the probe (0.0 for a
-    probe replayed from an old journal without the field).  Excluded from
-    equality like every other cost counter -- the simulated outcome is
-    deterministic, the wall-clock is not.
+    ``wall_s`` is the wall-clock cost of simulating the probe and
+    ``evaluations`` its deterministic counterpart, the controller's
+    scheduler evaluations (0.0 and 0 for a probe replayed from an old
+    journal without the fields).  Both are excluded from equality like
+    every other cost counter -- the simulated outcome does not depend on
+    how much work reaching it took.
     """
 
     rate_per_s: float
@@ -868,6 +899,7 @@ class RateProbe:
     goodput_fraction: float
     sustainable: bool
     wall_s: float = field(default=0.0, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -960,7 +992,8 @@ def find_max_sustainable_rate(spec: ScenarioSpec, low_per_s: float,
                               goodput_per_s=entry["goodput_per_s"],
                               goodput_fraction=entry["goodput_fraction"],
                               sustainable=entry["sustainable"],
-                              wall_s=entry.get("wall_s", 0.0))
+                              wall_s=entry.get("wall_s", 0.0),
+                              evaluations=entry.get("evaluations", 0))
         else:
             started = time.perf_counter()
             result = rate_sweep(spec, [rate], systems=(spec.system,),
@@ -972,7 +1005,8 @@ def find_max_sustainable_rate(spec: ScenarioSpec, low_per_s: float,
                               goodput_fraction=result.goodput_fraction,
                               sustainable=result.goodput_fraction
                               >= threshold,
-                              wall_s=wall_s)
+                              wall_s=wall_s,
+                              evaluations=result.evaluations)
             executed += 1
             if journal:
                 with open(journal, "a", encoding="utf-8") as handle:
@@ -981,7 +1015,8 @@ def find_max_sustainable_rate(spec: ScenarioSpec, low_per_s: float,
                          "goodput_per_s": probe.goodput_per_s,
                          "goodput_fraction": probe.goodput_fraction,
                          "sustainable": probe.sustainable,
-                         "wall_s": probe.wall_s},
+                         "wall_s": probe.wall_s,
+                         "evaluations": probe.evaluations},
                         sort_keys=True) + "\n")
         recorded.append(probe)
         return probe

@@ -428,6 +428,19 @@ class ClosedLoopServer:
         return sum(1 for record in self.records
                    if record.admitted_ns is not None)
 
+    def finishing(self) -> bool:
+        """Will :meth:`finish_iteration` leave the server :attr:`done`?
+
+        Asked between :meth:`begin_iteration` and :meth:`finish_iteration`:
+        true when nothing is pending or queued and every active sequence
+        decodes its last output token this iteration.
+        """
+        return not (self._pending or self._queue) and all(
+            sequence.decoding
+            and sequence.generated + 1 >= sequence.record.output_tokens
+            for sequence in self._active
+        )
+
     def next_launch_ns(self) -> Optional[int]:
         """Instant of the next iteration launch, or ``None`` when done.
 

@@ -131,3 +131,33 @@ def test_plan_train_refuses_when_refresh_is_due(timing):
         now=timing.tREFIpb, target_ns=timing.tREFIpb + 10_000,
         num_picks=mc.config.num_pseudo_channels,
     ) is None
+
+
+def test_pick_column_tests_a_blocked_bank_once(setup, timing):
+    """Younger hits to a bank whose oldest hit is blocked are skipped: a
+    column command's readiness does not depend on its column."""
+    channel, scheduler, mapping, queue = setup
+    blocks = decompose(MemoryRequest(kind=RequestKind.READ, address=0,
+                                     size_bytes=4096), mapping)
+    bank_a = [t for t in blocks if t.coordinate.bank_group == 1
+              and t.coordinate.pseudo_channel == 0][:2]
+    bank_b = [t for t in blocks if t.coordinate.bank_group == 0
+              and t.coordinate.pseudo_channel == 0][:1]
+    assert bank_a[0].coordinate.column != bank_a[1].coordinate.column
+    for t in bank_a + bank_b:
+        queue.push(t)
+    # Open B first and A one tRRDS later, so at B's tRCDRD only B is ready.
+    channel.issue(scheduler._act_command(bank_b[0]), 0)
+    channel.issue(scheduler._act_command(bank_a[0]), timing.tRRDS)
+    asked = []
+    can_issue = channel.can_issue
+
+    def spy(command, now):
+        asked.append(command.bank_group)
+        return can_issue(command, now)
+
+    channel.can_issue = spy
+    decision = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
+    assert decision is not None
+    assert decision.transaction is bank_b[0]
+    assert asked == [1, 0]

@@ -129,6 +129,11 @@ def test_bench_smoke_gates_pass_and_write_perf_document(bench_run):
     assert all(row["saturated"] for row in report["workload"])
 
 
+def test_rate_search_rows_count_scheduler_evaluations(bench_run):
+    for row in bench_run.document["max_sustainable_rate"]:
+        assert row["evaluations"] >= row["probes"] > 0
+
+
 def test_bench_smoke_label_and_parameters_are_stamped(bench_run):
     meta = bench_run.document["meta"]
     assert meta["label"] == "tier1-bench"

@@ -16,6 +16,7 @@ Plus the determinism contracts (worker counts, fork/spawn, lockstep) and
 the resumable bisection journal.
 """
 
+import json
 import multiprocessing
 import pickle
 
@@ -225,6 +226,44 @@ class TestAdmissionControl:
             ServingConfig(model_name="grok-1", output_tokens=0)
 
 
+class TestFinishingQuery:
+    @given(
+        batch_capacity=st.integers(min_value=1, max_value=3),
+        output_tokens=st.integers(min_value=1, max_value=4),
+        prefill_chunk_tokens=st.none() | st.integers(min_value=3,
+                                                     max_value=8),
+        max_queue_depth=st.none() | st.integers(min_value=0, max_value=3),
+        arrivals=st.lists(st.integers(min_value=0, max_value=2_000),
+                          min_size=1, max_size=10),
+        completion_delay_ns=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finishing_predicts_the_end_of_the_episode(
+            self, batch_capacity, output_tokens, prefill_chunk_tokens,
+            max_queue_depth, arrivals, completion_delay_ns):
+        """Asked before ``finish_iteration``, ``finishing()`` equals
+        ``next_launch_ns() is None`` after it -- the driver skips the
+        cadence slice on exactly that iteration."""
+        config = ServingConfig(model_name="grok-1",
+                               batch_capacity=batch_capacity,
+                               prompt_tokens=8, output_tokens=output_tokens,
+                               prefill_chunk_tokens=prefill_chunk_tokens,
+                               iteration_interval_ns=100,
+                               traffic_scale=2.0 ** -26,
+                               max_queue_depth=max_queue_depth)
+        server = ClosedLoopServer(config, arrivals)
+        launches = 0
+        while (launch := server.next_launch_ns()) is not None:
+            fired = server.begin_iteration(launch)
+            finishing = server.finishing()
+            server.finish_iteration(
+                launch, launch + completion_delay_ns if fired else launch)
+            assert finishing == (server.next_launch_ns() is None)
+            launches += 1
+            assert launches < 10_000
+        assert server.done
+
+
 # ------------------------------------------------------- goodput properties
 
 
@@ -408,6 +447,24 @@ class TestFindMaxSustainableRate:
         resumed = self._search(journal=str(journal))
         assert resumed == full
         assert resumed.executed_probes == len(full.probes) - 2
+
+    def test_journal_replays_probe_evaluations(self, tmp_path):
+        journal = tmp_path / "probes.jsonl"
+        full = self._search(journal=str(journal))
+        assert all(probe.evaluations > 0 for probe in full.probes)
+        replayed = self._search(journal=str(journal))
+        assert [p.evaluations for p in replayed.probes] \
+            == [p.evaluations for p in full.probes]
+        # A journal written before the field existed replays it as 0.
+        entries = [json.loads(line)
+                   for line in journal.read_text().splitlines()]
+        journal.write_text("".join(
+            json.dumps({k: v for k, v in entry.items()
+                        if k != "evaluations"}) + "\n"
+            for entry in entries))
+        old = self._search(journal=str(journal))
+        assert old == full
+        assert all(probe.evaluations == 0 for probe in old.probes)
 
     def test_journal_from_different_search_is_rejected(self, tmp_path):
         journal = tmp_path / "probes.jsonl"

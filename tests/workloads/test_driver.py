@@ -14,9 +14,11 @@ import pickle
 
 import pytest
 
+from repro.core.interface import DEFAULT_ROWS_PER_VBA
 from repro.workloads.arrivals import ArrivalSchedule, Transfer, compile_schedule
 from repro.workloads.driver import (
     WorkloadResult,
+    _RomeMaterializer,
     rate_sweep,
     run_workload,
     run_workload_point,
@@ -116,6 +118,22 @@ class TestWorkloadSweep:
         parallel = rate_sweep(_spec(), [100_000.0, 400_000.0],
                               systems=("rome",), workers=2)
         assert serial == parallel
+
+
+class TestRomeRowCursor:
+    def test_transfer_past_the_last_row_wraps_to_row_zero(self):
+        materializer = _RomeMaterializer(_spec())
+        row_bytes = (materializer.vba.effective_row_bytes
+                     * materializer.vba.vbas_per_channel_per_sid)
+        materializer._row_cursor = DEFAULT_ROWS_PER_VBA - 2
+        fits = materializer.enqueue(Transfer(read_bytes=2 * row_bytes), 0)
+        assert {r.row for r in fits} == {DEFAULT_ROWS_PER_VBA - 2,
+                                         DEFAULT_ROWS_PER_VBA - 1}
+        # No row is left: the reads start over at row 0, the writes follow.
+        wrapped = materializer.enqueue(
+            Transfer(read_bytes=2 * row_bytes, write_bytes=row_bytes + 1), 0)
+        assert sorted({r.row for r in wrapped}) == [0, 1, 2, 3]
+        assert materializer._row_cursor == 4
 
 
 def _compile_in_child(spec: ScenarioSpec) -> ArrivalSchedule:
