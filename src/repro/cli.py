@@ -536,12 +536,11 @@ def cmd_bench_smoke(args: argparse.Namespace) -> int:
         "bytes": args.bytes,
         "conventional_bytes": args.conventional_bytes,
         "repeats": args.repeats,
-        "workers": args.workers,
     }
     sections = {key: produce(parameters) for key, produce in bench.SECTIONS}
     report = {
         "meta": {
-            "schema": 8,
+            "schema": 9,
             "generated_utc": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(timespec="seconds"),
             "package_version": __version__,
@@ -876,7 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
              + " sections, checks every bench gate, and writes "
              "BENCH_<UTC-date>.json stamped with run metadata",
     )
-    add_workers_arg(p)
     p.add_argument("--bytes", type=int, default=128 * 1024,
                    help="streaming drain size for the RoMe comparison")
     p.add_argument("--conventional-bytes", type=int, default=512 * 1024,

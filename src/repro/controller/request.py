@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.dram.address import AddressMapping, DramCoordinate
-from repro.trace_cache import global_trace_cache
 
 _request_ids = itertools.count()
 
@@ -85,17 +84,9 @@ class Transaction:
 def decompose(request: MemoryRequest, mapping: AddressMapping) -> List[Transaction]:
     """Split ``request`` into per-block transactions using ``mapping``.
 
-    The address decode -- the pure, expensive half of the split -- is
-    memoized in the global trace cache keyed by
-    ``(mapping, address, size_bytes)``; a different mapping (or address
-    range) occupies a different cache entry.  The returned
-    :class:`Transaction` queue entries are always freshly built, so the
-    cache never leaks controller state between runs.
+    Each call builds fresh :class:`Transaction` queue entries that carry
+    the request's kind and arrival time.
     """
-    coordinates = global_trace_cache().get_or_compute(
-        ("decompose", mapping, request.address, request.size_bytes),
-        lambda: tuple(mapping.decode_range(request.address, request.size_bytes)),
-    )
     return [
         Transaction(
             request=request,
@@ -103,5 +94,6 @@ def decompose(request: MemoryRequest, mapping: AddressMapping) -> List[Transacti
             size_bytes=mapping.granularity_bytes,
             arrival_ns=request.arrival_ns,
         )
-        for coordinate in coordinates
+        for coordinate in mapping.decode_range(request.address,
+                                               request.size_bytes)
     ]

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from repro.trace_cache import global_trace_cache
-
 _row_request_ids = itertools.count()
 
 #: Rows per virtual bank in the default striping layout.
@@ -95,21 +93,12 @@ def requests_for_transfer(
     matching the bandwidth-maximizing address mapping the paper sweeps for
     (Section VI-A).  The final request may be partially valid (overfetch).
 
-    The striping arithmetic is memoized in the global trace cache keyed by
-    the full layout tuple (total bytes, row size, channel/VBA geometry,
-    start row), so repeated sweep points skip the derivation.  Fresh
-    :class:`RowRequest` objects (new request IDs, clean issue/completion
-    state) are built on every call, cached or not.
+    The whole layout is derived before any :class:`RowRequest` is built,
+    so a transfer past the device capacity raises without consuming
+    request IDs.
     """
-    if total_bytes <= 0:
-        return []
-    key = ("requests_for_transfer", total_bytes, effective_row_bytes,
-           num_channels, vbas_per_channel, rows_per_vba, start_row)
-    specs = global_trace_cache().get_or_compute(
-        key,
-        lambda: _transfer_specs(total_bytes, effective_row_bytes, num_channels,
-                                vbas_per_channel, rows_per_vba, start_row),
-    )
+    specs = _transfer_specs(total_bytes, effective_row_bytes, num_channels,
+                            vbas_per_channel, rows_per_vba, start_row)
     return [
         RowRequest(
             kind=kind,
@@ -130,8 +119,8 @@ def _transfer_specs(
     vbas_per_channel: int,
     rows_per_vba: int,
     start_row: int,
-) -> Tuple[Tuple[int, int, int, int], ...]:
-    """Immutable (channel, vba, row, valid_bytes) striping of a transfer."""
+) -> List[Tuple[int, int, int, int]]:
+    """The (channel, vba, row, valid_bytes) striping of a transfer."""
     specs: List[Tuple[int, int, int, int]] = []
     remaining = total_bytes
     index = 0
@@ -145,7 +134,7 @@ def _transfer_specs(
         specs.append((channel, vba, row, valid))
         remaining -= valid
         index += 1
-    return tuple(specs)
+    return specs
 
 
 def round_robin_by_channel(requests: List[RowRequest],

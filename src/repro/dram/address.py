@@ -11,8 +11,10 @@ experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+import math
+import operator
+from dataclasses import dataclass, fields
+from typing import List, Tuple
 
 #: Recognized address fields, from least to most significant by default.
 FIELDS = ("column", "pseudo_channel", "channel", "bank_group", "bank",
@@ -41,6 +43,21 @@ class DramCoordinate:
             self.row,
             self.column,
         )
+
+
+#: :class:`DramCoordinate` fields in constructor order.
+_COORDINATE_FIELDS = tuple(field.name for field in fields(DramCoordinate))
+
+#: The geometry attribute that sizes each address field.
+_FIELD_SIZES = {
+    "column": "columns_per_row",
+    "pseudo_channel": "num_pseudo_channels",
+    "channel": "num_channels",
+    "bank_group": "num_bank_groups",
+    "bank": "banks_per_group",
+    "stack_id": "num_stack_ids",
+    "row": "rows_per_bank",
+}
 
 
 @dataclass(frozen=True)
@@ -85,76 +102,53 @@ class AddressMapping:
             )
         if self.granularity_bytes <= 0:
             raise ValueError("granularity_bytes must be positive")
+        # Derived once per mapping; plain attributes, so they take no part
+        # in equality, hashing or the repr.
+        object.__setattr__(self, "_sizes", tuple(
+            self.field_size(field) for field in self.field_order))
+        object.__setattr__(self, "_pick", operator.itemgetter(*(
+            self.field_order.index(field) for field in _COORDINATE_FIELDS)))
 
     # ------------------------------------------------------------ geometry
 
     def field_size(self, field: str) -> int:
-        sizes = {
-            "column": self.columns_per_row,
-            "pseudo_channel": self.num_pseudo_channels,
-            "channel": self.num_channels,
-            "bank_group": self.num_bank_groups,
-            "bank": self.banks_per_group,
-            "stack_id": self.num_stack_ids,
-            "row": self.rows_per_bank,
-        }
-        return sizes[field]
+        return getattr(self, _FIELD_SIZES[field])
 
     @property
     def bytes_per_row_system(self) -> int:
         """Bytes covered before the row field increments."""
-        total = self.granularity_bytes
-        for field in self.field_order:
-            if field == "row":
-                break
-            total *= self.field_size(field)
-        return total
+        below_row = self._sizes[:self.field_order.index("row")]
+        return self.granularity_bytes * math.prod(below_row)
 
     @property
     def capacity_bytes(self) -> int:
-        total = self.granularity_bytes
-        for field in self.field_order:
-            total *= self.field_size(field)
-        return total
+        return self.granularity_bytes * math.prod(self._sizes)
 
     # ------------------------------------------------------------- mapping
 
-    def decode(self, address: int) -> DramCoordinate:
-        """Decode a byte address into a DRAM coordinate."""
+    def _digits(self, address: int) -> List[int]:
+        """Field values, in ``field_order``, of the block holding
+        ``address``.  An address past :attr:`capacity_bytes` wraps: the
+        most significant field keeps only its own digit."""
         if address < 0:
             raise ValueError("address must be non-negative")
         block = address // self.granularity_bytes
-        values: Dict[str, int] = {}
-        for field in self.field_order:
-            size = self.field_size(field)
-            values[field] = block % size
-            block //= size
-        return DramCoordinate(
-            channel=values["channel"],
-            pseudo_channel=values["pseudo_channel"],
-            stack_id=values["stack_id"],
-            bank_group=values["bank_group"],
-            bank=values["bank"],
-            row=values["row"],
-            column=values["column"],
-        )
+        digits = []
+        for size in self._sizes:
+            block, digit = divmod(block, size)
+            digits.append(digit)
+        return digits
+
+    def decode(self, address: int) -> DramCoordinate:
+        """Decode a byte address into a DRAM coordinate."""
+        return DramCoordinate(*self._pick(self._digits(address)))
 
     def encode(self, coordinate: DramCoordinate) -> int:
         """Inverse of :meth:`decode` (returns the block-aligned byte address)."""
-        values = {
-            "channel": coordinate.channel,
-            "pseudo_channel": coordinate.pseudo_channel,
-            "stack_id": coordinate.stack_id,
-            "bank_group": coordinate.bank_group,
-            "bank": coordinate.bank,
-            "row": coordinate.row,
-            "column": coordinate.column,
-        }
         block = 0
         multiplier = 1
-        for field in self.field_order:
-            size = self.field_size(field)
-            value = values[field]
+        for field, size in zip(self.field_order, self._sizes):
+            value = getattr(coordinate, field)
             if not 0 <= value < size:
                 raise ValueError(f"{field}={value} out of range [0, {size})")
             block += value * multiplier
@@ -162,16 +156,29 @@ class AddressMapping:
         return block * self.granularity_bytes
 
     def decode_range(self, address: int, size_bytes: int) -> List[DramCoordinate]:
-        """Decode every access-granularity block touched by ``[address, +size)``."""
+        """Decode every access-granularity block touched by ``[address, +size)``.
+
+        The first block is decoded once; each following block steps the
+        field digits like an odometer, fastest field first, carrying
+        upward (and wrapping past the capacity exactly as :meth:`decode`
+        does).
+        """
         if size_bytes <= 0:
             return []
-        first = address - (address % self.granularity_bytes)
-        last = address + size_bytes - 1
+        digits = self._digits(address)
+        granularity = self.granularity_bytes
+        count = ((address + size_bytes - 1) // granularity
+                 - address // granularity + 1)
+        sizes = self._sizes
+        pick = self._pick
         coordinates = []
-        block_address = first
-        while block_address <= last:
-            coordinates.append(self.decode(block_address))
-            block_address += self.granularity_bytes
+        for _ in range(count):
+            coordinates.append(DramCoordinate(*pick(digits)))
+            for position, size in enumerate(sizes):
+                digits[position] += 1
+                if digits[position] < size:
+                    break
+                digits[position] = 0
         return coordinates
 
     def channel_of(self, address: int) -> int:

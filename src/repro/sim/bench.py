@@ -752,101 +752,6 @@ def observability_comparison(repeats: int = 1) -> List[Dict[str, Any]]:
     return rows
 
 
-def sweep_throughput(
-    workers: int = 1,
-    depths: Sequence[int] = (1, 2, 4, 8),
-    total_bytes: int = 64 * 1024,
-) -> List[Dict[str, Any]]:
-    """Cold-vs-warm sweep-runner throughput rows for ``bench-smoke``.
-
-    Runs the same RoMe queue-depth sweep twice through
-    :func:`repro.sim.runner.queue_depth_sweep_result`: once against a
-    cleared trace cache (``cold``) and once against the warm cache
-    (``warm``).  Each row reports wall time, per-worker point throughput,
-    and the trace-cache hit/miss counters for that run.  Child processes
-    start from the parent's cache and their entries die with them, so
-    only an inline (``workers=1``) warm run hits.
-    """
-    from repro.sim.runner import queue_depth_sweep_result
-    from repro.trace_cache import reset_trace_cache
-
-    reset_trace_cache()
-    rows: List[Dict[str, Any]] = []
-    for phase in ("cold", "warm"):
-        sweep = queue_depth_sweep_result(
-            list(depths), system="rome", total_bytes=total_bytes,
-            workers=workers,
-        )
-        stats = sweep.stats
-        rows.append({
-            "phase": phase,
-            "points": stats.points,
-            "workers": stats.workers,
-            "parallel": stats.parallel,
-            "wall_ms": stats.wall_s * 1e3,
-            "points_per_s_per_worker": stats.points_per_s_per_worker,
-            "cache_hits": stats.cache.hits,
-            "cache_misses": stats.cache.misses,
-        })
-    return rows
-
-
-def trace_cache_comparison(total_bytes: int = 512 * 1024,
-                           repeats: int = 3) -> Dict[str, Any]:
-    """Cold vs cached trace-setup time for one sweep point.
-
-    Times exactly the work the trace cache memoizes -- the RoMe transfer
-    striping (:func:`~repro.core.interface.requests_for_transfer`) and the
-    conventional address decode (:func:`~repro.controller.request.decompose`
-    over a streaming trace) -- first against an empty cache, then warm
-    (best of ``repeats``).  The warm pass is a dict lookup per request, so
-    ``speedup`` is large and stable; ``bench-smoke`` gates on
-    ``warm_ms < cold_ms``.
-    """
-    from repro.controller.request import decompose
-    from repro.trace_cache import reset_trace_cache, trace_cache_stats
-
-    vba = paper_vba_config()
-    mapping = ControllerConfig().local_mapping(num_channels=1)
-
-    def derive() -> None:
-        requests = requests_for_transfer(
-            total_bytes,
-            kind=RowRequestKind.RD_ROW,
-            effective_row_bytes=vba.effective_row_bytes,
-            num_channels=1,
-            vbas_per_channel=vba.vbas_per_channel_per_sid,
-        )
-        assert requests
-        for request in streaming_trace(total_bytes, request_bytes=4096,
-                                       kind=RequestKind.READ):
-            decompose(request, mapping)
-
-    reset_trace_cache()
-    before = trace_cache_stats()
-    start = time.perf_counter()
-    derive()
-    cold_s = time.perf_counter() - start
-    cold_stats = trace_cache_stats().delta(before)
-
-    warm_s = float("inf")
-    for _ in range(max(1, repeats)):
-        before = trace_cache_stats()
-        start = time.perf_counter()
-        derive()
-        warm_s = min(warm_s, time.perf_counter() - start)
-    warm_stats = trace_cache_stats().delta(before)
-    return {
-        "total_bytes": total_bytes,
-        "cold_ms": cold_s * 1e3,
-        "warm_ms": warm_s * 1e3,
-        "speedup": cold_s / max(warm_s, 1e-9),
-        "cold_misses": cold_stats.misses,
-        "warm_hits": warm_stats.hits,
-        "warm_misses": warm_stats.misses,
-    }
-
-
 def throughput_comparison(
     rome_bytes: int = 512 * 1024,
     hbm4_bytes: int = 96 * 1024,
@@ -896,7 +801,7 @@ def throughput_comparison(
 
 #: The ``bench-smoke`` report sections, in report and run order: each
 #: report key with the producer that builds it from the run parameters
-#: (``bytes``, ``conventional_bytes``, ``repeats``, ``workers``).
+#: (``bytes``, ``conventional_bytes``, ``repeats``).
 SECTIONS: List[Tuple[str, Callable[[Dict[str, int]], Any]]] = [
     ("core", lambda p: throughput_comparison(
         rome_bytes=p["bytes"], hbm4_bytes=min(p["bytes"], 64 * 1024),
@@ -922,9 +827,6 @@ SECTIONS: List[Tuple[str, Callable[[Dict[str, int]], Any]]] = [
     ("fleet", lambda p: fleet_resilience_comparison()),
     ("observability", lambda p: observability_comparison(
         repeats=p["repeats"])),
-    ("sweep", lambda p: sweep_throughput(workers=p["workers"])),
-    ("cache", lambda p: trace_cache_comparison(
-        total_bytes=min(p["bytes"], 512 * 1024), repeats=p["repeats"])),
 ]
 
 
@@ -1055,11 +957,6 @@ GATES: List[Gate] = [
          1.5, "exit non-zero when an obs-enabled run takes more than this "
               "multiple of the obs-off wall time (0 disables; obs-off "
               "bit-identity and obs-on byte-determinism are always gated)"),
-    Gate("cached-trace-setup", "cache", None,
-         lambda row, t: (row["warm_hits"] == 0
-                         or row["warm_ms"] >= row["cold_ms"]),
-         "cached trace setup ({row[warm_ms]:.3f} ms) is not faster than the "
-         "cold run ({row[cold_ms]:.3f} ms)"),
 ]
 
 

@@ -18,10 +18,6 @@ parallelizes at the natural grain:
   (:func:`repro.sim.sweep.run_system_until_idle_result`);
 * the sweeps shard independent simulation points
   (:func:`repro.sim.sweep.run_sweep`).
-
-Trace setup (address decode, transfer striping) is memoized process-wide
-by :mod:`repro.trace_cache`, so repeated sweep points skip it entirely;
-:func:`queue_depth_sweep_result` exposes the hit/miss counters.
 """
 
 from __future__ import annotations
@@ -173,8 +169,8 @@ def queue_depth_sweep_result(
 ) -> SweepResult:
     """Queue-depth sweep with full :class:`~repro.sim.sweep.SweepStats`.
 
-    Returns utilizations in ``depths`` order plus wall time, worker count,
-    and trace-cache hit/miss counters for the run.
+    Returns utilizations in ``depths`` order plus wall time and worker
+    count for the run.
     """
     return run_sweep(
         queue_depth_point,

@@ -5,8 +5,7 @@ Every headline experiment in the paper -- TPOT (Figure 12), LBR
 (Section IV-B) -- is a *sweep*: many independent simulation or model
 evaluations over batch sizes, queue depths, or controller configurations.
 This module runs such sweeps, optionally across worker processes, and
-reports aggregate statistics, including trace-cache hit/miss counters
-from :mod:`repro.trace_cache`.
+reports aggregate statistics.
 
 Sweep points may be load-then-drain measurements *or* arrival-driven
 workloads: a workload point is a picklable
@@ -97,7 +96,6 @@ from typing import (
 )
 
 from repro.reliability.taxonomy import HarnessFaultKind
-from repro.trace_cache import CacheStats, trace_cache_stats
 
 __all__ = [
     "FaultInjection",
@@ -271,9 +269,7 @@ class SweepStats:
     point count; 1 when attempts ran inline); ``parallel`` records
     whether attempts really ran concurrently in child processes -- it is
     ``False`` for ``workers=1`` and for sweeps that ran inline instead,
-    in which case ``fallback_reason`` says why.  ``cache`` aggregates the
-    trace-cache hits/misses accrued while running the points, summed
-    across child processes.  ``evaluations`` sums the
+    in which case ``fallback_reason`` says why.  ``evaluations`` sums the
     scheduler-evaluation counters of swept values that expose one (a
     :class:`~repro.sim.stats.SimulationResult` or a mapping with an
     ``"evaluations"`` key); it is 0 for sweeps whose points return bare
@@ -287,7 +283,6 @@ class SweepStats:
     workers: int
     parallel: bool
     wall_s: float
-    cache: CacheStats = CacheStats()
     evaluations: int = 0
     failures: Tuple[PointFailure, ...] = ()
     fallback_reason: Optional[str] = None
@@ -420,22 +415,13 @@ class _SweepJournal:
 
 # ----------------------------------------------------------------- attempts
 #
-# An attempt's outcome is ``("ok", value, cache_hits, cache_misses)`` or
+# An attempt's outcome is ``("ok", value)`` or
 # ``("error", message, exception-or-None)``, wherever it ran.
-
-
-def _attempt(fn: Callable[..., Any], point: Any) -> tuple:
-    """Run one point, reporting the trace-cache traffic it caused (the
-    parent cannot see a child's counters)."""
-    before = trace_cache_stats()
-    value = _apply(fn, point)
-    delta = trace_cache_stats().delta(before)
-    return "ok", value, delta.hits, delta.misses
 
 
 def _run_inline(fn: Callable[..., Any], point: Any) -> tuple:
     try:
-        return _attempt(fn, point)
+        return "ok", _apply(fn, point)
     except Exception as exc:  # noqa: BLE001 - settled by the attempt loop
         return "error", repr(exc), exc
 
@@ -460,7 +446,7 @@ def _child_main(conn, fn: Callable[..., Any], point: Any,
         conn.send(("error", repr(fault), None))
         return
     try:
-        outcome = _attempt(fn, point)
+        outcome = ("ok", _apply(fn, point))
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         try:
             blob = pickle.dumps(exc)
@@ -629,8 +615,7 @@ def run_sweep(
     -------
     SweepResult
         ``values`` in input order plus :class:`SweepStats` (wall time,
-        effective workers, aggregated trace-cache counters, failure and
-        journal records).
+        effective workers, failure and journal records).
     """
     if on_error not in ("raise", "quarantine"):
         raise ValueError("on_error must be 'raise' or 'quarantine'")
@@ -669,18 +654,15 @@ def run_sweep(
     raised: Dict[int, Optional[BaseException]] = {}
     failures: List[PointFailure] = []
     spent: Dict[int, float] = {}
-    cache = CacheStats()
     pending: deque = deque((index, 1) for index in todo)
     running: Dict[int, _Child] = {}
 
     def settle(index: int, attempt: int, started: float,
                outcome: tuple) -> None:
-        nonlocal cache, pending
+        nonlocal pending
         spent[index] = spent.get(index, 0.0) + (time.monotonic() - started)
         if outcome[0] == "ok":
-            _, value, hits, misses = outcome
-            values[index] = value
-            cache = cache.merge(CacheStats(hits=hits, misses=misses))
+            value = values[index] = outcome[1]
             if journal_store is not None:
                 # Journal each point as it completes, so a sweep killed
                 # mid-run leaves every finished point recoverable.
@@ -740,7 +722,6 @@ def run_sweep(
         stats=SweepStats(
             points=len(points), workers=workers if parallel else 1,
             parallel=parallel, wall_s=time.perf_counter() - start,
-            cache=cache,
             evaluations=sum(_evaluations_of(v) for v in final_values),
             failures=tuple(sorted(failures, key=lambda f: f.index)),
             fallback_reason=fallback_reason,

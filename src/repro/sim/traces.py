@@ -11,9 +11,7 @@ All generators are deterministic: the randomized ones (``random_trace``,
 same trace -- in any process, which is what lets the sweep runner
 (:mod:`repro.sim.sweep`) regenerate traces inside worker processes
 without changing results.  Generators return fresh, mutable
-:class:`~repro.controller.request.MemoryRequest` objects on every call;
-the expensive *downstream* derivation (address decode, transfer
-striping) is what :mod:`repro.trace_cache` memoizes.
+:class:`~repro.controller.request.MemoryRequest` objects on every call.
 """
 
 from __future__ import annotations

@@ -248,7 +248,7 @@ class _ConventionalMaterializer:
 
     #: Requests are cut at the RoMe effective-row size so both systems see
     #: the same request stream shape (only the interface granularity
-    #: differs), and addresses stay block-aligned for the trace cache.
+    #: differs).
     request_bytes = 4096
 
     def __init__(self, spec: ScenarioSpec) -> None:

@@ -55,7 +55,7 @@ def bench_run(tmp_path_factory) -> types.SimpleNamespace:
     out = tmp_path_factory.mktemp("bench") / "BENCH_test.json"
     argv = ["--json", "bench-smoke", "--bytes", "65536",
             "--conventional-bytes", "131072", "--repeats", "1",
-            "--workers", "2", "--label", "tier1-bench",
+            "--label", "tier1-bench",
             "--output", str(out),
             "--min-speedup", "2", "--min-conventional-speedup", "0.5",
             "--min-evaluation-reduction", "5",

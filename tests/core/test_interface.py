@@ -75,9 +75,11 @@ def test_requests_for_transfer_rejects_capacity_overflow():
         )
 
 
-def test_requests_for_transfer_empty_for_zero_bytes():
+@pytest.mark.parametrize("total_bytes", [0, -4096])
+def test_requests_for_transfer_empty_for_zero_bytes(total_bytes):
     assert requests_for_transfer(
-        0, RowRequestKind.RD_ROW, 4096, num_channels=1, vbas_per_channel=1
+        total_bytes, RowRequestKind.RD_ROW, 4096, num_channels=1,
+        vbas_per_channel=1
     ) == []
 
 
@@ -92,3 +94,36 @@ def test_round_robin_by_channel_buckets_requests():
     buckets = list(round_robin_by_channel(requests, 3))
     assert len(buckets) == 3
     assert all(len(bucket) == 2 for bucket in buckets)
+
+
+LAYOUT = dict(effective_row_bytes=4096, num_channels=2, vbas_per_channel=4)
+
+
+def test_requests_for_transfer_builds_fresh_requests_on_every_call():
+    first = requests_for_transfer(64 * 1024, kind=RowRequestKind.RD_ROW,
+                                  **LAYOUT)
+    first[0].completion_ns = 99
+    second = requests_for_transfer(64 * 1024, kind=RowRequestKind.RD_ROW,
+                                   **LAYOUT)
+    assert [(r.channel, r.vba, r.row, r.valid_bytes) for r in first] \
+        == [(r.channel, r.vba, r.row, r.valid_bytes) for r in second]
+    assert len({r.request_id for r in first + second}) == 2 * len(first)
+    assert all(r.completion_ns is None and r.issue_ns is None
+               for r in second)
+
+
+@pytest.mark.parametrize("kind", list(RowRequestKind))
+def test_requests_for_transfer_applies_kind_and_arrival(kind):
+    requests = requests_for_transfer(5 * 4096, kind=kind, arrival_ns=17,
+                                     **LAYOUT)
+    assert len(requests) == 5
+    assert all(r.kind is kind and r.arrival_ns == 17 for r in requests)
+
+
+def test_capacity_overflow_builds_no_request():
+    before = RowRequest(kind=RowRequestKind.RD_ROW).request_id
+    with pytest.raises(ValueError, match="capacity"):
+        requests_for_transfer(64 * 1024, kind=RowRequestKind.RD_ROW,
+                              effective_row_bytes=4096, num_channels=1,
+                              vbas_per_channel=1, rows_per_vba=2)
+    assert RowRequest(kind=RowRequestKind.RD_ROW).request_id == before + 1

@@ -1,8 +1,13 @@
 """Tests for the address-mapping unit."""
 
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dram.address import (
+    FIELDS,
     AddressMapping,
     DramCoordinate,
     baseline_hbm4_mapping,
@@ -56,9 +61,12 @@ def test_decode_range_covers_every_block():
     assert len(coords) == 7
 
 
-def test_decode_range_empty_for_non_positive_size():
+@pytest.mark.parametrize("address, size_bytes", [(0, 0), (0, -1),
+                                                 (100, -4096), (-32, 0)])
+def test_decode_range_empty_for_non_positive_size(address, size_bytes):
+    # A non-positive size wins over the negative-address check.
     mapping = baseline_hbm4_mapping()
-    assert mapping.decode_range(0, 0) == []
+    assert mapping.decode_range(address, size_bytes) == []
 
 
 def test_rome_mapping_uses_4kb_granularity_and_no_pc():
@@ -80,3 +88,82 @@ def test_capacity_accounts_all_fields():
                              num_stack_ids=1, rows_per_bank=4)
     expected = 32 * 32 * 2 * 2 * 4 * 4 * 1 * 4
     assert mapping.capacity_bytes == expected
+
+
+# ------------------------------------------------------------- range decode
+
+
+@st.composite
+def _small_mappings(draw):
+    """Small geometries (so ranges wrap) with any field order."""
+    size = st.integers(min_value=1, max_value=3)
+    return AddressMapping(
+        granularity_bytes=draw(st.sampled_from([1, 32, 4096])),
+        num_channels=draw(size),
+        num_pseudo_channels=draw(size),
+        num_stack_ids=draw(size),
+        num_bank_groups=draw(size),
+        banks_per_group=draw(size),
+        rows_per_bank=draw(size),
+        columns_per_row=draw(size),
+        field_order=tuple(draw(st.permutations(FIELDS))),
+    )
+
+
+def _per_block_decode(mapping, address, size_bytes):
+    granularity = mapping.granularity_bytes
+    return [mapping.decode(block * granularity) for block in range(
+        address // granularity, (address + size_bytes - 1) // granularity + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decode_range_matches_per_block_decode(data):
+    mapping = data.draw(_small_mappings())
+    # Unaligned starts and sizes, up to three capacities past the origin.
+    span = 3 * mapping.capacity_bytes
+    address = data.draw(st.integers(min_value=0, max_value=span))
+    size_bytes = data.draw(st.integers(min_value=1, max_value=span))
+    assert mapping.decode_range(address, size_bytes) \
+        == _per_block_decode(mapping, address, size_bytes)
+
+
+@pytest.mark.parametrize("mapping", [baseline_hbm4_mapping(num_channels=2),
+                                     rome_mapping(num_channels=36)],
+                         ids=["baseline", "rome"])
+@settings(max_examples=25, deadline=None)
+@given(address=st.integers(min_value=0, max_value=1 << 40),
+       size_bytes=st.integers(min_value=1, max_value=96 * 1024))
+def test_decode_range_matches_decode_on_default_mappings(mapping, address,
+                                                         size_bytes):
+    assert mapping.decode_range(address, size_bytes) \
+        == _per_block_decode(mapping, address, size_bytes)
+
+
+def test_decode_range_wraps_past_capacity_like_decode():
+    mapping = AddressMapping(granularity_bytes=32, num_channels=2,
+                             num_stack_ids=1, rows_per_bank=2)
+    last = mapping.capacity_bytes - 32
+    assert mapping.decode_range(last, 64) == [mapping.decode(last),
+                                              mapping.decode(0)]
+    assert mapping.decode(mapping.capacity_bytes) == mapping.decode(0)
+
+
+@pytest.mark.parametrize("address, size_bytes", [(-32, 32), (-1, 64)])
+def test_negative_address_raises(address, size_bytes):
+    mapping = baseline_hbm4_mapping()
+    with pytest.raises(ValueError, match="non-negative"):
+        mapping.decode_range(address, size_bytes)
+
+
+def test_derived_geometry_stays_out_of_equality_and_survives_copies():
+    mapping = baseline_hbm4_mapping(num_channels=4)
+    twin = baseline_hbm4_mapping(num_channels=4)
+    assert mapping == twin and hash(mapping) == hash(twin)
+    assert "_sizes" not in repr(mapping)
+    assert pickle.loads(pickle.dumps(mapping)).decode_range(4096, 256) \
+        == mapping.decode_range(4096, 256)
+    wider = dataclasses.replace(mapping, num_channels=8)
+    assert wider.capacity_bytes == 2 * mapping.capacity_bytes
+    assert {wider.decode(block * 32).channel for block in range(4096)} \
+        == set(range(8))

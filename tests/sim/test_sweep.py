@@ -15,7 +15,6 @@ from repro.sim.sweep import (
     run_sweep,
     run_system_until_idle_result,
 )
-from repro.trace_cache import CacheStats, reset_trace_cache, trace_cache_stats
 
 
 def _square(x):
@@ -125,39 +124,6 @@ class TestParallelSerialEquivalence:
         assert sweep.stats.points_per_s_per_worker == pytest.approx(
             sweep.stats.points_per_s / 4
         )
-
-
-class TestSweepCacheStats:
-    def test_second_sweep_hits_the_trace_cache(self):
-        reset_trace_cache()
-        cold = queue_depth_sweep_result([1, 2, 4, 8], system="rome",
-                                        total_bytes=64 * 1024)
-        warm = queue_depth_sweep_result([1, 2, 4, 8], system="rome",
-                                        total_bytes=64 * 1024)
-        # All four depths share one transfer layout: the cold run derives
-        # it once and reuses it three times; the warm run only hits.
-        assert cold.stats.cache.misses == 1
-        assert cold.stats.cache.hits == 3
-        assert warm.stats.cache.misses == 0
-        assert warm.stats.cache.hits == 4
-        assert list(cold.values) == list(warm.values)
-
-    def test_parallel_sweep_sums_child_cache_traffic(self):
-        # Each point runs in its own child, which reports its hit/miss
-        # delta back; the entries it derives stay in the child, so the
-        # parent cache is still cold afterwards.
-        reset_trace_cache()
-        parallel = queue_depth_sweep_result([1, 2, 4, 8], system="rome",
-                                            total_bytes=64 * 1024, workers=4)
-        assert parallel.stats.parallel is True
-        assert parallel.stats.cache.hits + parallel.stats.cache.misses == 4
-        assert parallel.stats.cache.misses >= 1
-        assert trace_cache_stats() == CacheStats()
-        inline = queue_depth_sweep_result([1, 2, 4, 8], system="rome",
-                                          total_bytes=64 * 1024)
-        assert inline.stats.cache.misses == 1
-        assert inline.stats.cache.hits == 3
-        assert list(parallel.values) == list(inline.values)
 
 
 class TestChannelSharding:

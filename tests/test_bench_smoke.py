@@ -24,11 +24,12 @@ COMMITTED = json.loads((REPO_ROOT / "BENCH_20260807.json").read_text())
 def _assert_report_schema(report):
     """The perf-document schema the in-repo trajectory must satisfy.
 
-    Each schema from 3 on adds one section: ``workload`` (3),
+    Each schema from 3 to 8 adds one section: ``workload`` (3),
     ``checkpoint`` (4), ``max_sustainable_rate`` (5), ``reliability``
-    (6), ``fleet`` (7) and ``observability`` (8).  The identity flags,
-    and the facts behind them, are the gate table's business, checked on
-    every schema-8 document.
+    (6), ``fleet`` (7) and ``observability`` (8).  Schema 9 drops the
+    ``sweep`` and ``cache`` sections and the ``workers`` parameter.  The
+    identity flags, and the facts behind them, are the gate table's
+    business, checked on every schema-8 document.
     """
     assert isinstance(report["gates_passed"], bool)
     meta = report["meta"]
@@ -37,7 +38,10 @@ def _assert_report_schema(report):
     assert isinstance(meta["package_version"], str)
     assert isinstance(meta["cpu_count"], int) and meta["cpu_count"] >= 1
     assert meta["label"] is None or isinstance(meta["label"], str)
-    for knob in ("bytes", "conventional_bytes", "repeats", "workers"):
+    knobs = ("bytes", "conventional_bytes", "repeats")
+    if meta["schema"] <= 8:
+        knobs += ("workers",)
+    for knob in knobs:
         assert isinstance(meta["parameters"][knob], int)
     assert {row["system"] for row in report["core"]} == {"rome", "hbm4"}
     for key, scenario in (
@@ -104,8 +108,9 @@ def _assert_report_schema(report):
             assert row["trace_events"] > 0
             assert row["metric_series"] > 0
             assert row["overhead_x"] > 0.0
-    assert {row["phase"] for row in report["sweep"]} == {"cold", "warm"}
-    assert report["cache"]["cold_ms"] > 0
+    if meta["schema"] <= 8:
+        assert {row["phase"] for row in report["sweep"]} == {"cold", "warm"}
+        assert report["cache"]["cold_ms"] > 0
 
 
 def test_bench_smoke_gates_pass_and_write_perf_document(bench_run):
@@ -114,12 +119,12 @@ def test_bench_smoke_gates_pass_and_write_perf_document(bench_run):
     report = bench_run.document
     assert report["gates_passed"] is True
     _assert_report_schema(report)
-    assert report["meta"]["schema"] == 8
+    assert report["meta"]["schema"] == 9
     assert list(report) == [
         "meta", "core", "streaming_conventional",
         "streaming_conventional_refresh", "rome_refresh", "workload",
         "max_sustainable_rate", "checkpoint", "reliability", "fleet",
-        "observability", "sweep", "cache", "gates_passed"]
+        "observability", "gates_passed"]
     # --json prints the same document, minus the verdict.
     del report["gates_passed"]
     assert bench_run.report == report
@@ -139,7 +144,7 @@ def test_bench_smoke_label_and_parameters_are_stamped(bench_run):
     assert meta["label"] == "tier1-bench"
     assert meta["parameters"] == {"bytes": 65536,
                                   "conventional_bytes": 131072,
-                                  "repeats": 1, "workers": 2}
+                                  "repeats": 1}
 
 
 def test_bench_smoke_emits_no_deprecation_warnings(bench_run):
@@ -182,13 +187,12 @@ MUTATIONS = {
     "obs-off-identical": {"obs_off_identical": False},
     "obs-on-deterministic": {"obs_on_deterministic": False},
     "max-obs-overhead": {"overhead_x": 3.0},
-    "cached-trace-setup": {"warm_ms": 2.0, "cold_ms": 2.0},
 }
 
 
 def test_mutations_cover_every_gate():
     assert list(MUTATIONS) == [gate.name for gate in GATES]
-    assert len(GATES) == 16 and len(default_thresholds()) == 8
+    assert len(GATES) == 15 and len(default_thresholds()) == 8
 
 
 @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.name)
