@@ -6,14 +6,10 @@
   but once a workload's fine-grained (sparse-attention-style) share exceeds a
   small crossover fraction, the hybrid or conventional system wins because of
   RoMe's overfetch.
-* Page-policy ablation for the conventional baseline: the open-page policy the
-  paper uses beats close-page on streaming traffic, illustrating the policy
-  logic RoMe removes entirely.
 """
 
 from repro.core.ecc import codeword_comparison, parity_savings_vs_baseline
 from repro.core.hybrid import AccessMix, best_system, crossover_fine_fraction
-from repro.sim.runner import measure_conventional_streaming
 
 
 def test_ecc_codeword_ablation(benchmark, table_printer):
@@ -44,21 +40,3 @@ def test_hybrid_fine_grained_ablation(benchmark, table_printer):
     table_printer("Section VII: best system vs fine-grained traffic share", rows)
     assert rows[0]["best_system"] == "rome"
     assert rows[-2]["best_system"] != "rome"
-
-
-def test_page_policy_ablation(benchmark, table_printer):
-    def build():
-        rows = []
-        for policy in ("open", "close", "adaptive"):
-            result = measure_conventional_streaming(
-                total_bytes=48 * 1024, page_policy=policy
-            )
-            rows.append({"page_policy": policy, "utilization": result.utilization,
-                         "activates": result.command_counts.get("ACT", 0)})
-        return rows
-
-    rows = benchmark(build)
-    table_printer("Baseline ablation: page policy on streaming reads", rows)
-    by_policy = {row["page_policy"]: row for row in rows}
-    assert by_policy["open"]["utilization"] >= by_policy["close"]["utilization"] - 0.02
-    assert by_policy["open"]["activates"] <= by_policy["close"]["activates"]

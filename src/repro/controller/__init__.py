@@ -2,30 +2,21 @@
 
 Implements the generic memory controller of Section II-D: address mapping is
 provided by :mod:`repro.dram.address`, while this package supplies the
-read/write request queues, per-bank state logic, page policies, the FR-FCFS
-command scheduler, and the top-level controller that drives one HBM channel.
+read/write request queues, per-bank state logic, the FR-FCFS command
+scheduler (open-page row rule, per-bank refresh), and the top-level
+controller that drives one HBM channel.
 """
 
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.controller.queues import RequestQueue
-from repro.controller.page_policy import (
-    AdaptivePagePolicy,
-    ClosePagePolicy,
-    OpenPagePolicy,
-    PagePolicy,
-)
 from repro.controller.scheduler import FrFcfsScheduler, SchedulerDecision
 from repro.controller.mc import ConventionalMemoryController, ControllerConfig
 
 __all__ = [
-    "AdaptivePagePolicy",
-    "ClosePagePolicy",
     "ControllerConfig",
     "ConventionalMemoryController",
     "FrFcfsScheduler",
     "MemoryRequest",
-    "OpenPagePolicy",
-    "PagePolicy",
     "RequestKind",
     "RequestQueue",
     "SchedulerDecision",

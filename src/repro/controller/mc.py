@@ -3,7 +3,7 @@
 Drives one HBM channel (two pseudo channels) with the architecture of
 Figure 4: an address-mapping front end, CAM-style read/write request queues,
 per-bank state logic (owned by the channel's bank objects), and an FR-FCFS
-command scheduler with a page policy and per-bank refresh.
+command scheduler with an open-page row rule and per-bank refresh (REFpb).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
-from repro.controller.page_policy import PagePolicy, make_page_policy
-from repro.controller.queues import RequestQueue, bank_key
+from repro.controller.queues import RequestQueue
 from repro.controller.request import (
     MemoryRequest,
     RequestKind,
@@ -32,7 +31,7 @@ from repro.dram.address import AddressMapping, baseline_hbm4_mapping
 from repro.dram.channel import Channel, ChannelConfig
 from repro.dram.commands import CommandKind
 from repro.dram.energy import EnergyCounters
-from repro.dram.refresh import RefreshEngine, RefreshMode
+from repro.dram.refresh import RefreshEngine
 from repro.dram.timing import TimingParameters
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
@@ -58,8 +57,6 @@ class ControllerConfig:
     timing: TimingParameters = field(default_factory=TimingParameters)
     read_queue_depth: int = 64
     write_queue_depth: int = 64
-    page_policy: str = "open"
-    refresh_mode: RefreshMode = RefreshMode.PER_BANK
     enable_refresh: bool = True
     num_bank_groups: int = 4
     banks_per_group: int = 4
@@ -153,7 +150,6 @@ class ConventionalMemoryController:
         #: Host-side backlog: transactions waiting for queue space. Models
         #: the limited look-ahead a finite CAM provides.
         self._backlog: Deque[Transaction] = deque()
-        self._page_policy: PagePolicy = make_page_policy(self.config.page_policy)
         refresh_engines: List[RefreshEngine] = []
         if self.config.enable_refresh:
             refresh_engines = [
@@ -162,13 +158,11 @@ class ConventionalMemoryController:
                     num_stack_ids=self.config.num_stack_ids,
                     num_bank_groups=self.config.num_bank_groups,
                     banks_per_group=self.config.banks_per_group,
-                    mode=self.config.refresh_mode,
                 )
                 for _ in range(self.config.num_pseudo_channels)
             ]
         self.scheduler = FrFcfsScheduler(
             channel=self.channel,
-            page_policy=self._page_policy,
             refresh_engines=refresh_engines,
         )
         self.stats = ControllerStats()
@@ -289,9 +283,6 @@ class ConventionalMemoryController:
         timing = self.config.timing
         data_latency = timing.tCL if transaction.is_read else timing.tCWL
         data_ns = now + data_latency + timing.burst_ns
-        self._page_policy.note_access(
-            bank_key(transaction), transaction.coordinate.row, was_hit=True
-        )
         obs = self._obs
         if obs is not None:
             obs.count(data_ns, "controller.bandwidth_bytes",
@@ -384,7 +375,7 @@ class ConventionalMemoryController:
             self.read_queue.remove_served()
             self.write_queue.remove_served()
 
-        # 3. Row commands (ACT or policy-driven PRE), one per pseudo channel.
+        # 3. Row commands (ACT or row-conflict PRE), one per pseudo channel.
         row_budget = self.config.num_pseudo_channels - (1 if issued_row_command else 0)
         for _ in range(row_budget):
             row_decision = self.scheduler.pick_row(priority, now)
@@ -484,7 +475,7 @@ class ConventionalMemoryController:
         C/A-pin model admits another command in the very next cycle.
 
         Saturated spans take the burst-train fast path: when the scheduler
-        can prove the next N nanoseconds each issue only column commands
+        can prove the next N nanoseconds each issue at least one command
         (see :meth:`FrFcfsScheduler.plan_train`), the whole run is applied
         in one evaluation and time jumps past it.  Trains are truncated at
         ``target_ns``, so externally scheduled arrivals (``Simulation.at``)

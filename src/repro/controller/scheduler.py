@@ -3,8 +3,9 @@
 The scheduler implements the First-Ready, First-Come-First-Served policy used
 by the paper's baseline (Section VI-A): column commands to already-open rows
 are preferred over row commands, and within each class the oldest transaction
-wins.  It also handles write draining, the page policy's precharge decisions,
-and per-bank refresh with bounded postponement.
+wins.  It also handles write draining, the open-page precharge rule (close a
+row only once the queue holds no pending hit to it), and per-bank refresh
+with bounded postponement.
 
 Burst trains
 ------------
@@ -12,16 +13,16 @@ A saturated HBM4 channel issues a column command nearly every nanosecond, so
 the event-driven controller core degenerates to one full scheduler evaluation
 per nanosecond.  :meth:`FrFcfsScheduler.plan_train` closes that gap: when the
 upcoming decisions are provably a dense run of commands (row hits to
-already-open rows, modeled row work, and -- under per-bank refresh -- the
-REFpb/critical-PRE issues the refresh engines force), it computes the whole
-run -- per-step picks, refresh splices, refill admissions, and write-drain
-state -- analytically in one evaluation and returns a :class:`ColumnTrain`
-the controller bulk-applies.  The planner only *models* state (pure reads); the
+already-open rows, ACT/PRE row work, and the REFpb/critical-PRE issues the
+refresh engines force), it computes the whole run -- per-step picks, refresh
+splices, refill admissions, and write-drain state -- analytically in one
+evaluation and returns a :class:`ColumnTrain` the controller bulk-applies.  The planner only *models* state (pure reads); the
 controller's apply path replays the planned commands through the ordinary
 ``Channel.issue`` validation, so a planner divergence raises instead of
-silently corrupting results.  Whenever any precondition fails the planner
-returns ``None`` and the controller falls back to single-step evaluation,
-keeping results bit-identical to the per-nanosecond core by construction.
+silently corrupting results.  When no dense run of at least ``min_steps``
+instants fits before ``target_ns`` the planner returns ``None`` and the
+controller falls back to single-step evaluation, keeping results
+bit-identical to the per-nanosecond core by construction.
 """
 
 from __future__ import annotations
@@ -32,14 +33,21 @@ from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.controller.page_policy import OpenPagePolicy, PagePolicy
 from repro.controller.queues import BankKey, RequestQueue, bank_key
 from repro.controller.request import Transaction
 from repro.dram.bank import Bank, column_precharge_ready
 from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandKind
 from repro.dram.pseudochannel import act_ready_time, cas_ready_time
-from repro.dram.refresh import RefreshEngine, RefreshMode, RefreshTarget
+from repro.dram.refresh import RefreshEngine, RefreshTarget
+
+#: Write-queue occupancy fractions at which the controller enters and leaves
+#: write-drain mode (hysteresis).
+_WRITE_DRAIN_HIGH = 0.75
+_WRITE_DRAIN_LOW = 0.25
+
+#: Upper bound on the evaluation instants one burst train covers.
+_MAX_TRAIN_STEPS = 512
 
 
 @dataclass
@@ -48,7 +56,7 @@ class SchedulerDecision:
 
     ``critical_pre`` marks a precharge forced by a critical refresh (the
     escalation path of :meth:`FrFcfsScheduler.pick_refresh`), which is
-    otherwise indistinguishable from a policy precharge at issue time.
+    otherwise indistinguishable from a row-conflict precharge at issue time.
     """
 
     command: Command
@@ -86,10 +94,10 @@ class ColumnTrain:
     ``steps`` hold consecutive evaluation instants (stride 1 ns -- a train
     is only planned while the channel stays saturated, i.e. every covered
     nanosecond issues at least one command).  Steps carry the planned
-    column commands plus, under the open-page policy, the row commands
-    (ACT / policy PRE) the per-step scheduler would have issued.  The bulk
-    bookkeeping fields let the controller apply the queue/backlog/drain
-    effects of the whole run in one pass.
+    column commands plus the refresh and row commands (REFpb, ACT, PRE)
+    the per-step scheduler would have issued.  The bulk bookkeeping fields
+    let the controller apply the queue/backlog/drain effects of the whole
+    run in one pass.
     """
 
     steps: List[TrainStep]
@@ -101,11 +109,6 @@ class ColumnTrain:
     def count(self) -> int:
         """Total column commands in the train."""
         return sum(len(step.decisions) for step in self.steps)
-
-    @property
-    def stride_ns(self) -> int:
-        """Spacing between covered evaluation instants (dense: 1 ns)."""
-        return 1
 
     @property
     def end_ns(self) -> int:
@@ -187,7 +190,7 @@ class _QueueModel:
         #: on a bank whose *oldest* pending transaction is a row miss, so
         #: the planner tracks each bank's pending entries in order plus the
         #: number of still-pending row hits (``hit_counts``, which is what
-        #: the open-page policy's precharge decision reads).  ``miss_heads``
+        #: the row-conflict precharge decision reads).  ``miss_heads``
         #: is the set of banks whose oldest pending entry is currently a
         #: miss -- non-empty iff ``pick_row`` could act on this queue.
         self.bank_fifos: Dict[BankKey, Deque[int]] = {}
@@ -242,16 +245,10 @@ class FrFcfsScheduler:
     def __init__(
         self,
         channel: Channel,
-        page_policy: PagePolicy,
         refresh_engines: Optional[List[RefreshEngine]] = None,
-        write_drain_high: float = 0.75,
-        write_drain_low: float = 0.25,
     ) -> None:
         self.channel = channel
-        self.page_policy = page_policy
         self.refresh_engines = refresh_engines or []
-        self.write_drain_high = write_drain_high
-        self.write_drain_low = write_drain_low
         self._draining_writes = False
 
     # ------------------------------------------------------------ utilities
@@ -312,9 +309,9 @@ class FrFcfsScheduler:
         if capacity == 0:
             return False
         fraction = occupancy / capacity
-        if not draining and fraction >= self.write_drain_high:
+        if not draining and fraction >= _WRITE_DRAIN_HIGH:
             return True
-        if draining and fraction <= self.write_drain_low:
+        if draining and fraction <= _WRITE_DRAIN_LOW:
             return False
         return draining
 
@@ -478,17 +475,17 @@ class FrFcfsScheduler:
         target_ns: int,
         num_picks: int,
         min_steps: int = 4,
-        max_steps: int = 512,
     ) -> Optional[ColumnTrain]:
-        """Plan a dense run of column commands starting at ``now``.
+        """Plan a dense run of commands starting at ``now``.
 
         Returns a :class:`ColumnTrain` covering consecutive evaluation
         instants ``now .. now + N - 1`` during which the per-step scheduler
-        would provably (a) issue exactly the planned column commands, (b)
-        issue no refresh and no row command, and (c) perform exactly the
-        modeled refills and write-drain transitions -- or ``None`` when any
-        precondition fails, in which case the caller falls back to ordinary
-        single-step evaluation.
+        would provably (a) issue exactly the planned column, row and
+        refresh commands and (b) perform exactly the modeled refills and
+        write-drain transitions.  It returns ``None`` in exactly two cases:
+        fewer than ``min_steps`` instants remain before ``target_ns``, or
+        the dense run ends after fewer than ``min_steps`` instants.  The
+        caller then falls back to ordinary single-step evaluation.
 
         Soundness argument, mirroring ``ConventionalMemoryController._step``:
 
@@ -499,17 +496,13 @@ class FrFcfsScheduler:
           against modeled bank/C-A state -- so planned trains splice in the
           REFpb (and, once postponement headroom is exhausted, the enabling
           PRE) at exactly the instants the per-step scheduler would issue
-          them, instead of ending at the first refresh deadline.  All-bank
-          refresh stays unmodeled: those engines fall back to the
-          conservative guard (no train while a refresh is due, truncation
-          before the next deadline);
+          them, instead of ending at the first refresh deadline;
         * *row work*: ``pick_row`` only acts on a bank whose oldest pending
           transaction is a row miss; the planner tracks a per-bank FIFO of
-          pending entries.  Under the open-page policy it models the row
-          decisions exactly (ACT, and the policy's PRE once a bank has no
-          pending hits left); under other policies it conservatively ends
-          the train at the first step where a miss would surface (including
-          one exposed by a critical refresh precharge);
+          pending entries and models the row decisions exactly (ACT, and
+          the row-conflict PRE once the queue holds no pending hit to the
+          open row).  FR-FCFS issues no auto-precharging CAS, so no row
+          closes by time passing alone;
         * *picks*: readiness is modeled with exact replicas of the
           pseudo-channel CAS/ACT spacing, turnaround, data-bus, BK-BUS,
           tFAW, bank timing-window, and C/A-reuse checks, seeded from
@@ -520,25 +513,9 @@ class FrFcfsScheduler:
           the event core would evaluate back-to-back anyway.
         """
         last_allowed = target_ns - 1
-        model_refresh = all(
-            engine.mode is RefreshMode.PER_BANK
-            for engine in self.refresh_engines
-        )
-        if not model_refresh:
-            # All-bank refresh stays outside the planner's model: keep the
-            # conservative guard (no train while a refresh is due, end one
-            # ns before the earliest deadline/criticality transition).
-            for engine in self.refresh_engines:
-                if engine.most_urgent(now) is not None:
-                    return None
-                due = engine.next_event_ns(now)
-                if due is not None and due - 1 < last_allowed:
-                    last_allowed = due - 1
         if last_allowed < now + min_steps - 1:
             return None
         channel = self.channel
-        if channel.any_auto_precharge_pending():
-            return None
 
         timing = channel.timing
         tCL, tCWL, burst = timing.tCL, timing.tCWL, timing.burst_ns
@@ -546,15 +523,8 @@ class FrFcfsScheduler:
         tRP, tRAS, tRC = timing.tRP, timing.tRAS, timing.tRC
         tRCDRD, tRCDWR = timing.tRCDRD, timing.tRCDWR
         tRFCpb, tREFIpb = timing.tRFCpb, timing.tREFIpb
-        engine_models = (
-            [_EngineModel(engine) for engine in self.refresh_engines]
-            if model_refresh else []
-        )
-
-        # Row work (ACT and the policy PRE) is modeled exactly for the
-        # stock open-page policy only; subclasses or other policies fall
-        # back to ending the train before any possible row action.
-        row_mode = type(self.page_policy) is OpenPagePolicy
+        engine_models = [_EngineModel(engine)
+                         for engine in self.refresh_engines]
 
         pc_models = [
             _PcModel(pc.cas_state_snapshot(), channel.last_column_ca_time(i),
@@ -661,11 +631,6 @@ class FrFcfsScheduler:
         for qm in (rq, wq):
             for txn in qm.entries:
                 classify(qm, txn)
-        if not row_mode and (rq.miss_heads or wq.miss_heads):
-            # Some bank's oldest pending transaction is already a row
-            # miss and this policy's row decisions are not modeled:
-            # pick_row may act right now.
-            return None
 
         backlog_buf: List[Transaction] = []
         backlog_iter = iter(backlog)
@@ -682,7 +647,7 @@ class FrFcfsScheduler:
         draining = self._draining_writes
         bi = 0
 
-        for offset in range(max_steps):
+        for offset in range(_MAX_TRAIN_STEPS):
             t = now + offset
             if t > last_allowed:
                 break
@@ -754,11 +719,6 @@ class FrFcfsScheduler:
                 if qm.live > qm.peak:
                     qm.peak = qm.live
                 bi += 1
-            if not row_mode and (rq.miss_heads or wq.miss_heads):
-                # An admitted miss became its bank's oldest pending entry:
-                # pick_row could act this step.
-                undo_step()
-                break
 
             # -- 1.5 refresh (exact pick_refresh mirror, modeled state) ----
             refresh_decision: Optional[SchedulerDecision] = None
@@ -768,12 +728,6 @@ class FrFcfsScheduler:
                     model_bank_open, model_can_issue_pre)
                 if swept is not None:
                     action, pc_index, _, target = swept
-                    if action == "pre" and not row_mode:
-                        # The forced precharge would turn pending row hits
-                        # into misses; without row-work modeling the train
-                        # must end before this step.
-                        undo_step()
-                        break
                     key = (pc_index, target.stack_id, target.bank_group,
                            target.bank)
                     bm = bank_model_for(key)
@@ -851,9 +805,9 @@ class FrFcfsScheduler:
                 key = bank_key(txn)
                 fifo = qm.bank_fifos[key]
                 if not fifo or fifo[0] != idx:
-                    # The FIFO-service invariant broke (should be
-                    # unreachable while the row guard holds): bail out
-                    # conservatively before this step.
+                    # The pick is a hit queued behind an older pending
+                    # entry of its bank, which the per-bank FIFO model
+                    # does not cover: end the train before this step.
                     violated = True
                     break
                 fifo.popleft()
@@ -867,11 +821,7 @@ class FrFcfsScheduler:
                     qm.cursor += 1
                 ca_used.add(txn.coordinate.pseudo_channel)
                 picked.append(txn)
-            if violated or (not row_mode
-                            and (rq.miss_heads or wq.miss_heads)):
-                # Either the defensive invariant tripped, or serving a
-                # bank's last hit exposed a row miss that pick_row (which
-                # runs after the sweep in this very step) could act on.
+            if violated:
                 undo_step()
                 break
 
@@ -904,11 +854,11 @@ class FrFcfsScheduler:
                 decisions.append(SchedulerDecision(
                     command=self._column_command(txn), transaction=txn))
 
-            # -- 5. row picks (exact pick_row mirror, open-page only).
+            # -- 5. row picks (exact pick_row mirror).
             #    A refresh-path command consumed one unit of the row budget
             #    (``_step``'s ``issued_row_command``).
             row_budget = num_picks - (1 if refresh_decision else 0)
-            if row_mode and (rq.miss_heads or wq.miss_heads):
+            if rq.miss_heads or wq.miss_heads:
                 for _ in range(row_budget):
                     row_pick = None
                     for qm, enabled in priority:
@@ -930,8 +880,8 @@ class FrFcfsScheduler:
                             coord = txn.coordinate
                             pcm = pc_models[coord.pseudo_channel]
                             if model.open_row is not None:
-                                # Row conflict: open-page precharges only
-                                # once this queue holds no hits to the row.
+                                # Row conflict: precharge only once this
+                                # queue holds no hits to the open row.
                                 if qm.hit_counts.get(key, 0) == 0 \
                                         and t > pcm.row_ca_last \
                                         and t >= model.next_pre:
@@ -1016,7 +966,12 @@ class FrFcfsScheduler:
         queues: Iterable[Tuple[RequestQueue, bool]],
         now: int,
     ) -> Optional[SchedulerDecision]:
-        """Pick an ACT (row miss) or a policy-driven PRE (row conflict)."""
+        """Pick an ACT (row miss) or a PRE (row conflict).
+
+        A conflicting open row is closed only once ``queue`` holds no
+        pending hit to it (open-page: hits are served before the row is
+        given up).
+        """
         for queue, enabled in queues:
             if not enabled:
                 continue
@@ -1026,10 +981,7 @@ class FrFcfsScheduler:
                 if bank.is_row_hit(row):
                     continue
                 if bank.has_open_row:
-                    # Row conflict: ask the page policy whether to close it.
-                    if self.page_policy.should_precharge(
-                        key, bank.open_row, queue, now
-                    ):
+                    if not queue.row_hits(key, bank.open_row):
                         pre = self._pre_command(key)
                         if self.channel.can_issue(pre, now):
                             return SchedulerDecision(command=pre)

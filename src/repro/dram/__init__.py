@@ -11,7 +11,7 @@ as described in Section II of the RoMe paper:
 * :mod:`repro.dram.bankgroup` / :mod:`repro.dram.pseudochannel` /
   :mod:`repro.dram.channel` / :mod:`repro.dram.stack` -- the HBM hierarchy.
 * :mod:`repro.dram.address` -- physical-address-to-DRAM-coordinate mapping.
-* :mod:`repro.dram.refresh` -- all-bank and per-bank refresh bookkeeping.
+* :mod:`repro.dram.refresh` -- per-bank refresh bookkeeping.
 * :mod:`repro.dram.energy` -- per-command/per-byte energy accounting.
 """
 
@@ -24,7 +24,7 @@ from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.channel import Channel, ChannelConfig
 from repro.dram.stack import HBMStack, StackConfig
 from repro.dram.address import AddressMapping, DramCoordinate
-from repro.dram.refresh import RefreshEngine, RefreshMode
+from repro.dram.refresh import RefreshEngine
 from repro.dram.energy import EnergyModel, EnergyCounters
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "HBM_GENERATIONS",
     "PseudoChannel",
     "RefreshEngine",
-    "RefreshMode",
     "StackConfig",
     "TimingParameters",
     "command_bus",

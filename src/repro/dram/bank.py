@@ -58,8 +58,6 @@ class BankCounters:
     reads: int = 0
     writes: int = 0
     refreshes: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -68,8 +66,6 @@ class BankCounters:
             "reads": self.reads,
             "writes": self.writes,
             "refreshes": self.refreshes,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
         }
 
 
@@ -134,17 +130,6 @@ class Bank:
         which the schedulers treat identically to their transient states.
         """
         return self._state_until
-
-    @property
-    def auto_precharge_pending(self) -> bool:
-        """True while an RDA/WRA auto-precharge has not yet resolved.
-
-        The burst-train planner refuses to plan over banks in this state:
-        a pending auto-precharge is the one transition that can close a
-        row purely by time passing, which would invalidate the planner's
-        static row-hit classification.
-        """
-        return self._auto_precharge_at is not None
 
     def is_row_hit(self, row: int) -> bool:
         """True when ``row`` is already open in the row buffer."""
@@ -275,9 +260,3 @@ class Bank:
         if kind is CommandKind.REFPB:
             return max(self.next_act, self.next_refresh)
         raise ValueError(f"Bank cannot accept command kind {kind}")
-
-    def record_row_hit(self) -> None:
-        self.counters.row_hits += 1
-
-    def record_row_miss(self) -> None:
-        self.counters.row_misses += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dram.commands import Command, CommandKind, command_bus
+from repro.dram.commands import Command, command_bus
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import TimingParameters
 
@@ -69,10 +69,6 @@ class Channel:
         self._last_col_ca_time: Dict[int, int] = {
             pc: -1 for pc in range(config.num_pseudo_channels)
         }
-        # Set once the channel has ever issued an auto-precharging CAS
-        # (RDA/WRA); lets the planner's auto-precharge guard answer in O(1)
-        # on the common path instead of scanning every bank.
-        self._seen_auto_precharge = False
 
     # ------------------------------------------------------------- plumbing
 
@@ -115,8 +111,6 @@ class Channel:
         pc = self.pseudo_channels[command.pseudo_channel]
         pc.issue(command, now)
         self._note_ca_use(command, now)
-        if command.kind in (CommandKind.RDA, CommandKind.WRA):
-            self._seen_auto_precharge = True
 
     def last_column_ca_time(self, pseudo_channel: int) -> int:
         """Last ns the column C/A pins served ``pseudo_channel`` (snapshot)."""
@@ -125,21 +119,6 @@ class Channel:
     def last_row_ca_time(self, pseudo_channel: int) -> int:
         """Last ns the row C/A pins served ``pseudo_channel`` (snapshot)."""
         return self._last_row_ca_time[pseudo_channel]
-
-    def any_auto_precharge_pending(self) -> bool:
-        """True if any bank has an unresolved RDA/WRA auto-precharge.
-
-        O(1) while the channel has never issued an auto-precharging CAS
-        (the FR-FCFS controller never does); the per-bank scan only runs
-        once one has been seen.
-        """
-        if not self._seen_auto_precharge:
-            return False
-        return any(
-            bank.auto_precharge_pending
-            for pc in self.pseudo_channels
-            for bank in pc.all_banks()
-        )
 
     def next_event_ns(self, now: int) -> Optional[int]:
         """Earliest future instant any channel constraint can expire."""

@@ -1,90 +1,71 @@
 """Refresh bookkeeping for conventional HBM.
 
 Both the baseline and RoMe employ per-bank refresh (REFpb) to improve
-bandwidth availability (Section VI-A); all-bank refresh (REFab) is also
-modelled for completeness.  The refresh engine tracks, per bank, when the next
-refresh is due and exposes the set of overdue refreshes to the memory
-controller's refresh scheduler, which may postpone them up to a bounded debt.
+bandwidth availability (Section VI-A), so the conventional controller issues
+REFpb only (the device still accepts REFab, see
+:mod:`repro.dram.pseudochannel`).  The refresh engine tracks, per bank, when
+the next refresh is due and exposes the set of overdue refreshes to the
+memory controller's refresh scheduler, which may postpone them up to a
+bounded debt.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dram.timing import TimingParameters
 
 
-class RefreshMode(enum.Enum):
-    """Supported refresh strategies."""
-
-    ALL_BANK = "all_bank"
-    PER_BANK = "per_bank"
-
-
 @dataclass
 class RefreshTarget:
-    """A refresh obligation for one bank (or a whole channel for REFab)."""
+    """A per-bank refresh obligation."""
 
     due_time: int
     stack_id: int = 0
     bank_group: int = 0
     bank: int = 0
-    all_bank: bool = False
 
     @property
     def track(self) -> str:
         """Bank-group sub-track label for trace events about this target
         (the obs layer renders one track per channel/bank-group)."""
-        if self.all_bank:
-            return "refab"
         return f"sid{self.stack_id}.bg{self.bank_group}"
 
 
 @dataclass
 class RefreshEngine:
-    """Tracks refresh deadlines for every bank behind one channel or PC.
+    """Tracks per-bank refresh deadlines for every bank behind one PC.
 
     Parameters
     ----------
     timing:
-        Timing parameters providing ``tREFI``/``tREFIpb``.
+        Timing parameters providing ``tREFIpb``.
     num_stack_ids / num_bank_groups / banks_per_group:
         Bank topology to refresh.
-    mode:
-        All-bank or per-bank refresh.
     max_postponed:
         How many refresh intervals a bank may be postponed before the
         controller must stall for it (JEDEC allows postponing a bounded
         number of refreshes).
-    interval_multiplier:
-        RoMe issues one refresh command per VBA every ``2 x tREFIpb`` and
-        lets the command generator emit the two per-bank refreshes
-        back-to-back (Section V-B); setting ``interval_multiplier=2`` models
-        that behaviour.
+
+    RoMe's paired per-VBA refresh lives in
+    :class:`repro.core.refresh.RomeRefreshScheduler`.
     """
 
     timing: TimingParameters
     num_stack_ids: int = 1
     num_bank_groups: int = 4
     banks_per_group: int = 4
-    mode: RefreshMode = RefreshMode.PER_BANK
     max_postponed: int = 4
-    interval_multiplier: int = 1
     _next_due: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    _next_all_bank: int = 0
     issued: int = 0
 
     def __post_init__(self) -> None:
-        if self.interval_multiplier < 1:
-            raise ValueError("interval_multiplier must be >= 1")
         offset = 0
         stagger = max(1, self.command_interval())
         for key in self._bank_keys():
             self._next_due[key] = offset
             offset += stagger
-        self._next_all_bank = self.timing.tREFI
 
     # ------------------------------------------------------------- topology
 
@@ -99,16 +80,10 @@ class RefreshEngine:
         return self.num_stack_ids * self.num_bank_groups * self.banks_per_group
 
     def command_interval(self) -> int:
-        """Average spacing between refresh *commands* on this engine.
-
-        ``tREFIpb`` is the rate at which per-bank refresh commands must be
-        issued while rotating over the banks (Section II-D); with the RoMe
-        pairing optimization one command covers a whole VBA, so the command
-        rate halves (``interval_multiplier = 2``).
-        """
-        if self.mode is RefreshMode.ALL_BANK:
-            return self.timing.tREFI
-        return self.timing.tREFIpb * self.interval_multiplier
+        """Average spacing between refresh *commands* on this engine:
+        ``tREFIpb``, the rate at which per-bank refresh commands must be
+        issued while rotating over the banks (Section II-D)."""
+        return self.timing.tREFIpb
 
     def interval(self) -> int:
         """Refresh period of an individual target (bank) in nanoseconds.
@@ -117,24 +92,12 @@ class RefreshEngine:
         each bank back around every ``tREFIpb x num_banks``; that per-bank
         period is what the deadline tracking uses.
         """
-        if self.mode is RefreshMode.ALL_BANK:
-            return self.timing.tREFI
         return self.command_interval() * max(1, self.num_banks)
-
-    def cycle_time(self) -> int:
-        """Duration of one refresh operation."""
-        if self.mode is RefreshMode.ALL_BANK:
-            return self.timing.tRFCab
-        return self.timing.tRFCpb
 
     # -------------------------------------------------------------- queries
 
     def due_targets(self, now: int) -> List[RefreshTarget]:
         """All refresh obligations whose deadline has passed at ``now``."""
-        if self.mode is RefreshMode.ALL_BANK:
-            if now >= self._next_all_bank:
-                return [RefreshTarget(due_time=self._next_all_bank, all_bank=True)]
-            return []
         due = [
             RefreshTarget(due_time=t, stack_id=sid, bank_group=bg, bank=bank)
             for (sid, bg, bank), t in self._next_due.items()
@@ -178,12 +141,8 @@ class RefreshEngine:
         targets generate no future event of their own.
         """
         slack = self.slack_ns()
-        if self.mode is RefreshMode.ALL_BANK:
-            deadlines = (self._next_all_bank,)
-        else:
-            deadlines = self._next_due.values()
         best: Optional[int] = None
-        for due in deadlines:
+        for due in self._next_due.values():
             candidate = due if due > now else due + slack
             if candidate > now and (best is None or candidate < best):
                 best = candidate
@@ -194,9 +153,6 @@ class RefreshEngine:
     def note_refresh_issued(self, target: RefreshTarget, now: int) -> None:
         """Record that the refresh for ``target`` was issued at ``now``."""
         self.issued += 1
-        if self.mode is RefreshMode.ALL_BANK or target.all_bank:
-            self._next_all_bank += self.timing.tREFI
-            return
         key = (target.stack_id, target.bank_group, target.bank)
         self._next_due[key] += self.interval()
 

@@ -53,7 +53,6 @@ def measure_conventional_streaming(
     total_bytes: int = 512 * 1024,
     num_channels: int = 1,
     read_queue_depth: int = 64,
-    page_policy: str = "open",
     request_bytes: int = 4096,
     enable_refresh: bool = False,
     timing: Optional[TimingParameters] = None,
@@ -71,7 +70,6 @@ def measure_conventional_streaming(
             timing=timing or TimingParameters(),
             read_queue_depth=read_queue_depth,
             write_queue_depth=read_queue_depth,
-            page_policy=page_policy,
             enable_refresh=enable_refresh,
         ),
     )

@@ -4,8 +4,7 @@ import pytest
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import MemoryRequest, RequestKind
-from repro.dram.refresh import RefreshMode
-from repro.sim.traces import streaming_trace
+from repro.sim.traces import mixed_trace, streaming_trace
 
 
 def _controller(**overrides) -> ConventionalMemoryController:
@@ -86,12 +85,30 @@ def test_mixed_reads_and_writes_complete():
 
 def test_refresh_commands_issued_when_enabled():
     mc = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, enable_refresh=True,
-                                refresh_mode=RefreshMode.PER_BANK)
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=True)
     )
     # Run long enough to cover several per-bank refresh intervals.
     mc.run_for(4 * mc.config.timing.tREFIpb)
     assert mc.stats.refreshes_issued > 0
+
+
+@pytest.mark.parametrize("num_stack_ids", [1, 2])
+def test_idle_controller_refreshes_every_bank(num_stack_ids):
+    """Within one refresh period plus the postponement headroom every bank
+    of every pseudo channel receives a REFpb, and each one is accounted
+    to a refresh engine."""
+    mc = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=num_stack_ids,
+                                enable_refresh=True)
+    )
+    engines = mc.scheduler.refresh_engines
+    mc.run_for(engines[0].interval() + engines[0].slack_ns())
+    for pc in mc.channel.pseudo_channels:
+        banks = pc.all_banks()
+        assert len(banks) == 16 * num_stack_ids
+        assert all(bank.counters.refreshes >= 1 for bank in banks)
+    assert mc.channel.command_counts()["REFpb"] == sum(
+        engine.issued for engine in engines)
 
 
 def test_refresh_does_not_lose_requests():
@@ -116,20 +133,33 @@ def test_energy_counters_match_command_counts():
     assert counters.interface_commands == sum(commands.values())
 
 
+def test_bank_counters_add_up_to_the_channel_command_counts():
+    """Every command the controller issues lands on exactly one bank's
+    counters: ACT, PRE, RD, WR and REFpb are all per-bank commands."""
+    mc = _controller(enable_refresh=True)
+    for request in mixed_trace(32 * 1024, write_fraction=0.4, seed=3):
+        mc.enqueue(request)
+    mc.run_until_idle()
+    banks = [bank for pc in mc.channel.pseudo_channels
+             for bank in pc.all_banks()]
+    totals = {name: sum(getattr(bank.counters, name) for bank in banks)
+              for name in ("activates", "precharges", "reads", "writes",
+                           "refreshes")}
+    commands = mc.channel.command_counts()
+    assert totals == {
+        "activates": commands["ACT"],
+        "precharges": commands.get("PRE", 0),
+        "reads": commands["RD"],
+        "writes": commands["WR"],
+        "refreshes": commands["REFpb"],
+    }
+    assert set(commands) <= {"ACT", "PRE", "RD", "WR", "REFpb"}
+    assert totals["refreshes"] == mc.stats.refreshes_issued > 0
+
+
 def test_run_until_idle_raises_when_budget_exhausted():
     mc = _controller()
     mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=4096))
     with pytest.raises(RuntimeError, match="did not drain"):
         mc.run_until_idle(max_ns=5)
 
-
-def test_close_page_policy_produces_more_activates_than_open_page():
-    open_mc = _controller(page_policy="open")
-    close_mc = _controller(page_policy="close")
-    for controller in (open_mc, close_mc):
-        for request in streaming_trace(16 * 1024, request_bytes=4096):
-            controller.enqueue(request)
-        controller.run_until_idle()
-    open_acts = open_mc.channel.command_counts().get("ACT", 0)
-    close_acts = close_mc.channel.command_counts().get("ACT", 0)
-    assert close_acts >= open_acts

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
-from repro.controller.page_policy import OpenPagePolicy
 from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestKind, decompose
 from repro.controller.scheduler import FrFcfsScheduler
@@ -15,7 +14,7 @@ from repro.dram.commands import CommandKind
 @pytest.fixture
 def setup(timing):
     channel = Channel(ChannelConfig(timing=timing, num_stack_ids=1))
-    scheduler = FrFcfsScheduler(channel=channel, page_policy=OpenPagePolicy())
+    scheduler = FrFcfsScheduler(channel=channel)
     mapping = baseline_hbm4_mapping(num_channels=1)
     queue = RequestQueue(capacity=64)
     return channel, scheduler, mapping, queue
@@ -69,6 +68,84 @@ def test_pick_row_issues_precharge_on_conflict(setup, timing):
     assert decision.command.kind is CommandKind.PRE
 
 
+def test_pick_row_keeps_row_open_while_a_hit_is_pending(setup, timing):
+    """A conflicting open row is closed only once the queue holds no
+    pending hit to it, even when the bank's oldest entry is the miss."""
+    channel, scheduler, mapping, queue = setup
+    near = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
+    far = MemoryRequest(kind=RequestKind.READ,
+                        address=mapping.bytes_per_row_system, size_bytes=32)
+    opened = decompose(near, mapping)
+    channel.issue(scheduler._act_command(opened[0]), 0)
+    for t in decompose(far, mapping) + decompose(near, mapping):
+        queue.push(t)
+    assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
+    column = scheduler.pick_column([(queue, True)], now=timing.tRAS)
+    assert column.transaction.request is near
+
+
+def test_pick_row_keeps_an_open_row_open_without_a_conflict(setup, timing):
+    """An open row is never closed speculatively: not while its hits wait,
+    and not once the queue is empty."""
+    channel, scheduler, mapping, queue = setup
+    request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
+    for t in decompose(request, mapping):
+        queue.push(t)
+    channel.issue(scheduler.pick_row([(queue, True)], now=0).command, 0)
+    assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
+    queue.remove(queue.oldest())
+    assert queue.is_empty
+    assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
+
+
+def test_pick_row_closes_a_row_whose_hits_wait_only_in_another_queue(
+        setup, timing):
+    """The no-pending-hit test looks at the queue the miss came from: a
+    write hit to the open row does not hold it open for a read miss."""
+    channel, scheduler, mapping, queue = setup
+    write_queue = RequestQueue(capacity=64)
+    near = MemoryRequest(kind=RequestKind.WRITE, address=0, size_bytes=32)
+    far = MemoryRequest(kind=RequestKind.READ,
+                        address=mapping.bytes_per_row_system, size_bytes=32)
+    opened = decompose(near, mapping)
+    channel.issue(scheduler._act_command(opened[0]), 0)
+    for t in opened:
+        write_queue.push(t)
+    for t in decompose(far, mapping):
+        queue.push(t)
+    decision = scheduler.pick_row([(queue, True), (write_queue, True)],
+                                  now=timing.tRAS)
+    assert decision is not None
+    assert decision.command.kind is CommandKind.PRE
+    coord = opened[0].coordinate
+    assert (decision.command.bank_group, decision.command.bank) == (
+        coord.bank_group, coord.bank)
+
+
+def test_pick_row_activates_the_row_of_the_oldest_miss(setup):
+    """A closed bank opens the row its oldest pending transaction needs."""
+    channel, scheduler, mapping, queue = setup
+    far = MemoryRequest(kind=RequestKind.READ,
+                        address=mapping.bytes_per_row_system, size_bytes=32)
+    near = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
+    far_transactions = decompose(far, mapping)
+    for t in far_transactions + decompose(near, mapping):
+        queue.push(t)
+    decision = scheduler.pick_row([(queue, True)], now=0)
+    assert decision is not None
+    assert decision.command.kind is CommandKind.ACT
+    assert decision.command.row == far_transactions[0].coordinate.row
+
+
+def test_pick_row_skips_disabled_queues(setup):
+    channel, scheduler, mapping, queue = setup
+    request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
+    for t in decompose(request, mapping):
+        queue.push(t)
+    assert scheduler.pick_row([(queue, False)], now=0) is None
+    assert scheduler.pick_column([(queue, False)], now=0) is None
+
+
 def test_write_drain_hysteresis():
     mc = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=False,
@@ -86,6 +163,18 @@ def test_write_drain_hysteresis():
     assert not scheduler.update_write_drain(write_queue)  # below low watermark
 
 
+@pytest.mark.parametrize("draining, occupancy, expected", [
+    (False, 5, False),  # 5/8 < 3/4: keep serving reads
+    (False, 6, True),   # 6/8 reaches the high watermark
+    (True, 3, True),    # 3/8 > 1/4: keep draining
+    (True, 2, False),   # 2/8 reaches the low watermark
+])
+def test_write_drain_watermarks_are_three_quarters_and_one_quarter(
+        setup, draining, occupancy, expected):
+    channel, scheduler, mapping, queue = setup
+    assert scheduler._drain_step(draining, occupancy, capacity=8) is expected
+
+
 def test_refresh_decision_when_due(timing):
     mc = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=True)
@@ -95,8 +184,8 @@ def test_refresh_decision_when_due(timing):
     assert decision.command.kind in (CommandKind.REFPB, CommandKind.PRE)
 
 
-def test_plan_train_reports_count_stride_and_end():
-    """The burst-train planner's (count, stride, end_ns) surface must be
+def test_plan_train_reports_count_and_end():
+    """The burst-train planner's (count, end_ns) surface must be
     self-consistent: a dense train over N instants with >= 1 command each."""
     mc = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
@@ -112,13 +201,12 @@ def test_plan_train_reports_count_stride_and_end():
         target_ns=10_000, num_picks=mc.config.num_pseudo_channels,
     )
     assert train is not None
-    assert train.stride_ns == 1
     assert train.end_ns == train.steps[0].time_ns + len(train.steps) - 1
     assert train.count == sum(len(step.decisions) for step in train.steps)
     assert train.count >= len(train.steps)  # dense: >= 1 command per instant
 
 
-def test_plan_train_refuses_when_refresh_is_due(timing):
+def _cold_loaded_controller() -> ConventionalMemoryController:
     mc = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=True)
     )
@@ -126,11 +214,60 @@ def test_plan_train_refuses_when_refresh_is_due(timing):
         mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=block * 4096,
                                  size_bytes=4096))
     mc._fill_queues()
-    assert mc.scheduler.plan_train(
-        mc.read_queue, mc.write_queue, mc._backlog,
-        now=timing.tREFIpb, target_ns=timing.tREFIpb + 10_000,
-        num_picks=mc.config.num_pseudo_channels,
-    ) is None
+    return mc
+
+
+def _plan_cold(mc, now, min_steps, target_ns=None):
+    return mc.scheduler.plan_train(
+        mc.read_queue, mc.write_queue, mc._backlog, now=now,
+        target_ns=now + 10_000 if target_ns is None else target_ns,
+        num_picks=mc.config.num_pseudo_channels, min_steps=min_steps,
+    )
+
+
+def _command_key(command):
+    return (command.kind, command.pseudo_channel, command.stack_id,
+            command.bank_group, command.bank, command.row, command.column)
+
+
+def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
+    """With refreshes due at the start, the plan carries each REFpb at the
+    very instant the per-step scheduler (``pick_refresh`` first in every
+    ``_step``) issues it, alongside the same ACTs and column commands."""
+    start = timing.tREFIpb
+    train = _plan_cold(_cold_loaded_controller(), start, min_steps=1)
+    assert train is not None
+    planned = [(step.time_ns, _command_key(decision.command))
+               for step in train.steps for decision in step.decisions]
+    assert any(key[0] is CommandKind.REFPB for _, key in planned)
+
+    stepper = _cold_loaded_controller()
+    issued = []
+    issue = stepper._issue
+
+    def record(decision, now):
+        issued.append((now, _command_key(decision.command)))
+        issue(decision, now)
+
+    stepper._issue = record
+    for t in range(start, train.end_ns + 1):
+        stepper._step(t)
+    assert issued == planned
+
+
+def test_plan_train_declines_a_dense_run_shorter_than_min_steps(timing):
+    """The cold ACT ramp is not dense for long: the planner covers it only
+    when ``min_steps`` allows a run that short, and declines when no
+    ``min_steps`` instants remain before ``target_ns``."""
+    start = timing.tREFIpb
+    mc = _cold_loaded_controller()
+    dense = _plan_cold(mc, start, min_steps=1)
+    assert dense is not None
+    steps = len(dense.steps)
+    assert steps < 4
+    assert _plan_cold(mc, start, min_steps=steps) is not None
+    assert _plan_cold(mc, start, min_steps=steps + 1) is None
+    assert _plan_cold(mc, start, min_steps=1, target_ns=start) is None
 
 
 def test_pick_column_tests_a_blocked_bank_once(setup, timing):

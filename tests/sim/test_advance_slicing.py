@@ -15,7 +15,6 @@ from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind
-from repro.dram.refresh import RefreshMode
 from repro.sim.engine import Simulation
 from repro.sim.traces import streaming_trace
 
@@ -24,8 +23,7 @@ HORIZON_NS = {"hbm4": 2_500, "rome": 3_000}
 
 def _hbm4_load(arrivals):
     controller = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, enable_refresh=True,
-                                refresh_mode=RefreshMode.PER_BANK))
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=True))
     stream = streaming_trace(8 * 4096, request_bytes=4096)
     late = [MemoryRequest(kind=RequestKind.WRITE if index % 2 else
                           RequestKind.READ,

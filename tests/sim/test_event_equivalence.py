@@ -17,10 +17,11 @@ import random
 import pytest
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
-from repro.controller.request import RequestKind
+from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.virtual_bank import paper_vba_config
+from repro.dram.address import baseline_hbm4_mapping
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
@@ -212,12 +213,10 @@ def test_conventional_event_core_matches_tick_core(name, enable_refresh):
 # ------------------------------------------------------------ burst trains
 
 
-def _drain_conventional(trace, event_driven, enable_refresh=False,
-                        page_policy="open"):
+def _drain_conventional(trace, event_driven, enable_refresh=False):
     controller = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1,
-                                enable_refresh=enable_refresh,
-                                page_policy=page_policy)
+                                enable_refresh=enable_refresh)
     )
     requests = list(trace)
     for request in requests:
@@ -253,15 +252,108 @@ def test_conventional_burst_train_drain_is_bit_identical(name, enable_refresh):
             assert event_controller.stats.refreshes_issued > 0
 
 
-@pytest.mark.parametrize("page_policy", ["close", "adaptive"])
-def test_conventional_non_open_policies_stay_exact(page_policy):
-    """Row-work modeling is open-page-only; other policies must fall back
-    to single-step evaluation and stay cycle-exact."""
-    make = lambda: streaming_trace(32 * 1024, request_bytes=4096,
-                                   kind=RequestKind.READ)
-    _, event = _drain_conventional(make(), True, page_policy=page_policy)
-    _, tick = _drain_conventional(make(), False, page_policy=page_policy)
+def _row_conflict_trace(num_requests=12):
+    """Row conflicts in two shapes.
+
+    First a 32 B read opens row 0 of bank 0 (bank group 0, PC 0) and a
+    read to row 1 of that bank queues behind it.  Reads to bank 1 of the
+    same bank group, one ahead of them and 15 behind, take every column
+    slot of the group past tRAS ahead of a young row-0 hit to bank 0.
+    The miss heads bank 0's queue while the hit waits unserved and a PRE
+    would be legal, so only the pending-hit rule keeps the row open.
+    Then 4 KiB requests alternate between two rows of the same banks
+    (every fourth one a write).
+    """
+    mapping = baseline_hbm4_mapping(num_channels=1)
+    row_bytes = mapping.bytes_per_row_system
+    base = 2 * row_bytes
+    column_bytes = 256
+    bank_bytes = 8192
+    same_group = [
+        MemoryRequest(kind=RequestKind.READ,
+                      address=bank_bytes + column_bytes * column,
+                      size_bytes=32)
+        for column in range(16)
+    ]
+    starved_hit = [
+        same_group[0],
+        MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32),
+        MemoryRequest(kind=RequestKind.READ, address=row_bytes,
+                      size_bytes=32),
+        *same_group[1:],
+        MemoryRequest(kind=RequestKind.READ, address=column_bytes,
+                      size_bytes=32),
+    ]
+    return starved_hit + [
+        MemoryRequest(
+            kind=RequestKind.WRITE if index % 4 == 3 else RequestKind.READ,
+            address=base + (index % 2) * row_bytes + (index // 2) * 4096,
+            size_bytes=4096,
+        )
+        for index in range(num_requests)
+    ]
+
+
+@pytest.mark.parametrize("enable_refresh", [False, True])
+def test_conventional_row_conflict_drain_is_bit_identical(enable_refresh):
+    """A drain dominated by row conflicts, whose trains carry ACTs and
+    PREs, matches the tick core stat-for-stat and per-request."""
+    event_controller, event = _drain_conventional(
+        _row_conflict_trace(), True, enable_refresh)
+    tick_controller, tick = _drain_conventional(
+        _row_conflict_trace(), False, enable_refresh)
     assert event == tick
+    assert event_controller.channel.command_counts()["PRE"] > 0
+    assert event_controller.stats.evaluations \
+        < tick_controller.stats.evaluations
+
+
+def _command_key(command):
+    return (command.kind, command.pseudo_channel, command.stack_id,
+            command.bank_group, command.bank, command.row, command.column)
+
+
+@pytest.mark.parametrize("enable_refresh", [False, True])
+def test_every_plan_matches_the_commands_the_steps_issue(enable_refresh):
+    """At every instant of a row-conflict drain, the train the planner
+    offers lists exactly the commands the per-step scheduler then issues
+    over the instants the train covers."""
+    controller = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1,
+                                enable_refresh=enable_refresh)
+    )
+    for request in _row_conflict_trace(num_requests=8):
+        controller.enqueue(request)
+    issued = {}
+    issue = controller._issue
+
+    def record(decision, now):
+        issued.setdefault(now, []).append(_command_key(decision.command))
+        issue(decision, now)
+
+    controller._issue = record
+    plans = {}
+    while controller._pending():
+        now = controller.now
+        train = controller.scheduler.plan_train(
+            controller.read_queue, controller.write_queue,
+            controller._backlog, now=now, target_ns=now + 10_000,
+            num_picks=controller.config.num_pseudo_channels, min_steps=1,
+        )
+        if train is not None:
+            plans[now] = [(step.time_ns, _command_key(decision.command))
+                          for step in train.steps
+                          for decision in step.decisions]
+        controller.tick()
+    planned_kinds = set()
+    for start, planned in plans.items():
+        end = planned[-1][0]
+        assert planned == [(now, key) for now in range(start, end + 1)
+                           for key in issued.get(now, [])], start
+        planned_kinds.update(key[0].value for _, key in planned)
+    expected = {"ACT", "PRE", "RD", "WR"} | (
+        {"REFpb"} if enable_refresh else set())
+    assert planned_kinds == expected
 
 
 def _run_conventional_with_arrivals(event_driven, enable_refresh=False):
