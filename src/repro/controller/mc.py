@@ -49,6 +49,10 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
 _MIN_TRAIN_STEPS = 4
 _TRAIN_PLAN_COOLDOWN = 8
 
+#: Fields a mapping must share with the controller configuration.
+_BANK_GEOMETRY = ("num_pseudo_channels", "num_stack_ids", "num_bank_groups",
+                  "banks_per_group")
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -111,7 +115,8 @@ class ControllerStats:
     evaluations: int = field(default=0, compare=False)
 
     def note_command(self, kind: CommandKind) -> None:
-        self.issued_commands[kind.value] = self.issued_commands.get(kind.value, 0) + 1
+        label = kind.label
+        self.issued_commands[label] = self.issued_commands.get(label, 0) + 1
 
     @property
     def average_read_latency(self) -> float:
@@ -144,6 +149,15 @@ class ConventionalMemoryController:
     ) -> None:
         self.config = config or ControllerConfig()
         self.mapping = mapping or self.config.local_mapping()
+        # Transactions carry the flat bank index their mapping assigns
+        # (``AddressMapping.bank_index``), so the mapping must decode to the
+        # channel's own bank geometry.
+        mismatched = [name for name in _BANK_GEOMETRY
+                      if getattr(self.mapping, name) != getattr(self.config, name)]
+        if mismatched:
+            raise ValueError(
+                f"mapping bank geometry differs from the controller's in "
+                f"{', '.join(mismatched)}")
         self.channel = Channel(self.config.channel_config(), channel_id=channel_id)
         self.read_queue = RequestQueue(capacity=self.config.read_queue_depth)
         self.write_queue = RequestQueue(capacity=self.config.write_queue_depth)
@@ -218,9 +232,11 @@ class ConventionalMemoryController:
                        coord.bank_group, coord.bank)
                 target = self.ras.remap(key, coord.row)
                 if target != key:
-                    transaction.coordinate = dataclass_replace(
+                    coord = dataclass_replace(
                         coord, pseudo_channel=target[0], stack_id=target[1],
                         bank_group=target[2], bank=target[3])
+                    transaction.coordinate = coord
+                    transaction.bank_index = self.mapping.bank_index(coord)
             self._backlog.append(transaction)
 
     # ---------------------------------------------------------------- RAS
@@ -243,7 +259,8 @@ class ConventionalMemoryController:
         self._pending_transactions[retry_request.request_id] = 1
         retry = Transaction(
             request=retry_request, coordinate=transaction.coordinate,
-            size_bytes=transaction.size_bytes, arrival_ns=ready_ns)
+            size_bytes=transaction.size_bytes, arrival_ns=ready_ns,
+            is_read=True, bank_index=transaction.bank_index)
         self._retry_seq += 1
         heapq.heappush(self._retries, (ready_ns, self._retry_seq, retry))
 
@@ -270,7 +287,7 @@ class ConventionalMemoryController:
     def _fill_queues(self) -> None:
         while self._backlog:
             transaction = self._backlog[0]
-            queue = self.write_queue if transaction.is_write else self.read_queue
+            queue = self.read_queue if transaction.is_read else self.write_queue
             if not queue.push(transaction):
                 break
             self._backlog.popleft()
@@ -340,7 +357,6 @@ class ConventionalMemoryController:
         self.stats.evaluations += 1
         if self._ras_active:
             self._ras_step(now)
-        self.channel.tick(now)
         self._fill_queues()
         timing = self.config.timing
         issued_any = False

@@ -11,17 +11,9 @@ buffer with associative lookups by bank and by open row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.controller.request import Transaction
-
-
-BankKey = Tuple[int, int, int, int]  # (pseudo_channel, stack_id, bank_group, bank)
-
-
-def bank_key(transaction: Transaction) -> BankKey:
-    coord = transaction.coordinate
-    return (coord.pseudo_channel, coord.stack_id, coord.bank_group, coord.bank)
 
 
 @dataclass
@@ -101,28 +93,22 @@ class RequestQueue:
     def oldest(self) -> Optional[Transaction]:
         return self._entries[0] if self._entries else None
 
-    def for_bank(self, key: BankKey) -> List[Transaction]:
-        """All queued transactions targeting one bank, oldest first."""
-        return [t for t in self._entries if bank_key(t) == key]
-
-    def row_hits(self, key: BankKey, open_row: int) -> List[Transaction]:
-        """Queued transactions that hit ``open_row`` in the given bank."""
-        return [
-            t for t in self._entries
-            if bank_key(t) == key and t.coordinate.row == open_row
-        ]
-
-    def oldest_per_bank(self) -> Dict[BankKey, Transaction]:
-        """The oldest pending transaction for every bank with pending work."""
-        result: Dict[BankKey, Transaction] = {}
+    def oldest_per_bank(self) -> Dict[int, Transaction]:
+        """The oldest pending transaction of every bank with pending work,
+        keyed by bank index, oldest first."""
+        result: Dict[int, Transaction] = {}
         for transaction in self._entries:
-            key = bank_key(transaction)
-            if key not in result:
-                result[key] = transaction
+            index = transaction.bank_index
+            if index not in result:
+                result[index] = transaction
         return result
 
-    def select(self, predicate: Callable[[Transaction], bool]) -> List[Transaction]:
-        return [t for t in self._entries if predicate(t)]
-
-    def banks_with_pending(self) -> Iterable[BankKey]:
-        return self.oldest_per_bank().keys()
+    def row_hit_counts(self, open_rows: Dict[int, int]) -> Dict[int, int]:
+        """Per bank in ``open_rows`` (bank index to open row), the number of
+        queued transactions that hit that row, in one pass."""
+        counts = dict.fromkeys(open_rows, 0)
+        for transaction in self._entries:
+            index = transaction.bank_index
+            if open_rows.get(index) == transaction.coordinate.row:
+                counts[index] += 1
+        return counts

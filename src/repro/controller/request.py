@@ -52,7 +52,7 @@ class MemoryRequest:
         return self.completion_ns - self.arrival_ns
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Transaction:
     """One DRAM-granularity piece of a host request.
 
@@ -62,23 +62,25 @@ class Transaction:
     For the baseline controller a 4 KB host request decomposes into 128
     32-byte transactions; for RoMe it maps to a single row-granularity
     transaction.
+
+    ``is_read`` and ``bank_index`` (the flat index of the target bank,
+    :meth:`AddressMapping.bank_index`) are set at construction, so the
+    scheduler reads plain slots on its hot path.  Code that changes
+    ``coordinate`` recomputes ``bank_index`` with the same method.
     """
 
     request: MemoryRequest
     coordinate: DramCoordinate
     size_bytes: int
     arrival_ns: int
+    is_read: bool
+    bank_index: int
     served: bool = False
-    issue_ns: Optional[int] = None
     data_ready_ns: Optional[int] = None
 
     @property
     def is_write(self) -> bool:
-        return self.request.is_write
-
-    @property
-    def is_read(self) -> bool:
-        return self.request.is_read
+        return not self.is_read
 
 
 def decompose(request: MemoryRequest, mapping: AddressMapping) -> List[Transaction]:
@@ -87,12 +89,16 @@ def decompose(request: MemoryRequest, mapping: AddressMapping) -> List[Transacti
     Each call builds fresh :class:`Transaction` queue entries that carry
     the request's kind and arrival time.
     """
+    is_read = request.is_read
+    bank_index = mapping.bank_index
     return [
         Transaction(
             request=request,
             coordinate=coordinate,
             size_bytes=mapping.granularity_bytes,
             arrival_ns=request.arrival_ns,
+            is_read=is_read,
+            bank_index=bank_index(coordinate),
         )
         for coordinate in mapping.decode_range(request.address,
                                                request.size_bytes)

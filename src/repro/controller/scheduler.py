@@ -16,24 +16,39 @@ upcoming decisions are provably a dense run of commands (row hits to
 already-open rows, ACT/PRE row work, and the REFpb/critical-PRE issues the
 refresh engines force), it computes the whole run -- per-step picks, refresh
 splices, refill admissions, and write-drain state -- analytically in one
-evaluation and returns a :class:`ColumnTrain` the controller bulk-applies.  The planner only *models* state (pure reads); the
-controller's apply path replays the planned commands through the ordinary
-``Channel.issue`` validation, so a planner divergence raises instead of
-silently corrupting results.  When no dense run of at least ``min_steps``
-instants fits before ``target_ns`` the planner returns ``None`` and the
-controller falls back to single-step evaluation, keeping results
-bit-identical to the per-nanosecond core by construction.
+evaluation and returns a :class:`ColumnTrain` the controller bulk-applies.
+The planner only *models* state (pure reads); the controller's apply path
+replays the planned commands through the ordinary ``Channel.issue``
+validation (one check per command, bank included), so a planner divergence
+raises instead of silently corrupting results.  When no dense run of at
+least ``min_steps`` instants fits before ``target_ns`` the planner returns
+``None`` and the controller falls back to single-step evaluation, keeping
+results bit-identical to the per-nanosecond core by construction.
+
+Bank machines
+-------------
+Work is organised per bank, as in gram/LiteDRAM's bank machines and
+multiplexer.  Each transaction carries a flat bank index (its position in
+``Channel.banks``) and a read flag, fixed at construction.  The planner keeps
+per-bank FIFOs of pending entries and per-bank hit counts, so a column pick
+tests only the banks holding a pending hit, once each, and a row pick walks
+only the banks whose oldest entry is a miss.  Readiness is asked of the
+channel with plain ints (``Channel.can_issue_column``), and a
+:class:`~repro.dram.commands.Command` is built only for a command that
+issues.  Banks resolve their own transients when read at an instant, so no
+evaluation sweeps the channel with a tick.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
-from repro.controller.queues import BankKey, RequestQueue, bank_key
+from repro.controller.queues import RequestQueue
 from repro.controller.request import Transaction
 from repro.dram.bank import Bank, column_precharge_ready
 from repro.dram.channel import Channel
@@ -120,10 +135,10 @@ class _PcModel:
     """Modeled command-timing state of one pseudo channel during planning.
 
     Mirrors exactly the fields ``PseudoChannel._cas_ready_time`` /
-    ``_act_ready_time`` and the data-bus check in ``PseudoChannel.can_issue``
-    read, plus the per-bus C/A reuse tracked by the channel.  Initialized
-    from read-only snapshots and updated per planned issue with the same
-    formulas ``issue`` applies.
+    ``_act_ready_time`` and the data-bus check in
+    ``PseudoChannel.can_issue_column`` read, plus the per-bus C/A reuse
+    tracked by the channel.  Initialized from read-only snapshots and
+    updated per planned issue with the same formulas ``issue`` applies.
     """
 
     __slots__ = ("last_cas_time", "last_cas_bank_group", "last_cas_stack",
@@ -157,8 +172,8 @@ class _BankModel:
     __slots__ = ("open_row", "next_read", "next_write", "next_pre",
                  "next_act", "next_refresh", "idle_at")
 
-    def __init__(self, bank: Bank) -> None:
-        self.open_row = bank.open_row if bank.has_open_row else None
+    def __init__(self, bank: Bank, now: int) -> None:
+        self.open_row = bank.open_row if bank.has_open_row(now) else None
         self.next_read = bank.next_read
         self.next_write = bank.next_write
         self.next_pre = bank.next_pre
@@ -168,42 +183,78 @@ class _BankModel:
 
 
 class _QueueModel:
-    """Modeled contents of one request queue during planning."""
+    """Modeled contents of one request queue during planning, indexed by
+    bank (one "bank machine" per bank, as in gram/LiteDRAM).
 
-    __slots__ = ("queue", "entries", "hits", "served", "cursor", "live",
-                 "capacity", "pushed", "peak", "rejected", "serve_count",
-                 "bank_fifos", "hit_counts", "miss_heads")
+    ``fifos[b]`` holds bank ``b``'s pending entry indices in queue order
+    and ``hit_counts[b]`` counts those that hit the modeled open row.
+    ``hit_heads`` lists, in queue order, the oldest pending hit of every
+    bank that has one (``first_hits[b]``): the only entries a column pick
+    tests.  ``miss_heads`` is the set of banks whose oldest pending entry
+    is a miss: ``pick_row`` acts only on such a bank, so it is non-empty
+    iff ``pick_row`` could act on this queue.
+    """
 
-    def __init__(self, queue: RequestQueue) -> None:
+    __slots__ = ("queue", "entries", "hits", "served", "live", "capacity",
+                 "pushed", "peak", "rejected", "serve_count", "fifos",
+                 "hit_counts", "first_hits", "hit_heads", "miss_heads")
+
+    def __init__(self, queue: RequestQueue, num_banks: int) -> None:
         self.queue = queue
         self.entries: List[Transaction] = list(queue)
         self.hits: List[bool] = []
         self.served: List[bool] = [False] * len(self.entries)
-        self.cursor = 0
         self.live = len(self.entries)
         self.capacity = queue.capacity
         self.pushed = 0
         self.peak = 0
         self.rejected = 0
         self.serve_count = 0
-        #: Per-bank FIFO of pending entry indices.  ``pick_row`` only acts
-        #: on a bank whose *oldest* pending transaction is a row miss, so
-        #: the planner tracks each bank's pending entries in order plus the
-        #: number of still-pending row hits (``hit_counts``, which is what
-        #: the row-conflict precharge decision reads).  ``miss_heads``
-        #: is the set of banks whose oldest pending entry is currently a
-        #: miss -- non-empty iff ``pick_row`` could act on this queue.
-        self.bank_fifos: Dict[BankKey, Deque[int]] = {}
-        self.hit_counts: Dict[BankKey, int] = {}
-        self.miss_heads: set = set()
+        self.fifos: List[Optional[Deque[int]]] = [None] * num_banks
+        self.hit_counts: List[int] = [0] * num_banks
+        self.first_hits: List[Optional[int]] = [None] * num_banks
+        self.hit_heads: List[int] = []
+        self.miss_heads: Set[int] = set()
 
-    def refresh_head(self, key: BankKey) -> None:
-        """Recompute whether ``key``'s oldest pending entry is a miss."""
-        fifo = self.bank_fifos.get(key)
+    def mark(self) -> Tuple[int, int, int, int, int]:
+        """The state :meth:`rollback` restores."""
+        return (len(self.entries), self.pushed, self.peak, self.serve_count,
+                self.rejected)
+
+    def rollback(self, mark: Tuple[int, int, int, int, int]) -> None:
+        """Drop the entries appended since ``mark`` and restore the
+        tallies (served flags are reset by the caller)."""
+        length, self.pushed, self.peak, self.serve_count, self.rejected = mark
+        del self.entries[length:]
+        del self.served[length:]
+
+    def refresh_head(self, bank: int) -> None:
+        """Recompute whether ``bank``'s oldest pending entry is a miss."""
+        fifo = self.fifos[bank]
         if fifo and not self.hits[fifo[0]]:
-            self.miss_heads.add(key)
+            self.miss_heads.add(bank)
         else:
-            self.miss_heads.discard(key)
+            self.miss_heads.discard(bank)
+
+    def update_first_hit(self, bank: int) -> None:
+        """Re-place ``bank``'s oldest pending hit in ``hit_heads`` after its
+        FIFO or its hit flags changed.  It is the FIFO head unless the hit
+        is queued behind an older miss."""
+        old = self.first_hits[bank]
+        new = None
+        if self.hit_counts[bank]:
+            fifo, hits = self.fifos[bank], self.hits
+            new = fifo[0]
+            if not hits[new]:
+                new = next(idx for idx in fifo if hits[idx])
+        if new == old:
+            return
+        heads = self.hit_heads
+        if old is not None:
+            del heads[bisect_left(heads, old)]
+        if new is not None:
+            insort(heads, new)
+        self.first_hits[bank] = new
 
 
 class _EngineModel:
@@ -239,6 +290,12 @@ class _EngineModel:
         heapq.heappush(self.heap, (due + self.interval, key))
 
 
+def _earliest_due(engine_models: List[_EngineModel]) -> Optional[int]:
+    """The earliest modeled refresh deadline, or None without any."""
+    return min((model.heap[0][0] for model in engine_models if model.heap),
+               default=None)
+
+
 class FrFcfsScheduler:
     """First-ready FCFS scheduler over one HBM channel."""
 
@@ -253,14 +310,9 @@ class FrFcfsScheduler:
 
     # ------------------------------------------------------------ utilities
 
-    def _bank_for(self, transaction: Transaction) -> Bank:
-        coord = transaction.coordinate
-        pc = self.channel.pseudo_channel(coord.pseudo_channel)
-        return pc.bank(coord.bank_group, coord.bank, coord.stack_id)
-
     def _column_command(self, transaction: Transaction) -> Command:
         coord = transaction.coordinate
-        kind = CommandKind.WR if transaction.is_write else CommandKind.RD
+        kind = CommandKind.RD if transaction.is_read else CommandKind.WR
         return Command(
             kind=kind,
             channel=self.channel.channel_id,
@@ -286,8 +338,8 @@ class FrFcfsScheduler:
             request_id=transaction.request.request_id,
         )
 
-    def _pre_command(self, key: BankKey) -> Command:
-        pseudo_channel, stack_id, bank_group, bank = key
+    def _pre_command(self, pseudo_channel: int, stack_id: int,
+                     bank_group: int, bank: int) -> Command:
         return Command(
             kind=CommandKind.PRE,
             channel=self.channel.channel_id,
@@ -345,7 +397,7 @@ class FrFcfsScheduler:
         most_urgent: Callable[[int, RefreshEngine, int],
                               Optional[RefreshTarget]],
         can_issue_ref: Callable[[int, RefreshTarget, int], bool],
-        bank_has_open_row: Callable[[int, RefreshTarget], bool],
+        bank_has_open_row: Callable[[int, RefreshTarget, int], bool],
         can_issue_pre: Callable[[int, RefreshTarget, int], bool],
     ) -> Optional[Tuple[str, int, RefreshEngine, RefreshTarget]]:
         """Shared refresh-decision skeleton (one evaluation at ``now``).
@@ -370,14 +422,15 @@ class FrFcfsScheduler:
             if now - target.due_time >= engine.slack_ns():
                 # Critical: the bank must be made refreshable -- precharge
                 # it if it still holds an open row.
-                if bank_has_open_row(pc_index, target) \
+                if bank_has_open_row(pc_index, target, now) \
                         and can_issue_pre(pc_index, target, now):
                     return ("pre", pc_index, engine, target)
         return None
 
-    def _bank_for_target(self, pc_index: int, target: RefreshTarget) -> Bank:
-        pc = self.channel.pseudo_channel(pc_index)
-        return pc.bank(target.bank_group, target.bank, target.stack_id)
+    def _target_pre_command(self, pc_index: int,
+                            target: RefreshTarget) -> Command:
+        return self._pre_command(pc_index, target.stack_id,
+                                 target.bank_group, target.bank)
 
     # Live-state callbacks for the shared refresh sweep (bound methods, not
     # per-call closures: ``pick_refresh`` runs once per scheduler
@@ -391,14 +444,16 @@ class FrFcfsScheduler:
                             now: int) -> bool:
         return self.channel.can_issue(self._refpb_command(pc, target), now)
 
-    def _live_bank_open(self, pc: int, target: RefreshTarget) -> bool:
-        return self._bank_for_target(pc, target).has_open_row
+    def _live_bank_open(self, pc: int, target: RefreshTarget,
+                        now: int) -> bool:
+        bank = self.channel.pseudo_channel(pc).bank(
+            target.bank_group, target.bank, target.stack_id)
+        return bank.has_open_row(now)
 
     def _live_can_issue_pre(self, pc: int, target: RefreshTarget,
                             now: int) -> bool:
-        return self.channel.can_issue(
-            self._pre_command((pc, target.stack_id, target.bank_group,
-                               target.bank)), now)
+        return self.channel.can_issue(self._target_pre_command(pc, target),
+                                      now)
 
     def pick_refresh(self, now: int) -> Optional[SchedulerDecision]:
         """Issue an overdue per-bank refresh if it is critical or convenient."""
@@ -418,8 +473,7 @@ class FrFcfsScheduler:
                 refresh_target=target,
             )
         return SchedulerDecision(
-            command=self._pre_command(
-                (pc_index, target.stack_id, target.bank_group, target.bank)),
+            command=self._target_pre_command(pc_index, target),
             critical_pre=True,
         )
 
@@ -441,8 +495,13 @@ class FrFcfsScheduler:
         depends only on its pseudo-channel/stack/bank group/bank, RD vs
         WR, the open row (every candidate is a hit on it) and ``now`` --
         never on the column or the request -- so once a bank's oldest hit
-        is blocked, its younger hits of the same direction are too.
+        is blocked, its younger hits of the same direction are too.  The
+        test is :meth:`Channel.can_issue_column`, on plain ints; a
+        :class:`Command` is built only for the pick returned.
         """
+        banks = self.channel.banks
+        can_issue_column = self.channel.can_issue_column
+        # Blocked (bank, direction) pairs, as ``bank_index * 2 + is_read``.
         blocked = set()
         for queue, enabled in queues:
             if not enabled:
@@ -450,17 +509,19 @@ class FrFcfsScheduler:
             for transaction in queue:
                 if transaction.served:
                     continue
-                coord = transaction.coordinate
-                key = (coord.pseudo_channel, coord.stack_id,
-                       coord.bank_group, coord.bank, transaction.is_write)
+                index = transaction.bank_index
+                key = 2 * index + transaction.is_read
                 if key in blocked:
                     continue
-                bank = self._bank_for(transaction)
-                if not bank.is_row_hit(coord.row):
+                coord = transaction.coordinate
+                if not banks[index].is_row_hit(coord.row, now):
                     continue
-                command = self._column_command(transaction)
-                if self.channel.can_issue(command, now):
-                    return SchedulerDecision(command=command, transaction=transaction)
+                if can_issue_column(coord.pseudo_channel, coord.stack_id,
+                                    coord.bank_group, coord.bank, coord.row,
+                                    transaction.is_read, now):
+                    return SchedulerDecision(
+                        command=self._column_command(transaction),
+                        transaction=transaction)
                 blocked.add(key)
         return None
 
@@ -487,30 +548,47 @@ class FrFcfsScheduler:
         the dense run ends after fewer than ``min_steps`` instants.  The
         caller then falls back to ordinary single-step evaluation.
 
+        The read queue holds only reads and the write queue only writes
+        (``_fill_queues`` routes them so, and so do the modeled refills).
+
         Soundness argument, mirroring ``ConventionalMemoryController._step``:
 
         * *refresh*: per-bank refresh is modeled exactly.  Each engine's
           deadlines are copied into a min-heap (:class:`_EngineModel`) and
-          every covered step runs the same decision skeleton
-          (:meth:`_refresh_sweep`) the single-step ``pick_refresh`` uses,
-          against modeled bank/C-A state -- so planned trains splice in the
-          REFpb (and, once postponement headroom is exhausted, the enabling
-          PRE) at exactly the instants the per-step scheduler would issue
-          them, instead of ending at the first refresh deadline;
+          every covered step at or past the earliest modeled deadline runs
+          the same decision skeleton (:meth:`_refresh_sweep`) the
+          single-step ``pick_refresh`` uses, against modeled bank/C-A
+          state -- so planned trains splice in the REFpb (and, once
+          postponement headroom is exhausted, the enabling PRE) at exactly
+          the instants the per-step scheduler would issue them, instead of
+          ending at the first refresh deadline.  Before that deadline the
+          sweep cannot act, so it is skipped;
+        * *bank machines*: each queue model keeps, per flat bank index, a
+          FIFO of pending entries and its count of pending row hits
+          (:class:`_QueueModel`).  A column hit's readiness depends only on
+          its bank and direction, so a column pick walks the banks' oldest
+          pending hits in queue order, testing each such bank at most once,
+          and takes the first ready one -- the entry the per-step queue
+          scan would reach first.  A pick queued behind an older miss of
+          its bank ends the train;
         * *row work*: ``pick_row`` only acts on a bank whose oldest pending
-          transaction is a row miss; the planner tracks a per-bank FIFO of
-          pending entries and models the row decisions exactly (ACT, and
-          the row-conflict PRE once the queue holds no pending hit to the
-          open row).  FR-FCFS issues no auto-precharging CAS, so no row
-          closes by time passing alone;
+          transaction is a row miss; the planner walks those banks in the
+          order of their FIFO heads and models the row decisions exactly
+          (ACT, and the row-conflict PRE once the queue holds no pending
+          hit to the open row).  FR-FCFS issues no auto-precharging CAS, so
+          no row closes by time passing alone;
         * *picks*: readiness is modeled with exact replicas of the
           pseudo-channel CAS/ACT spacing, turnaround, data-bus, BK-BUS,
           tFAW, bank timing-window, and C/A-reuse checks, seeded from
-          read-only snapshots and advanced with the same update formulas
-          ``issue`` applies;
+          read-only snapshots (banks resolve their own transients at
+          ``now``, no channel-wide tick needed) and advanced with the same
+          update formulas ``issue`` applies;
         * *density*: the train ends at the first instant with no pick, so
           every covered instant issues >= 1 command -- exactly the instants
           the event core would evaluate back-to-back anyway.
+
+        The controller replays every planned command through
+        ``Channel.issue``, which validates it once, so a divergence raises.
         """
         last_allowed = target_ns - 1
         if last_allowed < now + min_steps - 1:
@@ -525,26 +603,24 @@ class FrFcfsScheduler:
         tRFCpb, tREFIpb = timing.tRFCpb, timing.tREFIpb
         engine_models = [_EngineModel(engine)
                          for engine in self.refresh_engines]
+        next_due = _earliest_due(engine_models)
 
         pc_models = [
             _PcModel(pc.cas_state_snapshot(), channel.last_column_ca_time(i),
                      channel.last_row_ca_time(i))
             for i, pc in enumerate(channel.pseudo_channels)
         ]
-        group_bus: Dict[Tuple[int, int, int], int] = {}
-        bank_models: Dict[BankKey, _BankModel] = {}
+        # Per-bank and per-bank-group state, indexed by the flat bank index
+        # (``Channel.bank_index``) and by ``bank index // banks_per_group``.
+        per_group = channel.config.banks_per_group
+        bank_models = [_BankModel(bank, now) for bank in channel.banks]
+        group_bus = [group.bus_busy_until
+                     for pc in channel.pseudo_channels
+                     for stack in pc.stacks for group in stack]
 
-        def bank_model_for(key: BankKey) -> _BankModel:
-            model = bank_models.get(key)
-            if model is None:
-                pc_index, stack_id, bank_group, bank = key
-                model = _BankModel(channel.pseudo_channel(pc_index).bank(
-                    bank_group, bank, stack_id))
-                bank_models[key] = model
-            return model
-
-        def bank_model(txn: Transaction) -> _BankModel:
-            return bank_model_for(bank_key(txn))
+        def target_model(pc: int, target: RefreshTarget) -> _BankModel:
+            return bank_models[channel.bank_index(
+                pc, target.stack_id, target.bank_group, target.bank)]
 
         # Model-view callbacks for the shared refresh sweep: the same
         # checks ``Channel.can_issue`` performs for REFpb / PRE, applied to
@@ -557,45 +633,42 @@ class FrFcfsScheduler:
                                 t: int) -> bool:
             if t <= pc_models[pc].row_ca_last:
                 return False
-            bm = bank_model_for((pc, target.stack_id, target.bank_group,
-                                 target.bank))
+            bm = target_model(pc, target)
             return (bm.open_row is None and t >= bm.idle_at
                     and t >= bm.next_act and t >= bm.next_refresh)
 
-        def model_bank_open(pc: int, target: RefreshTarget) -> bool:
-            bm = bank_model_for((pc, target.stack_id, target.bank_group,
-                                 target.bank))
-            return bm.open_row is not None
+        def model_bank_open(pc: int, target: RefreshTarget, t: int) -> bool:
+            return target_model(pc, target).open_row is not None
 
         def model_can_issue_pre(pc: int, target: RefreshTarget,
                                 t: int) -> bool:
             if t <= pc_models[pc].row_ca_last:
                 return False
-            bm = bank_model_for((pc, target.stack_id, target.bank_group,
-                                 target.bank))
-            return t >= bm.next_pre
+            return t >= target_model(pc, target).next_pre
 
-        def classify(qm: _QueueModel, txn: Transaction) -> bool:
-            open_row = bank_model(txn).open_row
-            hit = open_row is not None and open_row == txn.coordinate.row
+        def classify(qm: _QueueModel, txn: Transaction) -> None:
+            index = txn.bank_index
+            hit = bank_models[index].open_row == txn.coordinate.row
             qm.hits.append(hit)
-            key = bank_key(txn)
-            fifo = qm.bank_fifos.get(key)
+            fifo = qm.fifos[index]
             if fifo is None:
-                fifo = deque()
-                qm.bank_fifos[key] = fifo
-            fifo.append(len(qm.hits) - 1)
+                fifo = qm.fifos[index] = deque()
+            idx = len(qm.hits) - 1
+            fifo.append(idx)
             if hit:
-                qm.hit_counts[key] = qm.hit_counts.get(key, 0) + 1
+                qm.hit_counts[index] += 1
+                if qm.first_hits[index] is None:
+                    # The newest entry: ``hit_heads`` stays in queue order.
+                    qm.first_hits[index] = idx
+                    qm.hit_heads.append(idx)
             elif len(fifo) == 1:
-                qm.miss_heads.add(key)
-            return hit
+                qm.miss_heads.add(index)
 
-        def reclassify(key: BankKey, open_row: Optional[int]) -> None:
-            # A modeled ACT/PRE changed ``key``'s open row: recompute the
-            # hit flags of every pending entry targeting that bank.
+        def reclassify(index: int, open_row: Optional[int]) -> None:
+            # A modeled ACT/PRE changed bank ``index``'s open row: recompute
+            # the hit flags of every pending entry targeting that bank.
             for qm in (rq, wq):
-                fifo = qm.bank_fifos.get(key)
+                fifo = qm.fifos[index]
                 if not fifo:
                     continue
                 hits, entries = qm.hits, qm.entries
@@ -606,52 +679,29 @@ class FrFcfsScheduler:
                     hits[idx] = flag
                     if flag:
                         count += 1
-                qm.hit_counts[key] = count
-                qm.refresh_head(key)
+                qm.hit_counts[index] = count
+                qm.update_first_hit(index)
+                qm.refresh_head(index)
 
-        def cas_ready(pcm: _PcModel, bg: int, sid: int, is_read: bool) -> int:
-            # The same pure rule PseudoChannel._cas_ready_time delegates to,
-            # applied to the modeled state.
-            return cas_ready_time(
-                timing, pcm.last_cas_time, pcm.last_cas_bank_group,
-                pcm.last_cas_stack, pcm.last_cas_was_read,
-                pcm.last_write_data_end, bg, sid, is_read,
-            )
-
-        def group_busy_until(pc: int, sid: int, bg: int) -> int:
-            key = (pc, sid, bg)
-            busy = group_bus.get(key)
-            if busy is None:
-                busy = channel.pseudo_channel(pc).stacks[sid][bg].bus_busy_until
-                group_bus[key] = busy
-            return busy
-
-        rq = _QueueModel(read_queue)
-        wq = _QueueModel(write_queue)
+        num_banks = len(bank_models)
+        rq = _QueueModel(read_queue, num_banks)
+        wq = _QueueModel(write_queue, num_banks)
         for qm in (rq, wq):
             for txn in qm.entries:
                 classify(qm, txn)
 
-        backlog_buf: List[Transaction] = []
-        backlog_iter = iter(backlog)
-
-        def backlog_peek(index: int) -> Optional[Transaction]:
-            while len(backlog_buf) <= index:
-                nxt = next(backlog_iter, None)
-                if nxt is None:
-                    return None
-                backlog_buf.append(nxt)
-            return backlog_buf[index]
+        backlog_len = len(backlog)
 
         steps: List[TrainStep] = []
         draining = self._draining_writes
         bi = 0
+        undone = None
 
         for offset in range(_MAX_TRAIN_STEPS):
             t = now + offset
             if t > last_allowed:
                 break
-            if rq.live == 0 and wq.live == 0 and backlog_peek(bi) is None:
+            if rq.live == 0 and wq.live == 0 and bi == backlog_len:
                 # All modeled work is exhausted, so ``_pending`` went false
                 # during the previous step and a draining per-step core
                 # stops evaluating there.  Planning further (refresh-only)
@@ -659,52 +709,14 @@ class FrFcfsScheduler:
                 # never reaches; end the train and let single-step
                 # evaluation handle whatever tail remains.
                 break
-            undo_bi, undo_draining = bi, draining
-            undo_state = [
-                (qm, len(qm.entries), qm.live, qm.pushed, qm.peak, qm.cursor,
-                 qm.serve_count, qm.rejected)
-                for qm in (rq, wq)
-            ]
-            fill_appends: List[Tuple[_QueueModel, BankKey]] = []
-            serves: List[Tuple[_QueueModel, int, BankKey]] = []
-
-            def undo_step() -> None:
-                nonlocal bi, draining
-                bi, draining = undo_bi, undo_draining
-                for qm, idx, key in reversed(serves):
-                    qm.served[idx] = False
-                    qm.bank_fifos[key].appendleft(idx)
-                    # Column picks always serve row hits.
-                    qm.hit_counts[key] = qm.hit_counts.get(key, 0) + 1
-                for qm, key in reversed(fill_appends):
-                    idx = qm.bank_fifos[key].pop()
-                    if qm.hits[idx]:
-                        qm.hit_counts[key] -= 1
-                touched = {(id(qm), key): (qm, key)
-                           for qm, _, key in serves}
-                touched.update({(id(qm), key): (qm, key)
-                                for qm, key in fill_appends})
-                for qm, n, live, pushed, peak, cursor, scount, rejected \
-                        in undo_state:
-                    del qm.entries[n:]
-                    del qm.hits[n:]
-                    del qm.served[n:]
-                    qm.live = live
-                    qm.pushed = pushed
-                    qm.peak = peak
-                    qm.cursor = cursor
-                    qm.serve_count = scount
-                    qm.rejected = rejected
-                for qm, key in touched.values():
-                    qm.refresh_head(key)
+            step_marks = (bi, draining, rq.mark(), wq.mark())
+            serves: List[Tuple[_QueueModel, int]] = []
 
             # -- 1. refills, with _fill_queues' head-of-line semantics -----
             violated = False
-            while True:
-                txn = backlog_peek(bi)
-                if txn is None:
-                    break
-                qm = wq if txn.is_write else rq
+            while bi < backlog_len:
+                txn = backlog[bi]
+                qm = rq if txn.is_read else wq
                 if qm.live >= qm.capacity:
                     # The per-step _fill_queues would have attempted (and
                     # rejected) this push before breaking.
@@ -713,7 +725,6 @@ class FrFcfsScheduler:
                 qm.entries.append(txn)
                 qm.served.append(False)
                 classify(qm, txn)
-                fill_appends.append((qm, bank_key(txn)))
                 qm.live += 1
                 qm.pushed += 1
                 if qm.live > qm.peak:
@@ -722,15 +733,16 @@ class FrFcfsScheduler:
 
             # -- 1.5 refresh (exact pick_refresh mirror, modeled state) ----
             refresh_decision: Optional[SchedulerDecision] = None
-            if engine_models:
+            if next_due is not None and t >= next_due:
                 swept = self._refresh_sweep(
                     t, model_most_urgent, model_can_issue_ref,
                     model_bank_open, model_can_issue_pre)
                 if swept is not None:
                     action, pc_index, _, target = swept
-                    key = (pc_index, target.stack_id, target.bank_group,
-                           target.bank)
-                    bm = bank_model_for(key)
+                    index = channel.bank_index(
+                        pc_index, target.stack_id, target.bank_group,
+                        target.bank)
+                    bm = bank_models[index]
                     pcm = pc_models[pc_index]
                     pcm.row_ca_last = t
                     if action == "ref":
@@ -740,6 +752,7 @@ class FrFcfsScheduler:
                         if t + tREFIpb > bm.next_refresh:
                             bm.next_refresh = t + tREFIpb
                         engine_models[pc_index].note_issued()
+                        next_due = _earliest_due(engine_models)
                         refresh_decision = SchedulerDecision(
                             command=self._refpb_command(pc_index, target),
                             refresh_target=target,
@@ -749,9 +762,10 @@ class FrFcfsScheduler:
                         bm.idle_at = t + tRP
                         if t + tRP > bm.next_act:
                             bm.next_act = t + tRP
-                        reclassify(key, None)
+                        reclassify(index, None)
                         refresh_decision = SchedulerDecision(
-                            command=self._pre_command(key),
+                            command=self._target_pre_command(pc_index,
+                                                             target),
                             critical_pre=True)
 
             # -- 2. write-drain hysteresis and queue priority --------------
@@ -762,18 +776,28 @@ class FrFcfsScheduler:
                 priority = ((rq, True), (wq, False))
 
             # -- 3. column picks (exact pick_column mirror) ----------------
-            ca_used: set = set()
+            # A hit's readiness depends only on its bank and direction, so
+            # the oldest ready hit -- the entry pick_column's scan reaches
+            # first -- is the first ready one among the banks' oldest
+            # pending hits, walked in queue order.
+            ca_used: Set[int] = set()
             picked: List[Transaction] = []
             for _ in range(num_picks):
                 found = None
                 for qm, enabled in priority:
                     if not enabled:
                         continue
-                    entries, served, hits = qm.entries, qm.served, qm.hits
-                    for idx in range(qm.cursor, len(entries)):
-                        if served[idx] or not hits[idx]:
-                            continue
+                    entries = qm.entries
+                    for idx in qm.hit_heads:
                         txn = entries[idx]
+                        index = txn.bank_index
+                        if t < group_bus[index // per_group]:
+                            continue
+                        is_read = txn.is_read
+                        model = bank_models[index]
+                        if t < (model.next_read if is_read
+                                else model.next_write):
+                            continue
                         coord = txn.coordinate
                         pc = coord.pseudo_channel
                         if pc in ca_used:
@@ -781,48 +805,46 @@ class FrFcfsScheduler:
                         pcm = pc_models[pc]
                         if t <= pcm.ca_last:
                             continue
-                        is_read = txn.is_read
-                        if t < cas_ready(pcm, coord.bank_group,
-                                         coord.stack_id, is_read):
-                            continue
                         if t + (tCL if is_read else tCWL) \
                                 < pcm.data_bus_busy_until:
                             continue
-                        if t < group_busy_until(pc, coord.stack_id,
-                                                coord.bank_group):
+                        # The same pure rule PseudoChannel._cas_ready_time
+                        # delegates to, applied to the modeled state.
+                        if t < cas_ready_time(
+                                timing, pcm.last_cas_time,
+                                pcm.last_cas_bank_group, pcm.last_cas_stack,
+                                pcm.last_cas_was_read,
+                                pcm.last_write_data_end, coord.bank_group,
+                                coord.stack_id, is_read):
                             continue
-                        model = bank_models[bank_key(txn)]
-                        if t < (model.next_read if is_read
-                                else model.next_write):
-                            continue
-                        found = (qm, idx, txn)
+                        found = (qm, idx)
                         break
                     if found is not None:
                         break
                 if found is None:
                     break
-                qm, idx, txn = found
-                key = bank_key(txn)
-                fifo = qm.bank_fifos[key]
-                if not fifo or fifo[0] != idx:
+                qm, idx = found
+                txn = qm.entries[idx]
+                index = txn.bank_index
+                fifo = qm.fifos[index]
+                if fifo[0] != idx:
                     # The pick is a hit queued behind an older pending
-                    # entry of its bank, which the per-bank FIFO model
+                    # miss of its bank, which the per-bank FIFO model
                     # does not cover: end the train before this step.
                     violated = True
                     break
                 fifo.popleft()
-                serves.append((qm, idx, key))
+                serves.append((qm, idx))
                 qm.served[idx] = True
                 qm.live -= 1
                 qm.serve_count += 1
-                qm.hit_counts[key] -= 1
-                qm.refresh_head(key)
-                while qm.cursor < len(qm.served) and qm.served[qm.cursor]:
-                    qm.cursor += 1
+                qm.hit_counts[index] -= 1
+                qm.update_first_hit(index)
+                qm.refresh_head(index)
                 ca_used.add(txn.coordinate.pseudo_channel)
                 picked.append(txn)
             if violated:
-                undo_step()
+                undone = step_marks
                 break
 
             # -- 4. commit column effects: modeled channel-state updates ---
@@ -844,19 +866,20 @@ class FrFcfsScheduler:
                     pcm.data_bus_busy_until = data_end
                 if not is_read:
                     pcm.last_write_data_end = data_end
-                gkey = (coord.pseudo_channel, coord.stack_id, coord.bank_group)
-                if t + tCCDL > group_busy_until(*gkey):
-                    group_bus[gkey] = t + tCCDL
-                model = bank_models[bank_key(txn)]
+                group = txn.bank_index // per_group
+                if t + tCCDL > group_bus[group]:
+                    group_bus[group] = t + tCCDL
+                model = bank_models[txn.bank_index]
                 recovery = column_precharge_ready(timing, is_read, t)
                 if recovery > model.next_pre:
                     model.next_pre = recovery
                 decisions.append(SchedulerDecision(
                     command=self._column_command(txn), transaction=txn))
 
-            # -- 5. row picks (exact pick_row mirror).
-            #    A refresh-path command consumed one unit of the row budget
-            #    (``_step``'s ``issued_row_command``).
+            # -- 5. row picks (exact pick_row mirror): the banks whose
+            #    oldest pending entry is a miss, in the order of those
+            #    entries.  A refresh-path command consumed one unit of the
+            #    row budget (``_step``'s ``issued_row_command``).
             row_budget = num_picks - (1 if refresh_decision else 0)
             if rq.miss_heads or wq.miss_heads:
                 for _ in range(row_budget):
@@ -864,60 +887,53 @@ class FrFcfsScheduler:
                     for qm, enabled in priority:
                         if not enabled or not qm.miss_heads:
                             continue
-                        entries, served, hits = qm.entries, qm.served, qm.hits
-                        seen: set = set()
-                        for idx in range(qm.cursor, len(entries)):
-                            if served[idx]:
-                                continue
-                            txn = entries[idx]
-                            key = bank_key(txn)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            if hits[idx]:
-                                continue
-                            model = bank_models[key]
+                        fifos = qm.fifos
+                        for index in sorted(qm.miss_heads,
+                                            key=lambda b: fifos[b][0]):
+                            txn = qm.entries[fifos[index][0]]
+                            model = bank_models[index]
                             coord = txn.coordinate
                             pcm = pc_models[coord.pseudo_channel]
                             if model.open_row is not None:
                                 # Row conflict: precharge only once this
                                 # queue holds no hits to the open row.
-                                if qm.hit_counts.get(key, 0) == 0 \
+                                if qm.hit_counts[index] == 0 \
                                         and t > pcm.row_ca_last \
                                         and t >= model.next_pre:
-                                    row_pick = ("pre", key, txn, model, pcm)
+                                    row_pick = ("pre", index, txn, model, pcm)
                                     break
                                 continue
-                            if t <= pcm.row_ca_last:
+                            if t <= pcm.row_ca_last or t < model.idle_at \
+                                    or t < model.next_act:
                                 continue
                             # Same pure rule PseudoChannel._act_ready_time
                             # delegates to, applied to the modeled state.
-                            ready = act_ready_time(
-                                timing, pcm.last_act_time,
-                                pcm.last_act_bank_group, pcm.act_window,
-                                coord.bank_group,
-                            )
-                            if t < ready or t < model.idle_at \
-                                    or t < model.next_act:
+                            if t < act_ready_time(
+                                    timing, pcm.last_act_time,
+                                    pcm.last_act_bank_group, pcm.act_window,
+                                    coord.bank_group):
                                 continue
-                            row_pick = ("act", key, txn, model, pcm)
+                            row_pick = ("act", index, txn, model, pcm)
                             break
                         if row_pick is not None:
                             break
                     if row_pick is None:
                         break
-                    action, key, txn, model, pcm = row_pick
+                    action, index, txn, model, pcm = row_pick
+                    coord = txn.coordinate
                     pcm.row_ca_last = t
                     if action == "pre":
                         model.open_row = None
                         model.idle_at = t + tRP
                         if t + tRP > model.next_act:
                             model.next_act = t + tRP
-                        reclassify(key, None)
+                        reclassify(index, None)
                         decisions.append(SchedulerDecision(
-                            command=self._pre_command(key)))
+                            command=self._pre_command(
+                                coord.pseudo_channel, coord.stack_id,
+                                coord.bank_group, coord.bank)))
                     else:
-                        row = txn.coordinate.row
+                        row = coord.row
                         model.open_row = row
                         if t + tRCDRD > model.next_read:
                             model.next_read = t + tRCDRD
@@ -928,18 +944,28 @@ class FrFcfsScheduler:
                         if t + tRC > model.next_act:
                             model.next_act = t + tRC
                         pcm.last_act_time = t
-                        pcm.last_act_bank_group = txn.coordinate.bank_group
+                        pcm.last_act_bank_group = coord.bank_group
                         pcm.act_window.append(t)
                         if len(pcm.act_window) > 4:
                             pcm.act_window.pop(0)
-                        reclassify(key, row)
+                        reclassify(index, row)
                         decisions.append(SchedulerDecision(
                             command=self._act_command(txn)))
 
             if not decisions:
-                undo_step()
+                undone = step_marks
                 break
             steps.append(TrainStep(time_ns=t, decisions=decisions))
+
+        if undone is not None:
+            # The train ends before the undone step, so only the state the
+            # result below reads is restored: the backlog cursor, the drain
+            # flag, and each queue's entries, served flags and tallies.
+            bi, draining, read_mark, write_mark = undone
+            for qm, idx in serves:
+                qm.served[idx] = False
+            rq.rollback(read_mark)
+            wq.rollback(write_mark)
 
         if len(steps) < min_steps:
             return None
@@ -970,22 +996,33 @@ class FrFcfsScheduler:
 
         A conflicting open row is closed only once ``queue`` holds no
         pending hit to it (open-page: hits are served before the row is
-        given up).
+        given up).  The pending hits are counted for every conflicting
+        bank in one pass over the queue.
         """
+        banks = self.channel.banks
         for queue, enabled in queues:
             if not enabled:
                 continue
-            for key, transaction in queue.oldest_per_bank().items():
-                bank = self._bank_for(transaction)
-                row = transaction.coordinate.row
-                if bank.is_row_hit(row):
-                    continue
-                if bank.has_open_row:
-                    if not queue.row_hits(key, bank.open_row):
-                        pre = self._pre_command(key)
+            heads = queue.oldest_per_bank()
+            conflicts: Dict[int, int] = {}
+            for index, transaction in heads.items():
+                bank = banks[index]
+                if bank.has_open_row(now) \
+                        and bank.open_row != transaction.coordinate.row:
+                    conflicts[index] = bank.open_row
+            hits = queue.row_hit_counts(conflicts) if conflicts else conflicts
+            for index, transaction in heads.items():
+                if index in conflicts:
+                    if not hits[index]:
+                        coord = transaction.coordinate
+                        pre = self._pre_command(
+                            coord.pseudo_channel, coord.stack_id,
+                            coord.bank_group, coord.bank)
                         if self.channel.can_issue(pre, now):
                             return SchedulerDecision(command=pre)
                     continue
+                if banks[index].open_row is not None:
+                    continue  # a row hit: column work, not row work
                 act = self._act_command(transaction)
                 if self.channel.can_issue(act, now):
                     return SchedulerDecision(command=act)

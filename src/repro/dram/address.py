@@ -45,6 +45,16 @@ class DramCoordinate:
         )
 
 
+def flat_bank_index(pseudo_channel: int, stack_id: int, bank_group: int,
+                    bank: int, num_stack_ids: int, num_bank_groups: int,
+                    banks_per_group: int) -> int:
+    """Flat index of a bank within its channel: pseudo channel, stack ID,
+    bank group and bank, most significant first (the order of
+    :attr:`repro.dram.channel.Channel.banks`)."""
+    return ((pseudo_channel * num_stack_ids + stack_id) * num_bank_groups
+            + bank_group) * banks_per_group + bank
+
+
 #: :class:`DramCoordinate` fields in constructor order.
 _COORDINATE_FIELDS = tuple(field.name for field in fields(DramCoordinate))
 
@@ -180,6 +190,14 @@ class AddressMapping:
                     break
                 digits[position] = 0
         return coordinates
+
+    def bank_index(self, coordinate: DramCoordinate) -> int:
+        """Flat index of ``coordinate``'s bank within its channel (see
+        :func:`flat_bank_index`)."""
+        return flat_bank_index(
+            coordinate.pseudo_channel, coordinate.stack_id,
+            coordinate.bank_group, coordinate.bank, self.num_stack_ids,
+            self.num_bank_groups, self.banks_per_group)
 
     def channel_of(self, address: int) -> int:
         return self.decode(address).channel

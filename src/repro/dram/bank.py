@@ -28,14 +28,6 @@ class BankState(enum.Enum):
     REFRESHING = "refreshing"
 
 
-#: States in which the row buffer holds (or is in the process of opening) a
-#: row; FR-FCFS treats all of them as row hits, with the per-command timing
-#: windows still gating when a column command may actually issue.
-_OPEN_ROW_STATES = frozenset(
-    {BankState.ACTIVATING, BankState.ACTIVE, BankState.READING, BankState.WRITING}
-)
-
-
 def column_precharge_ready(timing: TimingParameters, is_read: bool,
                            now: int) -> int:
     """Earliest precharge instant implied by a column command at ``now``
@@ -117,9 +109,18 @@ class Bank:
         elif self.state is BankState.REFRESHING:
             self.state = BankState.IDLE
 
-    @property
-    def has_open_row(self) -> bool:
-        return self.open_row is not None and self.state in _OPEN_ROW_STATES
+    def has_open_row(self, now: int) -> bool:
+        """True when the row buffer holds a row (or is opening one) at
+        ``now``.
+
+        Resolves every transient that has ended by ``now`` first, a pending
+        RDA/WRA auto-precharge included, so callers need no prior
+        :meth:`tick`.  FR-FCFS treats the opening and open states alike; the
+        per-command timing windows still gate when a column command may
+        actually issue.
+        """
+        self.tick(now)
+        return self.open_row is not None
 
     @property
     def transient_until(self) -> int:
@@ -131,11 +132,26 @@ class Bank:
         """
         return self._state_until
 
-    def is_row_hit(self, row: int) -> bool:
-        """True when ``row`` is already open in the row buffer."""
-        return self.has_open_row and self.open_row == row
+    def is_row_hit(self, row: int, now: int) -> bool:
+        """True when ``row`` is open in the row buffer at ``now``."""
+        self.tick(now)
+        return self.open_row == row
 
     # -------------------------------------------------------------- can_issue
+
+    def can_issue_column(self, row: Optional[int], is_read: bool,
+                         now: int) -> bool:
+        """Check per-bank state and timing for a RD (``is_read``) or WR to
+        ``row`` at ``now``; ``row=None`` accepts whichever row is open.
+
+        The single per-bank column rule: :meth:`can_issue` delegates every
+        RD/RDA/WR/WRA to it.
+        """
+        self.tick(now)
+        open_row = self.open_row
+        if open_row is None or (row is not None and row != open_row):
+            return False
+        return now >= (self.next_read if is_read else self.next_write)
 
     def can_issue(self, kind: CommandKind, now: int, row: Optional[int] = None) -> bool:
         """Check per-bank state and timing for issuing ``kind`` at ``now``.
@@ -143,25 +159,15 @@ class Bank:
         Cross-bank constraints (tRRD, tFAW, tCCD, bus turnaround) are checked
         by the pseudo channel, not here.
         """
+        if kind.is_column:
+            return self.can_issue_column(row, kind.is_read, now)
         self.tick(now)
         if kind is CommandKind.ACT:
             return self.state is BankState.IDLE and now >= self.next_act
-        if kind in (CommandKind.RD, CommandKind.RDA):
-            return (
-                self.has_open_row
-                and (row is None or self.open_row == row)
-                and now >= self.next_read
-            )
-        if kind in (CommandKind.WR, CommandKind.WRA):
-            return (
-                self.has_open_row
-                and (row is None or self.open_row == row)
-                and now >= self.next_write
-            )
         if kind in (CommandKind.PRE, CommandKind.PREA):
             if self.state is BankState.IDLE:
                 return now >= self.next_act  # precharging an idle bank is a no-op
-            return self.state in _OPEN_ROW_STATES and now >= self.next_pre
+            return self.open_row is not None and now >= self.next_pre
         if kind is CommandKind.REFPB:
             return self.state is BankState.IDLE and now >= max(
                 self.next_act, self.next_refresh
@@ -171,17 +177,26 @@ class Bank:
     # ------------------------------------------------------------------ issue
 
     def issue(self, kind: CommandKind, now: int, row: Optional[int] = None) -> None:
-        """Apply the state/timing effects of issuing ``kind`` at ``now``.
+        """Validate ``kind`` at ``now`` with :meth:`can_issue`, then
+        :meth:`apply` it.
 
-        Callers are expected to have validated the command via
-        :meth:`can_issue`; a ``RuntimeError`` is raised otherwise so that
-        scheduler bugs surface immediately.
+        An illegal command raises ``RuntimeError`` so that scheduler bugs
+        surface immediately.
         """
         if not self.can_issue(kind, now, row):
             raise RuntimeError(
                 f"illegal {kind.value} to bg{self.bank_group}.ba{self.bank_id} "
                 f"at t={now} (state={self.state.value})"
             )
+        self.apply(kind, now, row)
+
+    def apply(self, kind: CommandKind, now: int, row: Optional[int] = None) -> None:
+        """Apply the state/timing effects of issuing ``kind`` at ``now``.
+
+        Does not validate: for callers that have just checked the command
+        with :meth:`can_issue` (the pseudo channel validates each command
+        once, its bank included).
+        """
         t = self.timing
         if kind is CommandKind.ACT:
             assert row is not None, "ACT requires a row"

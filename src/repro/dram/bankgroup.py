@@ -68,10 +68,9 @@ class BankGroup:
                 best = candidate
         return best
 
-    @property
-    def open_rows(self) -> int:
-        """Number of banks currently holding an open row."""
-        return sum(1 for bank in self.banks if bank.has_open_row)
+    def open_rows(self, now: int) -> int:
+        """Number of banks holding an open row at ``now``."""
+        return sum(1 for bank in self.banks if bank.has_open_row(now))
 
     def total_counter(self, name: str) -> int:
         """Sum a named counter across all banks in the group."""

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dram.commands import Command, command_bus
+from repro.dram.address import flat_bank_index
+from repro.dram.bank import Bank
+from repro.dram.commands import Command
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import TimingParameters
 
@@ -59,42 +61,42 @@ class Channel:
             )
             for pc in range(config.num_pseudo_channels)
         ]
+        #: Every bank of the channel, in :func:`flat_bank_index` order.
+        self.banks: List[Bank] = [
+            bank for pc in self.pseudo_channels for bank in pc.all_banks()
+        ]
         # C/A bus occupancy: the last ns in which a row / column command was
         # sent to each pseudo channel.  The two PCs share the physical pins
         # but the command rate is high enough to serve one row and one column
         # command per PC per nanosecond, which is what this tracks.
-        self._last_row_ca_time: Dict[int, int] = {
-            pc: -1 for pc in range(config.num_pseudo_channels)
-        }
-        self._last_col_ca_time: Dict[int, int] = {
-            pc: -1 for pc in range(config.num_pseudo_channels)
-        }
+        self._last_row_ca_time: List[int] = [-1] * config.num_pseudo_channels
+        self._last_col_ca_time: List[int] = [-1] * config.num_pseudo_channels
 
     # ------------------------------------------------------------- plumbing
 
     def pseudo_channel(self, index: int) -> PseudoChannel:
         return self.pseudo_channels[index]
 
-    def tick(self, now: int) -> None:
-        for pc in self.pseudo_channels:
-            pc.tick(now)
+    def bank_index(self, pseudo_channel: int, stack_id: int, bank_group: int,
+                   bank: int) -> int:
+        """Index of a bank in :attr:`banks` (:func:`flat_bank_index`)."""
+        config = self.config
+        return flat_bank_index(pseudo_channel, stack_id, bank_group, bank,
+                               config.num_stack_ids, config.num_bank_groups,
+                               config.banks_per_group)
 
     # ----------------------------------------------------------- C/A sharing
 
     def _ca_bus_free(self, command: Command, now: int) -> bool:
-        bus = command_bus(command.kind)
-        pc = command.pseudo_channel
-        if bus == "column":
-            return now > self._last_col_ca_time[pc]
-        return now > self._last_row_ca_time[pc]
+        if command.kind.bus == "column":
+            return now > self._last_col_ca_time[command.pseudo_channel]
+        return now > self._last_row_ca_time[command.pseudo_channel]
 
     def _note_ca_use(self, command: Command, now: int) -> None:
-        bus = command_bus(command.kind)
-        pc = command.pseudo_channel
-        if bus == "column":
-            self._last_col_ca_time[pc] = now
+        if command.kind.bus == "column":
+            self._last_col_ca_time[command.pseudo_channel] = now
         else:
-            self._last_row_ca_time[pc] = now
+            self._last_row_ca_time[command.pseudo_channel] = now
 
     # -------------------------------------------------------------- issuing
 
@@ -104,6 +106,18 @@ class Channel:
             return False
         pc = self.pseudo_channels[command.pseudo_channel]
         return pc.can_issue(command, now)
+
+    def can_issue_column(self, pseudo_channel: int, stack_id: int,
+                         bank_group: int, bank: int, row: int, is_read: bool,
+                         now: int) -> bool:
+        """:meth:`can_issue` for a RD (``is_read``) or WR to ``row``, from
+        plain ints: the column C/A pins, then
+        :meth:`PseudoChannel.can_issue_column` (the rule ``can_issue``
+        applies to column commands too)."""
+        if now <= self._last_col_ca_time[pseudo_channel]:
+            return False
+        return self.pseudo_channels[pseudo_channel].can_issue_column(
+            stack_id, bank_group, bank, row, is_read, now)
 
     def issue(self, command: Command, now: int) -> None:
         if not self._ca_bus_free(command, now):
@@ -127,10 +141,10 @@ class Channel:
             candidate = pc.next_event_ns(now)
             if candidate is not None and (best is None or candidate < best):
                 best = candidate
-        for last in self._last_row_ca_time.values():
+        for last in self._last_row_ca_time:
             if last + 1 > now and (best is None or last + 1 < best):
                 best = last + 1
-        for last in self._last_col_ca_time.values():
+        for last in self._last_col_ca_time:
             if last + 1 > now and (best is None or last + 1 < best):
                 best = last + 1
         return best

@@ -81,6 +81,18 @@ def command_bus(kind: CommandKind) -> str:
     return "row"
 
 
+# Every member also carries what the command hot path asks of it as plain
+# attributes: a frozenset membership test hashes the member through the
+# Python-level ``Enum.__hash__``, and ``kind.value`` goes through the enum
+# descriptor.  ``label`` is the value; ``bus`` is :func:`command_bus`.
+for _kind in CommandKind:
+    _kind.label = _kind.value
+    _kind.bus = command_bus(_kind)
+    _kind.is_read = _kind in READ_COMMANDS
+    _kind.is_column = _kind in COLUMN_COMMANDS
+del _kind
+
+
 @dataclass(frozen=True)
 class Command:
     """A single DRAM command addressed to a specific resource.
@@ -104,7 +116,7 @@ class Command:
 
     @property
     def is_read(self) -> bool:
-        return self.kind in READ_COMMANDS
+        return self.kind.is_read
 
     @property
     def is_write(self) -> bool:
@@ -116,7 +128,7 @@ class Command:
 
     @property
     def bus(self) -> str:
-        return command_bus(self.kind)
+        return self.kind.bus
 
     def with_offset_bank(self, bank_group: int, bank: int) -> "Command":
         """Return a copy retargeted at another (bank group, bank) pair."""

@@ -29,7 +29,7 @@ class CasStateSnapshot:
     model column- and row-command readiness without mutating the live
     objects.  The fields mirror, one for one, the private state
     ``_cas_ready_time``/``_act_ready_time`` and the data-bus check in
-    :meth:`PseudoChannel.can_issue` read.
+    :meth:`PseudoChannel.can_issue_column` read.
     """
 
     last_cas_time: int
@@ -53,7 +53,8 @@ class PseudoChannelCounters:
     bytes_written: int = 0
 
     def note_command(self, kind: CommandKind) -> None:
-        self.commands[kind.value] = self.commands.get(kind.value, 0) + 1
+        label = kind.label
+        self.commands[label] = self.commands.get(label, 0) + 1
 
     def count(self, kind: CommandKind) -> int:
         return self.commands.get(kind.value, 0)
@@ -210,37 +211,54 @@ class PseudoChannel:
         kind = command.kind
         if kind is CommandKind.ACT:
             return self._act_ready_time(command.bank_group)
-        if kind in (CommandKind.RD, CommandKind.RDA, CommandKind.WR, CommandKind.WRA):
+        if kind.is_column:
             return self._cas_ready_time(
-                command.bank_group, command.stack_id, command.is_read
+                command.bank_group, command.stack_id, kind.is_read
             )
         return 0
 
     # ------------------------------------------------------------ can_issue
 
+    def can_issue_column(self, stack_id: int, bank_group: int, bank: int,
+                         row: int, is_read: bool, now: int) -> bool:
+        """Check a RD (``is_read``) or WR to ``row`` at ``now`` against
+        every PC- and bank-level constraint.
+
+        The single column rule: CAS spacing and turnaround, data-bus and
+        BK-BUS occupancy, then the bank's own check.  It takes plain ints so
+        a scheduler can test a candidate without building a
+        :class:`Command`; :meth:`can_issue` delegates every RD/RDA/WR/WRA
+        to it.
+        """
+        if now < self._cas_ready_time(bank_group, stack_id, is_read):
+            return False
+        timing = self.timing
+        if now + (timing.tCL if is_read else timing.tCWL) \
+                < self._data_bus_busy_until:
+            return False
+        group = self.stacks[stack_id][bank_group]
+        if not group.bus_free_at(now):
+            return False
+        return group.banks[bank].can_issue_column(row, is_read, now)
+
     def can_issue(self, command: Command, now: int) -> bool:
         """Check all PC- and bank-level constraints for ``command`` at ``now``."""
+        kind = command.kind
+        if kind.is_column:
+            return self.can_issue_column(
+                command.stack_id, command.bank_group, command.bank,
+                command.row, kind.is_read, now)
         if now < self.command_ready_time(command):
             return False
-        bank = self.bank(command.bank_group, command.bank, command.stack_id)
-        if command.kind in (CommandKind.RD, CommandKind.RDA,
-                            CommandKind.WR, CommandKind.WRA):
-            group = self.stacks[command.stack_id][command.bank_group]
-            data_start = now + (
-                self.timing.tCL if command.is_read else self.timing.tCWL
-            )
-            if data_start < self._data_bus_busy_until:
-                return False
-            if not group.bus_free_at(now):
-                return False
-        if command.kind is CommandKind.REFAB:
+        if kind is CommandKind.REFAB:
             return all(
                 b.can_issue(CommandKind.REFPB, now)
                 for b in self.all_banks()
             )
-        if command.kind is CommandKind.PREA:
+        if kind is CommandKind.PREA:
             return True
-        return bank.can_issue(command.kind, now, command.row)
+        bank = self.bank(command.bank_group, command.bank, command.stack_id)
+        return bank.can_issue(kind, now, command.row)
 
     # ---------------------------------------------------------------- issue
 
@@ -249,7 +267,8 @@ class PseudoChannel:
 
         Raises ``RuntimeError`` when a constraint would be violated so that
         scheduler bugs are surfaced instead of silently producing wrong
-        bandwidth numbers.
+        bandwidth numbers.  The command is validated once: :meth:`can_issue`
+        checks its bank too, so the bank's effects are applied directly.
         """
         if not self.can_issue(command, now):
             raise RuntimeError(f"cannot issue {command} at t={now}")
@@ -258,44 +277,45 @@ class PseudoChannel:
         self.counters.note_command(kind)
         if kind is CommandKind.ACT:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.issue(kind, now, command.row)
+            bank.apply(kind, now, command.row)
             self._last_act_time = now
             self._last_act_bank_group = command.bank_group
             self._act_window.append(now)
             while len(self._act_window) > 4:
                 self._act_window.popleft()
-        elif kind in (CommandKind.RD, CommandKind.RDA, CommandKind.WR, CommandKind.WRA):
-            bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.issue(kind, now, command.row)
+        elif kind.is_column:
+            is_read = kind.is_read
             group = self.stacks[command.stack_id][command.bank_group]
+            group.banks[command.bank].apply(kind, now, command.row)
             group.note_cas(now)
             self._last_cas_time = now
             self._last_cas_bank_group = command.bank_group
             self._last_cas_stack = command.stack_id
-            self._last_cas_was_read = command.is_read
-            data_start = now + (t.tCL if command.is_read else t.tCWL)
+            self._last_cas_was_read = is_read
+            data_start = now + (t.tCL if is_read else t.tCWL)
             data_end = data_start + t.burst_ns
             self._data_bus_busy_until = max(self._data_bus_busy_until, data_end)
             self.counters.data_bus_busy_ns += t.burst_ns
-            if command.is_read:
+            if is_read:
                 self._last_read_data_end = data_end
                 self.counters.bytes_read += t.access_granularity_bytes
             else:
                 self._last_write_data_end = data_end
                 self.counters.bytes_written += t.access_granularity_bytes
-        elif kind in (CommandKind.PRE,):
+        elif kind is CommandKind.PRE:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.issue(kind, now, command.row)
+            bank.apply(kind, now, command.row)
         elif kind is CommandKind.PREA:
             for bank in self.all_banks():
-                if bank.has_open_row and bank.can_issue(CommandKind.PRE, now):
-                    bank.issue(CommandKind.PRE, now)
+                if bank.has_open_row(now) \
+                        and bank.can_issue(CommandKind.PRE, now):
+                    bank.apply(CommandKind.PRE, now)
         elif kind is CommandKind.REFPB:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.issue(kind, now)
+            bank.apply(kind, now)
         elif kind is CommandKind.REFAB:
             for bank in self.all_banks():
-                bank.issue(CommandKind.REFPB, now)
+                bank.apply(CommandKind.REFPB, now)
         elif kind is CommandKind.MRS:
             pass  # mode register writes have no timing effect in this model
         else:
@@ -342,11 +362,6 @@ class PseudoChannel:
         return best
 
     # ----------------------------------------------------------------- stats
-
-    def tick(self, now: int) -> None:
-        """Advance transient bank states to ``now``."""
-        for bank in self.all_banks():
-            bank.tick(now)
 
     def data_bus_utilization(self, elapsed_ns: int) -> float:
         """Fraction of elapsed time the PC data bus transferred data."""

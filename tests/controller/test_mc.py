@@ -3,7 +3,9 @@
 import pytest
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
-from repro.controller.request import MemoryRequest, RequestKind
+from repro.controller.request import MemoryRequest, RequestKind, decompose
+from repro.dram.address import baseline_hbm4_mapping
+from repro.reliability import ReliabilityConfig
 from repro.sim.traces import mixed_trace, streaming_trace
 
 
@@ -163,3 +165,53 @@ def test_run_until_idle_raises_when_budget_exhausted():
     with pytest.raises(RuntimeError, match="did not drain"):
         mc.run_until_idle(max_ns=5)
 
+
+
+@pytest.mark.parametrize("num_stack_ids", [1, 2])
+def test_transaction_bank_index_names_the_channel_bank(num_stack_ids):
+    """Every block of a local mapping indexes ``Channel.banks`` at the bank
+    its coordinate names."""
+    mc = _controller(num_stack_ids=num_stack_ids)
+    mapping = mc.mapping
+    request = MemoryRequest(kind=RequestKind.READ, address=0,
+                            size_bytes=mapping.bytes_per_row_system)
+    seen = set()
+    for transaction in decompose(request, mapping):
+        coord = transaction.coordinate
+        bank = mc.channel.pseudo_channel(coord.pseudo_channel).bank(
+            coord.bank_group, coord.bank, coord.stack_id)
+        assert mc.channel.banks[transaction.bank_index] is bank
+        seen.add(transaction.bank_index)
+    assert seen == set(range(len(mc.channel.banks)))
+
+
+def test_mapping_with_another_bank_geometry_is_rejected():
+    config = ControllerConfig(num_stack_ids=1)
+    with pytest.raises(ValueError, match="num_stack_ids"):
+        ConventionalMemoryController(
+            config=config, mapping=baseline_hbm4_mapping(num_channels=1))
+
+
+def test_ras_remap_moves_the_bank_index_with_the_coordinate():
+    """Transactions re-striped away from an offlined bank index the channel
+    bank they now target, and drain without touching the offlined one."""
+    mc = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=False),
+        reliability=ReliabilityConfig(seed=3, transient_ber=1e-12,
+                                      offline_after_row_failures=1))
+    offline = (0, 0, 0, 0)
+    mc.ras._note_row_failure(offline)
+    assert offline in mc.ras.offline
+    request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=4096)
+    mc.enqueue(request)
+    assert mc.ras.stats.remapped_requests > 0
+    for transaction in mc._backlog:
+        coord = transaction.coordinate
+        assert (coord.pseudo_channel, coord.stack_id, coord.bank_group,
+                coord.bank) != offline
+        assert mc.channel.banks[transaction.bank_index] is \
+            mc.channel.pseudo_channel(coord.pseudo_channel).bank(
+                coord.bank_group, coord.bank, coord.stack_id)
+    mc.run_until_idle()
+    assert request.completion_ns is not None
+    assert mc.channel.banks[0].counters.reads == 0

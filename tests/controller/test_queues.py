@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controller.queues import RequestQueue, bank_key
+from repro.controller.queues import RequestQueue
 from repro.controller.request import MemoryRequest, RequestKind, decompose
 from repro.dram.address import baseline_hbm4_mapping
 
@@ -39,46 +39,38 @@ def test_oldest_returns_first_pushed(transactions):
     assert queue.oldest() is transactions[0]
 
 
-def test_for_bank_and_row_hits(transactions):
-    queue = RequestQueue(capacity=64)
-    for t in transactions:
-        queue.push(t)
-    key = bank_key(transactions[0])
-    same_bank = queue.for_bank(key)
-    assert same_bank
-    assert all(bank_key(t) == key for t in same_bank)
-    row = transactions[0].coordinate.row
-    hits = queue.row_hits(key, row)
-    assert set(hits) <= set(same_bank)
-    assert queue.row_hits(key, row + 1) == []
-
-
 def test_oldest_per_bank_returns_one_entry_per_bank(transactions):
     queue = RequestQueue(capacity=64)
     for t in transactions:
         queue.push(t)
     per_bank = queue.oldest_per_bank()
-    keys = {bank_key(t) for t in transactions}
-    assert set(per_bank) == keys
-    for key, oldest in per_bank.items():
-        ages = [t.arrival_ns for t in queue.for_bank(key)]
-        assert oldest.arrival_ns == min(ages)
+    assert set(per_bank) == {t.bank_index for t in transactions}
+    for index, oldest in per_bank.items():
+        assert oldest is next(t for t in transactions
+                              if t.bank_index == index)
+    assert list(per_bank.values()) == sorted(
+        per_bank.values(), key=transactions.index)
 
 
-def test_select_applies_predicate(transactions):
+def test_row_hit_counts_counts_hits_to_each_given_row(transactions):
     queue = RequestQueue(capacity=64)
     for t in transactions:
         queue.push(t)
-    selected = queue.select(lambda t: t.coordinate.bank_group == 0)
-    assert selected
-    assert all(t.coordinate.bank_group == 0 for t in selected)
+    first, other = transactions[0], transactions[1]
+    assert first.bank_index != other.bank_index
+    row = first.coordinate.row
+    same_bank = [t for t in transactions if t.bank_index == first.bank_index]
+    counts = queue.row_hit_counts({first.bank_index: row,
+                                   other.bank_index: row + 1})
+    assert counts == {first.bank_index: len(same_bank), other.bank_index: 0}
+    assert queue.row_hit_counts({}) == {}
 
 
 def test_empty_queue_helpers():
     queue = RequestQueue(capacity=2)
     assert queue.is_empty
     assert queue.oldest() is None
-    assert list(queue.banks_with_pending()) == []
+    assert queue.oldest_per_bank() == {}
 
 
 def test_remove_served_sweeps_in_one_pass(transactions):

@@ -1,5 +1,7 @@
 """Tests for FR-FCFS scheduling decisions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
@@ -15,7 +17,7 @@ from repro.dram.commands import CommandKind
 def setup(timing):
     channel = Channel(ChannelConfig(timing=timing, num_stack_ids=1))
     scheduler = FrFcfsScheduler(channel=channel)
-    mapping = baseline_hbm4_mapping(num_channels=1)
+    mapping = replace(baseline_hbm4_mapping(num_channels=1), num_stack_ids=1)
     queue = RequestQueue(capacity=64)
     return channel, scheduler, mapping, queue
 
@@ -287,13 +289,13 @@ def test_pick_column_tests_a_blocked_bank_once(setup, timing):
     channel.issue(scheduler._act_command(bank_b[0]), 0)
     channel.issue(scheduler._act_command(bank_a[0]), timing.tRRDS)
     asked = []
-    can_issue = channel.can_issue
+    can_issue_column = channel.can_issue_column
 
-    def spy(command, now):
-        asked.append(command.bank_group)
-        return can_issue(command, now)
+    def spy(pc, sid, bank_group, bank, row, is_read, now):
+        asked.append(bank_group)
+        return can_issue_column(pc, sid, bank_group, bank, row, is_read, now)
 
-    channel.can_issue = spy
+    channel.can_issue_column = spy
     decision = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
     assert decision is not None
     assert decision.transaction is bank_b[0]

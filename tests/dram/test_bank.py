@@ -14,7 +14,7 @@ def bank(timing):
 
 def test_initial_state_is_idle(bank):
     assert bank.state is BankState.IDLE
-    assert not bank.has_open_row
+    assert not bank.has_open_row(0)
 
 
 def test_activate_opens_row_and_transitions_to_active(bank, timing):
@@ -23,8 +23,8 @@ def test_activate_opens_row_and_transitions_to_active(bank, timing):
     assert bank.state is BankState.ACTIVATING
     bank.tick(timing.tRCDRD)
     assert bank.state is BankState.ACTIVE
-    assert bank.is_row_hit(5)
-    assert not bank.is_row_hit(6)
+    assert bank.is_row_hit(5, timing.tRCDRD)
+    assert not bank.is_row_hit(6, timing.tRCDRD)
 
 
 def test_read_not_allowed_before_trcd(bank, timing):
@@ -75,7 +75,7 @@ def test_precharge_closes_row_and_returns_to_idle(bank, timing):
     assert bank.state is BankState.PRECHARGING
     bank.tick(timing.tRAS + timing.tRP)
     assert bank.state is BankState.IDLE
-    assert not bank.has_open_row
+    assert not bank.has_open_row(timing.tRAS + timing.tRP)
 
 
 def test_refresh_requires_idle_bank(bank, timing):
@@ -101,6 +101,31 @@ def test_read_with_autoprecharge_closes_row(bank, timing):
     bank.tick(t + timing.tRTP + timing.tRP)
     assert bank.state is BankState.IDLE
     assert bank.open_row is None
+
+
+def _opened_with(timing, kind):
+    bank = Bank(timing=timing)
+    bank.issue(CommandKind.ACT, now=0, row=1)
+    bank.issue(kind, now=timing.tRAS, row=1)
+    return bank
+
+
+@pytest.mark.parametrize("kind", [CommandKind.RDA, CommandKind.WRA])
+def test_row_reads_resolve_auto_precharge_without_a_tick(timing, kind):
+    """``has_open_row`` and ``is_row_hit`` resolve a pending RDA/WRA
+    auto-precharge themselves: read once, with no ``tick`` call, they turn
+    False at the auto-precharge instant, as on a twin bank ticked every
+    ns."""
+    issued = timing.tRAS
+    closes_at = issued + (timing.tRTP if kind is CommandKind.RDA else
+                          timing.tCWL + timing.burst_ns + timing.tWR)
+    ticked = _opened_with(timing, kind)
+    for now in range(issued, closes_at + timing.tRP + 2):
+        ticked.tick(now)
+        twin_open = ticked.open_row is not None
+        assert twin_open == (now < closes_at)
+        assert _opened_with(timing, kind).has_open_row(now) == twin_open
+        assert _opened_with(timing, kind).is_row_hit(1, now) == twin_open
 
 
 def test_illegal_issue_raises(bank):

@@ -21,7 +21,7 @@ from repro.controller.request import MemoryRequest, RequestKind
 from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.virtual_bank import paper_vba_config
-from repro.dram.address import baseline_hbm4_mapping
+from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
@@ -313,6 +313,48 @@ def _command_key(command):
             command.bank_group, command.bank, command.row, command.column)
 
 
+def _plan_every_instant(controller):
+    """Drain ``controller`` with the per-step core, asking the planner for
+    a train at every instant first; yields ``(now, train)`` per instant
+    before that instant's ``tick``."""
+    while controller._pending():
+        now = controller.now
+        train = controller.scheduler.plan_train(
+            controller.read_queue, controller.write_queue,
+            controller._backlog, now=now, target_ns=now + 10_000,
+            num_picks=controller.config.num_pseudo_channels, min_steps=1,
+        )
+        yield now, train
+        controller.tick()
+
+
+def _assert_every_plan_matches_the_steps(controller):
+    """At every instant of a drain, the train the planner offers lists
+    exactly the commands the per-step scheduler then issues over the
+    instants the train covers.  Returns the command kinds planned."""
+    issued = {}
+    issue = controller._issue
+
+    def record(decision, now):
+        issued.setdefault(now, []).append(_command_key(decision.command))
+        issue(decision, now)
+
+    controller._issue = record
+    plans = {}
+    for now, train in _plan_every_instant(controller):
+        if train is not None:
+            plans[now] = [(step.time_ns, _command_key(decision.command))
+                          for step in train.steps
+                          for decision in step.decisions]
+    planned_kinds = set()
+    for start, planned in plans.items():
+        end = planned[-1][0]
+        assert planned == [(now, key) for now in range(start, end + 1)
+                           for key in issued.get(now, [])], start
+        planned_kinds.update(key[0].value for _, key in planned)
+    return planned_kinds
+
+
 @pytest.mark.parametrize("enable_refresh", [False, True])
 def test_every_plan_matches_the_commands_the_steps_issue(enable_refresh):
     """At every instant of a row-conflict drain, the train the planner
@@ -324,36 +366,45 @@ def test_every_plan_matches_the_commands_the_steps_issue(enable_refresh):
     )
     for request in _row_conflict_trace(num_requests=8):
         controller.enqueue(request)
-    issued = {}
-    issue = controller._issue
-
-    def record(decision, now):
-        issued.setdefault(now, []).append(_command_key(decision.command))
-        issue(decision, now)
-
-    controller._issue = record
-    plans = {}
-    while controller._pending():
-        now = controller.now
-        train = controller.scheduler.plan_train(
-            controller.read_queue, controller.write_queue,
-            controller._backlog, now=now, target_ns=now + 10_000,
-            num_picks=controller.config.num_pseudo_channels, min_steps=1,
-        )
-        if train is not None:
-            plans[now] = [(step.time_ns, _command_key(decision.command))
-                          for step in train.steps
-                          for decision in step.decisions]
-        controller.tick()
-    planned_kinds = set()
-    for start, planned in plans.items():
-        end = planned[-1][0]
-        assert planned == [(now, key) for now in range(start, end + 1)
-                           for key in issued.get(now, [])], start
-        planned_kinds.update(key[0].value for _, key in planned)
+    planned_kinds = _assert_every_plan_matches_the_steps(controller)
     expected = {"ACT", "PRE", "RD", "WR"} | (
         {"REFpb"} if enable_refresh else set())
     assert planned_kinds == expected
+
+
+def test_a_hit_behind_an_older_miss_of_its_bank_ends_the_train():
+    """The planner's per-bank FIFOs cover a column pick only at the head of
+    its bank.  At each instant the per-step scheduler serves a row hit
+    queued behind an older miss of the same bank, the planner offers no
+    train although that instant issues commands: the rule ends a train
+    right before such a step."""
+    controller = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
+    )
+    for request in _row_conflict_trace(num_requests=0):
+        controller.enqueue(request)
+    behind = []
+    serve = controller._serve_column
+
+    def record(transaction, now):
+        queue = (controller.read_queue if transaction.is_read
+                 else controller.write_queue)
+        for older in queue:
+            if older is transaction:
+                break
+            if older.bank_index == transaction.bank_index \
+                    and not older.served:
+                behind.append(now)
+                break
+        serve(transaction, now)
+
+    controller._serve_column = record
+    declined = []
+    for now, train in _plan_every_instant(controller):
+        if train is None:
+            declined.append(now)
+    assert behind
+    assert set(behind) <= set(declined)
 
 
 def _run_conventional_with_arrivals(event_driven, enable_refresh=False):
@@ -748,3 +799,63 @@ def test_rome_refresh_knobs_property_bit_identity(
         fingerprints.append((controller.now, controller.stats,
                              controller.energy_counters()))
     assert fingerprints[0] == fingerprints[1]
+
+
+# ---------------------------------------- generated planner differential
+
+
+@st.composite
+def _bank_focused_drains(draw):
+    """A drain spec: 1 or 2 stack IDs, refresh off or on, a queue depth,
+    and 1-6 mixed reads and writes of 32 B-4 KiB whose first blocks fall
+    on one or two (stack ID, bank) pairs and rows 0-2 -- few banks, many
+    row hits and conflicts."""
+    num_stack_ids = draw(st.sampled_from([1, 2]))
+    enable_refresh = draw(st.booleans())
+    depth = draw(st.sampled_from([8, 64]))
+    mapping = ControllerConfig(num_stack_ids=num_stack_ids).local_mapping()
+    banks = draw(st.lists(
+        st.tuples(st.integers(0, num_stack_ids - 1), st.integers(0, 3)),
+        min_size=1, max_size=2, unique=True))
+    requests = []
+    for _ in range(draw(st.integers(1, 6))):
+        stack_id, bank = draw(st.sampled_from(banks))
+        first = DramCoordinate(
+            channel=0, pseudo_channel=draw(st.integers(0, 1)),
+            stack_id=stack_id, bank_group=draw(st.integers(0, 3)),
+            bank=bank, row=draw(st.integers(0, 2)),
+            column=draw(st.integers(0, 31)))
+        requests.append(MemoryRequest(
+            kind=draw(st.sampled_from([RequestKind.READ, RequestKind.WRITE])),
+            address=mapping.encode(first),
+            size_bytes=32 * draw(st.integers(1, 128))))
+    return num_stack_ids, enable_refresh, depth, requests
+
+
+def _check_generated_drain(spec):
+    num_stack_ids, enable_refresh, depth, requests = spec
+    controller = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=num_stack_ids,
+                                enable_refresh=enable_refresh,
+                                read_queue_depth=depth,
+                                write_queue_depth=depth)
+    )
+    for request in requests:
+        controller.enqueue(request)
+    assert _assert_every_plan_matches_the_steps(controller)
+
+
+@settings(deadline=None, max_examples=8)
+@given(spec=_bank_focused_drains())
+def test_every_plan_matches_the_steps_on_generated_drains(spec):
+    """The plan-vs-steps differential of
+    ``test_every_plan_matches_the_commands_the_steps_issue`` on generated
+    drains (a small profile; the ``slow`` variant draws more)."""
+    _check_generated_drain(spec)
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=300)
+@given(spec=_bank_focused_drains())
+def test_every_plan_matches_the_steps_on_many_generated_drains(spec):
+    _check_generated_drain(spec)
