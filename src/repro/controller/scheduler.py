@@ -41,7 +41,7 @@ evaluation sweeps the channel with a tick.
 
 from __future__ import annotations
 
-import heapq
+import copy
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -257,45 +257,6 @@ class _QueueModel:
         self.first_hits[bank] = new
 
 
-class _EngineModel:
-    """Modeled deadline state of one per-bank refresh engine during planning.
-
-    A min-heap over ``(due_time, (stack_id, bank_group, bank))`` mirrors
-    ``RefreshEngine.most_urgent`` exactly: due times are pairwise distinct
-    by construction (see :meth:`RefreshEngine.due_snapshot`), and the most
-    urgent target is the overdue one with the smallest deadline -- the heap
-    top whenever it is ``<= now``.  Issuing bumps the top's deadline by one
-    whole interval, the same update ``note_refresh_issued`` applies.
-    """
-
-    __slots__ = ("heap", "interval")
-
-    def __init__(self, engine: RefreshEngine) -> None:
-        self.heap = [(due, key) for key, due in engine.due_snapshot()]
-        heapq.heapify(self.heap)
-        self.interval = engine.interval()
-
-    def most_urgent(self, now: int) -> Optional[RefreshTarget]:
-        if not self.heap:
-            return None
-        due, key = self.heap[0]
-        if due > now:
-            return None
-        stack_id, bank_group, bank = key
-        return RefreshTarget(due_time=due, stack_id=stack_id,
-                             bank_group=bank_group, bank=bank)
-
-    def note_issued(self) -> None:
-        due, key = heapq.heappop(self.heap)
-        heapq.heappush(self.heap, (due + self.interval, key))
-
-
-def _earliest_due(engine_models: List[_EngineModel]) -> Optional[int]:
-    """The earliest modeled refresh deadline, or None without any."""
-    return min((model.heap[0][0] for model in engine_models if model.heap),
-               default=None)
-
-
 class FrFcfsScheduler:
     """First-ready FCFS scheduler over one HBM channel."""
 
@@ -394,37 +355,37 @@ class FrFcfsScheduler:
     def _refresh_sweep(
         self,
         now: int,
-        most_urgent: Callable[[int, RefreshEngine, int],
-                              Optional[RefreshTarget]],
+        engines: Sequence[RefreshEngine],
         can_issue_ref: Callable[[int, RefreshTarget, int], bool],
         bank_has_open_row: Callable[[int, RefreshTarget, int], bool],
         can_issue_pre: Callable[[int, RefreshTarget, int], bool],
-    ) -> Optional[Tuple[str, int, RefreshEngine, RefreshTarget]]:
+    ) -> Optional[Tuple[str, int, RefreshTarget]]:
         """Shared refresh-decision skeleton (one evaluation at ``now``).
 
-        Both the single-step scheduler (:meth:`pick_refresh`, live state)
-        and the burst-train planner (modeled state) walk the engines in
-        pseudo-channel order and, for each engine's most urgent overdue
-        target, either issue the REFpb, or -- once postponement headroom is
-        exhausted -- force the target bank closed with a precharge.  The
-        state queries are injected so the two callers share exactly one
-        copy of the due/critical bail-out ordering and cannot drift.
+        Both the single-step scheduler (:meth:`pick_refresh`, the live
+        engines and channel) and the burst-train planner (copies of the
+        engines, modeled bank state) walk ``engines`` in pseudo-channel
+        order and, for each engine's most urgent overdue target, either
+        issue the REFpb, or -- once postponement headroom is exhausted --
+        force the target bank closed with a precharge.  The bank-state
+        queries are injected so the two callers share exactly one copy of
+        the due/critical bail-out ordering and cannot drift.
 
-        Returns ``("ref" | "pre", pc_index, engine, target)`` for the first
+        Returns ``("ref" | "pre", pc_index, target)`` for the first
         actionable engine, else ``None``.
         """
-        for pc_index, engine in enumerate(self.refresh_engines):
-            target = most_urgent(pc_index, engine, now)
+        for pc_index, engine in enumerate(engines):
+            target = engine.most_urgent(now)
             if target is None:
                 continue
             if can_issue_ref(pc_index, target, now):
-                return ("ref", pc_index, engine, target)
-            if now - target.due_time >= engine.slack_ns():
+                return ("ref", pc_index, target)
+            if engine.is_critical(target, now):
                 # Critical: the bank must be made refreshable -- precharge
                 # it if it still holds an open row.
                 if bank_has_open_row(pc_index, target, now) \
                         and can_issue_pre(pc_index, target, now):
-                    return ("pre", pc_index, engine, target)
+                    return ("pre", pc_index, target)
         return None
 
     def _target_pre_command(self, pc_index: int,
@@ -435,10 +396,6 @@ class FrFcfsScheduler:
     # Live-state callbacks for the shared refresh sweep (bound methods, not
     # per-call closures: ``pick_refresh`` runs once per scheduler
     # evaluation).
-
-    def _live_most_urgent(self, pc: int, engine: RefreshEngine,
-                          now: int) -> Optional[RefreshTarget]:
-        return engine.most_urgent(now)
 
     def _live_can_issue_ref(self, pc: int, target: RefreshTarget,
                             now: int) -> bool:
@@ -459,14 +416,14 @@ class FrFcfsScheduler:
         """Issue an overdue per-bank refresh if it is critical or convenient."""
         result = self._refresh_sweep(
             now,
-            most_urgent=self._live_most_urgent,
+            self.refresh_engines,
             can_issue_ref=self._live_can_issue_ref,
             bank_has_open_row=self._live_bank_open,
             can_issue_pre=self._live_can_issue_pre,
         )
         if result is None:
             return None
-        action, pc_index, _, target = result
+        action, pc_index, target = result
         if action == "ref":
             return SchedulerDecision(
                 command=self._refpb_command(pc_index, target),
@@ -553,9 +510,11 @@ class FrFcfsScheduler:
 
         Soundness argument, mirroring ``ConventionalMemoryController._step``:
 
-        * *refresh*: per-bank refresh is modeled exactly.  Each engine's
-          deadlines are copied into a min-heap (:class:`_EngineModel`) and
-          every covered step at or past the earliest modeled deadline runs
+        * *refresh*: per-bank refresh is modeled exactly.  The planner
+          issues against a copy of each live engine (an issue counter
+          over a fixed rotation,
+          :class:`~repro.dram.refresh.RefreshRotation`), and every
+          covered step at or past the earliest modeled deadline runs
           the same decision skeleton (:meth:`_refresh_sweep`) the
           single-step ``pick_refresh`` uses, against modeled bank/C-A
           state -- so planned trains splice in the REFpb (and, once
@@ -601,9 +560,8 @@ class FrFcfsScheduler:
         tRP, tRAS, tRC = timing.tRP, timing.tRAS, timing.tRC
         tRCDRD, tRCDWR = timing.tRCDRD, timing.tRCDWR
         tRFCpb, tREFIpb = timing.tRFCpb, timing.tREFIpb
-        engine_models = [_EngineModel(engine)
-                         for engine in self.refresh_engines]
-        next_due = _earliest_due(engine_models)
+        engines = [copy.copy(engine) for engine in self.refresh_engines]
+        next_due = min((engine.due_ns() for engine in engines), default=None)
 
         pc_models = [
             _PcModel(pc.cas_state_snapshot(), channel.last_column_ca_time(i),
@@ -625,10 +583,6 @@ class FrFcfsScheduler:
         # Model-view callbacks for the shared refresh sweep: the same
         # checks ``Channel.can_issue`` performs for REFpb / PRE, applied to
         # the modeled row-C/A and bank state.
-        def model_most_urgent(pc: int, engine: RefreshEngine,
-                              t: int) -> Optional[RefreshTarget]:
-            return engine_models[pc].most_urgent(t)
-
         def model_can_issue_ref(pc: int, target: RefreshTarget,
                                 t: int) -> bool:
             if t <= pc_models[pc].row_ca_last:
@@ -735,10 +689,10 @@ class FrFcfsScheduler:
             refresh_decision: Optional[SchedulerDecision] = None
             if next_due is not None and t >= next_due:
                 swept = self._refresh_sweep(
-                    t, model_most_urgent, model_can_issue_ref,
+                    t, engines, model_can_issue_ref,
                     model_bank_open, model_can_issue_pre)
                 if swept is not None:
-                    action, pc_index, _, target = swept
+                    action, pc_index, target = swept
                     index = channel.bank_index(
                         pc_index, target.stack_id, target.bank_group,
                         target.bank)
@@ -751,8 +705,9 @@ class FrFcfsScheduler:
                             bm.next_act = t + tRFCpb
                         if t + tREFIpb > bm.next_refresh:
                             bm.next_refresh = t + tREFIpb
-                        engine_models[pc_index].note_issued()
-                        next_due = _earliest_due(engine_models)
+                        engines[pc_index].note_refresh_issued(target, t)
+                        next_due = min(engine.due_ns()
+                                       for engine in engines)
                         refresh_decision = SchedulerDecision(
                             command=self._refpb_command(pc_index, target),
                             refresh_target=target,

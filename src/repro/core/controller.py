@@ -31,6 +31,7 @@ The controller exposes two cycle-exact execution modes:
 from __future__ import annotations
 
 import bisect
+import copy
 import enum
 import heapq
 from collections import deque
@@ -671,8 +672,8 @@ class RoMeMemoryController:
           (modeled with the planned completions; in-flight commands are
           carried in), and backlog members have queue space by their slot.
 
-        Refresh is modeled, not avoided: the scheduler's deadlines are
-        copied into a min-heap and the most urgent target's issue instant
+        Refresh is modeled, not avoided: the planner issues against a copy
+        of the refresh rotation, and the most urgent target's issue instant
         -- the earliest time it is due, its VBA is free, and a refresh FSM
         is available (or the postponement budget has run out, which
         bypasses FSM saturation) -- is interleaved with the data grid in
@@ -712,13 +713,11 @@ class RoMeMemoryController:
         max_fsms = self.config.max_data_fsms
 
         refresh = self.refresh
-        due_heap: List[Tuple[int, Tuple[int, int]]] = []
         if refresh is not None:
-            due_heap = [(due, key) for key, due in refresh.due_snapshot()]
-            heapq.heapify(due_heap)
+            # The planner issues against a copy of the live rotation.
+            refresh = copy.copy(refresh)
             slack = refresh.slack_ns()
             stall = refresh.stall_ns()
-            interval = refresh.interval()
             max_ref_fsms = self.config.max_refresh_fsms
             # Future release instants of VBAs currently refreshing (the
             # modeled refresh-FSM pool; planned refreshes are merged in).
@@ -790,8 +789,9 @@ class RoMeMemoryController:
 
             # -- next refresh instant (most-urgent target evolution) ------
             r_t = None
-            if due_heap:
-                due, rkey = due_heap[0]
+            if refresh is not None:
+                due = refresh.due_ns()
+                rkey = refresh.most_urgent(due)
                 base = max(due, last_action + 1, now, vba_free_at(rkey))
                 # ``ref_releases`` is kept sorted, so the number of refresh
                 # FSMs still busy after ``base`` is a bisection away.
@@ -808,7 +808,7 @@ class RoMeMemoryController:
             if r_t is not None and r_t <= d_t:
                 if r_t > last_allowed or r_t > safe_until:
                     break
-                heapq.heapreplace(due_heap, (due + interval, rkey))
+                refresh.note_issued(rkey, r_t)
                 refreshes.append((r_t, rkey))
                 vba_busy[rkey] = r_t + stall
                 bisect.insort(ref_releases, r_t + stall)

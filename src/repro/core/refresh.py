@@ -10,8 +10,10 @@ reduces the stall per VBA from ``2 x tRFCpb`` to ``tRFCpb + tRREFD``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import product
+from typing import Optional, Tuple
 
+from repro.dram.refresh import RefreshRotation
 from repro.dram.timing import TimingParameters
 
 
@@ -60,93 +62,33 @@ def refresh_stall_comparison(
     )
 
 
-@dataclass
-class RomeRefreshScheduler:
-    """Schedules paired per-VBA refreshes for the RoMe memory controller."""
+@dataclass(kw_only=True)
+class RomeRefreshScheduler(RefreshRotation):
+    """Schedules paired per-VBA refreshes for the RoMe memory controller.
+
+    Targets are ``(stack_id, vba)`` pairs in stack-major order.  The
+    command stride is ``banks_per_vba x tREFIpb`` -- the Section V-B
+    optimization: one paired refresh command every ``2 x tREFIpb``
+    instead of one REFpb every ``tREFIpb`` -- so each VBA comes around
+    every ``stride x num_vbas x num_stack_ids``.
+    """
 
     timing: TimingParameters
     num_vbas: int
     num_stack_ids: int = 1
     banks_per_vba: int = 2
-    max_postponed: int = 4
-    _next_due: Dict[tuple, int] = field(default_factory=dict)
-    issued: int = 0
+    keys: Tuple[Tuple[int, int], ...] = field(init=False)
+    stride: int = field(init=False)
 
     def __post_init__(self) -> None:
-        stagger = max(1, self.command_interval())
-        offset = 0
-        for sid in range(self.num_stack_ids):
-            for vba in range(self.num_vbas):
-                self._next_due[(sid, vba)] = offset
-                offset += stagger
-
-    def command_interval(self) -> int:
-        """Spacing between paired refresh commands: ``banks_per_vba x tREFIpb``.
-
-        This is the Section V-B optimization: one refresh command every
-        ``2 x tREFIpb`` instead of one every ``tREFIpb``.
-        """
-        return self.banks_per_vba * self.timing.tREFIpb
-
-    def interval(self) -> int:
-        """Refresh period of an individual VBA.
-
-        Rotating one paired refresh every ``command_interval`` over all the
-        channel's VBAs brings each VBA back around every
-        ``command_interval x num_vbas x num_stack_ids``.
-        """
-        return self.command_interval() * max(1, self.num_vbas * self.num_stack_ids)
+        self.keys = tuple(product(range(self.num_stack_ids),
+                                  range(self.num_vbas)))
+        self.stride = self.banks_per_vba * self.timing.tREFIpb
+        super().__post_init__()
 
     def stall_ns(self) -> int:
         """VBA stall per paired refresh."""
         return self.timing.tRFCpb + (self.banks_per_vba - 1) * self.timing.tRREFD
-
-    def due(self, now: int) -> List[tuple]:
-        """(stack_id, vba) pairs whose refresh deadline has passed."""
-        pairs = [key for key, t in self._next_due.items() if now >= t]
-        pairs.sort(key=lambda key: self._next_due[key])
-        return pairs
-
-    def most_urgent(self, now: int) -> Optional[tuple]:
-        pairs = self.due(now)
-        return pairs[0] if pairs else None
-
-    def slack_ns(self) -> int:
-        """Postponement headroom before a due refresh becomes critical.
-
-        Shared by :meth:`is_critical`, :meth:`next_event_ns`, and the
-        burst-train planner's refresh model so the three cannot drift.
-        """
-        return self.max_postponed * self.interval()
-
-    def due_snapshot(self) -> List[Tuple[tuple, int]]:
-        """Read-only ``((stack_id, vba), due_time)`` pairs for planning.
-
-        Due times are pairwise distinct by construction (staggered offsets,
-        bumps in whole intervals), so ordering by due time is total.
-        """
-        return list(self._next_due.items())
-
-    def is_critical(self, key: tuple, now: int) -> bool:
-        return now - self._next_due[key] >= self.slack_ns()
-
-    def next_event_ns(self, now: int) -> Optional[int]:
-        """Earliest future time a refresh decision can change.
-
-        For each VBA that is not yet due this is its deadline; for one that
-        is due but still postponable it is the instant the postponement
-        budget runs out (the refresh becomes *critical* and may preempt a
-        saturated refresh-FSM pool).  Already-critical VBAs generate no
-        future event: they are issueable now and only wait on VBA busy time,
-        which the controller tracks separately.
-        """
-        slack = self.slack_ns()
-        best: Optional[int] = None
-        for due in self._next_due.values():
-            candidate = due if due > now else due + slack
-            if candidate > now and (best is None or candidate < best):
-                best = candidate
-        return best
 
     @staticmethod
     def track_label(key: tuple) -> str:
@@ -154,10 +96,3 @@ class RomeRefreshScheduler:
         obs layer renders one track per channel/stack; the VBA index
         travels in the event args)."""
         return f"sid{key[0]}"
-
-    def note_issued(self, key: tuple, now: int) -> None:
-        self._next_due[key] += self.interval()
-        self.issued += 1
-
-    def refresh_debt(self, now: int) -> int:
-        return len(self.due(now))

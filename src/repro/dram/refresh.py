@@ -3,16 +3,22 @@
 Both the baseline and RoMe employ per-bank refresh (REFpb) to improve
 bandwidth availability (Section VI-A), so the conventional controller issues
 REFpb only (the device still accepts REFab, see
-:mod:`repro.dram.pseudochannel`).  The refresh engine tracks, per bank, when
-the next refresh is due and exposes the set of overdue refreshes to the
-memory controller's refresh scheduler, which may postpone them up to a
-bounded debt.
+:mod:`repro.dram.pseudochannel`).  The refresh engine tracks when the next
+refresh is due and exposes the overdue refreshes to the memory controller's
+refresh scheduler, which may postpone them up to a bounded debt.
+
+Both controllers' trackers are configurations of one deadline rule,
+:class:`RefreshRotation`: targets start due one command stride apart and
+every issue retires the most urgent one, so the deadline set is always
+``{(issued + j) x stride : j < n}`` and the most urgent target is
+``keys[issued % n]``.  An issue counter is the whole state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import product
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.dram.timing import TimingParameters
 
@@ -33,20 +39,115 @@ class RefreshTarget:
         return f"sid{self.stack_id}.bg{self.bank_group}"
 
 
-@dataclass
-class RefreshEngine:
-    """Tracks per-bank refresh deadlines for every bank behind one PC.
+@dataclass(kw_only=True)
+class RefreshRotation:
+    """Round-robin refresh deadlines over an ordered set of targets.
 
-    Parameters
-    ----------
-    timing:
-        Timing parameters providing ``tREFIpb``.
-    num_stack_ids / num_bank_groups / banks_per_group:
-        Bank topology to refresh.
-    max_postponed:
-        How many refresh intervals a bank may be postponed before the
-        controller must stall for it (JEDEC allows postponing a bounded
-        number of refreshes).
+    Target ``keys[j]`` is first due at ``j x stride`` and comes around
+    every ``interval() = n x stride``.  The tracker's users always issue
+    the most urgent target, so after ``issued`` issues target
+    ``keys[(issued + j) % n]`` is due at ``(issued + j) x stride``: every
+    query below is a closed form of those ints.
+
+    ``max_postponed`` is how many refresh intervals a target may be
+    postponed before the controller must stall for it (JEDEC allows
+    postponing a bounded number of refreshes).  It is read on every
+    query, so assigning it on a live tracker takes effect at once.
+    """
+
+    keys: Tuple[Hashable, ...]
+    stride: int
+    max_postponed: int = 4
+    issued: int = 0
+    _positions: Dict[Hashable, int] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        if self.stride < 1:
+            raise ValueError(
+                f"refresh command stride must be >= 1 ns, got {self.stride} "
+                f"(tREFIpb < 1 with refresh enabled)")
+        if not self.keys:
+            raise ValueError("a refresh rotation needs at least one target")
+        self._positions = {key: j for j, key in enumerate(self.keys)}
+
+    def command_interval(self) -> int:
+        """Spacing between refresh commands: the stride between deadlines."""
+        return self.stride
+
+    def interval(self) -> int:
+        """Refresh period of an individual target in nanoseconds."""
+        return self.stride * len(self.keys)
+
+    def slack_ns(self) -> int:
+        """Postponement headroom: how long past its deadline a target may
+        slip before it becomes *critical* (the criticality threshold)."""
+        return self.max_postponed * self.interval()
+
+    def due_ns(self) -> int:
+        """Deadline of the most urgent target."""
+        return self.issued * self.stride
+
+    def _due_of(self, key: Hashable) -> int:
+        lag = (self._positions[key] - self.issued) % len(self.keys)
+        return (self.issued + lag) * self.stride
+
+    def most_urgent(self, now: int) -> Optional[Hashable]:
+        """The overdue target with the earliest deadline, or None."""
+        if now < self.issued * self.stride:
+            return None
+        return self.keys[self.issued % len(self.keys)]
+
+    def is_critical(self, key: Hashable, now: int) -> bool:
+        """True when ``key``'s refresh can no longer be postponed."""
+        return now - self._due_of(key) >= self.slack_ns()
+
+    def refresh_debt(self, now: int) -> int:
+        """Number of refresh obligations currently overdue."""
+        late = now - self.issued * self.stride
+        if late < 0:
+            return 0
+        return min(len(self.keys), late // self.stride + 1)
+
+    def next_event_ns(self, now: int) -> Optional[int]:
+        """Earliest future time a refresh decision can change.
+
+        For each target not yet due this is its deadline; for one already
+        due but still postponable it is the criticality transition (the
+        instant the scheduler must force it through).  Already-critical
+        targets generate no future event of their own.  Deadlines ascend
+        with ``j``, so the answer is the first undue deadline or the
+        first due one that is not yet critical, whichever is earlier.
+        """
+        stride, base = self.stride, self.issued * self.stride
+        slack = self.slack_ns()
+        debt = self.refresh_debt(now)
+        best = base + debt * stride if debt < len(self.keys) else None
+        first_postponable = max(0, (now - slack - base) // stride + 1)
+        if first_postponable < debt:
+            candidate = base + first_postponable * stride + slack
+            if best is None or candidate < best:
+                best = candidate
+        return best
+
+    def note_issued(self, key: Hashable, now: int) -> None:
+        """Record that ``key``'s refresh was issued at ``now``; it must be
+        the most urgent target (the rotation has no other order)."""
+        if key != self.keys[self.issued % len(self.keys)]:
+            raise ValueError(
+                f"refresh of {key!r} issued out of rotation order at "
+                f"t={now}")
+        self.issued += 1
+
+
+@dataclass(kw_only=True)
+class RefreshEngine(RefreshRotation):
+    """Per-bank refresh deadlines for every bank behind one PC.
+
+    One REFpb every ``tREFIpb`` rotates over the banks in (stack ID, bank
+    group, bank) order, so each bank comes around every
+    ``tREFIpb x num_banks`` (Section II-D).  Targets are
+    :class:`RefreshTarget` records.
 
     RoMe's paired per-VBA refresh lives in
     :class:`repro.core.refresh.RomeRefreshScheduler`.
@@ -56,106 +157,30 @@ class RefreshEngine:
     num_stack_ids: int = 1
     num_bank_groups: int = 4
     banks_per_group: int = 4
-    max_postponed: int = 4
-    _next_due: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    issued: int = 0
+    keys: Tuple[Tuple[int, int, int], ...] = field(init=False)
+    stride: int = field(init=False)
 
     def __post_init__(self) -> None:
-        offset = 0
-        stagger = max(1, self.command_interval())
-        for key in self._bank_keys():
-            self._next_due[key] = offset
-            offset += stagger
-
-    # ------------------------------------------------------------- topology
-
-    def _bank_keys(self) -> Iterator[Tuple[int, int, int]]:
-        for sid in range(self.num_stack_ids):
-            for bg in range(self.num_bank_groups):
-                for bank in range(self.banks_per_group):
-                    yield (sid, bg, bank)
-
-    @property
-    def num_banks(self) -> int:
-        return self.num_stack_ids * self.num_bank_groups * self.banks_per_group
-
-    def command_interval(self) -> int:
-        """Average spacing between refresh *commands* on this engine:
-        ``tREFIpb``, the rate at which per-bank refresh commands must be
-        issued while rotating over the banks (Section II-D)."""
-        return self.timing.tREFIpb
-
-    def interval(self) -> int:
-        """Refresh period of an individual target (bank) in nanoseconds.
-
-        Rotating one REFpb every ``tREFIpb`` over ``num_banks`` banks brings
-        each bank back around every ``tREFIpb x num_banks``; that per-bank
-        period is what the deadline tracking uses.
-        """
-        return self.command_interval() * max(1, self.num_banks)
-
-    # -------------------------------------------------------------- queries
-
-    def due_targets(self, now: int) -> List[RefreshTarget]:
-        """All refresh obligations whose deadline has passed at ``now``."""
-        due = [
-            RefreshTarget(due_time=t, stack_id=sid, bank_group=bg, bank=bank)
-            for (sid, bg, bank), t in self._next_due.items()
-            if now >= t
-        ]
-        due.sort(key=lambda target: target.due_time)
-        return due
+        self.keys = tuple(product(range(self.num_stack_ids),
+                                  range(self.num_bank_groups),
+                                  range(self.banks_per_group)))
+        self.stride = self.timing.tREFIpb
+        super().__post_init__()
 
     def most_urgent(self, now: int) -> Optional[RefreshTarget]:
-        due = self.due_targets(now)
-        return due[0] if due else None
-
-    def slack_ns(self) -> int:
-        """Postponement headroom: how long past its deadline a target may
-        slip before it becomes *critical* (the criticality threshold).
-
-        Shared by :meth:`is_critical`, :meth:`next_event_ns`, and the
-        burst-train planner's refresh model so the three cannot drift.
-        """
-        return self.max_postponed * self.interval()
-
-    def due_snapshot(self) -> List[Tuple[Tuple[int, int, int], int]]:
-        """Read-only ``((stack_id, bank_group, bank), due_time)`` pairs.
-
-        Seeds the burst-train planner's modeled copy of this engine.  Due
-        times are pairwise distinct by construction (staggered offsets,
-        bumps in whole intervals), so ordering by due time is total.
-        """
-        return list(self._next_due.items())
+        key = super().most_urgent(now)
+        if key is None:
+            return None
+        stack_id, bank_group, bank = key
+        return RefreshTarget(due_time=self.issued * self.stride,
+                             stack_id=stack_id, bank_group=bank_group,
+                             bank=bank)
 
     def is_critical(self, target: RefreshTarget, now: int) -> bool:
         """True when the refresh can no longer be postponed."""
         return now - target.due_time >= self.slack_ns()
 
-    def next_event_ns(self, now: int) -> Optional[int]:
-        """Earliest future time a refresh decision can change.
-
-        For each target not yet due this is its deadline; for one already
-        due but still postponable it is the criticality transition (the
-        instant the scheduler must force it through).  Already-critical
-        targets generate no future event of their own.
-        """
-        slack = self.slack_ns()
-        best: Optional[int] = None
-        for due in self._next_due.values():
-            candidate = due if due > now else due + slack
-            if candidate > now and (best is None or candidate < best):
-                best = candidate
-        return best
-
-    # ------------------------------------------------------------ completion
-
     def note_refresh_issued(self, target: RefreshTarget, now: int) -> None:
         """Record that the refresh for ``target`` was issued at ``now``."""
-        self.issued += 1
-        key = (target.stack_id, target.bank_group, target.bank)
-        self._next_due[key] += self.interval()
-
-    def refresh_debt(self, now: int) -> int:
-        """Number of refresh obligations currently overdue."""
-        return len(self.due_targets(now))
+        self.note_issued((target.stack_id, target.bank_group, target.bank),
+                         now)

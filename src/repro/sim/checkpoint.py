@@ -32,6 +32,12 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
+Version 2 pickles the refresh trackers as an issue counter over a fixed
+rotation (:class:`repro.dram.refresh.RefreshRotation`).  Version 1
+payloads carried per-target deadline dicts that the version 2 trackers
+never read, so they are rejected rather than restored into a silently
+different refresh schedule.
+
 Only load checkpoint files you wrote yourself: like any pickle-based
 format, a malicious file can execute code.  The digest detects
 corruption, not tampering.
@@ -60,7 +66,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

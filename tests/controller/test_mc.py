@@ -5,6 +5,7 @@ import pytest
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import MemoryRequest, RequestKind, decompose
 from repro.dram.address import baseline_hbm4_mapping
+from repro.dram.timing import TimingParameters
 from repro.reliability import ReliabilityConfig
 from repro.sim.traces import mixed_trace, streaming_trace
 
@@ -111,6 +112,19 @@ def test_idle_controller_refreshes_every_bank(num_stack_ids):
         assert all(bank.counters.refreshes >= 1 for bank in banks)
     assert mc.channel.command_counts()["REFpb"] == sum(
         engine.issued for engine in engines)
+
+
+def test_sub_nanosecond_refresh_interval_is_rejected():
+    """Regression: with tREFIpb=0 every bank's interval was 0, so bank
+    (0, 0, 0) stayed due forever and a read stream never drained."""
+    with pytest.raises(ValueError, match="tREFIpb"):
+        ConventionalMemoryController(
+            config=ControllerConfig(num_stack_ids=1, enable_refresh=True,
+                                    timing=TimingParameters(tREFIpb=0)))
+    # Without refresh the knob is unused and the controller still builds.
+    ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=False,
+                                timing=TimingParameters(tREFIpb=0)))
 
 
 def test_refresh_does_not_lose_requests():

@@ -10,6 +10,7 @@ from repro.core.controller import (
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.timing import ROME_TIMING
 from repro.core.virtual_bank import paper_vba_config
+from repro.dram.timing import TimingParameters
 
 
 def _controller(**overrides) -> RoMeMemoryController:
@@ -127,6 +128,16 @@ def test_refresh_issued_and_blocks_vba():
     assert mc.stats.refreshes_issued > 0
 
 
+def test_sub_nanosecond_refresh_interval_is_rejected():
+    """Regression: with tREFIpb=0 the paired-refresh interval was 0, so the
+    first VBA stayed due forever."""
+    with pytest.raises(ValueError, match="tREFIpb"):
+        _controller(enable_refresh=True,
+                    conventional_timing=TimingParameters(tREFIpb=0))
+    _controller(enable_refresh=False,
+                conventional_timing=TimingParameters(tREFIpb=0))
+
+
 def test_rejects_out_of_range_vba():
     mc = _controller()
     with pytest.raises(ValueError, match="vba"):
@@ -241,8 +252,7 @@ def test_next_event_is_immediate_for_critical_refresh_under_fsm_saturation():
         mc._mark_busy((0, vba), tracker, VbaState.REFRESHING, mc.now + 500)
     # ...and push the most urgent VBA far past its postponement budget.
     key = mc.refresh.most_urgent(mc.now)
-    slack = mc.refresh.max_postponed * mc.refresh.interval()
-    mc.now = mc.refresh._next_due[key] + slack + 1
+    mc.now = mc.refresh.due_ns() + mc.refresh.slack_ns() + 1
     assert mc.refresh.is_critical(key, mc.now)
     assert mc._vbas[key].is_free(mc.now)
     assert mc.next_event_ns() == mc.now

@@ -33,11 +33,12 @@ def test_scheduler_command_interval_is_doubled(timing):
 def test_due_and_issue_cycle(timing):
     scheduler = RomeRefreshScheduler(timing=timing, num_vbas=4)
     now = scheduler.interval() - 1
-    due = scheduler.due(now)
-    assert due
+    assert scheduler.refresh_debt(now) == 4
     first = scheduler.most_urgent(now)
+    assert first == (0, 0)
     scheduler.note_issued(first, now)
-    assert scheduler.refresh_debt(now) == len(due) - 1
+    assert scheduler.refresh_debt(now) == 3
+    assert scheduler.most_urgent(now) == (0, 1)
     assert scheduler.issued == 1
 
 
@@ -52,3 +53,17 @@ def test_critical_after_postponement_budget(timing):
 def test_single_bank_vba_has_no_pairing_overhead(timing):
     summary = refresh_stall_comparison(timing, banks_per_vba=1)
     assert summary.naive_stall_ns == summary.paired_stall_ns == timing.tRFCpb
+
+
+def test_vbas_rotate_in_stack_major_order(timing):
+    scheduler = RomeRefreshScheduler(timing=timing, num_vbas=2,
+                                     num_stack_ids=2)
+    assert scheduler.keys == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert scheduler.interval() == 4 * scheduler.command_interval()
+
+
+@pytest.mark.parametrize("trefipb", [0, -1])
+def test_stride_below_one_ns_is_rejected(trefipb):
+    with pytest.raises(ValueError, match="tREFIpb"):
+        RomeRefreshScheduler(timing=TimingParameters(tREFIpb=trefipb),
+                             num_vbas=4)

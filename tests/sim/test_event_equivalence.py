@@ -742,20 +742,22 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
     trefipb=st.integers(min_value=40, max_value=300),
     trfcpb=st.integers(min_value=40, max_value=400),
     max_postponed=st.integers(min_value=0, max_value=6),
+    num_stack_ids=st.sampled_from([1, 2]),
 )
 def test_conventional_refresh_knobs_property_bit_identity(
-        trefipb, trfcpb, max_postponed):
+        trefipb, trfcpb, max_postponed, num_stack_ids):
     """Train-vs-tick bit-identity must hold across the refresh timing
-    design space: deadline cadence (tREFIpb), stall length (tRFCpb), and
-    the postponement bound / criticality threshold."""
+    design space: deadline cadence (tREFIpb), stall length (tRFCpb), the
+    postponement bound / criticality threshold, and the stack IDs the
+    (stack ID, bank group, bank) rotation runs over."""
     from repro.dram.timing import TimingParameters
 
     timing = TimingParameters(tREFIpb=trefipb, tRFCpb=trfcpb)
     fingerprints = []
     for event_driven in (False, True):
         controller = ConventionalMemoryController(
-            config=ControllerConfig(num_stack_ids=1, enable_refresh=True,
-                                    timing=timing)
+            config=ControllerConfig(num_stack_ids=num_stack_ids,
+                                    enable_refresh=True, timing=timing)
         )
         for engine in controller.scheduler.refresh_engines:
             engine.max_postponed = max_postponed
