@@ -44,7 +44,6 @@ from repro.sim.stats import BandwidthResult, LatencyResult
 from repro.sim.sweep import SweepStats, run_sweep
 from repro.workloads.driver import (
     WorkloadResult,
-    _make_simulation,
     _materializer,
     _run_closed_loop,
 )
@@ -164,12 +163,9 @@ def run_replica_point(task: ReplicaTask) -> ReplicaRunResult:
     zero-fault single-replica fleet is bit-identical to the plain run.
     """
     spec = task.spec
-    materializer = _materializer(spec)
-    simulation = _make_simulation(materializer.controller, True)
     plan = ServingPlan(arrival_times_ns=task.arrival_times_ns,
                        serving=spec.serving_config())
-    result, server = _run_closed_loop(spec, materializer, simulation,
-                                      plan=plan)
+    result, server = _run_closed_loop(spec, plan=plan)
     records = tuple(
         FleetRecord(
             fleet_id=task.fleet_ids[record.index],

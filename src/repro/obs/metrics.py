@@ -100,15 +100,6 @@ class MetricSeries:
             del windows[0]
             self.evicted += 1
 
-    def snapshot(self) -> "MetricSeries":
-        """An independent copy at this instant (window entries are the
-        only mutable state)."""
-        clone = MetricSeries(self.name, self.kind, self.interval_ns,
-                             self.capacity)
-        clone._windows = [list(entry) for entry in self._windows]
-        clone.evicted = self.evicted
-        return clone
-
     # ------------------------------------------------------------- views
     def points(self) -> Tuple[Tuple[int, float], ...]:
         return tuple((int(window), value) for window, value in self._windows)
@@ -177,13 +168,6 @@ class MetricRegistry:
 
     def get(self, name: str) -> Optional[MetricSeries]:
         return self._series.get(name)
-
-    def snapshot(self) -> "MetricRegistry":
-        """An independent copy of every series at this instant."""
-        clone = MetricRegistry(self.interval_ns, self.ring_capacity)
-        clone._series = {name: series.snapshot()
-                         for name, series in self._series.items()}
-        return clone
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self._series))

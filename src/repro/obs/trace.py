@@ -79,16 +79,6 @@ class TraceRecorder:
         else:
             self.dropped += 1
 
-    def snapshot(self) -> "TraceRecorder":
-        """An independent copy at this instant.  Events are immutable
-        tuples, so copying the list suffices -- far cheaper than a
-        ``deepcopy`` (result collection snapshots a live recorder while
-        warm-started steps keep appending to it)."""
-        clone = TraceRecorder(self.max_events)
-        clone.events = list(self.events)
-        clone.dropped = self.dropped
-        return clone
-
     def __len__(self) -> int:
         return len(self.events)
 

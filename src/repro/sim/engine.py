@@ -1,9 +1,8 @@
 """An event-driven multi-controller simulation engine.
 
 The per-channel controllers are independent cycle-level simulators.  The
-engine advances a set of them through simulated time and supports early
-termination on a predicate.  It exists mostly for multi-controller
-experiments where channels receive requests over time (e.g. continuous
+engine advances a set of them through simulated time.  It exists mostly
+for runs where channels receive requests over time (e.g. continuous
 batching studies) rather than the load-then-drain pattern the memory-system
 wrappers use.
 
@@ -11,9 +10,9 @@ Execution model
 ---------------
 By default the engine is *event-driven*: controllers expose
 ``advance_to(target_ns)`` and ``next_event_ns()`` (see
-:class:`EventDriven`), and the engine jumps from one globally interesting
-timestamp to the next -- the minimum over every controller's next event and
-the next scheduled arrival -- instead of ticking every nanosecond.  Both
+:class:`EventDriven`), and the engine advances every controller straight
+to the next scheduled arrival (or the end of the run), letting each one
+skip its own event-free spans, instead of ticking every nanosecond.  Both
 memory controllers in this tree implement the protocol cycle-exactly, so
 results are identical to lockstep ticking, only orders of magnitude faster
 on sparse timelines.
@@ -181,16 +180,6 @@ class Simulation:
             controller.tick()
         self.now += 1
 
-    def _next_global_event(self, default: int) -> int:
-        candidates = [
-            event
-            for controller in self.controllers
-            if (event := controller.next_event_ns()) is not None
-        ]
-        if self._schedule:
-            candidates.append(self._schedule[0][0])
-        return min(candidates) if candidates else default
-
     # ----------------------------------------------------------------- runs
 
     def run_for(self, duration_ns: int) -> int:
@@ -215,37 +204,4 @@ class Simulation:
             for controller in self.controllers:
                 controller.advance_to(stop)
             self.now = stop
-        return self.now
-
-    def run_until(self, predicate: Callable[[], bool], max_ns: int = 10_000_000) -> int:
-        """Advance until ``predicate()`` is true; raises if ``max_ns`` elapses.
-
-        In event-driven mode the predicate is evaluated after every global
-        event (any controller acting, or a scheduled arrival), which is the
-        only granularity at which it can change.
-        """
-        if self._lockstep_required():
-            while not predicate():
-                if self.now >= max_ns:
-                    raise RuntimeError(
-                        f"simulation did not converge within {max_ns} ns"
-                    )
-                self.step()
-            return self.now
-        while not predicate():
-            if self.now >= max_ns:
-                raise RuntimeError(f"simulation did not converge within {max_ns} ns")
-            self._fire_due()
-            # One instant of work for every controller ...
-            for controller in self.controllers:
-                controller.advance_to(self.now + 1)
-            self.now += 1
-            if predicate():
-                break
-            # ... then jump to the next globally interesting timestamp.
-            target = self._next_global_event(default=max_ns)
-            target = max(self.now, min(target, max_ns))
-            for controller in self.controllers:
-                controller.advance_to(target)
-            self.now = target
         return self.now

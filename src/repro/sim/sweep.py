@@ -732,14 +732,9 @@ def run_sweep(
 
 # --------------------------------------------------------- channel sharding
 
-def _drain_controller(controller: Any, max_ns: Optional[int],
-                      event_driven: bool) -> Tuple[Any, int]:
+def _drain_controller(controller: Any) -> Tuple[Any, int]:
     """Sweep point: drain one channel controller to idle."""
-    if max_ns is None:
-        end = controller.run_until_idle(event_driven=event_driven)
-    else:
-        end = controller.run_until_idle(max_ns, event_driven=event_driven)
-    return controller, end
+    return controller, controller.run_until_idle()
 
 
 @dataclass(frozen=True)
@@ -758,12 +753,8 @@ class SystemRunResult:
     fallback_reason: Optional[str] = None
 
 
-def run_system_until_idle_result(
-    system: Any,
-    workers: int = 1,
-    max_ns: Optional[int] = None,
-    event_driven: bool = True,
-) -> SystemRunResult:
+def run_system_until_idle_result(system: Any,
+                                 workers: int = 1) -> SystemRunResult:
     """Drain a multi-channel memory system, reporting which path ran.
 
     ``system`` is a :class:`~repro.sim.memory_system.ConventionalMemorySystem`
@@ -775,15 +766,10 @@ def run_system_until_idle_result(
     order.  ``end_ns`` is the latest channel's end time.
 
     ``workers=1`` drains every controller inline, in channel order, which
-    is exactly ``system.run_until_idle``; ``max_ns=None`` keeps each
-    controller's own drain deadline.
+    is exactly ``system.run_until_idle``.
     """
-    sweep = run_sweep(
-        _drain_controller,
-        [(controller, max_ns, event_driven)
-         for controller in system.controllers],
-        workers=workers,
-    )
+    sweep = run_sweep(_drain_controller, list(system.controllers),
+                      workers=workers)
     system.controllers = [controller for controller, _ in sweep.values]
     fallback_reason = sweep.stats.fallback_reason
     if len(system.controllers) <= 1 and resolve_workers(workers) > 1:

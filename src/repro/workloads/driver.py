@@ -98,9 +98,6 @@ GOODPUT_OVERLOAD_THRESHOLD = 0.9
 #: ``Checkpoint.kind`` of a mid-flight workload cut.
 _WORKLOAD_CHECKPOINT_KIND = "workload"
 
-#: ``Checkpoint.kind`` of a warm-start carry between rate steps.
-_WARM_CHECKPOINT_KIND = "workload-warm"
-
 
 @dataclass
 class WorkloadResult:
@@ -147,17 +144,15 @@ class WorkloadResult:
     peak_batch: int = 0
     peak_kv_bytes: int = 0
     evaluations: int = field(default=0, compare=False)
-    #: RAS outcome counters when the spec carried a reliability config
-    #: (``None`` otherwise).  A snapshot of the controller's counters at
-    #: collection time -- cumulative across warm-started rate steps, the
-    #: whole run for cold runs -- and part of equality: fault campaigns
+    #: The run's RAS outcome counters when the spec carried a reliability
+    #: config (``None`` otherwise), and part of equality: fault campaigns
     #: must be bit-identical like every other workload outcome.
     reliability: Optional[ReliabilityStats] = None
     #: Trace events / windowed metric series recorded when the spec
     #: carried an enabled :class:`~repro.obs.config.ObsConfig` (``None``
-    #: otherwise).  Snapshots at collection time, like ``reliability``,
-    #: and part of equality: observed runs must be bit-identical across
-    #: worker counts, start methods, and checkpoint cuts.
+    #: otherwise), and part of equality: observed runs must be
+    #: bit-identical across worker counts, start methods, and checkpoint
+    #: cuts.
     trace: Optional[TraceRecorder] = None
     metrics: Optional[MetricRegistry] = None
 
@@ -292,29 +287,6 @@ def _materializer(spec: ScenarioSpec):
     return _ConventionalMaterializer(spec)
 
 
-def _reliability_snapshot(controller: Any) -> Optional[ReliabilityStats]:
-    """Copy of the controller's RAS counters (``None`` for ideal memory).
-
-    A copy, not the live object: warm-started rate steps keep mutating
-    the engine's counters after the step's result is collected.
-    """
-    if getattr(controller, "ras", None) is None:
-        return None
-    return replace(controller.ras.stats)
-
-
-def _obs_snapshot(materializer: Any) -> Tuple[Optional[TraceRecorder],
-                                              Optional[MetricRegistry]]:
-    """Copies of the run's trace/metrics (``(None, None)`` when obs is
-    off).  Copies, not the live recorders: warm-started rate steps keep
-    appending to the sink after the step's result is collected."""
-    sink = getattr(materializer, "obs", None)
-    if sink is None:
-        return None, None
-    return (sink.trace.snapshot() if sink.trace is not None else None,
-            sink.metrics.snapshot() if sink.metrics is not None else None)
-
-
 # ------------------------------------------------------------ run plumbing
 
 
@@ -348,11 +320,11 @@ def _register_arrivals(simulation: Simulation, records, materializer,
 
 
 def _finish_run(simulation: Simulation, controller: Any, horizon: int,
-                max_drain_ns: int, event_driven: bool) -> int:
+                event_driven: bool) -> int:
     """Advance through the arrival horizon, then drain to idle."""
     if simulation.now <= horizon:
         simulation.run_for(horizon - simulation.now + 1)
-    return controller.run_until_idle(horizon + max_drain_ns,
+    return controller.run_until_idle(horizon + DEFAULT_DRAIN_HORIZON_NS,
                                      event_driven=event_driven)
 
 
@@ -373,29 +345,26 @@ def _transfer_latencies(
     return overall, by_tag
 
 
-def _collect_result(spec: ScenarioSpec, transfers: int, horizon_rel_ns: int,
+def _collect_result(spec: ScenarioSpec, transfers: int, horizon_ns: int,
                     materializer, issued: Sequence[Tuple[int, Transfer, List]],
-                    end_ns: int, start_ns: int = 0, bytes_before: int = 0,
-                    evaluations_before: int = 0) -> WorkloadResult:
-    """Assemble the :class:`WorkloadResult` of a (possibly warm) run.
+                    end_ns: int) -> WorkloadResult:
+    """Assemble the :class:`WorkloadResult` of a finished run.
 
-    ``start_ns``/``bytes_before``/``evaluations_before`` are the run's
-    baseline for warm-started steps that continue on a carried
-    controller: bandwidth, overload, and evaluations are deltas against
-    the baseline, while latency samples are durations and need no offset.
+    The result holds the run's own RAS counters and obs recorders, not
+    copies: every run is collected once, after its last advance.
     """
     overall, by_tag = _transfer_latencies(issued)
     controller = materializer.controller
-    trace, metrics = _obs_snapshot(materializer)
-    tail = end_ns - (start_ns + horizon_rel_ns)
-    overloaded = (horizon_rel_ns == 0
-                  or tail > _SATURATION_TAIL_FRACTION * horizon_rel_ns)
+    ras, sink = controller.ras, materializer.obs
+    tail = end_ns - horizon_ns
+    overloaded = (horizon_ns == 0
+                  or tail > _SATURATION_TAIL_FRACTION * horizon_ns)
     return WorkloadResult(
         scenario=spec.scenario,
         system=spec.system,
         bandwidth=BandwidthResult(
-            bytes_transferred=materializer.bytes_moved() - bytes_before,
-            elapsed_ns=float(end_ns - start_ns),
+            bytes_transferred=materializer.bytes_moved(),
+            elapsed_ns=float(end_ns),
             peak_bytes_per_ns=materializer.peak_bytes_per_ns(),
         ),
         latency=LatencyResult.from_accumulators([overall]),
@@ -404,13 +373,13 @@ def _collect_result(spec: ScenarioSpec, transfers: int, horizon_rel_ns: int,
             for tag, acc in sorted(by_tag.items())
         },
         transfers=transfers,
-        horizon_ns=start_ns + horizon_rel_ns,
+        horizon_ns=horizon_ns,
         end_ns=end_ns,
         overloaded=overloaded,
-        evaluations=controller.stats.evaluations - evaluations_before,
-        reliability=_reliability_snapshot(controller),
-        trace=trace,
-        metrics=metrics,
+        evaluations=controller.stats.evaluations,
+        reliability=None if ras is None else ras.stats,
+        trace=None if sink is None else sink.trace,
+        metrics=None if sink is None else sink.metrics,
     )
 
 
@@ -447,13 +416,11 @@ def _advance_until_complete(simulation: Simulation, controller: Any,
     return max(request.completion_ns for request in requests)
 
 
-def _run_closed_loop(spec: ScenarioSpec, materializer, simulation: Simulation,
-                     *, start_ns: int = 0, bytes_before: int = 0,
-                     evaluations_before: int = 0, event_driven: bool = True,
-                     max_drain_ns: int = DEFAULT_DRAIN_HORIZON_NS,
+def _run_closed_loop(spec: ScenarioSpec, *,
                      plan: Optional[ServingPlan] = None,
+                     event_driven: bool = True,
                      ) -> Tuple[WorkloadResult, ClosedLoopServer]:
-    """Run ``spec`` closed-loop on an existing materializer/simulation.
+    """Run ``spec`` closed-loop on a fresh controller.
 
     The loop: ask the server for the next launch instant, advance the
     engine to it, register the launch through ``Simulation.at`` (firing
@@ -475,14 +442,15 @@ def _run_closed_loop(spec: ScenarioSpec, materializer, simulation: Simulation,
     layer replays *routed* arrival instants through the same loop, so a
     replica's episode is the plain closed-loop run of its assignment.
     """
+    materializer = _materializer(spec)
     controller = materializer.controller
+    simulation = _make_simulation(controller, event_driven)
     if plan is None:
         plan = serving_plan(spec)
-    times = [start_ns + time_ns for time_ns in plan.arrival_times_ns]
-    server = ClosedLoopServer(plan.serving, times,
-                              obs=getattr(materializer, "obs", None))
-    horizon_abs = max(times) if times else start_ns
-    deadline_ns = horizon_abs + max_drain_ns
+    server = ClosedLoopServer(plan.serving, plan.arrival_times_ns,
+                              obs=materializer.obs)
+    horizon_ns = max(plan.arrival_times_ns, default=0)
+    deadline_ns = horizon_ns + DEFAULT_DRAIN_HORIZON_NS
     interval = plan.serving.iteration_interval_ns
     issued: List[Tuple[int, Transfer, List]] = []
     while True:
@@ -518,33 +486,25 @@ def _run_closed_loop(spec: ScenarioSpec, materializer, simulation: Simulation,
         server.finish_iteration(launch, completion)
     end_ns = controller.run_until_idle(deadline_ns,
                                        event_driven=event_driven)
-    result = _collect_closed_result(
-        spec, materializer, issued, server, horizon_abs, end_ns,
-        start_ns=start_ns, bytes_before=bytes_before,
-        evaluations_before=evaluations_before,
-    )
+    result = _collect_closed_result(spec, materializer, issued, server,
+                                    horizon_ns, end_ns)
     return result, server
 
 
 def _collect_closed_result(spec: ScenarioSpec, materializer,
                            issued: Sequence[Tuple[int, Transfer, List]],
-                           server: ClosedLoopServer, horizon_abs_ns: int,
-                           end_ns: int, *, start_ns: int, bytes_before: int,
-                           evaluations_before: int) -> WorkloadResult:
+                           server: ClosedLoopServer, horizon_ns: int,
+                           end_ns: int) -> WorkloadResult:
     """Assemble a closed-loop :class:`WorkloadResult` with SLO accounting.
 
     Offered rate and goodput share one denominator -- the arrival horizon
     -- so ``goodput <= offered`` holds by construction (``slo_met`` never
     exceeds ``requests``); ``overloaded`` derives from their ratio.
     """
-    overall, by_tag = _transfer_latencies(issued)
-    controller = materializer.controller
-    trace, metrics = _obs_snapshot(materializer)
     slo = spec.slo if spec.slo is not None else SLOSpec()
-    horizon_rel = horizon_abs_ns - start_ns
     total = len(server.records)
     met = sum(1 for record in server.records if record.meets(slo))
-    elapsed_s = max(horizon_rel, 1) / 1e9
+    elapsed_s = max(horizon_ns, 1) / 1e9
     offered = total / elapsed_s
     goodput = met / elapsed_s
     ttft_acc = LatencyAccumulator()
@@ -554,24 +514,10 @@ def _collect_closed_result(spec: ScenarioSpec, materializer,
             ttft_acc.record(record.ttft_ns)
         if record.tpot_ns is not None:
             tpot_acc.record(record.tpot_ns)
-    overloaded = goodput < GOODPUT_OVERLOAD_THRESHOLD * offered
-    return WorkloadResult(
-        scenario=spec.scenario,
-        system=spec.system,
-        bandwidth=BandwidthResult(
-            bytes_transferred=materializer.bytes_moved() - bytes_before,
-            elapsed_ns=float(end_ns - start_ns),
-            peak_bytes_per_ns=materializer.peak_bytes_per_ns(),
-        ),
-        latency=LatencyResult.from_accumulators([overall]),
-        latency_by_tag={
-            tag: LatencyResult.from_accumulators([acc])
-            for tag, acc in sorted(by_tag.items())
-        },
-        transfers=len(issued),
-        horizon_ns=horizon_abs_ns,
-        end_ns=end_ns,
-        overloaded=overloaded,
+    return replace(
+        _collect_result(spec, len(issued), horizon_ns, materializer, issued,
+                        end_ns),
+        overloaded=goodput < GOODPUT_OVERLOAD_THRESHOLD * offered,
         requests=total,
         rejected=server.rejected,
         slo=slo,
@@ -582,17 +528,12 @@ def _collect_closed_result(spec: ScenarioSpec, materializer,
         tpot=LatencyResult.from_accumulators([tpot_acc]),
         peak_batch=server.peak_batch,
         peak_kv_bytes=server.peak_kv_bytes,
-        evaluations=controller.stats.evaluations - evaluations_before,
-        reliability=_reliability_snapshot(controller),
-        trace=trace,
-        metrics=metrics,
     )
 
 
 def run_workload(spec: ScenarioSpec,
                  schedule: Optional[ArrivalSchedule] = None,
-                 event_driven: bool = True,
-                 max_drain_ns: int = DEFAULT_DRAIN_HORIZON_NS) -> WorkloadResult:
+                 event_driven: bool = True) -> WorkloadResult:
     """Compile ``spec`` (unless a ``schedule`` is given) and simulate it.
 
     A spec with ``closed_loop=True`` runs through the completion-gated
@@ -610,11 +551,7 @@ def run_workload(spec: ScenarioSpec,
             raise ValueError(
                 "closed-loop runs build their own iteration schedule; "
                 "schedule= applies to open-loop runs only")
-        materializer = _materializer(spec)
-        simulation = _make_simulation(materializer.controller, event_driven)
-        result, _ = _run_closed_loop(
-            spec, materializer, simulation, event_driven=event_driven,
-            max_drain_ns=max_drain_ns)
+        result, _ = _run_closed_loop(spec, event_driven=event_driven)
         return result
     if schedule is None:
         schedule = build_schedule(spec)
@@ -624,8 +561,7 @@ def run_workload(spec: ScenarioSpec,
     issued: List[Tuple[int, Transfer, List]] = []
     _register_arrivals(simulation, schedule, materializer, issued)
     horizon = schedule.horizon_ns
-    end_ns = _finish_run(simulation, controller, horizon, max_drain_ns,
-                         event_driven)
+    end_ns = _finish_run(simulation, controller, horizon, event_driven)
     return _collect_result(spec, len(schedule), horizon, materializer,
                            issued, end_ns)
 
@@ -655,7 +591,7 @@ class _WorkloadState:
 
 def checkpoint_workload(spec: ScenarioSpec, at_ns: int,
                         schedule: Optional[ArrivalSchedule] = None,
-                        event_driven: bool = True) -> Checkpoint:
+                        ) -> Checkpoint:
     """Run ``spec`` up to ``at_ns`` and capture the in-flight state.
 
     The cut instant is handed to the controllers as a plain ``advance_to``
@@ -669,19 +605,19 @@ def checkpoint_workload(spec: ScenarioSpec, at_ns: int,
 
     Closed-loop specs are rejected: their launch instants depend on
     completion feedback, so a cut cannot be replayed from a schedule.
-    Use the :func:`find_max_sustainable_rate` probe journal or
-    warm-started :func:`rate_sweep` steps for resumability instead.
+    The :func:`find_max_sustainable_rate` probe journal is what makes a
+    closed-loop search resumable instead.
     """
     if spec.closed_loop:
         raise CheckpointError(
             "closed-loop runs cannot be cut mid-flight (launches depend "
-            "on completion feedback); use the rate-search journal or "
-            "warm-started rate_sweep steps for resumability")
+            "on completion feedback); use the rate-search journal for "
+            "resumability")
     if schedule is None:
         schedule = build_schedule(spec)
     materializer = _materializer(spec)
     controller = materializer.controller
-    simulation = _make_simulation(controller, event_driven)
+    simulation = _make_simulation(controller, True)
     issued: List[Tuple[int, Transfer, List]] = []
     _register_arrivals(simulation, schedule, materializer, issued)
     if at_ns > simulation.now:
@@ -704,9 +640,8 @@ def checkpoint_workload(spec: ScenarioSpec, at_ns: int,
     )
 
 
-def resume_workload(checkpoint: Checkpoint, event_driven: bool = True,
-                    max_drain_ns: int = DEFAULT_DRAIN_HORIZON_NS,
-                    ) -> WorkloadResult:
+def resume_workload(checkpoint: Checkpoint,
+                    event_driven: bool = True) -> WorkloadResult:
     """Finish a workload cut by :func:`checkpoint_workload`.
 
     Restores the pickled state graph, re-registers the pending arrivals
@@ -730,7 +665,7 @@ def resume_workload(checkpoint: Checkpoint, event_driven: bool = True,
                                   now=state.now_ns)
     _register_arrivals(simulation, state.pending, materializer, state.issued)
     end_ns = _finish_run(simulation, controller, state.horizon_ns,
-                         max_drain_ns, event_driven)
+                         event_driven)
     return _collect_result(state.spec, state.transfers, state.horizon_ns,
                            materializer, state.issued, end_ns)
 
@@ -775,102 +710,19 @@ def workload_sweep(specs: Sequence[ScenarioSpec],
                      on_error=on_error, fault_plan=fault_plan)
 
 
-def _warm_rate_steps(spec: ScenarioSpec, rates_per_s: Sequence[float],
-                     event_driven: bool,
-                     max_drain_ns: int) -> List[WorkloadResult]:
-    """Run one system's rate steps serially, each warm-started.
-
-    Step 0 runs cold; every later step restores the previous step's
-    steady-state checkpoint (a :data:`_WARM_CHECKPOINT_KIND` round-trip
-    through pickled bytes, proving the carried state is genuinely
-    restorable) and continues on the same controller: row cursors, open
-    state, and refresh phase carry over instead of re-ramping from cold.
-    Per-step bandwidth/overload/evaluations are deltas against the
-    step's start, so each :class:`WorkloadResult` describes its own step.
-
-    Closed-loop specs run their iteration loop on the carried controller
-    (arrival instants offset to the step's start), so the goodput search
-    probes a channel that is already warm.
-    """
-    results: List[WorkloadResult] = []
-    materializer = None
-    for rate in rates_per_s:
-        step_spec = spec.with_rate(rate)
-        if materializer is None:
-            materializer = _materializer(step_spec)
-        controller = materializer.controller
-        start_ns = controller.now
-        bytes_before = materializer.bytes_moved()
-        evaluations_before = controller.stats.evaluations
-        simulation = _make_simulation(controller, event_driven,
-                                      now=start_ns)
-        if step_spec.closed_loop:
-            result, _ = _run_closed_loop(
-                step_spec, materializer, simulation, start_ns=start_ns,
-                bytes_before=bytes_before,
-                evaluations_before=evaluations_before,
-                event_driven=event_driven, max_drain_ns=max_drain_ns,
-            )
-            results.append(result)
-        else:
-            schedule = build_schedule(step_spec)
-            issued: List[Tuple[int, Transfer, List]] = []
-            _register_arrivals(
-                simulation,
-                [(start_ns + time_ns, transfer)
-                 for time_ns, transfer in schedule],
-                materializer, issued,
-            )
-            horizon = start_ns + schedule.horizon_ns
-            end_ns = _finish_run(simulation, controller, horizon,
-                                 max_drain_ns, event_driven)
-            results.append(_collect_result(
-                step_spec, len(schedule), schedule.horizon_ns, materializer,
-                issued, end_ns, start_ns=start_ns, bytes_before=bytes_before,
-                evaluations_before=evaluations_before,
-            ))
-        carried = make_checkpoint(
-            kind=_WARM_CHECKPOINT_KIND,
-            now_ns=controller.now,
-            state=materializer,
-            meta={"system": step_spec.system, "rate_per_s": rate},
-        )
-        materializer = carried.state()
-    return results
-
-
 def rate_sweep(spec: ScenarioSpec, rates_per_s: Sequence[float],
                systems: Sequence[str] = ("rome", "hbm4"),
                workers: int = 1,
                *,
-               warm_start: bool = False,
                journal: Optional[str] = None,
-               event_driven: bool = True,
-               max_drain_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                ) -> List[WorkloadResult]:
     """Sweep ``spec`` over arrival rates for one or both controllers.
 
     Points are ordered rate-major, system-minor and shard across workers
-    exactly like drain points (the CLI ``workload`` command's backend).
-
-    ``warm_start=True`` switches to serial per-system execution where
-    each rate step restores the previous step's steady-state checkpoint
-    instead of re-ramping from cold -- the closed-loop goodput-search
-    mode; results stay rate-major, system-minor.  ``journal`` (cold path
-    only; warm steps depend on execution order) makes a killed sweep
-    resumable.
+    exactly like drain points (the CLI ``workload`` command's backend);
+    each point is one cold :func:`run_workload`.  ``journal`` makes a
+    killed sweep resumable.
     """
-    if warm_start:
-        per_system = [
-            _warm_rate_steps(spec.with_system(system), rates_per_s,
-                             event_driven, max_drain_ns)
-            for system in systems
-        ]
-        return [
-            steps[rate_index]
-            for rate_index in range(len(list(rates_per_s)))
-            for steps in per_system
-        ]
     points = [
         spec.with_rate(rate).with_system(system)
         for rate in rates_per_s
@@ -946,19 +798,18 @@ def find_max_sustainable_rate(spec: ScenarioSpec, low_per_s: float,
                               threshold: float = GOODPUT_OVERLOAD_THRESHOLD,
                               probes: int = 8,
                               journal: Optional[str] = None,
-                              event_driven: bool = True,
-                              max_drain_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                               ) -> RateSearchResult:
     """Deterministic bisection for the max sustainable arrival rate.
 
     A rate is *sustainable* when the closed-loop goodput fraction
     (requests/s meeting both SLOs over requests/s offered) clears
     ``threshold``.  The search probes the bracket ends, then bisects --
-    at most ``probes`` runs total.  Every probe is one warm-started
-    :func:`rate_sweep` step on ``spec.system``, so the search is a pure
-    function of ``(spec, low, high, threshold, probes)``: float midpoints
-    are exact IEEE halves and the simulation underneath is bit-identical,
-    making the final rate reproducible anywhere.
+    at most ``probes`` runs total.  Every probe is one cold closed-loop
+    run of ``spec.system`` at its rate, made through :func:`rate_sweep`,
+    so the search is a pure function of ``(spec, low, high, threshold,
+    probes)``: float midpoints are exact IEEE halves and the simulation
+    underneath is bit-identical, making the final rate reproducible
+    anywhere.
 
     ``journal`` names an append-only JSONL file recording each probe's
     outcome.  Re-running with the same arguments replays the journaled
@@ -996,9 +847,7 @@ def find_max_sustainable_rate(spec: ScenarioSpec, low_per_s: float,
                               evaluations=entry.get("evaluations", 0))
         else:
             started = time.perf_counter()
-            result = rate_sweep(spec, [rate], systems=(spec.system,),
-                                warm_start=True, event_driven=event_driven,
-                                max_drain_ns=max_drain_ns)[0]
+            result = rate_sweep(spec, [rate], systems=(spec.system,))[0]
             wall_s = time.perf_counter() - started
             probe = RateProbe(rate_per_s=rate,
                               goodput_per_s=result.goodput_per_s,

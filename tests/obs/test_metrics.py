@@ -56,14 +56,6 @@ class TestSeries:
         series.add(150, 4.0)  # late: new window between existing ones
         assert series.points() == ((0, 2.0), (1, 4.0), (2, 1.0))
 
-    def test_snapshot_is_independent(self):
-        series = MetricSeries("c", "counter", interval_ns=100, capacity=8)
-        series.add(10, 1.0)
-        frozen = series.snapshot()
-        series.add(20, 1.0)
-        assert frozen.points() == ((0, 1.0),)
-        assert series.points() == ((0, 2.0),)
-
     @given(updates=st.lists(
         st.tuples(st.integers(min_value=0, max_value=10_000),
                   st.floats(min_value=-100, max_value=100,

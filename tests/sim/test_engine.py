@@ -38,21 +38,6 @@ def test_on_cycle_hook_can_inject_requests():
     assert injected[0].issue_ns >= 10
 
 
-def test_run_until_predicate():
-    controller = _controller()
-    request = RowRequest(kind=RowRequestKind.RD_ROW, vba=0, row=0)
-    controller.enqueue(request)
-    sim = Simulation(controllers=[controller])
-    end = sim.run_until(lambda: request.completion_ns is not None)
-    assert end >= 1
-
-
-def test_run_until_raises_on_timeout():
-    sim = Simulation(controllers=[_controller()])
-    with pytest.raises(RuntimeError):
-        sim.run_until(lambda: False, max_ns=10)
-
-
 def test_scheduled_arrivals_match_per_ns_injection():
     """Simulation.at() in event mode must reproduce the legacy per-ns
     on_cycle injection exactly."""
@@ -85,17 +70,6 @@ def test_event_run_for_lands_exactly_on_end():
     sim = Simulation(controllers=controllers)
     assert sim.run_for(123_456) == 123_456
     assert all(c.now == 123_456 for c in controllers)
-
-
-def test_event_run_until_sees_scheduled_arrivals():
-    controller = _controller()
-    request = RowRequest(kind=RowRequestKind.RD_ROW, vba=0, row=0,
-                         arrival_ns=50)
-    sim = Simulation(controllers=[controller])
-    sim.at(50, lambda now: controller.enqueue(request))
-    end = sim.run_until(lambda: request.completion_ns is not None)
-    assert request.issue_ns == 50
-    assert end >= 50
 
 
 # ------------------------------------------------------ at() edge semantics

@@ -69,6 +69,29 @@ def test_harness_modules_load_and_install_every_probe(harness):
     assert tracer.calls == {}
 
 
+def test_rate_search_probes_through_the_module_rate_sweep(monkeypatch):
+    """``cases.ServeHbm4.run`` captures each probe by patching
+    ``driver.rate_sweep``: the search must call that module global once
+    per executed probe, with the probe's result at element ``[0]``."""
+    from repro.sim.bench import sustainable_rate_spec
+    from repro.workloads import driver
+
+    calls = []
+    original = driver.rate_sweep
+
+    def counting(*args, **kwargs):
+        results = original(*args, **kwargs)
+        calls.append(results)
+        return results
+
+    monkeypatch.setattr(driver, "rate_sweep", counting)
+    search = driver.find_max_sustainable_rate(
+        sustainable_rate_spec("rome"), 50_000.0, 5_000_000.0, probes=4)
+    assert len(calls) == search.executed_probes == len(search.probes) == 4
+    assert [results[0].goodput_per_s for results in calls] \
+        == [probe.goodput_per_s for probe in search.probes]
+
+
 def test_trace_cache_stub_keeps_the_harness_api():
     from repro.trace_cache import reset_trace_cache, trace_cache_stats
 

@@ -24,8 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.latency import LatencyAccumulator
+from repro.obs import ObsConfig
+from repro.reliability import ReliabilityConfig
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.stats import LatencyResult
+from repro.workloads import driver
 from repro.workloads.driver import (
     checkpoint_workload,
     find_max_sustainable_rate,
@@ -483,6 +486,44 @@ class TestFindMaxSustainableRate:
     def test_invalid_arguments_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             find_max_sustainable_rate(_spec(), **kwargs)
+
+    @pytest.mark.parametrize("system, probes, extra", [
+        ("rome", 8, {}),
+        ("hbm4", 3, {}),
+        ("rome", 4, dict(obs=ObsConfig(trace=True, metrics=True))),
+        ("rome", 4, dict(reliability=ReliabilityConfig(
+            seed=11, transient_ber=2e-5, hard_row_rate=0.05,
+            scrub_interval_ns=1_000))),
+    ], ids=["rome", "hbm4", "rome-obs", "rome-faults"])
+    def test_each_probe_is_the_cold_run_of_its_rate(self, monkeypatch,
+                                                    system, probes, extra):
+        """Each probe -- and the whole result behind it, trace, metrics
+        and RAS counters included -- is ``run_workload`` at its rate."""
+        captured = []
+        original = driver.rate_sweep
+
+        def capture(*args, **kwargs):
+            results = original(*args, **kwargs)
+            captured.append(results[0])
+            return results
+
+        monkeypatch.setattr(driver, "rate_sweep", capture)
+        spec = _spec(system=system, **extra)
+        search = find_max_sustainable_rate(spec, *self.BRACKET,
+                                           probes=probes)
+        assert len(search.probes) == len(captured) == probes
+        for probe, result in zip(search.probes, captured):
+            cold = run_workload(spec.with_rate(probe.rate_per_s))
+            assert probe.goodput_per_s == cold.goodput_per_s
+            assert probe.goodput_fraction == cold.goodput_fraction
+            assert probe.evaluations == cold.evaluations
+            assert result == cold
+        if "obs" in extra:
+            assert all(result.trace.events and result.metrics.names()
+                       for result in captured)
+        if "reliability" in extra:
+            assert all(result.reliability.reads_checked > 0
+                       for result in captured)
 
     @pytest.mark.slow
     def test_hbm4_search_is_deterministic(self):
