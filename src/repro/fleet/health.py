@@ -28,7 +28,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.reliability.taxonomy import ReplicaFaultKind
@@ -148,11 +149,25 @@ class ReplicaTimeline:
 
     A pure value: frozen, picklable, and comparable, so timelines ride
     inside results and equality checks like every other outcome object.
+    Events must be in non-decreasing ``at_ns`` order: the router's
+    queries bisect an instant index derived from them, which takes no
+    part in equality or repr.
     """
 
     replica: int
     horizon_ns: int
     events: Tuple[HealthEvent, ...] = ()
+    _instants: List[int] = field(init=False, repr=False, compare=False)
+    _downs: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        instants = [event.at_ns for event in self.events]
+        if instants != sorted(instants):
+            raise ValueError("health events must be in time order")
+        object.__setattr__(self, "_instants", instants)
+        object.__setattr__(self, "_downs", [
+            event.at_ns for event in self.events
+            if event.kind is ReplicaFaultKind.DOWN])
 
     @property
     def kinds(self) -> Tuple[ReplicaFaultKind, ...]:
@@ -161,19 +176,17 @@ class ReplicaTimeline:
 
     def health_at(self, at_ns: int) -> ReplicaHealth:
         """State after the last transition at or before ``at_ns``."""
-        state = ReplicaHealth.HEALTHY
-        for event in self.events:
-            if event.at_ns > at_ns:
-                break
-            state = _STATE_AFTER[event.kind]
-        return state
+        index = bisect_right(self._instants, at_ns)
+        if index == 0:
+            return ReplicaHealth.HEALTHY
+        return _STATE_AFTER[self.events[index - 1].kind]
 
     def goes_down_within(self, start_ns: int, end_ns: int) -> bool:
         """Whether a ``DOWN`` transition lands in ``(start_ns, end_ns]``
         -- the router's "request was in flight on a dying replica" test."""
-        return any(event.kind is ReplicaFaultKind.DOWN
-                   and start_ns < event.at_ns <= end_ns
-                   for event in self.events)
+        downs = self._downs
+        index = bisect_right(downs, start_ns)
+        return index < len(downs) and downs[index] <= end_ns
 
     def down_ns(self, up_to_ns: Optional[int] = None) -> int:
         """Total time spent ``DOWN`` within ``[0, min(horizon, up_to)]``."""

@@ -198,9 +198,10 @@ class ModelConfig:
     # ------------------------------------------------------------ MoE stats
 
     def moe_layer_count(self) -> int:
+        """Layers that :meth:`FfnConfig.is_moe_layer` calls MoE."""
         if self.ffn.kind is not FfnKind.MOE:
             return 0
-        return self.num_layers - self.ffn.first_dense_layers
+        return max(0, self.num_layers - max(0, self.ffn.first_dense_layers))
 
     def expected_active_experts(self, tokens: int) -> float:
         """Expected number of distinct routed experts hit by ``tokens`` tokens.

@@ -116,21 +116,19 @@ def active_decode_weight_bytes(model: ModelConfig, tokens: int) -> int:
     shared experts and the router.  The LM head is read once per
     iteration; the embedding gather is negligible and ignored.
     """
-    tokens = max(1, tokens)
-    total = model.lm_head_weight_bytes()
-    hidden, dtype = model.hidden_size, model.dtype_bytes
-    for layer in range(model.num_layers):
-        total += model.attention_weight_bytes_per_layer()
-        ffn = model.ffn
-        if ffn.is_moe_layer(layer):
-            active = model.expected_active_experts(tokens)
-            expert = ffn.expert_weight_bytes(hidden, dtype)
-            total += int(active * expert)
-            total += ffn.shared_expert_weight_bytes(hidden, dtype)
-            total += ffn.router_weight_bytes(hidden, dtype)
-        else:
-            total += ffn.dense_weight_bytes(hidden, dtype)
-    return total
+    ffn, hidden, dtype = model.ffn, model.hidden_size, model.dtype_bytes
+    moe_layers = model.moe_layer_count()
+    # Every MoE layer reads the same expected expert bytes, so one
+    # truncation times the layer count equals the per-layer sum.
+    moe = (int(model.expected_active_experts(max(1, tokens))
+               * ffn.expert_weight_bytes(hidden, dtype))
+           + ffn.shared_expert_weight_bytes(hidden, dtype)
+           + ffn.router_weight_bytes(hidden, dtype))
+    return (model.lm_head_weight_bytes()
+            + model.num_layers * model.attention_weight_bytes_per_layer()
+            + (model.num_layers - moe_layers)
+            * ffn.dense_weight_bytes(hidden, dtype)
+            + moe_layers * moe)
 
 
 def prefill_weight_bytes(model: ModelConfig, prompt_tokens: int) -> int:
@@ -422,11 +420,6 @@ class ClosedLoopServer:
     @property
     def done(self) -> bool:
         return not (self._pending or self._queue or self._active)
-
-    @property
-    def admitted(self) -> int:
-        return sum(1 for record in self.records
-                   if record.admitted_ns is not None)
 
     def finishing(self) -> bool:
         """Will :meth:`finish_iteration` leave the server :attr:`done`?

@@ -10,6 +10,7 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
     HealthEvent,
@@ -18,6 +19,7 @@ from repro.fleet import (
     ReplicaHealth,
     ReplicaTimeline,
 )
+from repro.fleet.health import _STATE_AFTER
 from repro.reliability.taxonomy import ReplicaFaultKind
 
 #: The bench-smoke campaign's fault block (every replica walks the full
@@ -191,3 +193,66 @@ class TestTimelineArithmetic:
     def test_timeline_pickles_and_compares(self):
         timeline = self._timeline()
         assert pickle.loads(pickle.dumps(timeline)) == timeline
+
+    def test_unsorted_events_rejected(self):
+        with pytest.raises(ValueError, match="time order"):
+            ReplicaTimeline(replica=0, horizon_ns=100_000, events=(
+                HealthEvent(20_000, ReplicaFaultKind.DOWN),
+                HealthEvent(10_000, ReplicaFaultKind.DEGRADED),
+            ))
+
+    def test_index_survives_pickle_and_equality(self):
+        timeline = self._timeline()
+        clone = pickle.loads(pickle.dumps(timeline))
+        assert clone == timeline
+        assert repr(clone) == repr(timeline)
+        assert clone.health_at(20_000) is ReplicaHealth.DOWN
+        assert clone.goes_down_within(19_999, 20_000)
+
+
+def _scan_health_at(timeline, at_ns):
+    """Reference: walk every event up to ``at_ns``."""
+    state = ReplicaHealth.HEALTHY
+    for event in timeline.events:
+        if event.at_ns > at_ns:
+            break
+        state = _STATE_AFTER[event.kind]
+    return state
+
+
+def _scan_goes_down_within(timeline, start_ns, end_ns):
+    """Reference: test every event against ``(start_ns, end_ns]``."""
+    return any(event.kind is ReplicaFaultKind.DOWN
+               and start_ns < event.at_ns <= end_ns
+               for event in timeline.events)
+
+
+class TestQueriesMatchLinearScans:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32),
+           window_ns=st.integers(500, 5_000),
+           due_rate=st.floats(0.0, 3.0),
+           hard_failure_rate=st.floats(0.0, 1.0),
+           recovery_ns=st.integers(0, 20_000),
+           horizon_ns=st.integers(0, 200_000),
+           replica=st.integers(0, 7),
+           probes=st.lists(st.integers(-10, 250_000), max_size=20),
+           span_ns=st.integers(0, 30_000))
+    def test_bisection_equals_scan(self, seed, window_ns, due_rate,
+                                   hard_failure_rate, recovery_ns,
+                                   horizon_ns, replica, probes, span_ns):
+        config = ReplicaFaultConfig(
+            seed=seed, window_ns=window_ns, due_rate=due_rate,
+            due_threshold=2, hard_failure_rate=hard_failure_rate,
+            recovery_ns=recovery_ns)
+        timeline = ReplicaFaultProcess(config).timeline(replica, horizon_ns)
+        instants = [event.at_ns + delta for event in timeline.events
+                    for delta in (-1, 0, 1)]
+        for at_ns in instants + probes:
+            assert timeline.health_at(at_ns) is _scan_health_at(
+                timeline, at_ns)
+            for start_ns, end_ns in ((at_ns, at_ns + span_ns),
+                                     (at_ns - span_ns, at_ns),
+                                     (at_ns, at_ns - 1)):
+                assert timeline.goes_down_within(start_ns, end_ns) \
+                    == _scan_goes_down_within(timeline, start_ns, end_ns)

@@ -1,5 +1,7 @@
 """Tests for the LLM architectural configurations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.llm.models import (
@@ -74,6 +76,16 @@ def test_moe_layer_classification_with_leading_dense_layers():
     assert DEEPSEEK_V3.moe_layer_count() == 58
     assert GROK_1.moe_layer_count() == 64
     assert LLAMA_3_405B.moe_layer_count() == 0
+
+
+@pytest.mark.parametrize("first_dense_layers", [0, 1, 3, 4, 5, 9])
+def test_moe_layer_count_matches_the_per_layer_classification(
+        first_dense_layers):
+    """More leading dense layers than layers leaves zero MoE layers."""
+    model = replace(DEEPSEEK_V3, num_layers=4, ffn=replace(
+        DEEPSEEK_V3.ffn, first_dense_layers=first_dense_layers))
+    assert model.moe_layer_count() == sum(
+        model.ffn.is_moe_layer(layer) for layer in range(model.num_layers))
 
 
 def test_expected_active_experts_monotone_and_bounded():

@@ -1,8 +1,17 @@
 """Tests for the continuous-batching serving model (:mod:`repro.workloads.serving`)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.llm.models import DEEPSEEK_V3, GROK_1, LLAMA_3_405B
+from repro.llm.models import (
+    DEEPSEEK_V3,
+    GROK_1,
+    LLAMA_3_405B,
+    MODELS,
+    FfnConfig,
+    FfnKind,
+    ModelConfig,
+)
 from repro.workloads.serving import (
     DecodeServingModel,
     ServingConfig,
@@ -39,6 +48,62 @@ class TestWeightComposition:
         decode = active_decode_weight_bytes(DEEPSEEK_V3, tokens=4)
         prefill = prefill_weight_bytes(DEEPSEEK_V3, prompt_tokens=2048)
         assert prefill > 2 * decode
+
+
+def _per_layer_weight_bytes(model, tokens):
+    """Reference: the per-layer walk the closed form replaced."""
+    tokens = max(1, tokens)
+    total = model.lm_head_weight_bytes()
+    hidden, dtype = model.hidden_size, model.dtype_bytes
+    for layer in range(model.num_layers):
+        total += model.attention_weight_bytes_per_layer()
+        ffn = model.ffn
+        if ffn.is_moe_layer(layer):
+            active = model.expected_active_experts(tokens)
+            expert = ffn.expert_weight_bytes(hidden, dtype)
+            total += int(active * expert)
+            total += ffn.shared_expert_weight_bytes(hidden, dtype)
+            total += ffn.router_weight_bytes(hidden, dtype)
+        else:
+            total += ffn.dense_weight_bytes(hidden, dtype)
+    return total
+
+
+@st.composite
+def _synthetic_models(draw):
+    num_layers = draw(st.integers(1, 130))
+    if draw(st.booleans()):
+        num_experts = draw(st.integers(1, 512))
+        ffn = FfnConfig(
+            kind=FfnKind.MOE,
+            intermediate_size=draw(st.integers(1, 65536)),
+            num_experts=num_experts,
+            top_k=draw(st.integers(1, num_experts)),
+            num_shared_experts=draw(st.integers(0, 4)),
+            moe_intermediate_size=draw(st.integers(1, 65536)),
+            first_dense_layers=draw(st.integers(0, num_layers + 2)))
+    else:
+        ffn = FfnConfig(kind=FfnKind.DENSE,
+                        intermediate_size=draw(st.integers(1, 65536)))
+    base = draw(st.sampled_from(sorted(MODELS.values(),
+                                       key=lambda model: model.name)))
+    return ModelConfig(name="synthetic", num_layers=num_layers,
+                       hidden_size=draw(st.integers(1, 16384)),
+                       vocab_size=draw(st.integers(1, 262144)),
+                       attention=base.attention, ffn=ffn,
+                       dtype_bytes=draw(st.sampled_from((1, 2, 4))))
+
+
+class TestWeightClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(st.sampled_from(sorted(
+               MODELS.values(), key=lambda model: model.name)),
+               _synthetic_models()),
+           tokens=st.integers(-2, 4096))
+    def test_equals_the_per_layer_walk(self, model, tokens):
+        expected = _per_layer_weight_bytes(model, tokens)
+        assert active_decode_weight_bytes(model, tokens) == expected
+        assert prefill_weight_bytes(model, tokens) == expected
 
 
 class TestServingConfig:
