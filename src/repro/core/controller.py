@@ -30,8 +30,6 @@ The controller exposes two cycle-exact execution modes:
 
 from __future__ import annotations
 
-import bisect
-import copy
 import enum
 import heapq
 from collections import deque
@@ -53,11 +51,6 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
     from repro.obs.sink import ObsSink
     from repro.reliability.faults import ReliabilityConfig
     from repro.reliability.ras import RasEngine
-
-#: Upper bound on commands per planned burst train (memory/latency bound;
-#: the planner simply stops there and a new train picks up on the next
-#: evaluation).
-_MAX_TRAIN_COMMANDS = 4096
 
 
 class VbaState(enum.Enum):
@@ -111,7 +104,7 @@ class RoMeControllerStats:
     peak_active_fsms: int = 0
     data_bus_busy_ns: int = 0
     #: Scheduler evaluations performed (one per ``_step``/event-loop
-    #: iteration, one per applied burst train).  Excluded from equality:
+    #: iteration).  Excluded from equality:
     #: it measures the speedup mechanism, not the simulated outcome.
     evaluations: int = field(default=0, compare=False)
 
@@ -147,35 +140,6 @@ class _VbaTracker:
 
     def is_free(self, now: int) -> bool:
         return now >= self.busy_until
-
-
-@dataclass
-class RowBurstTrain:
-    """An analytically planned run of row commands plus interleaved refreshes.
-
-    ``issues`` holds ``(issue_ns, request)`` for same-kind data commands
-    riding the ``start + k * gap`` grid (shifted one nanosecond forward
-    past every refresh-consumed evaluation); ``refreshes`` holds
-    ``(issue_ns, (stack_id, vba))`` for the paired refreshes the refresh
-    scheduler provably issues inside the covered span.  Both lists are in
-    strictly increasing time order and never share an instant: the
-    controller issues at most one command per evaluation, refresh first.
-    """
-
-    issues: List[Tuple[int, RowRequest]]
-    refreshes: List[Tuple[int, Tuple[int, int]]] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.issues) + len(self.refreshes)
-
-    @property
-    def end_ns(self) -> int:
-        """Issue instant of the train's last command."""
-        last = self.issues[-1][0] if self.issues else -1
-        if self.refreshes and self.refreshes[-1][0] > last:
-            last = self.refreshes[-1][0]
-        return last
 
 
 class RoMeMemoryController:
@@ -240,8 +204,8 @@ class RoMeMemoryController:
         self._row_bytes = self.config.vba.effective_row_bytes
         # RAS: fault classification plus the retry-replay heap.  With no
         # config (or a zero-rate one) ``_ras_active`` is False and every
-        # hook below short-circuits, keeping the baseline code path (fast
-        # paths included) bit-identical.
+        # hook below short-circuits, keeping the baseline code path
+        # bit-identical.
         self.ras: Optional[RasEngine] = None
         self._ras_active = False
         self._retries: List[Tuple[int, int, RowRequest]] = []
@@ -651,280 +615,14 @@ class RoMeMemoryController:
                 wake = ras_wake
         return wake
 
-    # --------------------------------------------------------- burst trains
-
-    def _plan_burst_train(self, now: int,
-                          target_ns: int) -> Optional[RowBurstTrain]:
-        """Plan a run of same-kind row commands riding the ``gap`` grid.
-
-        Preconditions (any failure returns ``None`` and the caller falls
-        back to single-step evaluation, so results stay bit-identical):
-
-        * some command (the FIFO head, or a refresh) provably issues *now*;
-        * every train member shares the head's kind and stack ID, so the
-          inter-command gap is the constant same-kind spacing ``g`` -- which
-          also equals the channel-bus occupancy, making the issue grid
-          exactly ``now + k*g`` apart from refresh displacement;
-        * no other Table III gap is smaller than ``g`` (gap domination), so
-          no queued request of a different kind/stack can become feasible
-          between grid points and overtake the FIFO order;
-        * each member's VBA is free at its slot and a data FSM is available
-          (modeled with the planned completions; in-flight commands are
-          carried in), and backlog members have queue space by their slot.
-
-        Refresh is modeled, not avoided: the planner issues against a copy
-        of the refresh rotation, and the most urgent target's issue instant
-        -- the earliest time it is due, its VBA is free, and a refresh FSM
-        is available (or the postponement budget has run out, which
-        bypasses FSM saturation) -- is interleaved with the data grid in
-        time order, refresh winning ties because ``_step`` tries it first.
-        A refresh consumes its evaluation instant, so a data command
-        landing on the same nanosecond shifts one forward, exactly as the
-        per-nanosecond core behaves.  The train ends at the first instant
-        the model cannot vouch for (kind/stack change, VBA still busy --
-        possibly because a planned refresh stalled it -- FSM saturation, or
-        queue-capacity stall): past that point a younger request could
-        legally overtake, so the caller's single-step path takes over.
-        """
-        queue = self.queue
-        unissued = [r for r in queue if r.issue_ns is None]
-        if not unissued:
-            return None
-        head = unissued[0]
-        is_read = head.kind is RowRequestKind.RD_ROW
-        kind = head.kind
-        stack = head.stack_id
-        gap_table = self._gap_table
-        g = gap_table[(is_read, is_read, True)]
-        if g <= 0 or any(
-            gap_table[(is_read, next_read, same_stack)] < g
-            for next_read in (True, False)
-            for same_stack in (True, False)
-        ):
-            return None
-        last_allowed = target_ns - 1
-        if last_allowed < now:
-            return None
-
-        vbas = self._vbas
-        duration = self._duration[is_read]
-        occupancy_ns = self._occupancy[is_read]
-        capacity = self.config.request_queue_depth
-        max_fsms = self.config.max_data_fsms
-
-        refresh = self.refresh
-        if refresh is not None:
-            # The planner issues against a copy of the live rotation.
-            refresh = copy.copy(refresh)
-            slack = refresh.slack_ns()
-            stall = refresh.stall_ns()
-            max_ref_fsms = self.config.max_refresh_fsms
-            # Future release instants of VBAs currently refreshing (the
-            # modeled refresh-FSM pool; planned refreshes are merged in).
-            ref_releases = sorted(
-                busy_until for busy_until, key in self._busy_heap
-                if busy_until > now
-                and vbas[key].state is VbaState.REFRESHING
-            )
-
-        inflight = sorted(
-            r.completion_ns for r in queue if r.issue_ns is not None
-        )
-        n_inflight = len(inflight)
-        occupancy = len(queue)
-        backlog_iter = iter(self._backlog)
-
-        issues: List[Tuple[int, RowRequest]] = []
-        refreshes: List[Tuple[int, Tuple[int, int]]] = []
-        vba_busy: Dict[Tuple[int, int], int] = {}
-        completions: Deque[int] = deque()
-        retired_inflight = 0
-        next_unissued = 0
-        last_action = now - 1
-        # Every instant < ``safe_until`` is provably free of unmodeled data
-        # issues: it is history (< now), within a committed issue's gap
-        # shadow (gap domination bounds *any* next data command, so a
-        # younger request of a different kind cannot overtake there), or an
-        # evaluation a planned refresh consumes.  Committing any action on
-        # or past ``safe_until`` would leave an instant where the per-step
-        # scheduler might act unmodeled, so the train ends instead.
-        safe_until = now
-        # Modeled channel-gap state, seeded live, advanced per planned issue
-        # with the same fields ``_feasible_at`` / ``_issue`` read and write.
-        last_issue_ns = self._last_issue_ns
-        last_was_read = self._last_was_read
-        last_stack = self._last_stack
-        bus_free = self._bus_free_at
-        pending: Optional[RowRequest] = None
-        pending_from_backlog = False
-
-        def vba_free_at(key: Tuple[int, int]) -> int:
-            busy = vba_busy.get(key)
-            if busy is None:
-                busy = vbas[key].busy_until
-            return busy
-
-        while len(issues) + len(refreshes) < _MAX_TRAIN_COMMANDS:
-            # -- next data instant (strict FIFO: queue order, then backlog)
-            if pending is None:
-                if next_unissued < len(unissued):
-                    pending = unissued[next_unissued]
-                    pending_from_backlog = False
-                else:
-                    pending = next(backlog_iter, None)
-                    pending_from_backlog = True
-            if pending is None or pending.kind is not kind \
-                    or pending.stack_id != stack:
-                # Data side exhausted or no longer same-kind: the FIFO
-                # continuation is no longer provable, so the train (data
-                # and refresh alike) ends here.
-                break
-            if last_issue_ns is None or last_was_read is None:
-                start = 0
-            else:
-                start = last_issue_ns + gap_table[(
-                    last_was_read, is_read, last_stack == pending.stack_id,
-                )]
-            d_t = max(start, bus_free, last_action + 1, now)
-
-            # -- next refresh instant (most-urgent target evolution) ------
-            r_t = None
-            if refresh is not None:
-                due = refresh.due_ns()
-                rkey = refresh.most_urgent(due)
-                base = max(due, last_action + 1, now, vba_free_at(rkey))
-                # ``ref_releases`` is kept sorted, so the number of refresh
-                # FSMs still busy after ``base`` is a bisection away.
-                active = len(ref_releases) - bisect.bisect_right(ref_releases,
-                                                                 base)
-                if active < max_ref_fsms:
-                    fsm_t = base
-                else:
-                    fsm_t = ref_releases[-max_ref_fsms]
-                # Criticality (postponement budget exhausted) bypasses
-                # refresh-FSM saturation, mirroring ``_refresh_block``.
-                r_t = min(fsm_t, max(base, due + slack))
-
-            if r_t is not None and r_t <= d_t:
-                if r_t > last_allowed or r_t > safe_until:
-                    break
-                refresh.note_issued(rkey, r_t)
-                refreshes.append((r_t, rkey))
-                vba_busy[rkey] = r_t + stall
-                bisect.insort(ref_releases, r_t + stall)
-                # The refresh consumes this evaluation (``_step`` tries it
-                # first and issues at most one command per instant).
-                safe_until = max(safe_until, r_t + 1)
-                last_action = r_t
-                continue
-
-            if d_t > last_allowed or d_t > safe_until:
-                break
-            while (retired_inflight < n_inflight
-                   and inflight[retired_inflight] <= d_t):
-                retired_inflight += 1
-                occupancy -= 1
-            while completions and completions[0] <= d_t:
-                completions.popleft()
-                occupancy -= 1
-            if pending_from_backlog and occupancy >= capacity:
-                break
-            dkey = (pending.stack_id, pending.vba)
-            if vba_free_at(dkey) > d_t:
-                break
-            if (n_inflight - retired_inflight) + len(completions) \
-                    >= max_fsms:
-                break
-            issues.append((d_t, pending))
-            if pending_from_backlog:
-                occupancy += 1
-            else:
-                next_unissued += 1
-            completions.append(d_t + duration)
-            vba_busy[dkey] = d_t + duration
-            last_issue_ns = d_t
-            last_was_read = is_read
-            last_stack = pending.stack_id
-            bus_free = d_t + occupancy_ns
-            # Gap domination: no data command of any kind can issue before
-            # ``d_t + g``, so the shadow extends the proven-safe span.
-            safe_until = max(safe_until, d_t + g)
-            last_action = d_t
-            pending = None
-
-        if len(issues) < 2:
-            return None
-        return RowBurstTrain(issues=issues, refreshes=refreshes)
-
-    def _apply_burst_train(self, train: RowBurstTrain) -> None:
-        """Apply a planned train in one scheduler evaluation.
-
-        Each command replays the ordinary release/retire/fill/issue sequence
-        at its planned instant (so statistics, energy counters, the latency
-        accumulator, and FSM peaks come out of the very same code paths the
-        per-step core uses); data feasibility is re-validated per command,
-        refreshes replay through :meth:`_try_issue_refresh` against the
-        live refresh scheduler, and any planner divergence raises instead
-        of corrupting results.
-        """
-        vbas = self._vbas
-        max_fsms = self.config.max_data_fsms
-        issues, refreshes = train.issues, train.refreshes
-        di = ri = 0
-        while di < len(issues) or ri < len(refreshes):
-            take_refresh = ri < len(refreshes) and (
-                di >= len(issues) or refreshes[ri][0] <= issues[di][0]
-            )
-            if take_refresh:
-                t_k, key = refreshes[ri]
-                ri += 1
-                self._release_finished(t_k)
-                self._retire_completed(t_k)
-                self._fill_queue()
-                issued = False
-                if self.refresh is not None \
-                        and self.refresh.most_urgent(t_k) == key:
-                    issued, _ = self._try_issue_refresh(t_k)
-                if not issued:
-                    raise RuntimeError(
-                        f"burst-train refresh plan diverged from scheduler "
-                        f"state at t={t_k}"
-                    )
-                continue
-            t_k, request = issues[di]
-            di += 1
-            self._release_finished(t_k)
-            self._retire_completed(t_k)
-            self._fill_queue()
-            tracker = vbas[(request.stack_id, request.vba)]
-            if (self._feasible_at(request, tracker) > t_k
-                    or self._busy_data_fsms >= max_fsms):
-                raise RuntimeError(
-                    f"burst-train plan diverged from controller state at "
-                    f"t={t_k}"
-                )
-            self._issue(request, tracker, t_k)
-        obs = self._obs
-        if obs is not None and train.count:
-            start = train.issues[0][0] if train.issues else train.end_ns
-            if train.refreshes and train.refreshes[0][0] < start:
-                start = train.refreshes[0][0]
-            obs.span(start, max(train.end_ns - start, 1), "train.apply",
-                     steps=train.count)
-            obs.count(train.end_ns, "controller.evaluations")
-        self.stats.evaluations += 1
-        self.now = train.end_ns + 1
-
     def _advance(self, target_ns: int, stop_when_idle: bool = False) -> None:
         """Event-driven advance to ``target_ns`` (or until drained).
 
-        Saturated spans take the burst-train fast path: when the next run
-        of decisions is provably a same-kind row-command train -- including
-        the paired refreshes the refresh scheduler would interleave with it
-        (see :meth:`_plan_burst_train`) -- the whole run is planned and
-        applied in one scheduler evaluation and time jumps past it.  Trains
-        are truncated at ``target_ns`` so externally scheduled arrivals
-        still land cycle-exactly.
+        Each iteration is one scheduler evaluation -- release, retire,
+        fill, then refresh-before-data issue -- after which time jumps to
+        the earliest instant anything could change (:meth:`_data_wake`,
+        the refresh hint and deadline, RAS wake-ups), clamped to
+        ``target_ns`` so externally scheduled arrivals land cycle-exactly.
         """
         ras_active = self._ras_active
         while self.now < target_ns:
@@ -934,19 +632,6 @@ class RoMeMemoryController:
             self._release_finished(now)
             self._retire_completed(now)
             self._fill_queue()
-            # The burst-train planner models only data + refresh state, not
-            # mid-train retry admissions or scrub instants, so active RAS
-            # pins the event core to single-step evaluation (which the
-            # equivalence tests prove matches the tick core under faults).
-            train = None if ras_active \
-                else self._plan_burst_train(now, target_ns)
-            if train is not None:
-                if self._obs is not None:
-                    self._obs.event(now, "train.plan", steps=train.count)
-                self._apply_burst_train(train)
-                if stop_when_idle and not (self._backlog or self.queue):
-                    return
-                continue
             self.stats.evaluations += 1
             issued_refresh, refresh_hint = self._try_issue_refresh(now)
             issued_data = False

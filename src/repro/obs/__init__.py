@@ -9,11 +9,12 @@ single simulated outcome:
   threaded through ``ScenarioSpec``/``FleetSpec.base``; disabled means
   no sink exists and every hook short-circuits on one ``is not None``;
 * :class:`TraceRecorder` (:mod:`repro.obs.trace`) -- bounded structured
-  events (scheduler evaluations, train plan/apply spans, refresh issues
-  and critical-PRE escalations, RAS ladder steps, serving admission /
-  rejection / prefill-chunk / decode-iteration events, fleet routing
-  decisions) with byte-deterministic Chrome trace-event JSON
-  (Perfetto-loadable) and JSONL exporters;
+  events (scheduler evaluations, the conventional controller's train
+  plan/apply spans, refresh issues and critical-PRE escalations, RAS
+  ladder steps, serving admission / rejection / prefill-chunk /
+  decode-iteration events, fleet routing decisions) with
+  byte-deterministic Chrome trace-event JSON (Perfetto-loadable) and
+  JSONL exporters;
 * :class:`MetricRegistry` + :class:`MetricSeries`
   (:mod:`repro.obs.metrics`) -- windowed time series (bandwidth, queue
   depth, running batch, KV reservation, refresh debt, DUE/SDC, replica

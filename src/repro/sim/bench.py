@@ -366,8 +366,8 @@ def measure_checkpoint_roundtrip(system: str, total_bytes: int,
     """Snapshot+restore overhead and resume bit-identity for one system.
 
     Runs a refresh-enabled streaming drain uninterrupted, then reruns it
-    with a cut at the halfway point: advance to ``end/2`` (a planned burst
-    train truncates at the cut through the arrival-truncation path),
+    with a cut at the halfway point: advance to ``end/2`` (a planned hbm4
+    burst train truncates at the cut through the arrival-truncation path),
     snapshot the controller, restore from the pickled checkpoint, and
     finish.  ``identical`` requires the resumed run to match the
     uninterrupted one bit-for-bit (end time and full stats object);

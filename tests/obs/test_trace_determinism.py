@@ -148,12 +148,21 @@ class TestEventTaxonomy:
         assert "serving.running_batch" in series
 
     def test_burst_train_spans_recorded_when_saturated(self):
-        # The saturating open-loop scenario exercises the fast path, so
-        # its trace must carry the plan/apply pair the profile keys on.
-        result = run_workload(_open_spec(obs=ON))
+        # The saturating open-loop scenario drives the conventional
+        # controller's train planner, so its trace must carry the
+        # plan/apply pair the profile keys on.
+        result = run_workload(_open_spec(system="hbm4", obs=ON))
         names = {event.name for event in result.trace.events}
         assert "train.plan" in names
         assert "train.apply" in names
+
+    def test_rome_trace_has_scheduler_evals_and_no_trains(self):
+        # The RoMe controller plans no trains: every decision it makes is
+        # one traced scheduler evaluation of its event core.
+        result = run_workload(_open_spec(obs=ON))
+        names = {event.name for event in result.trace.events}
+        assert "scheduler.eval" in names
+        assert not any(name.startswith("train.") for name in names)
 
     def test_refresh_events_recorded_when_refresh_enabled(self):
         result = run_workload(_open_spec(obs=ON, enable_refresh=True))

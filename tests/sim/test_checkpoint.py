@@ -2,9 +2,10 @@
 
 The central claim under test: a checkpoint-restore-continue run is
 **bit-identical** to the uninterrupted run, on both controllers, with
-refresh enabled, including cuts that land inside a planned burst train
-(the cut is an ``advance_to`` target, so the train truncates through the
-same arrival-truncation path a scheduled arrival uses).  Also covers the
+refresh enabled, including cuts that land inside a planned hbm4 burst
+train or a RoMe event-core jump (the cut is an ``advance_to`` target, so
+either truncates through the same arrival-truncation path a scheduled
+arrival uses).  Also covers the
 checkpoint format itself -- versioning, digest verification, on-disk
 round-trips, corrupt-file rejection -- and the engine's checkpointable
 arrival schedule.
@@ -107,10 +108,10 @@ class TestControllerBitIdentity:
 
     @pytest.mark.parametrize("system", ["rome", "hbm4"])
     def test_every_cut_point_is_bit_identical(self, system):
-        # Cuts at many offsets, including ones landing inside planned
-        # burst trains (saturated drain: the planners are engaged nearly
-        # everywhere), all truncate through the arrival-truncation path
-        # and continue bit-identically.
+        # Cuts at many offsets, including ones landing inside hbm4 burst
+        # trains or RoMe event-core jumps (saturated drain), all truncate
+        # through the arrival-truncation path and continue
+        # bit-identically.
         build = _BUILDERS[system]
         baseline = build(total_bytes=32 * 1024)
         end_ns = baseline.run_until_idle()

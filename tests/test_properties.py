@@ -173,7 +173,7 @@ def test_command_generator_conserves_row_bytes(vba_index, is_read):
     assert len(data_commands) == expansion.column_commands
 
 
-# --------------------------------------------------------------------------- burst trains
+# --------------------------------------------------------------------------- event vs tick core
 
 _rome_request_specs = st.lists(
     st.tuples(
@@ -190,12 +190,12 @@ _rome_request_specs = st.lists(
 
 @settings(max_examples=15, deadline=None)
 @given(specs=_rome_request_specs, enable_refresh=st.booleans())
-def test_rome_train_path_matches_single_step_for_random_mixes(
+def test_rome_event_core_matches_single_step_for_random_mixes(
     specs, enable_refresh
 ):
-    """The burst-train fast path and the 1-ns tick core must produce
-    identical stats, energy counters, and per-request timestamps for any
-    request mix -- the train planner may only engage when provably exact."""
+    """The event core and the 1-ns tick core must produce identical stats,
+    energy counters, and per-request timestamps for any request mix -- the
+    event core may only jump over instants where provably nothing issues."""
     fingerprints = []
     for event_driven in (False, True):
         controller = RoMeMemoryController(
