@@ -29,7 +29,7 @@ from repro.controller.scheduler import (
 from repro.defaults import DEFAULT_DRAIN_HORIZON_NS
 from repro.dram.address import AddressMapping, baseline_hbm4_mapping
 from repro.dram.channel import Channel, ChannelConfig
-from repro.dram.commands import CommandKind
+from repro.dram.commands import Command, CommandKind
 from repro.dram.energy import EnergyCounters
 from repro.dram.refresh import RefreshEngine
 from repro.dram.timing import TimingParameters
@@ -159,8 +159,10 @@ class ConventionalMemoryController:
                 f"mapping bank geometry differs from the controller's in "
                 f"{', '.join(mismatched)}")
         self.channel = Channel(self.config.channel_config(), channel_id=channel_id)
-        self.read_queue = RequestQueue(capacity=self.config.read_queue_depth)
-        self.write_queue = RequestQueue(capacity=self.config.write_queue_depth)
+        num_banks = len(self.channel.banks)
+        self.read_queue = RequestQueue(self.config.read_queue_depth, num_banks)
+        self.write_queue = RequestQueue(self.config.write_queue_depth,
+                                        num_banks)
         #: Host-side backlog: transactions waiting for queue space. Models
         #: the limited look-ahead a finite CAM provides.
         self._backlog: Deque[Transaction] = deque()
@@ -366,6 +368,7 @@ class ConventionalMemoryController:
         issued_row_command = False
         if refresh_decision is not None:
             self._issue(refresh_decision, now)
+            self._note_row(refresh_decision.command)
             issued_row_command = True
             issued_any = True
 
@@ -373,23 +376,16 @@ class ConventionalMemoryController:
         #    write-drain mode.
         priority = self.scheduler.queue_priority(self.read_queue,
                                                  self.write_queue)
-        completed = 0
         for _ in range(self.config.num_pseudo_channels):
-            column_decision = self.scheduler.pick_column(priority, now)
-            if column_decision is None:
+            transaction = self.scheduler.pick_column(priority, now)
+            if transaction is None:
                 break
-            self._issue(column_decision, now)
+            self._issue_column(transaction, now)
+            if transaction.is_read:
+                self.read_queue.remove(transaction)
+            else:
+                self.write_queue.remove(transaction)
             issued_any = True
-            transaction = column_decision.transaction
-            assert transaction is not None
-            # Marks the transaction served; the queues are swept once below.
-            self._serve_column(transaction, now)
-            completed += 1
-        if completed:
-            # One-pass retirement of everything completed this cycle instead
-            # of an O(n) remove per transaction.
-            self.read_queue.remove_served()
-            self.write_queue.remove_served()
 
         # 3. Row commands (ACT or row-conflict PRE), one per pseudo channel.
         row_budget = self.config.num_pseudo_channels - (1 if issued_row_command else 0)
@@ -398,6 +394,7 @@ class ConventionalMemoryController:
             if row_decision is None:
                 break
             self._issue(row_decision, now)
+            self._note_row(row_decision.command)
             issued_any = True
 
         if issued_any and self._obs is not None:
@@ -420,7 +417,32 @@ class ConventionalMemoryController:
         self._step(self.now)
         self.now += 1
 
+    def _issue_column(self, transaction: Transaction, now: int) -> None:
+        """Issue the RD or WR that serves ``transaction`` (its queue entry
+        is the caller's to retire)."""
+        coord = transaction.coordinate
+        kind = CommandKind.RD if transaction.is_read else CommandKind.WR
+        self.channel.issue_column(coord.pseudo_channel, kind, coord.stack_id,
+                                  coord.bank_group, coord.bank, coord.row,
+                                  now)
+        self.stats.note_command(kind)
+        self._serve_column(transaction, now)
+
+    def _note_row(self, command: Command) -> None:
+        """Keep both queues' bank machines on the row an issued ACT opened
+        or PRE closed."""
+        kind = command.kind
+        if kind is CommandKind.ACT or kind is CommandKind.PRE:
+            index = self.channel.bank_index(
+                command.pseudo_channel, command.stack_id, command.bank_group,
+                command.bank)
+            row = command.row if kind is CommandKind.ACT else None
+            self.read_queue.note_row(index, row)
+            self.write_queue.note_row(index, row)
+
     def _issue(self, decision: SchedulerDecision, now: int) -> None:
+        """Issue a refresh or row command (queue bookkeeping is the
+        caller's: :meth:`_note_row`)."""
         self.channel.issue(decision.command, now)
         self.stats.note_command(decision.command.kind)
         obs = self._obs
@@ -537,18 +559,21 @@ class ConventionalMemoryController:
     def _apply_column_train(self, train: ColumnTrain) -> None:
         """Bulk-apply a planned burst train (one scheduler evaluation).
 
-        Every planned command is replayed through ``self._issue`` at its
-        planned instant, so ``Channel.issue`` re-validates all timing
-        constraints against the live channel state and planned refreshes
-        update the live refresh engines exactly as single-step issue would
-        -- a planner divergence raises instead of silently corrupting
-        statistics.  Queue retirement, backlog refills, and the write-drain
-        flag are applied in bulk from the planner's model, which matched
-        the per-step bookkeeping exactly.
+        Every planned command is issued at its planned instant in
+        ``_step``'s order -- refresh, columns, rows -- through the same
+        validating channel calls the per-step path uses, so timing is
+        re-checked against the live channel state, planned refreshes
+        update the live refresh engines exactly as single-step issue
+        would, and a planner divergence raises instead of silently
+        corrupting statistics.  The queues (entries and bank machines),
+        backlog refills and the write-drain flag are installed in bulk
+        from the planner's model, which made exactly the per-step
+        pushes, removals and row changes.
         """
         for step in train.steps:
             t = step.time_ns
-            for decision in step.decisions:
+            decision = step.refresh
+            if decision is not None:
                 target = decision.refresh_target
                 if target is not None:
                     # The planner modeled this engine's deadline state; a
@@ -568,13 +593,12 @@ class ConventionalMemoryController:
                             f"state at t={t}"
                         )
                 self._issue(decision, t)
-                transaction = decision.transaction
-                if transaction is None:
-                    continue  # planned row/refresh command (ACT/PRE/REFpb)
-                self._serve_column(transaction, t)
-        for update in train.queue_updates:
-            update.queue.apply_train(update.survivors, update.pushed,
-                                     update.peak, update.rejected)
+            for transaction in step.columns:
+                self._issue_column(transaction, t)
+            for decision in step.rows:
+                self._issue(decision, t)
+        self.read_queue.assume(train.read_queue)
+        self.write_queue.assume(train.write_queue)
         for _ in range(train.backlog_consumed):
             self._backlog.popleft()
         obs = self._obs

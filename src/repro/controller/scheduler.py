@@ -18,35 +18,37 @@ refresh engines force), it computes the whole run -- per-step picks, refresh
 splices, refill admissions, and write-drain state -- analytically in one
 evaluation and returns a :class:`ColumnTrain` the controller bulk-applies.
 The planner only *models* state (pure reads); the controller's apply path
-replays the planned commands through the ordinary ``Channel.issue``
-validation (one check per command, bank included), so a planner divergence
-raises instead of silently corrupting results.  When no dense run of at
-least ``min_steps`` instants fits before ``target_ns`` the planner returns
-``None`` and the controller falls back to single-step evaluation, keeping
-results bit-identical to the per-nanosecond core by construction.
+replays the planned commands through the ordinary ``Channel.issue`` and
+``Channel.issue_column`` validation (one check per command, bank included),
+so a planner divergence raises instead of silently corrupting results.
+When no dense run of at least ``min_steps`` instants fits before
+``target_ns`` the planner returns ``None`` and the controller falls back to
+single-step evaluation, keeping results bit-identical to the per-nanosecond
+core by construction.
 
 Bank machines
 -------------
 Work is organised per bank, as in gram/LiteDRAM's bank machines and
-multiplexer.  Each transaction carries a flat bank index (its position in
-``Channel.banks``) and a read flag, fixed at construction.  The planner keeps
-per-bank FIFOs of pending entries and per-bank hit counts, so a column pick
-tests only the banks holding a pending hit, once each, and a row pick walks
-only the banks whose oldest entry is a miss.  Readiness is asked of the
-channel with plain ints (``Channel.can_issue_column``), and a
-:class:`~repro.dram.commands.Command` is built only for a command that
-issues.  Banks resolve their own transients when read at an instant, so no
-evaluation sweeps the channel with a tick.
+multiplexer.  The bank machines live in the request queues
+(:class:`~repro.controller.queues.RequestQueue`): per flat bank index a FIFO
+of pending entries and the count of those hitting the open row, and across
+banks the admission-ordered hit heads and miss heads.  They persist across
+evaluations; the controller updates them on push, on issue, and on every ACT
+and PRE.  A column pick walks the hit heads, testing each bank once, and a
+row pick walks the miss heads.  Readiness is asked of the channel with plain
+ints (``Channel.can_issue_column``), and a column command issues the same way
+(``Channel.issue_column``), so no :class:`~repro.dram.commands.Command` is
+built for it.  The train planner models its run on forks of the live queues,
+so it starts from their machines instead of classifying every entry.  Banks
+resolve their own transients when read at an instant, so no evaluation
+sweeps the channel with a tick.
 """
 
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left, insort
-from collections import deque
-from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Transaction
@@ -67,39 +69,29 @@ _MAX_TRAIN_STEPS = 512
 
 @dataclass
 class SchedulerDecision:
-    """A command chosen for issue plus the transaction it serves (if any).
+    """A refresh or row command chosen for issue.
 
     ``critical_pre`` marks a precharge forced by a critical refresh (the
     escalation path of :meth:`FrFcfsScheduler.pick_refresh`), which is
     otherwise indistinguishable from a row-conflict precharge at issue time.
+    Column picks are transactions, not decisions (:meth:`pick_column`).
     """
 
     command: Command
-    transaction: Optional[Transaction] = None
     refresh_target: Optional[RefreshTarget] = None
     critical_pre: bool = False
 
 
 @dataclass
 class TrainStep:
-    """One planned evaluation instant of a burst train (>= 1 column issue)."""
+    """One planned evaluation instant of a burst train: its refresh
+    decision (if any), its column transactions and its row decisions, in
+    the order ``_step`` issues them."""
 
     time_ns: int
-    decisions: List[SchedulerDecision]
-
-
-@dataclass
-class QueueTrainUpdate:
-    """Bulk queue maintenance a train performs in place of per-step churn."""
-
-    queue: RequestQueue
-    survivors: List[Transaction]
-    pushed: int
-    peak: int
-    #: Failed-push count: one per covered step whose refill loop stopped on
-    #: this queue being full (mirroring ``_fill_queues``'s per-evaluation
-    #: rejected push), keeping the telemetry train/single-step invariant.
-    rejected: int = 0
+    refresh: Optional[SchedulerDecision]
+    columns: List[Transaction]
+    rows: List[SchedulerDecision]
 
 
 @dataclass
@@ -108,22 +100,23 @@ class ColumnTrain:
 
     ``steps`` hold consecutive evaluation instants (stride 1 ns -- a train
     is only planned while the channel stays saturated, i.e. every covered
-    nanosecond issues at least one command).  Steps carry the planned
-    column commands plus the refresh and row commands (REFpb, ACT, PRE)
-    the per-step scheduler would have issued.  The bulk bookkeeping fields
-    let the controller apply the queue/backlog/drain effects of the whole
-    run in one pass.
+    nanosecond issues at least one command).  The rest is the state the
+    last step leaves, which the controller installs in bulk: the queues
+    (their entries and bank machines), how many backlog entries they
+    admitted, and the write-drain flag.
     """
 
     steps: List[TrainStep]
-    queue_updates: List[QueueTrainUpdate] = field(default_factory=list)
-    backlog_consumed: int = 0
-    final_draining: bool = False
+    read_queue: RequestQueue
+    write_queue: RequestQueue
+    backlog_consumed: int
+    final_draining: bool
 
     @property
     def count(self) -> int:
-        """Total column commands in the train."""
-        return sum(len(step.decisions) for step in self.steps)
+        """Total commands in the train."""
+        return sum((step.refresh is not None) + len(step.columns)
+                   + len(step.rows) for step in self.steps)
 
     @property
     def end_ns(self) -> int:
@@ -182,81 +175,6 @@ class _BankModel:
         self.idle_at = bank.transient_until
 
 
-class _QueueModel:
-    """Modeled contents of one request queue during planning, indexed by
-    bank (one "bank machine" per bank, as in gram/LiteDRAM).
-
-    ``fifos[b]`` holds bank ``b``'s pending entry indices in queue order
-    and ``hit_counts[b]`` counts those that hit the modeled open row.
-    ``hit_heads`` lists, in queue order, the oldest pending hit of every
-    bank that has one (``first_hits[b]``): the only entries a column pick
-    tests.  ``miss_heads`` is the set of banks whose oldest pending entry
-    is a miss: ``pick_row`` acts only on such a bank, so it is non-empty
-    iff ``pick_row`` could act on this queue.
-    """
-
-    __slots__ = ("queue", "entries", "hits", "served", "live", "capacity",
-                 "pushed", "peak", "rejected", "serve_count", "fifos",
-                 "hit_counts", "first_hits", "hit_heads", "miss_heads")
-
-    def __init__(self, queue: RequestQueue, num_banks: int) -> None:
-        self.queue = queue
-        self.entries: List[Transaction] = list(queue)
-        self.hits: List[bool] = []
-        self.served: List[bool] = [False] * len(self.entries)
-        self.live = len(self.entries)
-        self.capacity = queue.capacity
-        self.pushed = 0
-        self.peak = 0
-        self.rejected = 0
-        self.serve_count = 0
-        self.fifos: List[Optional[Deque[int]]] = [None] * num_banks
-        self.hit_counts: List[int] = [0] * num_banks
-        self.first_hits: List[Optional[int]] = [None] * num_banks
-        self.hit_heads: List[int] = []
-        self.miss_heads: Set[int] = set()
-
-    def mark(self) -> Tuple[int, int, int, int, int]:
-        """The state :meth:`rollback` restores."""
-        return (len(self.entries), self.pushed, self.peak, self.serve_count,
-                self.rejected)
-
-    def rollback(self, mark: Tuple[int, int, int, int, int]) -> None:
-        """Drop the entries appended since ``mark`` and restore the
-        tallies (served flags are reset by the caller)."""
-        length, self.pushed, self.peak, self.serve_count, self.rejected = mark
-        del self.entries[length:]
-        del self.served[length:]
-
-    def refresh_head(self, bank: int) -> None:
-        """Recompute whether ``bank``'s oldest pending entry is a miss."""
-        fifo = self.fifos[bank]
-        if fifo and not self.hits[fifo[0]]:
-            self.miss_heads.add(bank)
-        else:
-            self.miss_heads.discard(bank)
-
-    def update_first_hit(self, bank: int) -> None:
-        """Re-place ``bank``'s oldest pending hit in ``hit_heads`` after its
-        FIFO or its hit flags changed.  It is the FIFO head unless the hit
-        is queued behind an older miss."""
-        old = self.first_hits[bank]
-        new = None
-        if self.hit_counts[bank]:
-            fifo, hits = self.fifos[bank], self.hits
-            new = fifo[0]
-            if not hits[new]:
-                new = next(idx for idx in fifo if hits[idx])
-        if new == old:
-            return
-        heads = self.hit_heads
-        if old is not None:
-            del heads[bisect_left(heads, old)]
-        if new is not None:
-            insort(heads, new)
-        self.first_hits[bank] = new
-
-
 class FrFcfsScheduler:
     """First-ready FCFS scheduler over one HBM channel."""
 
@@ -270,21 +188,6 @@ class FrFcfsScheduler:
         self._draining_writes = False
 
     # ------------------------------------------------------------ utilities
-
-    def _column_command(self, transaction: Transaction) -> Command:
-        coord = transaction.coordinate
-        kind = CommandKind.RD if transaction.is_read else CommandKind.WR
-        return Command(
-            kind=kind,
-            channel=self.channel.channel_id,
-            pseudo_channel=coord.pseudo_channel,
-            stack_id=coord.stack_id,
-            bank_group=coord.bank_group,
-            bank=coord.bank,
-            row=coord.row,
-            column=coord.column,
-            request_id=transaction.request.request_id,
-        )
 
     def _act_command(self, transaction: Transaction) -> Command:
         coord = transaction.coordinate
@@ -440,46 +343,32 @@ class FrFcfsScheduler:
         self,
         queues: Iterable[Tuple[RequestQueue, bool]],
         now: int,
-    ) -> Optional[SchedulerDecision]:
-        """Pick the oldest first-ready column command.
+    ) -> Optional[Transaction]:
+        """Pick the transaction of the oldest first-ready column command.
 
         ``queues`` is an iterable of (queue, enabled) pairs in priority
         order, so the controller can prioritize reads or drain writes.
-        Queue entries are stored in arrival order, so the first transaction
-        that can legally issue is the oldest ready one (FR-FCFS).
-
-        Each bank is tested once per scan: a column command's readiness
-        depends only on its pseudo-channel/stack/bank group/bank, RD vs
-        WR, the open row (every candidate is a hit on it) and ``now`` --
-        never on the column or the request -- so once a bank's oldest hit
-        is blocked, its younger hits of the same direction are too.  The
-        test is :meth:`Channel.can_issue_column`, on plain ints; a
-        :class:`Command` is built only for the pick returned.
+        Within a queue, the oldest ready hit (FR-FCFS) is the first ready
+        one among the queue's hit heads -- each bank's oldest pending hit,
+        in admission order.  A column command's readiness depends only on
+        its pseudo-channel/stack/bank group/bank, RD vs WR, the open row
+        (every candidate is a hit on it) and ``now`` -- never on the column
+        or the request -- so a bank's younger hits are ready exactly when
+        its oldest is, and each bank is tested once.  The test is
+        :meth:`Channel.can_issue_column`, on plain ints.
         """
-        banks = self.channel.banks
         can_issue_column = self.channel.can_issue_column
-        # Blocked (bank, direction) pairs, as ``bank_index * 2 + is_read``.
-        blocked = set()
         for queue, enabled in queues:
             if not enabled:
                 continue
-            for transaction in queue:
-                if transaction.served:
-                    continue
-                index = transaction.bank_index
-                key = 2 * index + transaction.is_read
-                if key in blocked:
-                    continue
+            entries = queue.entries
+            for seq in queue.hit_heads:
+                transaction = entries[seq]
                 coord = transaction.coordinate
-                if not banks[index].is_row_hit(coord.row, now):
-                    continue
                 if can_issue_column(coord.pseudo_channel, coord.stack_id,
                                     coord.bank_group, coord.bank, coord.row,
                                     transaction.is_read, now):
-                    return SchedulerDecision(
-                        command=self._column_command(transaction),
-                        transaction=transaction)
-                blocked.add(key)
+                    return transaction
         return None
 
     # ----------------------------------------------------------- burst trains
@@ -522,20 +411,22 @@ class FrFcfsScheduler:
           the instants the per-step scheduler would issue them, instead of
           ending at the first refresh deadline.  Before that deadline the
           sweep cannot act, so it is skipped;
-        * *bank machines*: each queue model keeps, per flat bank index, a
-          FIFO of pending entries and its count of pending row hits
-          (:class:`_QueueModel`).  A column hit's readiness depends only on
-          its bank and direction, so a column pick walks the banks' oldest
-          pending hits in queue order, testing each such bank at most once,
-          and takes the first ready one -- the entry the per-step queue
-          scan would reach first.  A pick queued behind an older miss of
-          its bank ends the train;
+        * *bank machines*: each queue is modeled on a
+          :meth:`~repro.controller.queues.RequestQueue.fork` of the live
+          queue, which starts from its bank machines (per-bank FIFOs, hit
+          counts, hit heads and miss heads) and changes by the same
+          ``push``/``remove``/``note_row`` the controller applies.  A
+          column hit's readiness depends only on its bank and direction,
+          so a column pick walks the hit heads in admission order, testing
+          each bank at most once, and takes the first ready one -- the
+          entry ``pick_column`` would return.  A pick queued behind an
+          older miss of its bank ends the train;
         * *row work*: ``pick_row`` only acts on a bank whose oldest pending
-          transaction is a row miss; the planner walks those banks in the
-          order of their FIFO heads and models the row decisions exactly
-          (ACT, and the row-conflict PRE once the queue holds no pending
-          hit to the open row).  FR-FCFS issues no auto-precharging CAS, so
-          no row closes by time passing alone;
+          transaction is a row miss; the planner walks the same miss heads
+          and models the row decisions exactly (ACT, and the row-conflict
+          PRE once the queue holds no pending hit to the open row).
+          FR-FCFS issues no auto-precharging CAS, so no row closes by time
+          passing alone;
         * *picks*: readiness is modeled with exact replicas of the
           pseudo-channel CAS/ACT spacing, turnaround, data-bus, BK-BUS,
           tFAW, bank timing-window, and C/A-reuse checks, seeded from
@@ -546,8 +437,11 @@ class FrFcfsScheduler:
           every covered instant issues >= 1 command -- exactly the instants
           the event core would evaluate back-to-back anyway.
 
-        The controller replays every planned command through
-        ``Channel.issue``, which validates it once, so a divergence raises.
+        The controller issues every planned command on the live channel
+        -- columns through ``Channel.issue_column``, refresh and row
+        commands through ``Channel.issue`` -- each validated once before it
+        changes any state, so a divergence raises.  It then installs the
+        modeled queues as the live ones.
         """
         last_allowed = target_ns - 1
         if last_allowed < now + min_steps - 1:
@@ -571,6 +465,7 @@ class FrFcfsScheduler:
         # Per-bank and per-bank-group state, indexed by the flat bank index
         # (``Channel.bank_index``) and by ``bank index // banks_per_group``.
         per_group = channel.config.banks_per_group
+        per_pc = channel.config.banks_per_pseudo_channel
         bank_models = [_BankModel(bank, now) for bank in channel.banks]
         group_bus = [group.bus_busy_until
                      for pc in channel.pseudo_channels
@@ -600,50 +495,11 @@ class FrFcfsScheduler:
                 return False
             return t >= target_model(pc, target).next_pre
 
-        def classify(qm: _QueueModel, txn: Transaction) -> None:
-            index = txn.bank_index
-            hit = bank_models[index].open_row == txn.coordinate.row
-            qm.hits.append(hit)
-            fifo = qm.fifos[index]
-            if fifo is None:
-                fifo = qm.fifos[index] = deque()
-            idx = len(qm.hits) - 1
-            fifo.append(idx)
-            if hit:
-                qm.hit_counts[index] += 1
-                if qm.first_hits[index] is None:
-                    # The newest entry: ``hit_heads`` stays in queue order.
-                    qm.first_hits[index] = idx
-                    qm.hit_heads.append(idx)
-            elif len(fifo) == 1:
-                qm.miss_heads.add(index)
-
-        def reclassify(index: int, open_row: Optional[int]) -> None:
-            # A modeled ACT/PRE changed bank ``index``'s open row: recompute
-            # the hit flags of every pending entry targeting that bank.
-            for qm in (rq, wq):
-                fifo = qm.fifos[index]
-                if not fifo:
-                    continue
-                hits, entries = qm.hits, qm.entries
-                count = 0
-                for idx in fifo:
-                    flag = (open_row is not None
-                            and entries[idx].coordinate.row == open_row)
-                    hits[idx] = flag
-                    if flag:
-                        count += 1
-                qm.hit_counts[index] = count
-                qm.update_first_hit(index)
-                qm.refresh_head(index)
-
-        num_banks = len(bank_models)
-        rq = _QueueModel(read_queue, num_banks)
-        wq = _QueueModel(write_queue, num_banks)
-        for qm in (rq, wq):
-            for txn in qm.entries:
-                classify(qm, txn)
-
+        # The queue models are forks of the live queues: they start from
+        # the live bank machines and change by the same push, remove and
+        # note_row the controller applies.
+        rq = read_queue.fork()
+        wq = write_queue.fork()
         backlog_len = len(backlog)
 
         steps: List[TrainStep] = []
@@ -655,7 +511,7 @@ class FrFcfsScheduler:
             t = now + offset
             if t > last_allowed:
                 break
-            if rq.live == 0 and wq.live == 0 and bi == backlog_len:
+            if rq.is_empty and wq.is_empty and bi == backlog_len:
                 # All modeled work is exhausted, so ``_pending`` went false
                 # during the previous step and a draining per-step core
                 # stops evaluating there.  Planning further (refresh-only)
@@ -663,26 +519,17 @@ class FrFcfsScheduler:
                 # never reaches; end the train and let single-step
                 # evaluation handle whatever tail remains.
                 break
-            step_marks = (bi, draining, rq.mark(), wq.mark())
-            serves: List[Tuple[_QueueModel, int]] = []
+            # A step that cannot be planned ends the train before it, so
+            # what it changed in the queue models is undone (the timing
+            # models are not read after the last step).
+            step_start = (bi, draining, rq.mark(), wq.mark())
+            reopen = None
 
             # -- 1. refills, with _fill_queues' head-of-line semantics -----
-            violated = False
             while bi < backlog_len:
                 txn = backlog[bi]
-                qm = rq if txn.is_read else wq
-                if qm.live >= qm.capacity:
-                    # The per-step _fill_queues would have attempted (and
-                    # rejected) this push before breaking.
-                    qm.rejected += 1
+                if not (rq if txn.is_read else wq).push(txn):
                     break
-                qm.entries.append(txn)
-                qm.served.append(False)
-                classify(qm, txn)
-                qm.live += 1
-                qm.pushed += 1
-                if qm.live > qm.peak:
-                    qm.peak = qm.live
                 bi += 1
 
             # -- 1.5 refresh (exact pick_refresh mirror, modeled state) ----
@@ -713,39 +560,47 @@ class FrFcfsScheduler:
                             refresh_target=target,
                         )
                     else:
+                        reopen = (index, bm.open_row)
                         bm.open_row = None
                         bm.idle_at = t + tRP
                         if t + tRP > bm.next_act:
                             bm.next_act = t + tRP
-                        reclassify(index, None)
+                        rq.note_row(index, None)
+                        wq.note_row(index, None)
                         refresh_decision = SchedulerDecision(
                             command=self._target_pre_command(pc_index,
                                                              target),
                             critical_pre=True)
 
             # -- 2. write-drain hysteresis and queue priority --------------
-            draining = self._drain_step(draining, wq.live, wq.capacity)
-            if draining or rq.live == 0:
+            draining = self._drain_step(draining, len(wq), wq.capacity)
+            if draining or rq.is_empty:
                 priority = ((wq, True), (rq, True))
             else:
                 priority = ((rq, True), (wq, False))
 
             # -- 3. column picks (exact pick_column mirror) ----------------
             # A hit's readiness depends only on its bank and direction, so
-            # the oldest ready hit -- the entry pick_column's scan reaches
-            # first -- is the first ready one among the banks' oldest
-            # pending hits, walked in queue order.
+            # the oldest ready hit is the first ready one among the banks'
+            # oldest pending hits, walked in admission order.  Picks leave
+            # the models only once all are known: each takes its pseudo
+            # channel's column C/A slot, so a pick's bank cannot supply a
+            # later pick of the same step anyway.
             ca_used: Set[int] = set()
-            picked: List[Transaction] = []
+            picked: List[Tuple[RequestQueue, Transaction]] = []
+            violated = False
             for _ in range(num_picks):
                 found = None
                 for qm, enabled in priority:
                     if not enabled:
                         continue
                     entries = qm.entries
-                    for idx in qm.hit_heads:
-                        txn = entries[idx]
+                    for seq in qm.hit_heads:
+                        txn = entries[seq]
                         index = txn.bank_index
+                        pc = index // per_pc
+                        if pc in ca_used:
+                            continue
                         if t < group_bus[index // per_group]:
                             continue
                         is_read = txn.is_read
@@ -753,13 +608,10 @@ class FrFcfsScheduler:
                         if t < (model.next_read if is_read
                                 else model.next_write):
                             continue
-                        coord = txn.coordinate
-                        pc = coord.pseudo_channel
-                        if pc in ca_used:
-                            continue
                         pcm = pc_models[pc]
                         if t <= pcm.ca_last:
                             continue
+                        coord = txn.coordinate
                         if t + (tCL if is_read else tCWL) \
                                 < pcm.data_bus_busy_until:
                             continue
@@ -772,42 +624,30 @@ class FrFcfsScheduler:
                                 pcm.last_write_data_end, coord.bank_group,
                                 coord.stack_id, is_read):
                             continue
-                        found = (qm, idx)
+                        found = (qm, txn)
                         break
                     if found is not None:
                         break
                 if found is None:
                     break
-                qm, idx = found
-                txn = qm.entries[idx]
-                index = txn.bank_index
-                fifo = qm.fifos[index]
-                if fifo[0] != idx:
+                qm, txn = found
+                if qm.head_misses(txn.bank_index):
                     # The pick is a hit queued behind an older pending
                     # miss of its bank, which the per-bank FIFO model
                     # does not cover: end the train before this step.
                     violated = True
                     break
-                fifo.popleft()
-                serves.append((qm, idx))
-                qm.served[idx] = True
-                qm.live -= 1
-                qm.serve_count += 1
-                qm.hit_counts[index] -= 1
-                qm.update_first_hit(index)
-                qm.refresh_head(index)
-                ca_used.add(txn.coordinate.pseudo_channel)
-                picked.append(txn)
+                ca_used.add(txn.bank_index // per_pc)
+                picked.append(found)
             if violated:
-                undone = step_marks
+                undone = step_start
                 break
 
             # -- 4. commit column effects: modeled channel-state updates ---
-            # The refresh decision leads the step: ``_step`` issues it
-            # before any column or row command, and the apply path replays
-            # decisions in list order.
-            decisions = [refresh_decision] if refresh_decision else []
-            for txn in picked:
+            columns: List[Transaction] = []
+            for qm, txn in picked:
+                qm.remove(txn)
+                columns.append(txn)
                 coord = txn.coordinate
                 is_read = txn.is_read
                 pcm = pc_models[coord.pseudo_channel]
@@ -828,119 +668,105 @@ class FrFcfsScheduler:
                 recovery = column_precharge_ready(timing, is_read, t)
                 if recovery > model.next_pre:
                     model.next_pre = recovery
-                decisions.append(SchedulerDecision(
-                    command=self._column_command(txn), transaction=txn))
 
             # -- 5. row picks (exact pick_row mirror): the banks whose
-            #    oldest pending entry is a miss, in the order of those
-            #    entries.  A refresh-path command consumed one unit of the
-            #    row budget (``_step``'s ``issued_row_command``).
+            #    oldest pending entry is a miss, in admission order.  A
+            #    refresh-path command consumed one unit of the row budget
+            #    (``_step``'s ``issued_row_command``).
+            rows: List[SchedulerDecision] = []
             row_budget = num_picks - (1 if refresh_decision else 0)
-            if rq.miss_heads or wq.miss_heads:
-                for _ in range(row_budget):
-                    row_pick = None
-                    for qm, enabled in priority:
-                        if not enabled or not qm.miss_heads:
+            if not (rq.miss_heads or wq.miss_heads):
+                row_budget = 0
+            for _ in range(row_budget):
+                row_pick = None
+                for qm, enabled in priority:
+                    if not enabled:
+                        continue
+                    entries = qm.entries
+                    for seq in qm.miss_heads:
+                        txn = entries[seq]
+                        index = txn.bank_index
+                        model = bank_models[index]
+                        coord = txn.coordinate
+                        pcm = pc_models[coord.pseudo_channel]
+                        if model.open_row is not None:
+                            # Row conflict: precharge only once this queue
+                            # holds no hits to the open row.
+                            if not qm.hit_count(index) \
+                                    and t > pcm.row_ca_last \
+                                    and t >= model.next_pre:
+                                row_pick = ("pre", index, txn, model, pcm)
+                                break
                             continue
-                        fifos = qm.fifos
-                        for index in sorted(qm.miss_heads,
-                                            key=lambda b: fifos[b][0]):
-                            txn = qm.entries[fifos[index][0]]
-                            model = bank_models[index]
-                            coord = txn.coordinate
-                            pcm = pc_models[coord.pseudo_channel]
-                            if model.open_row is not None:
-                                # Row conflict: precharge only once this
-                                # queue holds no hits to the open row.
-                                if qm.hit_counts[index] == 0 \
-                                        and t > pcm.row_ca_last \
-                                        and t >= model.next_pre:
-                                    row_pick = ("pre", index, txn, model, pcm)
-                                    break
-                                continue
-                            if t <= pcm.row_ca_last or t < model.idle_at \
-                                    or t < model.next_act:
-                                continue
-                            # Same pure rule PseudoChannel._act_ready_time
-                            # delegates to, applied to the modeled state.
-                            if t < act_ready_time(
-                                    timing, pcm.last_act_time,
-                                    pcm.last_act_bank_group, pcm.act_window,
-                                    coord.bank_group):
-                                continue
-                            row_pick = ("act", index, txn, model, pcm)
-                            break
-                        if row_pick is not None:
-                            break
-                    if row_pick is None:
+                        if t <= pcm.row_ca_last or t < model.idle_at \
+                                or t < model.next_act:
+                            continue
+                        # Same pure rule PseudoChannel._act_ready_time
+                        # delegates to, applied to the modeled state.
+                        if t < act_ready_time(
+                                timing, pcm.last_act_time,
+                                pcm.last_act_bank_group, pcm.act_window,
+                                coord.bank_group):
+                            continue
+                        row_pick = ("act", index, txn, model, pcm)
                         break
-                    action, index, txn, model, pcm = row_pick
-                    coord = txn.coordinate
-                    pcm.row_ca_last = t
-                    if action == "pre":
-                        model.open_row = None
-                        model.idle_at = t + tRP
-                        if t + tRP > model.next_act:
-                            model.next_act = t + tRP
-                        reclassify(index, None)
-                        decisions.append(SchedulerDecision(
-                            command=self._pre_command(
-                                coord.pseudo_channel, coord.stack_id,
-                                coord.bank_group, coord.bank)))
-                    else:
-                        row = coord.row
-                        model.open_row = row
-                        if t + tRCDRD > model.next_read:
-                            model.next_read = t + tRCDRD
-                        if t + tRCDWR > model.next_write:
-                            model.next_write = t + tRCDWR
-                        if t + tRAS > model.next_pre:
-                            model.next_pre = t + tRAS
-                        if t + tRC > model.next_act:
-                            model.next_act = t + tRC
-                        pcm.last_act_time = t
-                        pcm.last_act_bank_group = coord.bank_group
-                        pcm.act_window.append(t)
-                        if len(pcm.act_window) > 4:
-                            pcm.act_window.pop(0)
-                        reclassify(index, row)
-                        decisions.append(SchedulerDecision(
-                            command=self._act_command(txn)))
+                    if row_pick is not None:
+                        break
+                if row_pick is None:
+                    break
+                action, index, txn, model, pcm = row_pick
+                coord = txn.coordinate
+                pcm.row_ca_last = t
+                if action == "pre":
+                    model.open_row = None
+                    model.idle_at = t + tRP
+                    if t + tRP > model.next_act:
+                        model.next_act = t + tRP
+                    rq.note_row(index, None)
+                    wq.note_row(index, None)
+                    rows.append(SchedulerDecision(
+                        command=self._pre_command(
+                            coord.pseudo_channel, coord.stack_id,
+                            coord.bank_group, coord.bank)))
+                else:
+                    row = coord.row
+                    model.open_row = row
+                    if t + tRCDRD > model.next_read:
+                        model.next_read = t + tRCDRD
+                    if t + tRCDWR > model.next_write:
+                        model.next_write = t + tRCDWR
+                    if t + tRAS > model.next_pre:
+                        model.next_pre = t + tRAS
+                    if t + tRC > model.next_act:
+                        model.next_act = t + tRC
+                    pcm.last_act_time = t
+                    pcm.last_act_bank_group = coord.bank_group
+                    pcm.act_window.append(t)
+                    if len(pcm.act_window) > 4:
+                        pcm.act_window.pop(0)
+                    rq.note_row(index, row)
+                    wq.note_row(index, row)
+                    rows.append(SchedulerDecision(
+                        command=self._act_command(txn)))
 
-            if not decisions:
-                undone = step_marks
+            if not (refresh_decision or columns or rows):
+                undone = step_start
                 break
-            steps.append(TrainStep(time_ns=t, decisions=decisions))
-
-        if undone is not None:
-            # The train ends before the undone step, so only the state the
-            # result below reads is restored: the backlog cursor, the drain
-            # flag, and each queue's entries, served flags and tallies.
-            bi, draining, read_mark, write_mark = undone
-            for qm, idx in serves:
-                qm.served[idx] = False
-            rq.rollback(read_mark)
-            wq.rollback(write_mark)
+            steps.append(TrainStep(time_ns=t, refresh=refresh_decision,
+                                   columns=columns, rows=rows))
 
         if len(steps) < min_steps:
             return None
-        updates = []
-        for qm in (rq, wq):
-            if qm.pushed == 0 and qm.serve_count == 0 and qm.rejected == 0:
-                continue
-            survivors = [
-                txn for txn, served in zip(qm.entries, qm.served) if not served
-            ]
-            updates.append(QueueTrainUpdate(
-                queue=qm.queue, survivors=survivors,
-                pushed=qm.pushed, peak=qm.peak, rejected=qm.rejected,
-            ))
-        return ColumnTrain(
-            steps=steps,
-            queue_updates=updates,
-            backlog_consumed=bi,
-            final_draining=draining,
-        )
+        if undone is not None:
+            bi, draining, read_mark, write_mark = undone
+            if reopen is not None:
+                index, row = reopen
+                rq.note_row(index, row)
+                wq.note_row(index, row)
+            rq.rollback(read_mark)
+            wq.rollback(write_mark)
+        return ColumnTrain(steps=steps, read_queue=rq, write_queue=wq,
+                           backlog_consumed=bi, final_draining=draining)
 
     def pick_row(
         self,
@@ -949,36 +775,30 @@ class FrFcfsScheduler:
     ) -> Optional[SchedulerDecision]:
         """Pick an ACT (row miss) or a PRE (row conflict).
 
-        A conflicting open row is closed only once ``queue`` holds no
+        Row work is only for a bank whose oldest pending entry misses its
+        open row: the queue's miss heads, walked in admission order.  A
+        conflicting open row is closed only once the queue holds no
         pending hit to it (open-page: hits are served before the row is
-        given up).  The pending hits are counted for every conflicting
-        bank in one pass over the queue.
+        given up).
         """
-        banks = self.channel.banks
+        can_issue = self.channel.can_issue
         for queue, enabled in queues:
             if not enabled:
                 continue
-            heads = queue.oldest_per_bank()
-            conflicts: Dict[int, int] = {}
-            for index, transaction in heads.items():
-                bank = banks[index]
-                if bank.has_open_row(now) \
-                        and bank.open_row != transaction.coordinate.row:
-                    conflicts[index] = bank.open_row
-            hits = queue.row_hit_counts(conflicts) if conflicts else conflicts
-            for index, transaction in heads.items():
-                if index in conflicts:
-                    if not hits[index]:
+            entries = queue.entries
+            for seq in queue.miss_heads:
+                transaction = entries[seq]
+                index = transaction.bank_index
+                if queue.open_row(index) is not None:
+                    if not queue.hit_count(index):
                         coord = transaction.coordinate
                         pre = self._pre_command(
                             coord.pseudo_channel, coord.stack_id,
                             coord.bank_group, coord.bank)
-                        if self.channel.can_issue(pre, now):
+                        if can_issue(pre, now):
                             return SchedulerDecision(command=pre)
                     continue
-                if banks[index].open_row is not None:
-                    continue  # a row hit: column work, not row work
                 act = self._act_command(transaction)
-                if self.channel.can_issue(act, now):
+                if can_issue(act, now):
                     return SchedulerDecision(command=act)
         return None

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.dram.address import flat_bank_index
 from repro.dram.bank import Bank
-from repro.dram.commands import Command
+from repro.dram.commands import Command, CommandKind
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import TimingParameters
 
@@ -92,12 +92,6 @@ class Channel:
             return now > self._last_col_ca_time[command.pseudo_channel]
         return now > self._last_row_ca_time[command.pseudo_channel]
 
-    def _note_ca_use(self, command: Command, now: int) -> None:
-        if command.kind.bus == "column":
-            self._last_col_ca_time[command.pseudo_channel] = now
-        else:
-            self._last_row_ca_time[command.pseudo_channel] = now
-
     # -------------------------------------------------------------- issuing
 
     def can_issue(self, command: Command, now: int) -> bool:
@@ -119,12 +113,35 @@ class Channel:
         return self.pseudo_channels[pseudo_channel].can_issue_column(
             stack_id, bank_group, bank, row, is_read, now)
 
+    def issue_column(self, pseudo_channel: int, kind: CommandKind,
+                     stack_id: int, bank_group: int, bank: int, row: int,
+                     now: int) -> None:
+        """Issue a RD/RDA/WR/WRA (``kind``) to ``row``, from plain ints.
+
+        The column twin of :meth:`can_issue_column`, and the one column
+        path: :meth:`issue` delegates every column command here.  It raises
+        ``RuntimeError`` before any state changes when the column C/A pins
+        are busy or :meth:`PseudoChannel.issue_column` rejects the command.
+        """
+        if now <= self._last_col_ca_time[pseudo_channel]:
+            raise RuntimeError(
+                f"column C/A bus busy for {kind.label} on pc{pseudo_channel} "
+                f"at t={now}")
+        self.pseudo_channels[pseudo_channel].issue_column(
+            kind, stack_id, bank_group, bank, row, now)
+        self._last_col_ca_time[pseudo_channel] = now
+
     def issue(self, command: Command, now: int) -> None:
-        if not self._ca_bus_free(command, now):
+        kind = command.kind
+        if kind.is_column:
+            self.issue_column(command.pseudo_channel, kind, command.stack_id,
+                              command.bank_group, command.bank, command.row,
+                              now)
+            return
+        if now <= self._last_row_ca_time[command.pseudo_channel]:
             raise RuntimeError(f"C/A bus busy for {command} at t={now}")
-        pc = self.pseudo_channels[command.pseudo_channel]
-        pc.issue(command, now)
-        self._note_ca_use(command, now)
+        self.pseudo_channels[command.pseudo_channel].issue(command, now)
+        self._last_row_ca_time[command.pseudo_channel] = now
 
     def last_column_ca_time(self, pseudo_channel: int) -> int:
         """Last ns the column C/A pins served ``pseudo_channel`` (snapshot)."""

@@ -262,6 +262,41 @@ class PseudoChannel:
 
     # ---------------------------------------------------------------- issue
 
+    def issue_column(self, kind: CommandKind, stack_id: int, bank_group: int,
+                     bank: int, row: int, now: int) -> None:
+        """Issue a RD/RDA/WR/WRA (``kind``) to ``row``, from plain ints.
+
+        The column twin of :meth:`issue`, which delegates every column
+        command to it: the command is validated once with
+        :meth:`can_issue_column` (its bank included), and ``RuntimeError``
+        is raised before any state changes if it may not issue.
+        """
+        is_read = kind.is_read
+        if not self.can_issue_column(stack_id, bank_group, bank, row, is_read,
+                                     now):
+            raise RuntimeError(
+                f"cannot issue {kind.label} to sid{stack_id}.bg{bank_group}"
+                f".ba{bank}.r{row} at t={now}")
+        t = self.timing
+        self.counters.note_command(kind)
+        group = self.stacks[stack_id][bank_group]
+        group.banks[bank].apply(kind, now, row)
+        group.note_cas(now)
+        self._last_cas_time = now
+        self._last_cas_bank_group = bank_group
+        self._last_cas_stack = stack_id
+        self._last_cas_was_read = is_read
+        data_start = now + (t.tCL if is_read else t.tCWL)
+        data_end = data_start + t.burst_ns
+        self._data_bus_busy_until = max(self._data_bus_busy_until, data_end)
+        self.counters.data_bus_busy_ns += t.burst_ns
+        if is_read:
+            self._last_read_data_end = data_end
+            self.counters.bytes_read += t.access_granularity_bytes
+        else:
+            self._last_write_data_end = data_end
+            self.counters.bytes_written += t.access_granularity_bytes
+
     def issue(self, command: Command, now: int) -> None:
         """Issue ``command`` and update all timing state.
 
@@ -269,11 +304,15 @@ class PseudoChannel:
         scheduler bugs are surfaced instead of silently producing wrong
         bandwidth numbers.  The command is validated once: :meth:`can_issue`
         checks its bank too, so the bank's effects are applied directly.
+        Column commands go through :meth:`issue_column`.
         """
+        kind = command.kind
+        if kind.is_column:
+            self.issue_column(kind, command.stack_id, command.bank_group,
+                              command.bank, command.row, now)
+            return
         if not self.can_issue(command, now):
             raise RuntimeError(f"cannot issue {command} at t={now}")
-        t = self.timing
-        kind = command.kind
         self.counters.note_command(kind)
         if kind is CommandKind.ACT:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
@@ -283,25 +322,6 @@ class PseudoChannel:
             self._act_window.append(now)
             while len(self._act_window) > 4:
                 self._act_window.popleft()
-        elif kind.is_column:
-            is_read = kind.is_read
-            group = self.stacks[command.stack_id][command.bank_group]
-            group.banks[command.bank].apply(kind, now, command.row)
-            group.note_cas(now)
-            self._last_cas_time = now
-            self._last_cas_bank_group = command.bank_group
-            self._last_cas_stack = command.stack_id
-            self._last_cas_was_read = is_read
-            data_start = now + (t.tCL if is_read else t.tCWL)
-            data_end = data_start + t.burst_ns
-            self._data_bus_busy_until = max(self._data_bus_busy_until, data_end)
-            self.counters.data_bus_busy_ns += t.burst_ns
-            if is_read:
-                self._last_read_data_end = data_end
-                self.counters.bytes_read += t.access_granularity_bytes
-            else:
-                self._last_write_data_end = data_end
-                self.counters.bytes_written += t.access_granularity_bytes
         elif kind is CommandKind.PRE:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
             bank.apply(kind, now, command.row)

@@ -32,11 +32,13 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 2 pickles the refresh trackers as an issue counter over a fixed
-rotation (:class:`repro.dram.refresh.RefreshRotation`).  Version 1
-payloads carried per-target deadline dicts that the version 2 trackers
-never read, so they are rejected rather than restored into a silently
-different refresh schedule.
+Version 3 pickles the conventional controller's request queues with their
+bank machines (:class:`repro.controller.queues.RequestQueue`: admission
+sequence numbers, per-bank FIFOs, hit counts and head lists).  Version 2
+queues were flat entry lists, and version 1 payloads also carried
+per-target refresh deadline dicts that the rotation-based trackers
+(:class:`repro.dram.refresh.RefreshRotation`, since version 2) never read.
+Both are rejected rather than restored into a silently different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
 format, a malicious file can execute code.  The digest detects
@@ -66,7 +68,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

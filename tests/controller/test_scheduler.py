@@ -18,8 +18,26 @@ def setup(timing):
     channel = Channel(ChannelConfig(timing=timing, num_stack_ids=1))
     scheduler = FrFcfsScheduler(channel=channel)
     mapping = replace(baseline_hbm4_mapping(num_channels=1), num_stack_ids=1)
-    queue = RequestQueue(capacity=64)
+    queue = RequestQueue(capacity=64, num_banks=len(channel.banks))
     return channel, scheduler, mapping, queue
+
+
+def _issue_row(channel, command, now, *queues):
+    """Issue an ACT or PRE and note the bank's new row in ``queues``, as
+    the controller does."""
+    channel.issue(command, now)
+    index = channel.bank_index(command.pseudo_channel, command.stack_id,
+                               command.bank_group, command.bank)
+    row = command.row if command.kind is CommandKind.ACT else None
+    for queue in queues:
+        queue.note_row(index, row)
+
+
+def _issue_column(channel, transaction, now):
+    coord = transaction.coordinate
+    kind = CommandKind.RD if transaction.is_read else CommandKind.WR
+    channel.issue_column(coord.pseudo_channel, kind, coord.stack_id,
+                         coord.bank_group, coord.bank, coord.row, now)
 
 
 def test_row_command_issued_before_column_for_closed_row(setup):
@@ -44,10 +62,10 @@ def test_column_command_prefers_oldest_ready(setup, timing):
             t.arrival_ns = request.arrival_ns
             queue.push(t)
     act = scheduler.pick_row([(queue, True)], now=0)
-    channel.issue(act.command, 0)
-    decision = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
-    assert decision is not None
-    assert decision.transaction.request is first
+    _issue_row(channel, act.command, 0, queue)
+    picked = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
+    assert picked is not None
+    assert picked.request is first
 
 
 def test_pick_row_issues_precharge_on_conflict(setup, timing):
@@ -59,10 +77,10 @@ def test_pick_row_issues_precharge_on_conflict(setup, timing):
     for t in decompose(near, mapping):
         queue.push(t)
     act = scheduler.pick_row([(queue, True)], now=0)
-    channel.issue(act.command, 0)
+    _issue_row(channel, act.command, 0, queue)
     rd = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
-    channel.issue(rd.command, timing.tRCDRD)
-    queue.remove(rd.transaction)
+    _issue_column(channel, rd, timing.tRCDRD)
+    queue.remove(rd)
     for t in decompose(far, mapping):
         queue.push(t)
     decision = scheduler.pick_row([(queue, True)], now=timing.tRAS)
@@ -78,12 +96,12 @@ def test_pick_row_keeps_row_open_while_a_hit_is_pending(setup, timing):
     far = MemoryRequest(kind=RequestKind.READ,
                         address=mapping.bytes_per_row_system, size_bytes=32)
     opened = decompose(near, mapping)
-    channel.issue(scheduler._act_command(opened[0]), 0)
+    _issue_row(channel, scheduler._act_command(opened[0]), 0, queue)
     for t in decompose(far, mapping) + decompose(near, mapping):
         queue.push(t)
     assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
     column = scheduler.pick_column([(queue, True)], now=timing.tRAS)
-    assert column.transaction.request is near
+    assert column.request is near
 
 
 def test_pick_row_keeps_an_open_row_open_without_a_conflict(setup, timing):
@@ -93,7 +111,8 @@ def test_pick_row_keeps_an_open_row_open_without_a_conflict(setup, timing):
     request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
     for t in decompose(request, mapping):
         queue.push(t)
-    channel.issue(scheduler.pick_row([(queue, True)], now=0).command, 0)
+    _issue_row(channel, scheduler.pick_row([(queue, True)], now=0).command,
+               0, queue)
     assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
     queue.remove(queue.oldest())
     assert queue.is_empty
@@ -105,12 +124,13 @@ def test_pick_row_closes_a_row_whose_hits_wait_only_in_another_queue(
     """The no-pending-hit test looks at the queue the miss came from: a
     write hit to the open row does not hold it open for a read miss."""
     channel, scheduler, mapping, queue = setup
-    write_queue = RequestQueue(capacity=64)
+    write_queue = RequestQueue(capacity=64, num_banks=len(channel.banks))
     near = MemoryRequest(kind=RequestKind.WRITE, address=0, size_bytes=32)
     far = MemoryRequest(kind=RequestKind.READ,
                         address=mapping.bytes_per_row_system, size_bytes=32)
     opened = decompose(near, mapping)
-    channel.issue(scheduler._act_command(opened[0]), 0)
+    _issue_row(channel, scheduler._act_command(opened[0]), 0, queue,
+               write_queue)
     for t in opened:
         write_queue.push(t)
     for t in decompose(far, mapping):
@@ -204,7 +224,9 @@ def test_plan_train_reports_count_and_end():
     )
     assert train is not None
     assert train.end_ns == train.steps[0].time_ns + len(train.steps) - 1
-    assert train.count == sum(len(step.decisions) for step in train.steps)
+    assert train.count == sum(
+        (step.refresh is not None) + len(step.columns) + len(step.rows)
+        for step in train.steps)
     assert train.count >= len(train.steps)  # dense: >= 1 command per instant
 
 
@@ -229,7 +251,14 @@ def _plan_cold(mc, now, min_steps, target_ns=None):
 
 def _command_key(command):
     return (command.kind, command.pseudo_channel, command.stack_id,
-            command.bank_group, command.bank, command.row, command.column)
+            command.bank_group, command.bank, command.row)
+
+
+def _column_key(transaction):
+    coord = transaction.coordinate
+    kind = CommandKind.RD if transaction.is_read else CommandKind.WR
+    return (kind, coord.pseudo_channel, coord.stack_id, coord.bank_group,
+            coord.bank, coord.row)
 
 
 def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
@@ -239,22 +268,47 @@ def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
     start = timing.tREFIpb
     train = _plan_cold(_cold_loaded_controller(), start, min_steps=1)
     assert train is not None
-    planned = [(step.time_ns, _command_key(decision.command))
-               for step in train.steps for decision in step.decisions]
+    planned, planned_columns = [], []
+    for step in train.steps:
+        t = step.time_ns
+        if step.refresh is not None:
+            planned.append((t, _command_key(step.refresh.command)))
+        for transaction in step.columns:
+            planned.append((t, _column_key(transaction)))
+            planned_columns.append((t, _column_key(transaction),
+                                    transaction.coordinate.column))
+        planned += [(t, _command_key(d.command)) for d in step.rows]
     assert any(key[0] is CommandKind.REFPB for _, key in planned)
 
+    # Recorded at the channel, where every command the controller issues
+    # passes: refresh and row commands through ``issue``, columns through
+    # ``issue_column``.
     stepper = _cold_loaded_controller()
-    issued = []
-    issue = stepper._issue
+    issued, served = [], []
+    channel = stepper.channel
+    issue, issue_column = channel.issue, channel.issue_column
+    serve = stepper._serve_column
 
-    def record(decision, now):
-        issued.append((now, _command_key(decision.command)))
-        issue(decision, now)
+    def record(command, now):
+        issued.append((now, _command_key(command)))
+        issue(command, now)
 
-    stepper._issue = record
+    def record_column(pc, kind, sid, bank_group, bank, row, now):
+        issued.append((now, (kind, pc, sid, bank_group, bank, row)))
+        issue_column(pc, kind, sid, bank_group, bank, row, now)
+
+    def record_serve(transaction, now):
+        served.append((now, _column_key(transaction),
+                       transaction.coordinate.column))
+        serve(transaction, now)
+
+    channel.issue = record
+    channel.issue_column = record_column
+    stepper._serve_column = record_serve
     for t in range(start, train.end_ns + 1):
         stepper._step(t)
     assert issued == planned
+    assert served == planned_columns
 
 
 def test_plan_train_declines_a_dense_run_shorter_than_min_steps(timing):
@@ -286,8 +340,9 @@ def test_pick_column_tests_a_blocked_bank_once(setup, timing):
     for t in bank_a + bank_b:
         queue.push(t)
     # Open B first and A one tRRDS later, so at B's tRCDRD only B is ready.
-    channel.issue(scheduler._act_command(bank_b[0]), 0)
-    channel.issue(scheduler._act_command(bank_a[0]), timing.tRRDS)
+    _issue_row(channel, scheduler._act_command(bank_b[0]), 0, queue)
+    _issue_row(channel, scheduler._act_command(bank_a[0]), timing.tRRDS,
+               queue)
     asked = []
     can_issue_column = channel.can_issue_column
 
@@ -296,7 +351,6 @@ def test_pick_column_tests_a_blocked_bank_once(setup, timing):
         return can_issue_column(pc, sid, bank_group, bank, row, is_read, now)
 
     channel.can_issue_column = spy
-    decision = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
-    assert decision is not None
-    assert decision.transaction is bank_b[0]
+    picked = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
+    assert picked is bank_b[0]
     assert asked == [1, 0]

@@ -1,5 +1,7 @@
 """Tests for the channel-level C/A sharing and aggregation."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.dram.channel import Channel, ChannelConfig
@@ -74,3 +76,65 @@ def test_data_bus_utilization_averages_pcs(channel, timing):
     )
     utilization = channel.data_bus_utilization(elapsed_ns=timing.tRCDRD + 2)
     assert 0.0 < utilization < 1.0
+
+
+# ------------------------------------------------- int-addressed column issue
+
+def _state(channel, now):
+    """Everything a command can change, after resolving the transients
+    that have ended by ``now`` (which any check does first)."""
+    for bank in channel.banks:
+        bank.tick(now)
+    return (
+        channel.command_counts(),
+        [asdict(group) for pc in channel.pseudo_channels
+         for stack in pc.stacks for group in stack],
+        [pc.cas_state_snapshot() for pc in channel.pseudo_channels],
+        [asdict(pc.counters) for pc in channel.pseudo_channels],
+        [(channel.last_column_ca_time(pc), channel.last_row_ca_time(pc))
+         for pc in range(len(channel.pseudo_channels))],
+    )
+
+
+def _open_two_banks(channel, timing):
+    """Row 5 open in bank 0 of bank groups 0 and 1 of PC 0; returns the
+    first instant both take a RD."""
+    for bank_group, now in ((0, 0), (1, timing.tRRDS)):
+        channel.issue(Command(kind=CommandKind.ACT, pseudo_channel=0,
+                              bank_group=bank_group, row=5), now=now)
+    return timing.tRRDS + timing.tRCDRD
+
+
+@pytest.mark.parametrize("case", ["closed", "other-row", "busy-ca", "tccdl"])
+def test_issue_column_rejects_before_changing_state(channel, timing, case):
+    ready = _open_two_banks(channel, timing)
+    # (pc, kind, sid, bank group, bank, row, now) of the rejected RD.
+    rejected = {
+        "closed": (0, CommandKind.RD, 0, 2, 0, 5, ready),
+        "other-row": (0, CommandKind.RD, 0, 0, 0, 6, ready),
+        "busy-ca": (0, CommandKind.RD, 0, 1, 0, 5, ready),
+        "tccdl": (0, CommandKind.RD, 0, 0, 0, 5, ready + timing.tCCDS),
+    }[case]
+    if case in ("busy-ca", "tccdl"):
+        channel.issue_column(0, CommandKind.RD, 0, 0, 0, 5, ready)
+    assert timing.tCCDS < timing.tCCDL
+    now = rejected[-1]
+    assert not channel.can_issue_column(*rejected[:1], *rejected[2:6],
+                                        True, now)
+    before = _state(channel, now)
+    with pytest.raises(RuntimeError):
+        channel.issue_column(*rejected)
+    assert _state(channel, now) == before
+
+
+@pytest.mark.parametrize("kind", [CommandKind.RD, CommandKind.WR])
+def test_issue_column_equals_issue_of_the_same_command(timing, kind):
+    by_command = Channel(ChannelConfig(timing=timing, num_stack_ids=1))
+    by_ints = Channel(ChannelConfig(timing=timing, num_stack_ids=1))
+    ready = _open_two_banks(by_command, timing)
+    _open_two_banks(by_ints, timing)
+    by_command.issue(Command(kind=kind, pseudo_channel=0, bank_group=1,
+                             row=5, column=3), now=ready)
+    by_ints.issue_column(0, kind, 0, 1, 0, 5, ready)
+    assert by_ints.command_counts() == by_command.command_counts()
+    assert _state(by_ints, ready) == _state(by_command, ready)

@@ -176,13 +176,17 @@ class TestCheckpointFormat:
             restore_controller(checkpoint)
 
     def test_restore_rejects_unknown_version(self):
-        checkpoint = snapshot_controller(_loaded_rome())
-        stale = Checkpoint(version=CHECKPOINT_VERSION + 1,
-                           kind=checkpoint.kind, now_ns=checkpoint.now_ns,
-                           payload=checkpoint.payload,
-                           digest=checkpoint.digest, meta={})
-        with pytest.raises(CheckpointError, match="version"):
-            restore_controller(stale)
+        # A newer version, and both older layouts: v1 (per-target refresh
+        # deadline dicts) and v2 (request queues without bank machines).
+        for checkpoint in (snapshot_controller(_loaded_rome()),
+                           snapshot_controller(_loaded_conventional())):
+            for version in (CHECKPOINT_VERSION + 1, 2, 1):
+                stale = Checkpoint(version=version, kind=checkpoint.kind,
+                                   now_ns=checkpoint.now_ns,
+                                   payload=checkpoint.payload,
+                                   digest=checkpoint.digest, meta={})
+                with pytest.raises(CheckpointError, match="version"):
+                    restore_controller(stale)
 
     def test_digest_detects_payload_corruption(self):
         checkpoint = snapshot_controller(_loaded_rome())

@@ -22,6 +22,7 @@ from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.virtual_bank import paper_vba_config
 from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
+from repro.dram.commands import CommandKind
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
@@ -310,7 +311,14 @@ def test_conventional_row_conflict_drain_is_bit_identical(enable_refresh):
 
 def _command_key(command):
     return (command.kind, command.pseudo_channel, command.stack_id,
-            command.bank_group, command.bank, command.row, command.column)
+            command.bank_group, command.bank, command.row)
+
+
+def _column_key(transaction):
+    coord = transaction.coordinate
+    kind = CommandKind.RD if transaction.is_read else CommandKind.WR
+    return (kind, coord.pseudo_channel, coord.stack_id, coord.bank_group,
+            coord.bank, coord.row)
 
 
 def _plan_every_instant(controller):
@@ -328,30 +336,69 @@ def _plan_every_instant(controller):
         controller.tick()
 
 
+def _record_channel_issues(controller):
+    """Record, per instant, the key of every command the controller's
+    channel issues (``Channel.issue`` and ``Channel.issue_column``) and
+    every transaction the controller serves.  Returns both dicts."""
+    issued, served = {}, {}
+    channel = controller.channel
+    issue, issue_column = channel.issue, channel.issue_column
+    serve = controller._serve_column
+
+    def record_issue(command, now):
+        issued.setdefault(now, []).append(_command_key(command))
+        issue(command, now)
+
+    def record_column(pc, kind, sid, bank_group, bank, row, now):
+        issued.setdefault(now, []).append(
+            (kind, pc, sid, bank_group, bank, row))
+        issue_column(pc, kind, sid, bank_group, bank, row, now)
+
+    def record_serve(transaction, now):
+        served.setdefault(now, []).append(transaction)
+        serve(transaction, now)
+
+    channel.issue = record_issue
+    channel.issue_column = record_column
+    controller._serve_column = record_serve
+    return issued, served
+
+
+def _planned(train):
+    """A train's commands (as keys) and served transactions, with their
+    instants, in issue order."""
+    commands, columns = [], []
+    for step in train.steps:
+        t = step.time_ns
+        if step.refresh is not None:
+            commands.append((t, _command_key(step.refresh.command)))
+        for transaction in step.columns:
+            commands.append((t, _column_key(transaction)))
+            columns.append((t, transaction))
+        commands.extend((t, _command_key(decision.command))
+                        for decision in step.rows)
+    return commands, columns
+
+
 def _assert_every_plan_matches_the_steps(controller):
     """At every instant of a drain, the train the planner offers lists
-    exactly the commands the per-step scheduler then issues over the
-    instants the train covers.  Returns the command kinds planned."""
-    issued = {}
-    issue = controller._issue
-
-    def record(decision, now):
-        issued.setdefault(now, []).append(_command_key(decision.command))
-        issue(decision, now)
-
-    controller._issue = record
+    exactly the commands the per-step scheduler then issues, and the
+    transactions it serves, over the instants the train covers.  Returns
+    the command kinds planned."""
+    issued, served = _record_channel_issues(controller)
     plans = {}
     for now, train in _plan_every_instant(controller):
         if train is not None:
-            plans[now] = [(step.time_ns, _command_key(decision.command))
-                          for step in train.steps
-                          for decision in step.decisions]
+            plans[now] = _planned(train)
     planned_kinds = set()
-    for start, planned in plans.items():
-        end = planned[-1][0]
-        assert planned == [(now, key) for now in range(start, end + 1)
-                           for key in issued.get(now, [])], start
-        planned_kinds.update(key[0].value for _, key in planned)
+    for start, (commands, columns) in plans.items():
+        end = commands[-1][0]
+        span = range(start, end + 1)
+        assert commands == [(now, key) for now in span
+                            for key in issued.get(now, [])], start
+        assert columns == [(now, transaction) for now in span
+                           for transaction in served.get(now, [])], start
+        planned_kinds.update(key[0].value for _, key in commands)
     return planned_kinds
 
 
