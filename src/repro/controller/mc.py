@@ -9,7 +9,7 @@ command scheduler with an open-page row rule and per-bank refresh (REFpb).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
@@ -41,11 +41,12 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
     from repro.reliability.faults import ReliabilityConfig
     from repro.reliability.ras import RasEngine
 
-#: Minimum dense steps a planned burst train must cover to be applied, and
-#: the number of single-step evaluations to wait before planning again after
-#: a failed attempt.  Both are deterministic state-machine constants, so
-#: results are independent of wall-clock; they only bound planning overhead
-#: on workloads that never saturate the channel.
+#: Minimum instants that issue a command a planned burst train must cover
+#: to be applied, and the number of single-step evaluations to wait before
+#: planning again after a failed attempt.  Both are deterministic
+#: state-machine constants, so results are independent of wall-clock; they
+#: only bound planning overhead on workloads that never saturate the
+#: channel.
 _MIN_TRAIN_STEPS = 4
 _TRAIN_PLAN_COOLDOWN = 8
 
@@ -110,13 +111,8 @@ class ControllerStats:
     bytes_read: int = 0
     bytes_written: int = 0
     read_latencies: List[int] = field(default_factory=list)
-    issued_commands: Dict[str, int] = field(default_factory=dict)
     refreshes_issued: int = 0
     evaluations: int = field(default=0, compare=False)
-
-    def note_command(self, kind: CommandKind) -> None:
-        label = kind.label
-        self.issued_commands[label] = self.issued_commands.get(label, 0) + 1
 
     @property
     def average_read_latency(self) -> float:
@@ -234,8 +230,8 @@ class ConventionalMemoryController:
                        coord.bank_group, coord.bank)
                 target = self.ras.remap(key, coord.row)
                 if target != key:
-                    coord = dataclass_replace(
-                        coord, pseudo_channel=target[0], stack_id=target[1],
+                    coord = coord._replace(
+                        pseudo_channel=target[0], stack_id=target[1],
                         bank_group=target[2], bank=target[3])
                     transaction.coordinate = coord
                     transaction.bank_index = self.mapping.bank_index(coord)
@@ -293,64 +289,6 @@ class ConventionalMemoryController:
             if not queue.push(transaction):
                 break
             self._backlog.popleft()
-
-    # ----------------------------------------------------------- completion
-
-    def _serve_column(self, transaction: Transaction, now: int) -> None:
-        """Bookkeeping for one served column command (shared by the
-        per-step path and the burst-train apply so they cannot drift)."""
-        timing = self.config.timing
-        data_latency = timing.tCL if transaction.is_read else timing.tCWL
-        data_ns = now + data_latency + timing.burst_ns
-        obs = self._obs
-        if obs is not None:
-            obs.count(data_ns, "controller.bandwidth_bytes",
-                      float(transaction.size_bytes))
-        if self._ras_active and transaction.is_read:
-            # Classify the read at its issue instant (the draw key); a
-            # DUE verdict schedules a command replay after the data would
-            # have returned, plus deterministic backoff.
-            coord = transaction.coordinate
-            offlined = self.ras.stats.offlined_banks
-            verdict = self.ras.on_read(
-                (coord.pseudo_channel, coord.stack_id, coord.bank_group,
-                 coord.bank),
-                coord.row, now,
-                attempt=transaction.request.retry_attempt)
-            if verdict.retry_delay_ns is not None:
-                self._schedule_retry(
-                    transaction, data_ns + verdict.retry_delay_ns)
-            if obs is not None:
-                outcome = verdict.outcome.value
-                if outcome != "clean":
-                    obs.count(now, f"ras.{outcome}")
-                if verdict.retry_delay_ns is not None:
-                    obs.event(now, "ras.retry",
-                              delay_ns=verdict.retry_delay_ns)
-                if verdict.spared_now:
-                    obs.event(now, "ras.spare")
-                if self.ras.stats.offlined_banks > offlined:
-                    obs.event(now, "ras.offline")
-        self._complete_transaction(transaction, data_ns)
-
-    def _complete_transaction(self, transaction: Transaction, data_ns: int) -> None:
-        transaction.served = True
-        transaction.data_ready_ns = data_ns
-        request = transaction.request
-        remaining = self._pending_transactions[request.request_id] - 1
-        self._pending_transactions[request.request_id] = remaining
-        if transaction.is_read:
-            self.stats.served_reads += 1
-            self.stats.bytes_read += transaction.size_bytes
-        else:
-            self.stats.served_writes += 1
-            self.stats.bytes_written += transaction.size_bytes
-        if remaining == 0:
-            request.completion_ns = data_ns
-            if request.is_read:
-                self.stats.read_latencies.append(data_ns - request.arrival_ns)
-            del self._pending_transactions[request.request_id]
-            del self._requests[request.request_id]
 
     # ------------------------------------------------------------------ tick
 
@@ -418,15 +356,64 @@ class ConventionalMemoryController:
         self.now += 1
 
     def _issue_column(self, transaction: Transaction, now: int) -> None:
-        """Issue the RD or WR that serves ``transaction`` (its queue entry
-        is the caller's to retire)."""
+        """Issue the RD or WR that serves ``transaction`` and book it
+        served (shared by the per-step path and the burst-train apply so
+        they cannot drift; its queue entry is the caller's to retire)."""
         coord = transaction.coordinate
-        kind = CommandKind.RD if transaction.is_read else CommandKind.WR
-        self.channel.issue_column(coord.pseudo_channel, kind, coord.stack_id,
-                                  coord.bank_group, coord.bank, coord.row,
-                                  now)
-        self.stats.note_command(kind)
-        self._serve_column(transaction, now)
+        is_read = transaction.is_read
+        self.channel.issue_column(
+            coord.pseudo_channel, CommandKind.RD if is_read else CommandKind.WR,
+            coord.stack_id, coord.bank_group, coord.bank, coord.row, now)
+        timing = self.config.timing
+        data_ns = now + (timing.tCL if is_read else timing.tCWL) \
+            + timing.burst_ns
+        obs = self._obs
+        if obs is not None:
+            obs.count(data_ns, "controller.bandwidth_bytes",
+                      float(transaction.size_bytes))
+        if self._ras_active and is_read:
+            # Classify the read at its issue instant (the draw key); a
+            # DUE verdict schedules a command replay after the data would
+            # have returned, plus deterministic backoff.
+            offlined = self.ras.stats.offlined_banks
+            verdict = self.ras.on_read(
+                (coord.pseudo_channel, coord.stack_id, coord.bank_group,
+                 coord.bank),
+                coord.row, now,
+                attempt=transaction.request.retry_attempt)
+            if verdict.retry_delay_ns is not None:
+                self._schedule_retry(
+                    transaction, data_ns + verdict.retry_delay_ns)
+            if obs is not None:
+                outcome = verdict.outcome.value
+                if outcome != "clean":
+                    obs.count(now, f"ras.{outcome}")
+                if verdict.retry_delay_ns is not None:
+                    obs.event(now, "ras.retry",
+                              delay_ns=verdict.retry_delay_ns)
+                if verdict.spared_now:
+                    obs.event(now, "ras.spare")
+                if self.ras.stats.offlined_banks > offlined:
+                    obs.event(now, "ras.offline")
+        transaction.served = True
+        transaction.data_ready_ns = data_ns
+        request = transaction.request
+        pending = self._pending_transactions
+        remaining = pending[request.request_id] - 1
+        pending[request.request_id] = remaining
+        stats = self.stats
+        if is_read:
+            stats.served_reads += 1
+            stats.bytes_read += transaction.size_bytes
+        else:
+            stats.served_writes += 1
+            stats.bytes_written += transaction.size_bytes
+        if remaining == 0:
+            request.completion_ns = data_ns
+            if request.is_read:
+                stats.read_latencies.append(data_ns - request.arrival_ns)
+            del pending[request.request_id]
+            del self._requests[request.request_id]
 
     def _note_row(self, command: Command) -> None:
         """Keep both queues' bank machines on the row an issued ACT opened
@@ -444,7 +431,6 @@ class ConventionalMemoryController:
         """Issue a refresh or row command (queue bookkeeping is the
         caller's: :meth:`_note_row`)."""
         self.channel.issue(decision.command, now)
-        self.stats.note_command(decision.command.kind)
         obs = self._obs
         if decision.refresh_target is not None:
             target = decision.refresh_target
@@ -512,12 +498,13 @@ class ConventionalMemoryController:
         productive evaluation it advances one nanosecond, because the
         C/A-pin model admits another command in the very next cycle.
 
-        Saturated spans take the burst-train fast path: when the scheduler
-        can prove the next N nanoseconds each issue at least one command
-        (see :meth:`FrFcfsScheduler.plan_train`), the whole run is applied
-        in one evaluation and time jumps past it.  Trains are truncated at
-        ``target_ns``, so externally scheduled arrivals (``Simulation.at``)
-        still land cycle-exactly.
+        Busy spans take the burst-train fast path: when the scheduler
+        models the coming instants and at least ``_MIN_TRAIN_STEPS`` of
+        them issue a command (see :meth:`FrFcfsScheduler.plan_train`), the
+        whole span, idle instants included, is applied in one evaluation
+        and time jumps past it.  Trains are truncated at ``target_ns``, so
+        externally scheduled arrivals (``Simulation.at``) still land
+        cycle-exactly.
         """
         while self.now < target_ns:
             now = self.now
@@ -602,8 +589,8 @@ class ConventionalMemoryController:
         for _ in range(train.backlog_consumed):
             self._backlog.popleft()
         obs = self._obs
-        if obs is not None and train.steps:
-            start = train.steps[0].time_ns
+        if obs is not None:
+            start = self.now
             obs.span(start, max(train.end_ns - start, 1), "train.apply",
                      steps=len(train.steps))
             obs.count(train.end_ns, "controller.evaluations")

@@ -97,11 +97,6 @@ class RequestQueue:
         """How many pending entries of bank ``index`` hit its open row."""
         return self._hit_counts[index]
 
-    def head_misses(self, index: int) -> bool:
-        """True when bank ``index``'s oldest pending entry misses its open
-        row (so its hits, if any, wait behind that miss)."""
-        return self._first_misses[index] is not None
-
     def machines(self) -> Tuple:
         """The bank machines as plain data, in transactions: per bank its
         open row, pending FIFO, hit count, oldest hit and oldest entry if
@@ -235,20 +230,3 @@ class RequestQueue:
         that is not used afterwards."""
         for name in RequestQueue.__slots__:
             setattr(self, name, getattr(other, name))
-
-    def mark(self) -> Tuple[int, int]:
-        """The admission state :meth:`rollback` returns to."""
-        return (self._next_seq, self.peak_occupancy)
-
-    def rollback(self, mark: Tuple[int, int]) -> None:
-        """Drop every entry pushed since ``mark`` and restore the admission
-        number and peak occupancy.  Entries removed since ``mark`` stay
-        removed."""
-        entries = self.entries
-        first_new = mark[0]
-        while entries:
-            seq = next(reversed(entries))
-            if seq < first_new:
-                break
-            self.remove(entries[seq])
-        self._next_seq, self.peak_occupancy = mark

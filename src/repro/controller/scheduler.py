@@ -9,22 +9,22 @@ with bounded postponement.
 
 Burst trains
 ------------
-A saturated HBM4 channel issues a column command nearly every nanosecond, so
+A busy HBM4 channel issues a column command nearly every nanosecond, so
 the event-driven controller core degenerates to one full scheduler evaluation
-per nanosecond.  :meth:`FrFcfsScheduler.plan_train` closes that gap: when the
-upcoming decisions are provably a dense run of commands (row hits to
-already-open rows, ACT/PRE row work, and the REFpb/critical-PRE issues the
-refresh engines force), it computes the whole run -- per-step picks, refresh
-splices, refill admissions, and write-drain state -- analytically in one
-evaluation and returns a :class:`ColumnTrain` the controller bulk-applies.
-The planner only *models* state (pure reads); the controller's apply path
-replays the planned commands through the ordinary ``Channel.issue`` and
-``Channel.issue_column`` validation (one check per command, bank included),
-so a planner divergence raises instead of silently corrupting results.
-When no dense run of at least ``min_steps`` instants fits before
-``target_ns`` the planner returns ``None`` and the controller falls back to
-single-step evaluation, keeping results bit-identical to the per-nanosecond
-core by construction.
+per nanosecond.  :meth:`FrFcfsScheduler.plan_train` closes that gap: it
+models the upcoming evaluations (row hits to already-open rows, ACT/PRE row
+work, and the REFpb/critical-PRE issues the refresh engines force) instant by
+instant -- per-step picks, refresh splices, refill admissions, and
+write-drain state -- through the instants that issue nothing as well, and
+returns the whole busy period as one :class:`ColumnTrain` the controller
+bulk-applies in one evaluation.  The planner only *models* state (pure
+reads); the controller's apply path replays the planned commands through
+the ordinary ``Channel.issue`` and ``Channel.issue_column`` validation (one
+check per command, bank included), so a planner divergence raises instead of
+silently corrupting results.  When fewer than ``min_steps`` of the instants
+before ``target_ns`` would issue, the planner returns ``None`` and the
+controller falls back to single-step evaluation, keeping results
+bit-identical to the per-nanosecond core by construction.
 
 Bank machines
 -------------
@@ -96,17 +96,19 @@ class TrainStep:
 
 @dataclass
 class ColumnTrain:
-    """An analytically planned run of back-to-back commands.
+    """An analytically planned run of evaluation instants.
 
-    ``steps`` hold consecutive evaluation instants (stride 1 ns -- a train
-    is only planned while the channel stays saturated, i.e. every covered
-    nanosecond issues at least one command).  The rest is the state the
-    last step leaves, which the controller installs in bulk: the queues
-    (their entries and bank machines), how many backlog entries they
-    admitted, and the write-drain flag.
+    The train covers every instant from the one it was planned at through
+    ``end_ns``; ``steps`` hold the covered instants that issue at least
+    one command, in time order (an instant that issues nothing changes no
+    state, so it has no step).  The rest is the state ``end_ns`` leaves,
+    which the controller installs in bulk: the queues (their entries and
+    bank machines), how many backlog entries they admitted, and the
+    write-drain flag.
     """
 
     steps: List[TrainStep]
+    end_ns: int
     read_queue: RequestQueue
     write_queue: RequestQueue
     backlog_consumed: int
@@ -118,18 +120,13 @@ class ColumnTrain:
         return sum((step.refresh is not None) + len(step.columns)
                    + len(step.rows) for step in self.steps)
 
-    @property
-    def end_ns(self) -> int:
-        """Last covered evaluation instant."""
-        return self.steps[-1].time_ns
-
 
 class _PcModel:
     """Modeled command-timing state of one pseudo channel during planning.
 
-    Mirrors exactly the fields ``PseudoChannel._cas_ready_time`` /
-    ``_act_ready_time`` and the data-bus check in
-    ``PseudoChannel.can_issue_column`` read, plus the per-bus C/A reuse
+    Mirrors exactly the fields ``PseudoChannel._column_slot_free`` (CAS
+    spacing and the data-bus check) and ``_act_ready_time`` read, plus the
+    per-bus C/A reuse
     tracked by the channel.  Initialized from read-only snapshots and
     updated per planned issue with the same formulas ``issue`` applies.
     """
@@ -383,16 +380,19 @@ class FrFcfsScheduler:
         num_picks: int,
         min_steps: int = 4,
     ) -> Optional[ColumnTrain]:
-        """Plan a dense run of commands starting at ``now``.
+        """Plan the evaluations from ``now`` on as one train.
 
-        Returns a :class:`ColumnTrain` covering consecutive evaluation
-        instants ``now .. now + N - 1`` during which the per-step scheduler
-        would provably (a) issue exactly the planned column, row and
-        refresh commands and (b) perform exactly the modeled refills and
-        write-drain transitions.  It returns ``None`` in exactly two cases:
-        fewer than ``min_steps`` instants remain before ``target_ns``, or
-        the dense run ends after fewer than ``min_steps`` instants.  The
-        caller then falls back to ordinary single-step evaluation.
+        Returns a :class:`ColumnTrain` covering the evaluation instants
+        ``now .. end_ns`` during which the per-step scheduler would provably
+        (a) issue exactly the planned column, row and refresh commands and
+        (b) perform exactly the modeled refills and write-drain
+        transitions.  The train ends at ``target_ns - 1``, at the
+        ``_MAX_TRAIN_STEPS``-instant window, or before the first instant at
+        which the modeled queues and backlog are empty.  It returns ``None``
+        when both queues and the backlog are empty, when fewer than
+        ``min_steps`` instants remain before ``target_ns``, or when fewer
+        than ``min_steps`` covered instants issue a command.  The caller
+        then falls back to ordinary single-step evaluation.
 
         The read queue holds only reads and the write queue only writes
         (``_fill_queues`` routes them so, and so do the modeled refills).
@@ -403,14 +403,18 @@ class FrFcfsScheduler:
           issues against a copy of each live engine (an issue counter
           over a fixed rotation,
           :class:`~repro.dram.refresh.RefreshRotation`), and every
-          covered step at or past the earliest modeled deadline runs
-          the same decision skeleton (:meth:`_refresh_sweep`) the
-          single-step ``pick_refresh`` uses, against modeled bank/C-A
-          state -- so planned trains splice in the REFpb (and, once
-          postponement headroom is exhausted, the enabling PRE) at exactly
-          the instants the per-step scheduler would issue them, instead of
-          ending at the first refresh deadline.  Before that deadline the
-          sweep cannot act, so it is skipped;
+          covered step at which the sweep could act runs the same decision
+          skeleton (:meth:`_refresh_sweep`) the single-step
+          ``pick_refresh`` uses, against modeled bank/C-A state -- so
+          planned trains splice in the REFpb (and, once postponement
+          headroom is exhausted, the enabling PRE) at exactly the instants
+          the per-step scheduler would issue them.  The sweep runs from the
+          earliest modeled deadline on; after a sweep that finds nothing it
+          sleeps until the earliest instant any engine could act (its
+          deadline; or, for a due target, the instant its closed bank takes
+          a REFpb, or its open bank's criticality and PRE window), and
+          every modeled row command or refresh wakes it at the next
+          instant, since only those change what it reads;
         * *bank machines*: each queue is modeled on a
           :meth:`~repro.controller.queues.RequestQueue.fork` of the live
           queue, which starts from its bank machines (per-bank FIFOs, hit
@@ -419,8 +423,8 @@ class FrFcfsScheduler:
           column hit's readiness depends only on its bank and direction,
           so a column pick walks the hit heads in admission order, testing
           each bank at most once, and takes the first ready one -- the
-          entry ``pick_column`` would return.  A pick queued behind an
-          older miss of its bank ends the train;
+          entry ``pick_column`` would return, also when it waits behind an
+          older miss of its bank;
         * *row work*: ``pick_row`` only acts on a bank whose oldest pending
           transaction is a row miss; the planner walks the same miss heads
           and models the row decisions exactly (ACT, and the row-conflict
@@ -433,9 +437,11 @@ class FrFcfsScheduler:
           read-only snapshots (banks resolve their own transients at
           ``now``, no channel-wide tick needed) and advanced with the same
           update formulas ``issue`` applies;
-        * *density*: the train ends at the first instant with no pick, so
-          every covered instant issues >= 1 command -- exactly the instants
-          the event core would evaluate back-to-back anyway.
+        * *idle instants*: an instant with no pick changes no modeled
+          state (the refill finds the same full queue, the drain
+          hysteresis the same occupancy), exactly as a per-step evaluation
+          that issues nothing changes none, so the train runs through it
+          and records no step for it.
 
         The controller issues every planned command on the live channel
         -- columns through ``Channel.issue_column``, refresh and row
@@ -446,6 +452,8 @@ class FrFcfsScheduler:
         last_allowed = target_ns - 1
         if last_allowed < now + min_steps - 1:
             return None
+        if read_queue.is_empty and write_queue.is_empty and not backlog:
+            return None
         channel = self.channel
 
         timing = channel.timing
@@ -455,7 +463,9 @@ class FrFcfsScheduler:
         tRCDRD, tRCDWR = timing.tRCDRD, timing.tRCDWR
         tRFCpb, tREFIpb = timing.tRFCpb, timing.tREFIpb
         engines = [copy.copy(engine) for engine in self.refresh_engines]
-        next_due = min((engine.due_ns() for engine in engines), default=None)
+        # The first instant the refresh sweep could act: no engine acts
+        # before its earliest deadline.
+        sweep_at = min((engine.due_ns() for engine in engines), default=None)
 
         pc_models = [
             _PcModel(pc.cas_state_snapshot(), channel.last_column_ca_time(i),
@@ -495,6 +505,32 @@ class FrFcfsScheduler:
                 return False
             return t >= target_model(pc, target).next_pre
 
+        def sweep_wake(t: int) -> int:
+            """After a sweep at ``t`` found nothing: the earliest instant
+            any engine could act, while no row command or refresh changes
+            the models.  An engine with nothing due acts no earlier than
+            its deadline; a due target whose bank is closed, once the bank
+            takes a REFpb (the checks of ``model_can_issue_ref``); one
+            whose bank is open, once the target is critical and the bank
+            takes its PRE (``model_can_issue_pre``)."""
+            wake = None
+            for pc, engine in enumerate(engines):
+                target = engine.most_urgent(t)
+                if target is None:
+                    at = engine.due_ns()
+                else:
+                    bm = target_model(pc, target)
+                    ca_free = pc_models[pc].row_ca_last + 1
+                    if bm.open_row is None:
+                        at = max(bm.idle_at, bm.next_act, bm.next_refresh,
+                                 ca_free)
+                    else:
+                        at = max(target.due_time + engine.slack_ns(),
+                                 bm.next_pre, ca_free)
+                if wake is None or at < wake:
+                    wake = at
+            return wake
+
         # The queue models are forks of the live queues: they start from
         # the live bank machines and change by the same push, remove and
         # note_row the controller applies.
@@ -505,12 +541,9 @@ class FrFcfsScheduler:
         steps: List[TrainStep] = []
         draining = self._draining_writes
         bi = 0
-        undone = None
-
-        for offset in range(_MAX_TRAIN_STEPS):
-            t = now + offset
-            if t > last_allowed:
-                break
+        t = now
+        last = min(last_allowed, now + _MAX_TRAIN_STEPS - 1)
+        while t <= last:
             if rq.is_empty and wq.is_empty and bi == backlog_len:
                 # All modeled work is exhausted, so ``_pending`` went false
                 # during the previous step and a draining per-step core
@@ -519,11 +552,6 @@ class FrFcfsScheduler:
                 # never reaches; end the train and let single-step
                 # evaluation handle whatever tail remains.
                 break
-            # A step that cannot be planned ends the train before it, so
-            # what it changed in the queue models is undone (the timing
-            # models are not read after the last step).
-            step_start = (bi, draining, rq.mark(), wq.mark())
-            reopen = None
 
             # -- 1. refills, with _fill_queues' head-of-line semantics -----
             while bi < backlog_len:
@@ -533,12 +561,18 @@ class FrFcfsScheduler:
                 bi += 1
 
             # -- 1.5 refresh (exact pick_refresh mirror, modeled state) ----
+            # The sweep runs only from the instant it could act: a sweep
+            # that finds nothing sleeps until ``sweep_wake``, and every
+            # modeled row command or refresh wakes it the next instant.
             refresh_decision: Optional[SchedulerDecision] = None
-            if next_due is not None and t >= next_due:
+            if sweep_at is not None and t >= sweep_at:
                 swept = self._refresh_sweep(
                     t, engines, model_can_issue_ref,
                     model_bank_open, model_can_issue_pre)
-                if swept is not None:
+                if swept is None:
+                    sweep_at = sweep_wake(t)
+                else:
+                    sweep_at = t + 1
                     action, pc_index, target = swept
                     index = channel.bank_index(
                         pc_index, target.stack_id, target.bank_group,
@@ -553,14 +587,11 @@ class FrFcfsScheduler:
                         if t + tREFIpb > bm.next_refresh:
                             bm.next_refresh = t + tREFIpb
                         engines[pc_index].note_refresh_issued(target, t)
-                        next_due = min(engine.due_ns()
-                                       for engine in engines)
                         refresh_decision = SchedulerDecision(
                             command=self._refpb_command(pc_index, target),
                             refresh_target=target,
                         )
                     else:
-                        reopen = (index, bm.open_row)
                         bm.open_row = None
                         bm.idle_at = t + tRP
                         if t + tRP > bm.next_act:
@@ -588,7 +619,6 @@ class FrFcfsScheduler:
             # later pick of the same step anyway.
             ca_used: Set[int] = set()
             picked: List[Tuple[RequestQueue, Transaction]] = []
-            violated = False
             for _ in range(num_picks):
                 found = None
                 for qm, enabled in priority:
@@ -615,8 +645,8 @@ class FrFcfsScheduler:
                         if t + (tCL if is_read else tCWL) \
                                 < pcm.data_bus_busy_until:
                             continue
-                        # The same pure rule PseudoChannel._cas_ready_time
-                        # delegates to, applied to the modeled state.
+                        # The same pure rule PseudoChannel._column_slot_free
+                        # applies, on the modeled state.
                         if t < cas_ready_time(
                                 timing, pcm.last_cas_time,
                                 pcm.last_cas_bank_group, pcm.last_cas_stack,
@@ -630,18 +660,8 @@ class FrFcfsScheduler:
                         break
                 if found is None:
                     break
-                qm, txn = found
-                if qm.head_misses(txn.bank_index):
-                    # The pick is a hit queued behind an older pending
-                    # miss of its bank, which the per-bank FIFO model
-                    # does not cover: end the train before this step.
-                    violated = True
-                    break
-                ca_used.add(txn.bank_index // per_pc)
+                ca_used.add(found[1].bank_index // per_pc)
                 picked.append(found)
-            if violated:
-                undone = step_start
-                break
 
             # -- 4. commit column effects: modeled channel-state updates ---
             columns: List[Transaction] = []
@@ -717,6 +737,8 @@ class FrFcfsScheduler:
                 action, index, txn, model, pcm = row_pick
                 coord = txn.coordinate
                 pcm.row_ca_last = t
+                if sweep_at is not None:
+                    sweep_at = t + 1
                 if action == "pre":
                     model.open_row = None
                     model.idle_at = t + tRP
@@ -749,24 +771,16 @@ class FrFcfsScheduler:
                     rows.append(SchedulerDecision(
                         command=self._act_command(txn)))
 
-            if not (refresh_decision or columns or rows):
-                undone = step_start
-                break
-            steps.append(TrainStep(time_ns=t, refresh=refresh_decision,
-                                   columns=columns, rows=rows))
+            if refresh_decision or columns or rows:
+                steps.append(TrainStep(time_ns=t, refresh=refresh_decision,
+                                       columns=columns, rows=rows))
+            t += 1
 
         if len(steps) < min_steps:
             return None
-        if undone is not None:
-            bi, draining, read_mark, write_mark = undone
-            if reopen is not None:
-                index, row = reopen
-                rq.note_row(index, row)
-                wq.note_row(index, row)
-            rq.rollback(read_mark)
-            wq.rollback(write_mark)
-        return ColumnTrain(steps=steps, read_queue=rq, write_queue=wq,
-                           backlog_consumed=bi, final_draining=draining)
+        return ColumnTrain(steps=steps, end_ns=t - 1, read_queue=rq,
+                           write_queue=wq, backlog_consumed=bi,
+                           final_draining=draining)
 
     def pick_row(
         self,

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Tuple
 
 #: Recognized address fields, from least to most significant by default.
 FIELDS = ("column", "pseudo_channel", "channel", "bank_group", "bank",
           "stack_id", "row")
 
 
-@dataclass(frozen=True)
-class DramCoordinate:
-    """A fully decoded DRAM location."""
+class DramCoordinate(NamedTuple):
+    """A fully decoded DRAM location (immutable; ``_replace`` derives a
+    changed copy)."""
 
     channel: int
     pseudo_channel: int
@@ -34,15 +34,7 @@ class DramCoordinate:
     column: int
 
     def as_tuple(self) -> Tuple[int, int, int, int, int, int, int]:
-        return (
-            self.channel,
-            self.pseudo_channel,
-            self.stack_id,
-            self.bank_group,
-            self.bank,
-            self.row,
-            self.column,
-        )
+        return tuple(self)
 
 
 def flat_bank_index(pseudo_channel: int, stack_id: int, bank_group: int,
@@ -56,7 +48,7 @@ def flat_bank_index(pseudo_channel: int, stack_id: int, bank_group: int,
 
 
 #: :class:`DramCoordinate` fields in constructor order.
-_COORDINATE_FIELDS = tuple(field.name for field in fields(DramCoordinate))
+_COORDINATE_FIELDS = DramCoordinate._fields
 
 #: The geometry attribute that sizes each address field.
 _FIELD_SIZES = {

@@ -33,8 +33,9 @@ def column_precharge_ready(timing: TimingParameters, is_read: bool,
     """Earliest precharge instant implied by a column command at ``now``
     (read-to-precharge vs write-recovery).
 
-    Pure helper shared by :meth:`Bank.issue` and the burst-train planner so
-    the recovery rule cannot drift between the live and modeled paths.
+    Pure helper shared by :meth:`Bank.issue_column` and the burst-train
+    planner so the recovery rule cannot drift between the live and modeled
+    paths.
     """
     if is_read:
         return now + timing.tRTP
@@ -145,7 +146,7 @@ class Bank:
         ``row`` at ``now``; ``row=None`` accepts whichever row is open.
 
         The single per-bank column rule: :meth:`can_issue` delegates every
-        RD/RDA/WR/WRA to it.
+        RD/RDA/WR/WRA to it, and :meth:`issue_column` validates with it.
         """
         self.tick(now)
         open_row = self.open_row
@@ -178,11 +179,14 @@ class Bank:
 
     def issue(self, kind: CommandKind, now: int, row: Optional[int] = None) -> None:
         """Validate ``kind`` at ``now`` with :meth:`can_issue`, then
-        :meth:`apply` it.
+        :meth:`apply` it (column kinds: :meth:`issue_column`).
 
         An illegal command raises ``RuntimeError`` so that scheduler bugs
         surface immediately.
         """
+        if kind.is_column:
+            self.issue_column(kind, row, now)
+            return
         if not self.can_issue(kind, now, row):
             raise RuntimeError(
                 f"illegal {kind.value} to bg{self.bank_group}.ba{self.bank_id} "
@@ -194,8 +198,9 @@ class Bank:
         """Apply the state/timing effects of issuing ``kind`` at ``now``.
 
         Does not validate: for callers that have just checked the command
-        with :meth:`can_issue` (the pseudo channel validates each command
-        once, its bank included).
+        with :meth:`can_issue` (the pseudo channel validates each row and
+        refresh command once, its bank included).  Column commands are
+        validated and applied in one call, :meth:`issue_column`.
         """
         t = self.timing
         if kind is CommandKind.ACT:
@@ -208,22 +213,6 @@ class Bank:
             self.next_pre = max(self.next_pre, now + t.tRAS)
             self.next_act = max(self.next_act, now + t.tRC)
             self.counters.activates += 1
-        elif kind in (CommandKind.RD, CommandKind.RDA):
-            self.state = BankState.READING
-            self._state_until = now + t.tCL + t.burst_ns
-            self.next_pre = max(self.next_pre,
-                                column_precharge_ready(t, True, now))
-            self.counters.reads += 1
-            if kind is CommandKind.RDA:
-                self._auto_precharge_at = max(self.next_pre, now + t.tRTP)
-        elif kind in (CommandKind.WR, CommandKind.WRA):
-            self.state = BankState.WRITING
-            self._state_until = now + t.tCWL + t.burst_ns
-            self.next_pre = max(self.next_pre,
-                                column_precharge_ready(t, False, now))
-            self.counters.writes += 1
-            if kind is CommandKind.WRA:
-                self._auto_precharge_at = now + t.tCWL + t.burst_ns + t.tWR
         elif kind in (CommandKind.PRE, CommandKind.PREA):
             if self.state is BankState.IDLE:
                 return  # no-op precharge
@@ -240,6 +229,39 @@ class Bank:
             self.counters.refreshes += 1
         else:
             raise ValueError(f"Bank cannot accept command kind {kind}")
+
+    def issue_column(self, kind: CommandKind, row: Optional[int],
+                     now: int) -> None:
+        """Issue a RD/RDA/WR/WRA (``kind``) to ``row`` at ``now``.
+
+        The bank's one column path, validate-and-apply: the command is
+        checked with :meth:`can_issue_column` and ``RuntimeError`` is
+        raised before any state changes if it may not issue.  The pseudo
+        channel delegates to it after its own cross-bank checks.
+        """
+        is_read = kind.is_read
+        if not self.can_issue_column(row, is_read, now):
+            raise RuntimeError(
+                f"illegal {kind.value} to bg{self.bank_group}.ba{self.bank_id}"
+                f".r{row} at t={now}: the bank cannot issue it "
+                f"(state={self.state.value})"
+            )
+        t = self.timing
+        recovery = column_precharge_ready(t, is_read, now)
+        if recovery > self.next_pre:
+            self.next_pre = recovery
+        if is_read:
+            self.state = BankState.READING
+            self._state_until = now + t.tCL + t.burst_ns
+            self.counters.reads += 1
+            if kind is CommandKind.RDA:
+                self._auto_precharge_at = max(self.next_pre, now + t.tRTP)
+        else:
+            self.state = BankState.WRITING
+            self._state_until = now + t.tCWL + t.burst_ns
+            self.counters.writes += 1
+            if kind is CommandKind.WRA:
+                self._auto_precharge_at = now + t.tCWL + t.burst_ns + t.tWR
 
     def next_event_ns(self, now: int) -> Optional[int]:
         """Earliest stored timestamp after ``now`` at which this bank's

@@ -51,13 +51,13 @@ class BankGroup:
         """Current BK-BUS occupancy horizon (read-only planner snapshot)."""
         return self._bus_busy_until
 
-    def reserve_bus(self, start: int) -> None:
-        """Occupy the BK-BUS for one core-frequency beat starting at ``start``."""
-        self._bus_busy_until = max(self._bus_busy_until, start + self.timing.tCCDL)
-
     def note_cas(self, now: int) -> None:
+        """Record a column command at ``now``: it occupies the BK-BUS for
+        one core-frequency beat (tCCDL)."""
         self.last_cas_time = now
-        self.reserve_bus(now)
+        busy_until = now + self.timing.tCCDL
+        if busy_until > self._bus_busy_until:
+            self._bus_busy_until = busy_until
 
     def next_event_ns(self, now: int) -> "int | None":
         """Earliest future instant the group's issueability can change."""

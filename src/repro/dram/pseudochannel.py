@@ -28,8 +28,8 @@ class CasStateSnapshot:
     Used by the burst-train planner (:mod:`repro.controller.scheduler`) to
     model column- and row-command readiness without mutating the live
     objects.  The fields mirror, one for one, the private state
-    ``_cas_ready_time``/``_act_ready_time`` and the data-bus check in
-    :meth:`PseudoChannel.can_issue_column` read.
+    ``_column_slot_free`` (CAS spacing and the data-bus check) and
+    ``_act_ready_time`` read.
     """
 
     last_cas_time: int
@@ -219,27 +219,36 @@ class PseudoChannel:
 
     # ------------------------------------------------------------ can_issue
 
+    def _column_slot_free(self, group: BankGroup, stack_id: int,
+                          bank_group: int, is_read: bool, now: int) -> bool:
+        """The cross-bank column rule: CAS spacing and turnaround, then
+        data-bus and BK-BUS (``group``'s) occupancy."""
+        timing = self.timing
+        if now < cas_ready_time(
+                timing, self._last_cas_time, self._last_cas_bank_group,
+                self._last_cas_stack, self._last_cas_was_read,
+                self._last_write_data_end, bank_group, stack_id, is_read):
+            return False
+        if now + (timing.tCL if is_read else timing.tCWL) \
+                < self._data_bus_busy_until:
+            return False
+        return group.bus_free_at(now)
+
     def can_issue_column(self, stack_id: int, bank_group: int, bank: int,
                          row: int, is_read: bool, now: int) -> bool:
         """Check a RD (``is_read``) or WR to ``row`` at ``now`` against
         every PC- and bank-level constraint.
 
-        The single column rule: CAS spacing and turnaround, data-bus and
-        BK-BUS occupancy, then the bank's own check.  It takes plain ints so
-        a scheduler can test a candidate without building a
+        The single column check: the cross-bank rule, then the bank's own
+        (:meth:`Bank.can_issue_column`).  It takes plain ints so a
+        scheduler can test a candidate without building a
         :class:`Command`; :meth:`can_issue` delegates every RD/RDA/WR/WRA
         to it.
         """
-        if now < self._cas_ready_time(bank_group, stack_id, is_read):
-            return False
-        timing = self.timing
-        if now + (timing.tCL if is_read else timing.tCWL) \
-                < self._data_bus_busy_until:
-            return False
         group = self.stacks[stack_id][bank_group]
-        if not group.bus_free_at(now):
-            return False
-        return group.banks[bank].can_issue_column(row, is_read, now)
+        return self._column_slot_free(group, stack_id, bank_group, is_read,
+                                      now) \
+            and group.banks[bank].can_issue_column(row, is_read, now)
 
     def can_issue(self, command: Command, now: int) -> bool:
         """Check all PC- and bank-level constraints for ``command`` at ``now``."""
@@ -267,35 +276,38 @@ class PseudoChannel:
         """Issue a RD/RDA/WR/WRA (``kind``) to ``row``, from plain ints.
 
         The column twin of :meth:`issue`, which delegates every column
-        command to it: the command is validated once with
-        :meth:`can_issue_column` (its bank included), and ``RuntimeError``
-        is raised before any state changes if it may not issue.
+        command to it.  The cross-bank rule is checked here and the bank's
+        by :meth:`Bank.issue_column`, which validates and applies in one
+        call; either raises ``RuntimeError`` before any state changes if
+        the command may not issue.
         """
         is_read = kind.is_read
-        if not self.can_issue_column(stack_id, bank_group, bank, row, is_read,
-                                     now):
+        group = self.stacks[stack_id][bank_group]
+        if not self._column_slot_free(group, stack_id, bank_group, is_read,
+                                      now):
             raise RuntimeError(
                 f"cannot issue {kind.label} to sid{stack_id}.bg{bank_group}"
                 f".ba{bank}.r{row} at t={now}")
-        t = self.timing
-        self.counters.note_command(kind)
-        group = self.stacks[stack_id][bank_group]
-        group.banks[bank].apply(kind, now, row)
+        group.banks[bank].issue_column(kind, row, now)
         group.note_cas(now)
+        t = self.timing
+        counters = self.counters
+        commands = counters.commands
+        commands[kind.label] = commands.get(kind.label, 0) + 1
         self._last_cas_time = now
         self._last_cas_bank_group = bank_group
         self._last_cas_stack = stack_id
         self._last_cas_was_read = is_read
-        data_start = now + (t.tCL if is_read else t.tCWL)
-        data_end = data_start + t.burst_ns
-        self._data_bus_busy_until = max(self._data_bus_busy_until, data_end)
-        self.counters.data_bus_busy_ns += t.burst_ns
+        data_end = now + (t.tCL if is_read else t.tCWL) + t.burst_ns
+        if data_end > self._data_bus_busy_until:
+            self._data_bus_busy_until = data_end
+        counters.data_bus_busy_ns += t.burst_ns
         if is_read:
             self._last_read_data_end = data_end
-            self.counters.bytes_read += t.access_granularity_bytes
+            counters.bytes_read += t.access_granularity_bytes
         else:
             self._last_write_data_end = data_end
-            self.counters.bytes_written += t.access_granularity_bytes
+            counters.bytes_written += t.access_granularity_bytes
 
     def issue(self, command: Command, now: int) -> None:
         """Issue ``command`` and update all timing state.

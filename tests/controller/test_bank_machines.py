@@ -130,6 +130,9 @@ def test_bank_machines_match_a_rebuild_after_every_evaluation(spec):
         controller.run_until_idle(event_driven=event_driven)
         assert controller.read_queue.is_empty
         assert controller.write_queue.is_empty
-        assert checks["steps"] > 0
+        # Every evaluation, step or train, was checked.
+        assert controller.stats.evaluations > 0
+        assert checks["steps"] + checks["trains"] \
+            == controller.stats.evaluations
         if not event_driven:
             assert checks["trains"] == 0

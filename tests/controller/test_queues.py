@@ -99,11 +99,13 @@ def test_a_hit_behind_a_miss_is_a_hit_head_but_not_its_bank_head(
     queue.note_row(near.bank_index, near.coordinate.row)
     queue.push(conflict)
     queue.push(near)
-    assert queue.head_misses(near.bank_index)
+    # The bank's oldest entry is the miss, its oldest hit the younger one.
+    assert queue.machines()[4][near.bank_index] is conflict
+    assert queue.machines()[3][near.bank_index] is near
     assert _heads(queue, queue.hit_heads) == [near]
     assert _heads(queue, queue.miss_heads) == [conflict]
     queue.remove(conflict)
-    assert not queue.head_misses(near.bank_index)
+    assert queue.machines()[4][near.bank_index] is None
     assert queue.miss_heads == []
 
 
@@ -139,22 +141,3 @@ def test_fork_is_independent(transactions):
     fork.note_row(transactions[1].bank_index, 7)
     assert queue.machines() == before
     assert list(queue) == transactions[:4]
-
-
-def test_rollback_drops_the_pushes_since_the_mark(transactions):
-    queue = _queue(8)
-    for t in transactions[:3]:
-        queue.push(t)
-    queue.note_row(transactions[3].bank_index, transactions[3].coordinate.row)
-    before = queue.machines()
-    mark = queue.mark()
-    for t in transactions[3:7]:
-        queue.push(t)
-    assert queue.peak_occupancy == 7
-    queue.rollback(mark)
-    assert queue.machines() == before
-    assert list(queue) == transactions[:3]
-    assert queue.peak_occupancy == 3
-    # Admission numbers continue from the mark.
-    queue.push(transactions[3])
-    assert list(queue.entries) == [0, 1, 2, 3]

@@ -207,27 +207,34 @@ def test_refresh_decision_when_due(timing):
 
 
 def test_plan_train_reports_count_and_end():
-    """The burst-train planner's (count, end_ns) surface must be
-    self-consistent: a dense train over N instants with >= 1 command each."""
+    """The burst-train planner's (steps, count, end_ns) surface must be
+    self-consistent: from a cold start the train runs through the idle
+    instants of the tRRD-spaced ACT ramp, its steps are exactly the covered
+    instants that issue, in time order, and it ends at the 512-instant
+    window."""
     mc = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
     )
     for block in range(16):
         mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=block * 4096,
                                  size_bytes=4096))
-    # Warm past the cold-start ACT ramp (tRRD-spaced, so not dense) into
-    # the saturated column stream the planner covers.
-    mc.run_for(64)
     train = mc.scheduler.plan_train(
         mc.read_queue, mc.write_queue, mc._backlog, now=mc.now,
         target_ns=10_000, num_picks=mc.config.num_pseudo_channels,
     )
     assert train is not None
-    assert train.end_ns == train.steps[0].time_ns + len(train.steps) - 1
+    times = [step.time_ns for step in train.steps]
+    assert times == sorted(set(times))
+    assert mc.now <= times[0] and times[-1] <= train.end_ns
+    assert train.end_ns == mc.now + 511
+    assert all(step.refresh is not None or step.columns or step.rows
+               for step in train.steps)
+    # Covered instants that issue nothing have no step.
+    assert len(train.steps) < train.end_ns - mc.now + 1
     assert train.count == sum(
         (step.refresh is not None) + len(step.columns) + len(step.rows)
         for step in train.steps)
-    assert train.count >= len(train.steps)  # dense: >= 1 command per instant
+    assert train.count > len(train.steps)
 
 
 def _cold_loaded_controller() -> ConventionalMemoryController:
@@ -287,7 +294,7 @@ def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
     issued, served = [], []
     channel = stepper.channel
     issue, issue_column = channel.issue, channel.issue_column
-    serve = stepper._serve_column
+    serve = stepper._issue_column
 
     def record(command, now):
         issued.append((now, _command_key(command)))
@@ -304,25 +311,31 @@ def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
 
     channel.issue = record
     channel.issue_column = record_column
-    stepper._serve_column = record_serve
+    stepper._issue_column = record_serve
     for t in range(start, train.end_ns + 1):
         stepper._step(t)
     assert issued == planned
     assert served == planned_columns
 
 
-def test_plan_train_declines_a_dense_run_shorter_than_min_steps(timing):
-    """The cold ACT ramp is not dense for long: the planner covers it only
-    when ``min_steps`` allows a run that short, and declines when no
-    ``min_steps`` instants remain before ``target_ns``."""
+def test_plan_train_declines_fewer_issuing_instants_than_min_steps(timing):
+    """``min_steps`` counts the covered instants that issue, not the
+    instants covered: 12 instants of the cold ACT ramp issue at five, so
+    the planner covers them when ``min_steps`` is five and declines at
+    six.  It also declines when no ``min_steps`` instants remain before
+    ``target_ns``."""
     start = timing.tREFIpb
     mc = _cold_loaded_controller()
-    dense = _plan_cold(mc, start, min_steps=1)
-    assert dense is not None
-    steps = len(dense.steps)
-    assert steps < 4
-    assert _plan_cold(mc, start, min_steps=steps) is not None
-    assert _plan_cold(mc, start, min_steps=steps + 1) is None
+    target_ns = start + 12
+    ramp = _plan_cold(mc, start, min_steps=1, target_ns=target_ns)
+    assert ramp is not None
+    assert ramp.end_ns == target_ns - 1
+    issuing = len(ramp.steps)
+    assert issuing == 5
+    assert _plan_cold(mc, start, min_steps=issuing,
+                      target_ns=target_ns) is not None
+    assert _plan_cold(mc, start, min_steps=issuing + 1,
+                      target_ns=target_ns) is None
     assert _plan_cold(mc, start, min_steps=1, target_ns=start) is None
 
 

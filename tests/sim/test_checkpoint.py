@@ -176,11 +176,12 @@ class TestCheckpointFormat:
             restore_controller(checkpoint)
 
     def test_restore_rejects_unknown_version(self):
-        # A newer version, and both older layouts: v1 (per-target refresh
-        # deadline dicts) and v2 (request queues without bank machines).
+        # A newer version, and every older layout: v1 (per-target refresh
+        # deadline dicts), v2 (request queues without bank machines) and
+        # v3 (dataclass DRAM coordinates).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,

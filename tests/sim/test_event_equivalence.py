@@ -343,7 +343,7 @@ def _record_channel_issues(controller):
     issued, served = {}, {}
     channel = controller.channel
     issue, issue_column = channel.issue, channel.issue_column
-    serve = controller._serve_column
+    serve = controller._issue_column
 
     def record_issue(command, now):
         issued.setdefault(now, []).append(_command_key(command))
@@ -360,7 +360,7 @@ def _record_channel_issues(controller):
 
     channel.issue = record_issue
     channel.issue_column = record_column
-    controller._serve_column = record_serve
+    controller._issue_column = record_serve
     return issued, served
 
 
@@ -383,23 +383,25 @@ def _planned(train):
 def _assert_every_plan_matches_the_steps(controller):
     """At every instant of a drain, the train the planner offers lists
     exactly the commands the per-step scheduler then issues, and the
-    transactions it serves, over the instants the train covers.  Returns
-    the command kinds planned."""
+    transactions it serves, over every instant the train covers (through
+    ``end_ns``, idle instants included).  Returns the command kinds
+    planned and the plans' covered spans."""
     issued, served = _record_channel_issues(controller)
     plans = {}
     for now, train in _plan_every_instant(controller):
         if train is not None:
-            plans[now] = _planned(train)
+            plans[now] = (train.end_ns, *_planned(train))
     planned_kinds = set()
-    for start, (commands, columns) in plans.items():
-        end = commands[-1][0]
-        span = range(start, end + 1)
+    spans = []
+    for start, (end_ns, commands, columns) in plans.items():
+        span = range(start, end_ns + 1)
         assert commands == [(now, key) for now in span
                             for key in issued.get(now, [])], start
         assert columns == [(now, transaction) for now in span
                            for transaction in served.get(now, [])], start
         planned_kinds.update(key[0].value for _, key in commands)
-    return planned_kinds
+        spans.append(span)
+    return planned_kinds, spans
 
 
 @pytest.mark.parametrize("enable_refresh", [False, True])
@@ -413,25 +415,24 @@ def test_every_plan_matches_the_commands_the_steps_issue(enable_refresh):
     )
     for request in _row_conflict_trace(num_requests=8):
         controller.enqueue(request)
-    planned_kinds = _assert_every_plan_matches_the_steps(controller)
+    planned_kinds, _ = _assert_every_plan_matches_the_steps(controller)
     expected = {"ACT", "PRE", "RD", "WR"} | (
         {"REFpb"} if enable_refresh else set())
     assert planned_kinds == expected
 
 
-def test_a_hit_behind_an_older_miss_of_its_bank_ends_the_train():
-    """The planner's per-bank FIFOs cover a column pick only at the head of
-    its bank.  At each instant the per-step scheduler serves a row hit
-    queued behind an older miss of the same bank, the planner offers no
-    train although that instant issues commands: the rule ends a train
-    right before such a step."""
+def test_a_train_serving_a_hit_behind_an_older_miss_matches_the_steps():
+    """The per-step scheduler serves a row hit queued behind an older miss
+    of the same bank (the pending-hit rule keeps the row open for it).
+    Trains cover such steps, and each train offered lists exactly the
+    commands and served transactions of the per-step core."""
     controller = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
     )
     for request in _row_conflict_trace(num_requests=0):
         controller.enqueue(request)
     behind = []
-    serve = controller._serve_column
+    issue_column = controller._issue_column
 
     def record(transaction, now):
         queue = (controller.read_queue if transaction.is_read
@@ -443,15 +444,12 @@ def test_a_hit_behind_an_older_miss_of_its_bank_ends_the_train():
                     and not older.served:
                 behind.append(now)
                 break
-        serve(transaction, now)
+        issue_column(transaction, now)
 
-    controller._serve_column = record
-    declined = []
-    for now, train in _plan_every_instant(controller):
-        if train is None:
-            declined.append(now)
+    controller._issue_column = record
+    _, spans = _assert_every_plan_matches_the_steps(controller)
     assert behind
-    assert set(behind) <= set(declined)
+    assert all(any(now in span for span in spans) for now in behind)
 
 
 def _run_conventional_with_arrivals(event_driven, enable_refresh=False):
@@ -897,7 +895,7 @@ def _check_generated_drain(spec):
     )
     for request in requests:
         controller.enqueue(request)
-    assert _assert_every_plan_matches_the_steps(controller)
+    assert _assert_every_plan_matches_the_steps(controller)[0]
 
 
 @settings(deadline=None, max_examples=8)
@@ -914,3 +912,115 @@ def test_every_plan_matches_the_steps_on_generated_drains(spec):
 @given(spec=_bank_focused_drains())
 def test_every_plan_matches_the_steps_on_many_generated_drains(spec):
     _check_generated_drain(spec)
+
+
+# ------------------------------------------ trains through idle instants
+
+
+@st.composite
+def _drains_with_arrivals(draw):
+    """Refresh off or on -- on, with a short tREFIpb and tRFCpb and a
+    postponement budget of 0-2, so due refreshes keep waiting on open,
+    precharging and refreshing banks -- and two batches of mixed reads and
+    writes of 256 B-4 KiB on one or two banks and rows 0-2, the second
+    arriving mid-run."""
+    from repro.dram.timing import TimingParameters
+
+    enable_refresh = draw(st.booleans())
+    timing = TimingParameters()
+    if enable_refresh:
+        timing = TimingParameters(tREFIpb=draw(st.integers(40, 200)),
+                                  tRFCpb=draw(st.integers(20, 120)))
+    max_postponed = draw(st.integers(0, 2))
+    mapping = ControllerConfig(num_stack_ids=1).local_mapping()
+    banks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2,
+                          unique=True))
+
+    def batch():
+        requests = []
+        for _ in range(draw(st.integers(2, 5))):
+            first = DramCoordinate(
+                channel=0, pseudo_channel=draw(st.integers(0, 1)),
+                stack_id=0, bank_group=draw(st.integers(0, 3)),
+                bank=draw(st.sampled_from(banks)),
+                row=draw(st.integers(0, 2)), column=draw(st.integers(0, 31)))
+            requests.append(MemoryRequest(
+                kind=draw(st.sampled_from([RequestKind.READ,
+                                           RequestKind.WRITE])),
+                address=mapping.encode(first),
+                size_bytes=256 * draw(st.integers(1, 16))))
+        return requests
+
+    first, second = batch(), batch()
+    arrival_ns = draw(st.integers(1, 600))
+    return enable_refresh, timing, max_postponed, first, arrival_ns, second
+
+
+def _controller_state(controller):
+    """Everything an evaluation can change, in values comparable across a
+    deep copy of the controller."""
+    def entries(queue):
+        return [(t.coordinate, t.is_read) for t in queue]
+
+    channel = controller.channel
+    return (
+        controller.now,
+        controller.stats,
+        channel.command_counts(),
+        [(bank.open_row, bank.next_act, bank.next_read, bank.next_write,
+          bank.next_pre, bank.next_refresh, bank.transient_until)
+         for bank in channel.banks],
+        [pc.cas_state_snapshot() for pc in channel.pseudo_channels],
+        [(channel.last_column_ca_time(pc), channel.last_row_ca_time(pc))
+         for pc in range(len(channel.pseudo_channels))],
+        entries(controller.read_queue),
+        entries(controller.write_queue),
+        [(t.coordinate, t.is_read) for t in controller._backlog],
+        controller.scheduler._draining_writes,
+        [engine.issued for engine in controller.scheduler.refresh_engines],
+    )
+
+
+@settings(deadline=None, max_examples=25)
+@given(spec=_drains_with_arrivals())
+def test_applied_trains_equal_the_steps_over_their_whole_span(spec):
+    """Every train the event core applies covers ``start .. end_ns``,
+    idle instants included: replaying ``_step`` over that span on a copy
+    of the controller issues exactly the train's commands and leaves the
+    state the train installs.  Trains do run through instants that issue
+    nothing."""
+    import copy
+
+    enable_refresh, timing, max_postponed, first, arrival_ns, second = spec
+    controller = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, timing=timing,
+                                enable_refresh=enable_refresh))
+    for engine in controller.scheduler.refresh_engines:
+        engine.max_postponed = max_postponed
+    apply = controller._apply_column_train
+    idle_instants = []
+
+    def checked_apply(train):
+        start = controller.now
+        replay = copy.deepcopy(controller)
+        issued, _ = _record_channel_issues(replay)
+        for now in range(start, train.end_ns + 1):
+            replay._step(now)
+        replay.now = train.end_ns + 1
+        commands, _ = _planned(train)
+        assert commands == [(now, key) for now in sorted(issued)
+                            for key in issued[now]]
+        apply(train)
+        assert _controller_state(controller) == _controller_state(replay)
+        idle_instants.append(train.end_ns - start + 1 - len(train.steps))
+
+    controller._apply_column_train = checked_apply
+    for request in first:
+        controller.enqueue(request)
+    controller.run_for(arrival_ns)
+    for request in second:
+        request.arrival_ns = controller.now
+        controller.enqueue(request)
+    controller.run_until_idle()
+    assert controller.outstanding_requests == 0
+    assert any(idle > 0 for idle in idle_instants)
