@@ -2,8 +2,9 @@
 
 Drives one HBM channel (two pseudo channels) with the architecture of
 Figure 4: an address-mapping front end, CAM-style read/write request queues,
-per-bank state logic (owned by the channel's bank objects), and an FR-FCFS
-command scheduler with an open-page row rule and per-bank refresh (REFpb).
+per-bank state logic (owned by the channel's bank objects: each is its open
+row and timing windows), and an FR-FCFS command scheduler with an open-page
+row rule and per-bank refresh (REFpb).
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
     from repro.reliability.faults import ReliabilityConfig
     from repro.reliability.ras import RasEngine
 
-#: Minimum instants that issue a command a planned burst train must cover
-#: to be applied, and the number of single-step evaluations to wait before
-#: planning again after a failed attempt.  Both are deterministic
-#: state-machine constants, so results are independent of wall-clock; they
-#: only bound planning overhead on workloads that never saturate the
-#: channel.
-_MIN_TRAIN_STEPS = 4
-_TRAIN_PLAN_COOLDOWN = 8
+#: Shortest advance (target minus now, in ns) for which the event core
+#: asks the planner for a burst train; shorter advances step.  A
+#: deterministic constant, so results are independent of wall-clock; it
+#: only bounds planning overhead when the driver advances a few ns at a
+#: time.
+_MIN_TRAIN_HORIZON_NS = 4
 
 #: Fields a mapping must share with the controller configuration.
 _BANK_GEOMETRY = ("num_pseudo_channels", "num_stack_ids", "num_bank_groups",
@@ -180,7 +179,6 @@ class ConventionalMemoryController:
         self.stats = ControllerStats()
         self._pending_transactions: Dict[int, int] = {}
         self._requests: Dict[int, MemoryRequest] = {}
-        self._train_cooldown = 0
         # RAS: per-transaction ECC classification plus the retry-replay
         # heap.  Inactive (no config, or all-zero rates) keeps every hook
         # short-circuited so the baseline path stays bit-identical.
@@ -463,9 +461,9 @@ class ConventionalMemoryController:
         """Earliest instant > now at which the controller's state can change.
 
         The bound is the minimum over every stored future timestamp in the
-        channel hierarchy (bank timing windows, transient-state resolutions,
-        CAS/ACT spacing, bus occupancies, C/A reuse) plus the refresh
-        engines' deadline and criticality transitions.  It is conservative:
+        channel hierarchy (bank timing windows, CAS/ACT spacing, bus
+        occupancies, C/A reuse) plus the refresh engines' deadline and
+        criticality transitions.  It is conservative:
         evaluating the scheduler at the returned instant may still be a
         no-op, but no command can become issueable strictly before it.
         """
@@ -498,11 +496,12 @@ class ConventionalMemoryController:
         productive evaluation it advances one nanosecond, because the
         C/A-pin model admits another command in the very next cycle.
 
-        Busy spans take the burst-train fast path: when the scheduler
-        models the coming instants and at least ``_MIN_TRAIN_STEPS`` of
-        them issue a command (see :meth:`FrFcfsScheduler.plan_train`), the
-        whole span, idle instants included, is applied in one evaluation
-        and time jumps past it.  Trains are truncated at ``target_ns``, so
+        Busy spans take the burst-train fast path: when at least
+        ``_MIN_TRAIN_HORIZON_NS`` remain before ``target_ns``, the
+        scheduler models the coming instants, and when any of them issues
+        a command (see :meth:`FrFcfsScheduler.plan_train`), the whole
+        span, idle instants included, is applied in one evaluation and
+        time jumps past it.  Trains are truncated at ``target_ns``, so
         externally scheduled arrivals (``Simulation.at``) still land
         cycle-exactly.
         """
@@ -511,13 +510,12 @@ class ConventionalMemoryController:
             # Active RAS pins the event core to single-step evaluation:
             # the train planner models only queue/refresh state, not
             # mid-train retry admissions or scrub instants.
-            if self._train_cooldown == 0 and not self._ras_active \
-                    and target_ns - now >= _MIN_TRAIN_STEPS:
+            if not self._ras_active \
+                    and target_ns - now >= _MIN_TRAIN_HORIZON_NS:
                 train = self.scheduler.plan_train(
                     self.read_queue, self.write_queue, self._backlog,
                     now, target_ns,
                     num_picks=self.config.num_pseudo_channels,
-                    min_steps=_MIN_TRAIN_STEPS,
                 )
                 if train is not None:
                     if self._obs is not None:
@@ -527,9 +525,6 @@ class ConventionalMemoryController:
                     if stop_when_idle and not self._pending():
                         return
                     continue
-                self._train_cooldown = _TRAIN_PLAN_COOLDOWN
-            elif self._train_cooldown:
-                self._train_cooldown -= 1
             acted = self._step(now)
             if stop_when_idle and not self._pending():
                 self.now = now + 1
@@ -551,35 +546,17 @@ class ConventionalMemoryController:
         validating channel calls the per-step path uses, so timing is
         re-checked against the live channel state, planned refreshes
         update the live refresh engines exactly as single-step issue
-        would, and a planner divergence raises instead of silently
-        corrupting statistics.  The queues (entries and bank machines),
-        backlog refills and the write-drain flag are installed in bulk
-        from the planner's model, which made exactly the per-step
+        would (``RefreshRotation.note_issued`` raises on any target but
+        the most urgent), and a planner divergence raises instead of
+        silently corrupting statistics.  The queues (entries and bank
+        machines), backlog refills and the write-drain flag are installed
+        in bulk from the planner's model, which made exactly the per-step
         pushes, removals and row changes.
         """
         for step in train.steps:
             t = step.time_ns
-            decision = step.refresh
-            if decision is not None:
-                target = decision.refresh_target
-                if target is not None:
-                    # The planner modeled this engine's deadline state; a
-                    # mismatch with the live engine means the model drifted.
-                    engine = self.scheduler.refresh_engines[
-                        decision.command.pseudo_channel]
-                    live = engine.most_urgent(t)
-                    if live is None or (
-                        live.due_time, live.stack_id, live.bank_group,
-                        live.bank,
-                    ) != (
-                        target.due_time, target.stack_id, target.bank_group,
-                        target.bank,
-                    ):
-                        raise RuntimeError(
-                            f"burst-train refresh plan diverged from engine "
-                            f"state at t={t}"
-                        )
-                self._issue(decision, t)
+            if step.refresh is not None:
+                self._issue(step.refresh, t)
             for transaction in step.columns:
                 self._issue_column(transaction, t)
             for decision in step.rows:

@@ -21,10 +21,10 @@ bulk-applies in one evaluation.  The planner only *models* state (pure
 reads); the controller's apply path replays the planned commands through
 the ordinary ``Channel.issue`` and ``Channel.issue_column`` validation (one
 check per command, bank included), so a planner divergence raises instead of
-silently corrupting results.  When fewer than ``min_steps`` of the instants
-before ``target_ns`` would issue, the planner returns ``None`` and the
-controller falls back to single-step evaluation, keeping results
-bit-identical to the per-nanosecond core by construction.
+silently corrupting results.  When no instant before ``target_ns`` would
+issue, the planner returns ``None`` and the controller falls back to
+single-step evaluation, keeping results bit-identical to the per-nanosecond
+core by construction.
 
 Bank machines
 -------------
@@ -39,9 +39,10 @@ row pick walks the miss heads.  Readiness is asked of the channel with plain
 ints (``Channel.can_issue_column``), and a column command issues the same way
 (``Channel.issue_column``), so no :class:`~repro.dram.commands.Command` is
 built for it.  The train planner models its run on forks of the live queues,
-so it starts from their machines instead of classifying every entry.  Banks
-resolve their own transients when read at an instant, so no evaluation
-sweeps the channel with a tick.
+so it starts from their machines instead of classifying every entry.  A bank
+is its open row and timing windows (:class:`~repro.dram.bank.Bank`), so
+nothing about it changes by time passing and no evaluation sweeps the
+channel with a tick.
 """
 
 from __future__ import annotations
@@ -114,21 +115,15 @@ class ColumnTrain:
     backlog_consumed: int
     final_draining: bool
 
-    @property
-    def count(self) -> int:
-        """Total commands in the train."""
-        return sum((step.refresh is not None) + len(step.columns)
-                   + len(step.rows) for step in self.steps)
-
 
 class _PcModel:
     """Modeled command-timing state of one pseudo channel during planning.
 
     Mirrors exactly the fields ``PseudoChannel._column_slot_free`` (CAS
-    spacing and the data-bus check) and ``_act_ready_time`` read, plus the
-    per-bus C/A reuse
-    tracked by the channel.  Initialized from read-only snapshots and
-    updated per planned issue with the same formulas ``issue`` applies.
+    spacing and the data-bus check) and the ACT check of ``can_issue``
+    read, plus the per-bus C/A reuse tracked by the channel.  Initialized
+    from read-only snapshots and updated per planned issue with the same
+    formulas ``issue`` applies.
     """
 
     __slots__ = ("last_cas_time", "last_cas_bank_group", "last_cas_stack",
@@ -152,24 +147,19 @@ class _PcModel:
 
 
 class _BankModel:
-    """Modeled per-bank state during planning (mirrors ``Bank``).
-
-    ``idle_at`` is the instant a closed bank finishes its transient
-    (precharging/refreshing) and can accept an ACT; it is only meaningful
-    while ``open_row`` is ``None``.
-    """
+    """Modeled per-bank state during planning (mirrors ``Bank``: the open
+    row and the timing windows)."""
 
     __slots__ = ("open_row", "next_read", "next_write", "next_pre",
-                 "next_act", "next_refresh", "idle_at")
+                 "next_act", "next_refresh")
 
-    def __init__(self, bank: Bank, now: int) -> None:
-        self.open_row = bank.open_row if bank.has_open_row(now) else None
+    def __init__(self, bank: Bank) -> None:
+        self.open_row = bank.open_row
         self.next_read = bank.next_read
         self.next_write = bank.next_write
         self.next_pre = bank.next_pre
         self.next_act = bank.next_act
         self.next_refresh = bank.next_refresh
-        self.idle_at = bank.transient_until
 
 
 class FrFcfsScheduler:
@@ -305,7 +295,7 @@ class FrFcfsScheduler:
                         now: int) -> bool:
         bank = self.channel.pseudo_channel(pc).bank(
             target.bank_group, target.bank, target.stack_id)
-        return bank.has_open_row(now)
+        return bank.open_row is not None
 
     def _live_can_issue_pre(self, pc: int, target: RefreshTarget,
                             now: int) -> bool:
@@ -378,7 +368,6 @@ class FrFcfsScheduler:
         now: int,
         target_ns: int,
         num_picks: int,
-        min_steps: int = 4,
     ) -> Optional[ColumnTrain]:
         """Plan the evaluations from ``now`` on as one train.
 
@@ -389,10 +378,9 @@ class FrFcfsScheduler:
         transitions.  The train ends at ``target_ns - 1``, at the
         ``_MAX_TRAIN_STEPS``-instant window, or before the first instant at
         which the modeled queues and backlog are empty.  It returns ``None``
-        when both queues and the backlog are empty, when fewer than
-        ``min_steps`` instants remain before ``target_ns``, or when fewer
-        than ``min_steps`` covered instants issue a command.  The caller
-        then falls back to ordinary single-step evaluation.
+        when both queues and the backlog are empty, when ``target_ns`` is
+        not after ``now``, or when no covered instant issues a command.
+        The caller then falls back to ordinary single-step evaluation.
 
         The read queue holds only reads and the write queue only writes
         (``_fill_queues`` routes them so, and so do the modeled refills).
@@ -433,9 +421,8 @@ class FrFcfsScheduler:
           passing alone;
         * *picks*: readiness is modeled with exact replicas of the
           pseudo-channel CAS/ACT spacing, turnaround, data-bus, BK-BUS,
-          tFAW, bank timing-window, and C/A-reuse checks, seeded from
-          read-only snapshots (banks resolve their own transients at
-          ``now``, no channel-wide tick needed) and advanced with the same
+          tFAW, bank open-row and timing-window, and C/A-reuse checks,
+          seeded from read-only snapshots and advanced with the same
           update formulas ``issue`` applies;
         * *idle instants*: an instant with no pick changes no modeled
           state (the refill finds the same full queue, the drain
@@ -449,8 +436,7 @@ class FrFcfsScheduler:
         changes any state, so a divergence raises.  It then installs the
         modeled queues as the live ones.
         """
-        last_allowed = target_ns - 1
-        if last_allowed < now + min_steps - 1:
+        if target_ns <= now:
             return None
         if read_queue.is_empty and write_queue.is_empty and not backlog:
             return None
@@ -476,7 +462,7 @@ class FrFcfsScheduler:
         # (``Channel.bank_index``) and by ``bank index // banks_per_group``.
         per_group = channel.config.banks_per_group
         per_pc = channel.config.banks_per_pseudo_channel
-        bank_models = [_BankModel(bank, now) for bank in channel.banks]
+        bank_models = [_BankModel(bank) for bank in channel.banks]
         group_bus = [group.bus_busy_until
                      for pc in channel.pseudo_channels
                      for stack in pc.stacks for group in stack]
@@ -493,8 +479,8 @@ class FrFcfsScheduler:
             if t <= pc_models[pc].row_ca_last:
                 return False
             bm = target_model(pc, target)
-            return (bm.open_row is None and t >= bm.idle_at
-                    and t >= bm.next_act and t >= bm.next_refresh)
+            return (bm.open_row is None and t >= bm.next_act
+                    and t >= bm.next_refresh)
 
         def model_bank_open(pc: int, target: RefreshTarget, t: int) -> bool:
             return target_model(pc, target).open_row is not None
@@ -522,8 +508,7 @@ class FrFcfsScheduler:
                     bm = target_model(pc, target)
                     ca_free = pc_models[pc].row_ca_last + 1
                     if bm.open_row is None:
-                        at = max(bm.idle_at, bm.next_act, bm.next_refresh,
-                                 ca_free)
+                        at = max(bm.next_act, bm.next_refresh, ca_free)
                     else:
                         at = max(target.due_time + engine.slack_ns(),
                                  bm.next_pre, ca_free)
@@ -542,7 +527,7 @@ class FrFcfsScheduler:
         draining = self._draining_writes
         bi = 0
         t = now
-        last = min(last_allowed, now + _MAX_TRAIN_STEPS - 1)
+        last = min(target_ns, now + _MAX_TRAIN_STEPS) - 1
         while t <= last:
             if rq.is_empty and wq.is_empty and bi == backlog_len:
                 # All modeled work is exhausted, so ``_pending`` went false
@@ -581,7 +566,6 @@ class FrFcfsScheduler:
                     pcm = pc_models[pc_index]
                     pcm.row_ca_last = t
                     if action == "ref":
-                        bm.idle_at = t + tRFCpb
                         if t + tRFCpb > bm.next_act:
                             bm.next_act = t + tRFCpb
                         if t + tREFIpb > bm.next_refresh:
@@ -593,7 +577,6 @@ class FrFcfsScheduler:
                         )
                     else:
                         bm.open_row = None
-                        bm.idle_at = t + tRP
                         if t + tRP > bm.next_act:
                             bm.next_act = t + tRP
                         rq.note_row(index, None)
@@ -718,11 +701,10 @@ class FrFcfsScheduler:
                                 row_pick = ("pre", index, txn, model, pcm)
                                 break
                             continue
-                        if t <= pcm.row_ca_last or t < model.idle_at \
-                                or t < model.next_act:
+                        if t <= pcm.row_ca_last or t < model.next_act:
                             continue
-                        # Same pure rule PseudoChannel._act_ready_time
-                        # delegates to, applied to the modeled state.
+                        # Same pure rule PseudoChannel.can_issue applies
+                        # to an ACT, on the modeled state.
                         if t < act_ready_time(
                                 timing, pcm.last_act_time,
                                 pcm.last_act_bank_group, pcm.act_window,
@@ -741,7 +723,6 @@ class FrFcfsScheduler:
                     sweep_at = t + 1
                 if action == "pre":
                     model.open_row = None
-                    model.idle_at = t + tRP
                     if t + tRP > model.next_act:
                         model.next_act = t + tRP
                     rq.note_row(index, None)
@@ -776,7 +757,7 @@ class FrFcfsScheduler:
                                        columns=columns, rows=rows))
             t += 1
 
-        if len(steps) < min_steps:
+        if not steps:
             return None
         return ColumnTrain(steps=steps, end_ns=t - 1, read_queue=rq,
                            write_queue=wq, backlog_consumed=bi,

@@ -7,7 +7,7 @@ as described in Section II of the RoMe paper:
   (HBM1 through HBM4) used for the trend analysis of Figure 2.
 * :mod:`repro.dram.timing` -- DRAM timing parameter sets (Table II / Table V).
 * :mod:`repro.dram.commands` -- DRAM command vocabulary.
-* :mod:`repro.dram.bank` -- a single DRAM bank with its finite-state machine.
+* :mod:`repro.dram.bank` -- a single DRAM bank: open row and timing windows.
 * :mod:`repro.dram.bankgroup` / :mod:`repro.dram.pseudochannel` /
   :mod:`repro.dram.channel` / :mod:`repro.dram.stack` -- the HBM hierarchy.
 * :mod:`repro.dram.address` -- physical-address-to-DRAM-coordinate mapping.
@@ -18,7 +18,7 @@ as described in Section II of the RoMe paper:
 from repro.dram.commands import Command, CommandKind, command_bus
 from repro.dram.timing import HBM4_TIMING, TimingParameters, derive_hbm4_timing
 from repro.dram.generations import HBM_GENERATIONS, HBMGenerationSpec
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 from repro.dram.bankgroup import BankGroup
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.channel import Channel, ChannelConfig
@@ -31,7 +31,6 @@ __all__ = [
     "AddressMapping",
     "Bank",
     "BankGroup",
-    "BankState",
     "Channel",
     "ChannelConfig",
     "Command",

@@ -27,8 +27,6 @@ class BankGroup:
 
     # Time until which the shared BK-BUS (and I/O ctrl buffer) is occupied.
     _bus_busy_until: int = 0
-    # Last column command issued to any bank in this group.
-    last_cas_time: int = -(10**9)
 
     def __post_init__(self) -> None:
         if not self.banks:
@@ -54,7 +52,6 @@ class BankGroup:
     def note_cas(self, now: int) -> None:
         """Record a column command at ``now``: it occupies the BK-BUS for
         one core-frequency beat (tCCDL)."""
-        self.last_cas_time = now
         busy_until = now + self.timing.tCCDL
         if busy_until > self._bus_busy_until:
             self._bus_busy_until = busy_until
@@ -67,10 +64,6 @@ class BankGroup:
             if candidate is not None and (best is None or candidate < best):
                 best = candidate
         return best
-
-    def open_rows(self, now: int) -> int:
-        """Number of banks holding an open row at ``now``."""
-        return sum(1 for bank in self.banks if bank.has_open_row(now))
 
     def total_counter(self, name: str) -> int:
         """Sum a named counter across all banks in the group."""

@@ -116,7 +116,7 @@ class Channel:
     def issue_column(self, pseudo_channel: int, kind: CommandKind,
                      stack_id: int, bank_group: int, bank: int, row: int,
                      now: int) -> None:
-        """Issue a RD/RDA/WR/WRA (``kind``) to ``row``, from plain ints.
+        """Issue a RD or WR (``kind``) to ``row``, from plain ints.
 
         The column twin of :meth:`can_issue_column`, and the one column
         path: :meth:`issue` delegates every column command here.  It raises

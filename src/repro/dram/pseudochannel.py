@@ -28,8 +28,8 @@ class CasStateSnapshot:
     Used by the burst-train planner (:mod:`repro.controller.scheduler`) to
     model column- and row-command readiness without mutating the live
     objects.  The fields mirror, one for one, the private state
-    ``_column_slot_free`` (CAS spacing and the data-bus check) and
-    ``_act_ready_time`` read.
+    ``_column_slot_free`` (CAS spacing and the data-bus check) and the ACT
+    check of ``can_issue`` read.
     """
 
     last_cas_time: int
@@ -151,14 +151,10 @@ class PseudoChannel:
         self._last_cas_bank_group: Optional[int] = None
         self._last_cas_stack: Optional[int] = None
         self._last_cas_was_read: Optional[bool] = None
-        self._last_read_data_end: int = _NEG_INF
         self._last_write_data_end: int = _NEG_INF
         self._data_bus_busy_until: int = 0
 
     # ------------------------------------------------------------- structure
-
-    def bank_groups(self, stack_id: int = 0) -> List[BankGroup]:
-        return self.stacks[stack_id]
 
     def bank(self, bank_group: int, bank: int, stack_id: int = 0) -> Bank:
         return self.stacks[stack_id][bank_group].bank(bank)
@@ -177,21 +173,6 @@ class PseudoChannel:
 
     # -------------------------------------------------------------- timing
 
-    def _cas_ready_time(self, bank_group: int, stack_id: int, is_read: bool) -> int:
-        """Earliest time the next CAS may issue given the previous CAS."""
-        return cas_ready_time(
-            self.timing, self._last_cas_time, self._last_cas_bank_group,
-            self._last_cas_stack, self._last_cas_was_read,
-            self._last_write_data_end, bank_group, stack_id, is_read,
-        )
-
-    def _act_ready_time(self, bank_group: int) -> int:
-        """Earliest time the next ACT may issue given ACT spacing rules."""
-        return act_ready_time(
-            self.timing, self._last_act_time, self._last_act_bank_group,
-            self._act_window, bank_group,
-        )
-
     def cas_state_snapshot(self) -> CasStateSnapshot:
         """Snapshot the command-timing state for read-only planning."""
         return CasStateSnapshot(
@@ -205,17 +186,6 @@ class PseudoChannel:
             last_act_bank_group=self._last_act_bank_group,
             act_window=tuple(self._act_window),
         )
-
-    def command_ready_time(self, command: Command) -> int:
-        """Earliest time ``command`` satisfies the PC-level constraints."""
-        kind = command.kind
-        if kind is CommandKind.ACT:
-            return self._act_ready_time(command.bank_group)
-        if kind.is_column:
-            return self._cas_ready_time(
-                command.bank_group, command.stack_id, kind.is_read
-            )
-        return 0
 
     # ------------------------------------------------------------ can_issue
 
@@ -242,8 +212,8 @@ class PseudoChannel:
         The single column check: the cross-bank rule, then the bank's own
         (:meth:`Bank.can_issue_column`).  It takes plain ints so a
         scheduler can test a candidate without building a
-        :class:`Command`; :meth:`can_issue` delegates every RD/RDA/WR/WRA
-        to it.
+        :class:`Command`; :meth:`can_issue` delegates every RD and WR to
+        it.
         """
         group = self.stacks[stack_id][bank_group]
         return self._column_slot_free(group, stack_id, bank_group, is_read,
@@ -253,11 +223,13 @@ class PseudoChannel:
     def can_issue(self, command: Command, now: int) -> bool:
         """Check all PC- and bank-level constraints for ``command`` at ``now``."""
         kind = command.kind
-        if kind.is_column:
+        if kind is CommandKind.RD or kind is CommandKind.WR:
             return self.can_issue_column(
                 command.stack_id, command.bank_group, command.bank,
-                command.row, kind.is_read, now)
-        if now < self.command_ready_time(command):
+                command.row, kind is CommandKind.RD, now)
+        if kind is CommandKind.ACT and now < act_ready_time(
+                self.timing, self._last_act_time, self._last_act_bank_group,
+                self._act_window, command.bank_group):
             return False
         if kind is CommandKind.REFAB:
             return all(
@@ -273,7 +245,7 @@ class PseudoChannel:
 
     def issue_column(self, kind: CommandKind, stack_id: int, bank_group: int,
                      bank: int, row: int, now: int) -> None:
-        """Issue a RD/RDA/WR/WRA (``kind``) to ``row``, from plain ints.
+        """Issue a RD or WR (``kind``) to ``row``, from plain ints.
 
         The column twin of :meth:`issue`, which delegates every column
         command to it.  The cross-bank rule is checked here and the bank's
@@ -303,7 +275,6 @@ class PseudoChannel:
             self._data_bus_busy_until = data_end
         counters.data_bus_busy_ns += t.burst_ns
         if is_read:
-            self._last_read_data_end = data_end
             counters.bytes_read += t.access_granularity_bytes
         else:
             self._last_write_data_end = data_end
@@ -339,8 +310,7 @@ class PseudoChannel:
             bank.apply(kind, now, command.row)
         elif kind is CommandKind.PREA:
             for bank in self.all_banks():
-                if bank.has_open_row(now) \
-                        and bank.can_issue(CommandKind.PRE, now):
+                if bank.can_issue(CommandKind.PRE, now):
                     bank.apply(CommandKind.PRE, now)
         elif kind is CommandKind.REFPB:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)

@@ -32,8 +32,11 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 4 pickles DRAM coordinates as immutable named tuples
-(:class:`repro.dram.address.DramCoordinate`) and the conventional
+Version 5 pickles each conventional bank as its open row and timing
+windows (:class:`repro.dram.bank.Bank`, no state machine or pending
+auto-precharge) and the conventional controller without a train-planning
+cooldown.  Version 4, like it, pickles DRAM coordinates as immutable named
+tuples (:class:`repro.dram.address.DramCoordinate`) and the conventional
 controller's stats without a per-kind command dict (the channel's own
 command counts hold them).  Version 3, like it, pickles the request
 queues with their bank machines
@@ -42,7 +45,7 @@ numbers, per-bank FIFOs, hit counts and head lists), but its coordinates
 were dataclass instances.  Version 2 queues were flat entry lists, and
 version 1 payloads also carried per-target refresh deadline dicts that the
 rotation-based trackers (:class:`repro.dram.refresh.RefreshRotation`,
-since version 2) never read.  All three are rejected rather than restored
+since version 2) never read.  All four are rejected rather than restored
 into a silently different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
@@ -73,7 +76,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

@@ -206,8 +206,8 @@ def test_refresh_decision_when_due(timing):
     assert decision.command.kind in (CommandKind.REFPB, CommandKind.PRE)
 
 
-def test_plan_train_reports_count_and_end():
-    """The burst-train planner's (steps, count, end_ns) surface must be
+def test_plan_train_reports_steps_and_end():
+    """The burst-train planner's (steps, end_ns) surface must be
     self-consistent: from a cold start the train runs through the idle
     instants of the tRRD-spaced ACT ramp, its steps are exactly the covered
     instants that issue, in time order, and it ends at the 512-instant
@@ -231,10 +231,9 @@ def test_plan_train_reports_count_and_end():
                for step in train.steps)
     # Covered instants that issue nothing have no step.
     assert len(train.steps) < train.end_ns - mc.now + 1
-    assert train.count == sum(
-        (step.refresh is not None) + len(step.columns) + len(step.rows)
-        for step in train.steps)
-    assert train.count > len(train.steps)
+    # Some instants issue more than one command (the two PCs' ACTs).
+    assert any(len(step.columns) + len(step.rows) > 1
+               for step in train.steps)
 
 
 def _cold_loaded_controller() -> ConventionalMemoryController:
@@ -248,11 +247,11 @@ def _cold_loaded_controller() -> ConventionalMemoryController:
     return mc
 
 
-def _plan_cold(mc, now, min_steps, target_ns=None):
+def _plan_cold(mc, now, target_ns=None):
     return mc.scheduler.plan_train(
         mc.read_queue, mc.write_queue, mc._backlog, now=now,
         target_ns=now + 10_000 if target_ns is None else target_ns,
-        num_picks=mc.config.num_pseudo_channels, min_steps=min_steps,
+        num_picks=mc.config.num_pseudo_channels,
     )
 
 
@@ -273,7 +272,7 @@ def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
     very instant the per-step scheduler (``pick_refresh`` first in every
     ``_step``) issues it, alongside the same ACTs and column commands."""
     start = timing.tREFIpb
-    train = _plan_cold(_cold_loaded_controller(), start, min_steps=1)
+    train = _plan_cold(_cold_loaded_controller(), start)
     assert train is not None
     planned, planned_columns = [], []
     for step in train.steps:
@@ -318,25 +317,67 @@ def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
     assert served == planned_columns
 
 
-def test_plan_train_declines_fewer_issuing_instants_than_min_steps(timing):
-    """``min_steps`` counts the covered instants that issue, not the
-    instants covered: 12 instants of the cold ACT ramp issue at five, so
-    the planner covers them when ``min_steps`` is five and declines at
-    six.  It also declines when no ``min_steps`` instants remain before
-    ``target_ns``."""
+def _lone_read_controller() -> ConventionalMemoryController:
+    mc = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
+    )
+    mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32))
+    return mc
+
+
+def _bank_state(mc):
+    return [(bank.open_row, bank.next_act, bank.next_read, bank.next_write,
+             bank.next_pre, bank.next_refresh) for bank in mc.channel.banks]
+
+
+def test_a_train_of_one_issuing_instant_is_applied_and_equals_the_steps():
+    """Any train with an issuing instant is applied: over a 4 ns advance a
+    lone read issues only its ACT, at the first instant, and the event
+    core applies that one-step train in one evaluation, issuing exactly
+    what ``_step`` issues over the span.  The planner declines a span in
+    which nothing issues, and a target that is not after ``now``."""
+    planner = _lone_read_controller()
+    train = _plan_cold(planner, 0, target_ns=4)
+    assert train is not None and train.end_ns == 3
+    assert [step.time_ns for step in train.steps] == [0]
+    (step,) = train.steps
+    assert step.refresh is None and not step.columns
+    assert [_command_key(d.command) for d in step.rows] == [
+        (CommandKind.ACT, 0, 0, 0, 0, 0)]
+    assert _plan_cold(planner, 0, target_ns=0) is None
+
+    applied = _lone_read_controller()
+    applied.advance_to(4)
+    assert applied.stats.evaluations == 1
+    stepped = _lone_read_controller()
+    for t in range(4):
+        stepped._step(t)
+    assert applied.channel.command_counts() \
+        == stepped.channel.command_counts() == {"ACT": 1}
+    assert _bank_state(applied) == _bank_state(stepped)
+    # From here to tRCD nothing issues, so no train is offered.
+    assert _plan_cold(applied, 4, target_ns=8) is None
+
+
+def test_applying_a_train_with_an_out_of_rotation_refresh_raises(timing):
+    """A planned REFpb that is not the live engine's most urgent target
+    cannot be applied: the live refresh rotation rejects it."""
     start = timing.tREFIpb
     mc = _cold_loaded_controller()
-    target_ns = start + 12
-    ramp = _plan_cold(mc, start, min_steps=1, target_ns=target_ns)
-    assert ramp is not None
-    assert ramp.end_ns == target_ns - 1
-    issuing = len(ramp.steps)
-    assert issuing == 5
-    assert _plan_cold(mc, start, min_steps=issuing,
-                      target_ns=target_ns) is not None
-    assert _plan_cold(mc, start, min_steps=issuing + 1,
-                      target_ns=target_ns) is None
-    assert _plan_cold(mc, start, min_steps=1, target_ns=start) is None
+    train = _plan_cold(mc, start)
+    step = train.steps[0]
+    target = step.refresh.refresh_target
+    assert step.time_ns == start and target == mc.scheduler.refresh_engines[
+        step.refresh.command.pseudo_channel].most_urgent(start)
+    # Another closed bank of the same bank group: the channel takes its
+    # REFpb, only the rotation does not.
+    other = replace(target, bank=target.bank + 2)
+    step.refresh = replace(
+        step.refresh, refresh_target=other,
+        command=replace(step.refresh.command, bank=other.bank))
+    mc.now = start
+    with pytest.raises(ValueError, match="out of rotation order"):
+        mc._apply_column_train(train)
 
 
 def test_pick_column_tests_a_blocked_bank_once(setup, timing):

@@ -1,8 +1,8 @@
-"""Tests for the single-bank finite-state machine and timing windows."""
+"""Tests for the single bank: its open row and timing windows."""
 
 import pytest
 
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 from repro.dram.commands import CommandKind
 from repro.dram.timing import TimingParameters
 
@@ -12,19 +12,23 @@ def bank(timing):
     return Bank(timing=timing)
 
 
-def test_initial_state_is_idle(bank):
-    assert bank.state is BankState.IDLE
-    assert not bank.has_open_row(0)
-
-
-def test_activate_opens_row_and_transitions_to_active(bank, timing):
+def test_a_new_bank_is_closed_and_takes_act_and_refpb_but_not_pre(bank):
+    assert bank.open_row is None
     assert bank.can_issue(CommandKind.ACT, now=0, row=5)
+    assert bank.can_issue(CommandKind.REFPB, now=0)
+    assert not bank.can_issue(CommandKind.PRE, now=0)
+
+
+def test_activate_opens_row_and_closes_the_bank_to_act_and_refpb(bank,
+                                                                  timing):
     bank.issue(CommandKind.ACT, now=0, row=5)
-    assert bank.state is BankState.ACTIVATING
-    bank.tick(timing.tRCDRD)
-    assert bank.state is BankState.ACTIVE
-    assert bank.is_row_hit(5, timing.tRCDRD)
-    assert not bank.is_row_hit(6, timing.tRCDRD)
+    assert bank.open_row == 5
+    # An open bank takes neither another ACT nor a REFpb, however late.
+    late = 10 * timing.tRC
+    assert not bank.can_issue(CommandKind.ACT, now=late, row=6)
+    assert not bank.can_issue(CommandKind.REFPB, now=late)
+    assert bank.can_issue(CommandKind.RD, now=timing.tRCDRD, row=5)
+    assert not bank.can_issue(CommandKind.RD, now=timing.tRCDRD, row=6)
 
 
 def test_read_not_allowed_before_trcd(bank, timing):
@@ -69,63 +73,55 @@ def test_write_recovery_delays_precharge(bank, timing):
     assert bank.can_issue(CommandKind.PRE, now=earliest)
 
 
-def test_precharge_closes_row_and_returns_to_idle(bank, timing):
+def test_precharge_closes_row_and_blocks_act_until_trp(timing):
+    """ACT waits out the precharge (tRP) even once tRC has passed."""
+    bank = Bank(timing=timing)
     bank.issue(CommandKind.ACT, now=0, row=1)
-    bank.issue(CommandKind.PRE, now=timing.tRAS)
-    assert bank.state is BankState.PRECHARGING
-    bank.tick(timing.tRAS + timing.tRP)
-    assert bank.state is BankState.IDLE
-    assert not bank.has_open_row(timing.tRAS + timing.tRP)
+    pre_at = timing.tRC
+    bank.issue(CommandKind.PRE, now=pre_at)
+    assert bank.open_row is None
+    assert not bank.can_issue(CommandKind.PRE, now=pre_at + timing.tRP)
+    assert not bank.can_issue(CommandKind.ACT, now=pre_at + timing.tRP - 1,
+                              row=2)
+    assert not bank.can_issue(CommandKind.RD, now=pre_at + timing.tRP,
+                              row=1)
+    assert bank.can_issue(CommandKind.ACT, now=pre_at + timing.tRP, row=2)
 
 
 def test_refresh_requires_idle_bank(bank, timing):
     bank.issue(CommandKind.ACT, now=0, row=1)
     assert not bank.can_issue(CommandKind.REFPB, now=1)
     bank.issue(CommandKind.PRE, now=timing.tRAS)
-    ready = timing.tRAS + timing.tRP
-    bank.tick(ready)
-    assert bank.can_issue(CommandKind.REFPB, now=max(ready, timing.tRC))
+    ready = max(timing.tRAS + timing.tRP, timing.tRC)
+    assert not bank.can_issue(CommandKind.REFPB, now=ready - 1)
+    assert bank.can_issue(CommandKind.REFPB, now=ready)
 
 
 def test_refresh_blocks_activation_for_trfcpb(bank, timing):
+    """A REFpb leaves the bank closed and blocks ACT (and the next REFpb)
+    until it completes."""
     bank.issue(CommandKind.REFPB, now=0)
-    assert bank.state is BankState.REFRESHING
+    assert bank.open_row is None
+    assert not bank.can_issue(CommandKind.PRE, now=timing.tRFCpb)
     assert not bank.can_issue(CommandKind.ACT, now=timing.tRFCpb - 1, row=0)
+    assert not bank.can_issue(CommandKind.REFPB, now=timing.tRFCpb - 1)
     assert bank.can_issue(CommandKind.ACT, now=timing.tRFCpb, row=0)
 
 
-def test_read_with_autoprecharge_closes_row(bank, timing):
-    bank.issue(CommandKind.ACT, now=0, row=1)
-    t = timing.tRAS
-    bank.issue(CommandKind.RDA, now=t, row=1)
-    bank.tick(t + timing.tRTP + timing.tRP)
-    assert bank.state is BankState.IDLE
-    assert bank.open_row is None
-
-
-def _opened_with(timing, kind):
-    bank = Bank(timing=timing)
-    bank.issue(CommandKind.ACT, now=0, row=1)
-    bank.issue(kind, now=timing.tRAS, row=1)
-    return bank
-
-
 @pytest.mark.parametrize("kind", [CommandKind.RDA, CommandKind.WRA])
-def test_row_reads_resolve_auto_precharge_without_a_tick(timing, kind):
-    """``has_open_row`` and ``is_row_hit`` resolve a pending RDA/WRA
-    auto-precharge themselves: read once, with no ``tick`` call, they turn
-    False at the auto-precharge instant, as on a twin bank ticked every
-    ns."""
-    issued = timing.tRAS
-    closes_at = issued + (timing.tRTP if kind is CommandKind.RDA else
-                          timing.tCWL + timing.burst_ns + timing.tWR)
-    ticked = _opened_with(timing, kind)
-    for now in range(issued, closes_at + timing.tRP + 2):
-        ticked.tick(now)
-        twin_open = ticked.open_row is not None
-        assert twin_open == (now < closes_at)
-        assert _opened_with(timing, kind).has_open_row(now) == twin_open
-        assert _opened_with(timing, kind).is_row_hit(1, now) == twin_open
+def test_auto_precharging_cas_is_rejected(bank, timing, kind):
+    """No controller issues RDA/WRA (FR-FCFS is open-page), so the bank
+    rejects them by name instead of treating them as RD/WR, and changes
+    nothing."""
+    bank.issue(CommandKind.ACT, now=0, row=1)
+    before = (bank.open_row, bank.next_pre, bank.counters.as_dict())
+    with pytest.raises(ValueError, match=kind.value):
+        bank.issue(kind, now=timing.tRAS, row=1)
+    with pytest.raises(ValueError, match=kind.value):
+        bank.issue_column(kind, 1, timing.tRAS)
+    with pytest.raises(ValueError):
+        bank.can_issue(kind, now=timing.tRAS, row=1)
+    assert (bank.open_row, bank.next_pre, bank.counters.as_dict()) == before
 
 
 def test_illegal_issue_raises(bank):
@@ -141,10 +137,3 @@ def test_counters_track_events(bank, timing):
     assert counters["activates"] == 1
     assert counters["reads"] == 1
     assert counters["precharges"] == 1
-
-
-def test_earliest_issue_reports_lower_bounds(bank, timing):
-    bank.issue(CommandKind.ACT, now=0, row=1)
-    assert bank.earliest_issue(CommandKind.RD) == timing.tRCDRD
-    assert bank.earliest_issue(CommandKind.PRE) == timing.tRAS
-    assert bank.earliest_issue(CommandKind.ACT) == timing.tRC

@@ -24,13 +24,6 @@ def test_bus_reservation_blocks_for_tccdl(group, timing):
     assert group.bus_free_at(timing.tCCDL)
 
 
-def test_open_rows_counts_active_banks(group, timing):
-    assert group.open_rows(0) == 0
-    group.bank(0).issue(CommandKind.ACT, now=0, row=1)
-    group.bank(1).issue(CommandKind.ACT, now=0, row=2)
-    assert group.open_rows(0) == 2
-
-
 def test_total_counter_sums_across_banks(group, timing):
     group.bank(0).issue(CommandKind.ACT, now=0, row=1)
     group.bank(1).issue(CommandKind.ACT, now=0, row=1)

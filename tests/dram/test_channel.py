@@ -80,11 +80,8 @@ def test_data_bus_utilization_averages_pcs(channel, timing):
 
 # ------------------------------------------------- int-addressed column issue
 
-def _state(channel, now):
-    """Everything a command can change, after resolving the transients
-    that have ended by ``now`` (which any check does first)."""
-    for bank in channel.banks:
-        bank.tick(now)
+def _state(channel):
+    """Everything a command can change."""
     return (
         channel.command_counts(),
         [asdict(group) for pc in channel.pseudo_channels
@@ -121,10 +118,10 @@ def test_issue_column_rejects_before_changing_state(channel, timing, case):
     now = rejected[-1]
     assert not channel.can_issue_column(*rejected[:1], *rejected[2:6],
                                         True, now)
-    before = _state(channel, now)
+    before = _state(channel)
     with pytest.raises(RuntimeError):
         channel.issue_column(*rejected)
-    assert _state(channel, now) == before
+    assert _state(channel) == before
 
 
 @pytest.mark.parametrize("kind", [CommandKind.RD, CommandKind.WR])
@@ -137,4 +134,16 @@ def test_issue_column_equals_issue_of_the_same_command(timing, kind):
                              row=5, column=3), now=ready)
     by_ints.issue_column(0, kind, 0, 1, 0, 5, ready)
     assert by_ints.command_counts() == by_command.command_counts()
-    assert _state(by_ints, ready) == _state(by_command, ready)
+    assert _state(by_ints) == _state(by_command)
+
+
+@pytest.mark.parametrize("kind", [CommandKind.RDA, CommandKind.WRA])
+def test_issue_column_rejects_an_auto_precharging_cas(channel, timing, kind):
+    """RDA/WRA are not modeled: the channel raises ``ValueError`` naming
+    the kind before any state changes, also when a RD/WR would issue."""
+    ready = _open_two_banks(channel, timing) + timing.tRCDWR
+    assert channel.can_issue_column(0, 0, 0, 0, 5, kind.is_read, ready)
+    before = _state(channel)
+    with pytest.raises(ValueError, match=kind.value):
+        channel.issue_column(0, kind, 0, 0, 0, 5, ready)
+    assert _state(channel) == before

@@ -177,11 +177,11 @@ class TestCheckpointFormat:
 
     def test_restore_rejects_unknown_version(self):
         # A newer version, and every older layout: v1 (per-target refresh
-        # deadline dicts), v2 (request queues without bank machines) and
-        # v3 (dataclass DRAM coordinates).
+        # deadline dicts), v2 (request queues without bank machines), v3
+        # (dataclass DRAM coordinates) and v4 (banks with a state machine).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 3, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 4, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,

@@ -330,7 +330,7 @@ def _plan_every_instant(controller):
         train = controller.scheduler.plan_train(
             controller.read_queue, controller.write_queue,
             controller._backlog, now=now, target_ns=now + 10_000,
-            num_picks=controller.config.num_pseudo_channels, min_steps=1,
+            num_picks=controller.config.num_pseudo_channels,
         )
         yield now, train
         controller.tick()
@@ -968,7 +968,7 @@ def _controller_state(controller):
         controller.stats,
         channel.command_counts(),
         [(bank.open_row, bank.next_act, bank.next_read, bank.next_write,
-          bank.next_pre, bank.next_refresh, bank.transient_until)
+          bank.next_pre, bank.next_refresh)
          for bank in channel.banks],
         [pc.cas_state_snapshot() for pc in channel.pseudo_channels],
         [(channel.last_column_ca_time(pc), channel.last_row_ca_time(pc))
