@@ -7,10 +7,12 @@ this reproduction can run.  The event-driven core must be cycle-exact
 (asserted inside the comparison helpers) and at least 20x faster than the
 seed's per-nanosecond core on the 512 KiB streaming drain.
 
-The burst-train fast path is gated here too: on the conventional
+The conventional event core is gated here too: on the conventional
 controller's 512 KiB saturated streaming drain (the paper's headline
-scenario) the event core must perform at least 10x fewer scheduler
-evaluations than one-per-nanosecond ticking, and be faster in wall-clock.
+scenario) it must perform at least 10x fewer scheduler evaluations than
+one-per-nanosecond ticking -- one call of its decision loop walks a whole
+advance, jumping between the instants that can issue -- and be faster in
+wall-clock.
 """
 
 from repro.sim.bench import (
@@ -29,7 +31,7 @@ def test_event_core_speedup_over_seed(table_printer):
         f"event core only {rome['speedup']:.1f}x over the seed tick core"
     )
     # The RoMe event core evaluates about once per issued command and the
-    # hbm4 burst trains collapse whole command runs into one evaluation;
+    # hbm4 event core's loop covers a whole advance in one evaluation;
     # either way both stay below one evaluation per tick.
     assert rome["event_evaluations"] < rome["tick_evaluations"]
     hbm4 = next(row for row in rows if row["system"] == "hbm4")
@@ -37,11 +39,11 @@ def test_event_core_speedup_over_seed(table_printer):
     assert hbm4["event_evaluations"] < hbm4["tick_evaluations"]
 
 
-def test_conventional_burst_trains_cut_evaluations_10x(table_printer):
+def test_conventional_event_core_cuts_evaluations_10x(table_printer):
     row = streaming_conventional_comparison(total_bytes=512 * 1024)
-    table_printer("Conventional burst-train gate (512 KiB streaming)", [row])
+    table_printer("Conventional event-core gate (512 KiB streaming)", [row])
     assert row["evaluation_reduction"] >= 10.0, (
-        f"burst trains only cut scheduler evaluations by "
+        f"the event core only cuts scheduler evaluations by "
         f"{row['evaluation_reduction']:.1f}x"
     )
     # Wall-clock must improve too (kept permissive for shared CI boxes;
@@ -49,19 +51,19 @@ def test_conventional_burst_trains_cut_evaluations_10x(table_printer):
     assert row["speedup"] >= 1.0
 
 
-def test_refresh_enabled_burst_trains_stay_engaged(table_printer):
-    """The tentpole acceptance scenario: per-bank refresh *on* (the paper's
-    steady state) must no longer disengage the fast path -- >= 5x fewer
-    scheduler evaluations than 1-ns ticking on the saturated conventional
-    drain (typical ~8-9x), with the RoMe event core far above that."""
+def test_refresh_enabled_event_core_cuts_evaluations(table_printer):
+    """Per-bank refresh *on* (the paper's steady state): the conventional
+    event core still makes >= 5x fewer scheduler evaluations than 1-ns
+    ticking on the saturated drain (its loop issues the REFpbs inside the
+    advance), with the RoMe event core far above that too."""
     conventional = streaming_conventional_refresh_comparison(
         total_bytes=512 * 1024)
     rome = rome_refresh_comparison(total_bytes=512 * 1024)
-    table_printer("Refresh-enabled burst-train gates (512 KiB streaming)",
+    table_printer("Refresh-enabled event-core gates (512 KiB streaming)",
                   [conventional, rome])
     assert conventional["refreshes"] > 0
     assert conventional["evaluation_reduction"] >= 5.0, (
-        f"refresh-enabled trains only cut scheduler evaluations by "
+        f"the refresh-enabled event core only cuts scheduler evaluations by "
         f"{conventional['evaluation_reduction']:.1f}x"
     )
     assert conventional["speedup"] >= 1.0

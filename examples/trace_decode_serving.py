@@ -4,8 +4,9 @@
 Runs one seeded closed-loop serving episode with observability enabled
 and writes the recording out: a Chrome trace-event JSON file (drop it
 onto https://ui.perfetto.dev to scrub through scheduler evaluations,
-refreshes, and serving iterations -- plus burst trains on the hbm4
-controller -- on the simulated-time axis), plus a span self-time
+refreshes, and serving iterations on the simulated-time axis -- the hbm4
+controller records one ``scheduler.eval`` per instant that issues a
+command, on either core), plus a span self-time
 profile and the windowed metric series on stdout.  The recording is
 deterministic -- re-running with the same arguments reproduces the
 output file byte for byte.

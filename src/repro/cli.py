@@ -879,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="streaming drain size for the RoMe comparison")
     p.add_argument("--conventional-bytes", type=int, default=512 * 1024,
                    help="streaming drain size for the conventional "
-                        "burst-train gate (the paper's headline saturation "
+                        "event-core gates (the paper's headline saturation "
                         "scenario)")
     p.add_argument("--repeats", type=int, default=2)
     for gate in GATES:

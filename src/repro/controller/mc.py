@@ -5,6 +5,12 @@ Figure 4: an address-mapping front end, CAM-style read/write request queues,
 per-bank state logic (owned by the channel's bank objects: each is its open
 row and timing windows), and an FR-FCFS command scheduler with an open-page
 row rule and per-bank refresh (REFpb).
+
+Two cores drive it and must agree instant for instant: the tick core
+evaluates ``_step`` every nanosecond, and the event core runs the
+scheduler's decision loop (:meth:`FrFcfsScheduler.plan_train`) once per
+advance, which makes ``_step``'s decisions on the live state and jumps
+over the instants at which nothing can issue.
 """
 
 from __future__ import annotations
@@ -22,11 +28,7 @@ from repro.controller.request import (
     Transaction,
     decompose,
 )
-from repro.controller.scheduler import (
-    ColumnTrain,
-    FrFcfsScheduler,
-    SchedulerDecision,
-)
+from repro.controller.scheduler import FrFcfsScheduler, SchedulerDecision
 from repro.defaults import DEFAULT_DRAIN_HORIZON_NS
 from repro.dram.address import AddressMapping, baseline_hbm4_mapping
 from repro.dram.channel import Channel, ChannelConfig
@@ -41,13 +43,6 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
     from repro.obs.sink import ObsSink
     from repro.reliability.faults import ReliabilityConfig
     from repro.reliability.ras import RasEngine
-
-#: Shortest advance (target minus now, in ns) for which the event core
-#: asks the planner for a burst train; shorter advances step.  A
-#: deterministic constant, so results are independent of wall-clock; it
-#: only bounds planning overhead when the driver advances a few ns at a
-#: time.
-_MIN_TRAIN_HORIZON_NS = 4
 
 #: Fields a mapping must share with the controller configuration.
 _BANK_GEOMETRY = ("num_pseudo_channels", "num_stack_ids", "num_bank_groups",
@@ -98,11 +93,14 @@ class ControllerStats:
     """Aggregate statistics of one controller run.
 
     ``evaluations`` counts scheduler evaluations: one per ``_step`` and one
-    per applied burst train (regardless of how many commands the train
-    covered).  It is excluded from equality so cores that reach identical
-    results with different evaluation counts still compare equal -- it is an
-    observability counter for the burst-train speedup mechanism, not a
-    simulation output.
+    per call of the event core's decision loop
+    (:meth:`FrFcfsScheduler.plan_train`), however many instants it walks.
+    ``instants`` counts the instants those evaluations decide: one per
+    ``_step``, and each instant the loop visits (those that issue and the
+    idle ones it lands on before jumping).  Both are excluded from equality
+    so cores that reach identical results with different counts still
+    compare equal -- they are observability counters of the event core,
+    not simulation outputs.
     """
 
     served_reads: int = 0
@@ -112,6 +110,7 @@ class ControllerStats:
     read_latencies: List[int] = field(default_factory=list)
     refreshes_issued: int = 0
     evaluations: int = field(default=0, compare=False)
+    instants: int = field(default=0, compare=False)
 
     @property
     def average_read_latency(self) -> float:
@@ -291,8 +290,13 @@ class ConventionalMemoryController:
     # ------------------------------------------------------------------ tick
 
     def _step(self, now: int) -> bool:
-        """One scheduling evaluation at ``now``; True if any command issued."""
+        """One scheduling evaluation at ``now``; True if any command issued.
+
+        The tick core's scheduler, and the reference the event core
+        (:meth:`FrFcfsScheduler.plan_train`) is checked against.
+        """
         self.stats.evaluations += 1
+        self.stats.instants += 1
         if self._ras_active:
             self._ras_step(now)
         self._fill_queues()
@@ -334,19 +338,25 @@ class ConventionalMemoryController:
             issued_any = True
 
         if issued_any and self._obs is not None:
-            # Only decision-bearing evaluations are traced: a no-op
-            # wake-up depends on which boundary instants the advance loop
-            # lands on (a checkpoint cut evaluates once at its ``at_ns``
-            # where the uninterrupted run does not), so recording it would
-            # break cut/resume byte-identity.  ``stats.evaluations`` still
-            # counts every evaluation (``compare=False`` likewise).
-            obs = self._obs
-            obs.event(now, "scheduler.eval")
-            obs.count(now, "controller.evaluations")
-            obs.gauge(now, "controller.queue_depth",
-                      self.read_queue.occupancy + self.write_queue.occupancy
-                      + len(self._backlog))
+            self._trace_evaluation(now)
         return issued_any
+
+    def _trace_evaluation(self, now: int) -> None:
+        """Record a decision-bearing instant (one that issued a command).
+
+        Only those are traced, by ``_step`` and the event core's loop
+        alike, so the tick and event cores record the same bytes: a no-op
+        wake-up depends on which boundary instants an advance lands on (a
+        checkpoint cut evaluates once at its ``at_ns`` where the
+        uninterrupted run does not).  ``stats.evaluations`` and
+        ``stats.instants`` count every evaluation (``compare=False``).
+        """
+        obs = self._obs
+        obs.event(now, "scheduler.eval")
+        obs.count(now, "controller.evaluations")
+        obs.gauge(now, "controller.queue_depth",
+                  self.read_queue.occupancy + self.write_queue.occupancy
+                  + len(self._backlog))
 
     def tick(self) -> None:
         """Advance the controller by one nanosecond (legacy tick core)."""
@@ -355,8 +365,8 @@ class ConventionalMemoryController:
 
     def _issue_column(self, transaction: Transaction, now: int) -> None:
         """Issue the RD or WR that serves ``transaction`` and book it
-        served (shared by the per-step path and the burst-train apply so
-        they cannot drift; its queue entry is the caller's to retire)."""
+        served (shared by ``_step`` and the event core's loop so they
+        cannot drift; its queue entry is the caller's to retire)."""
         coord = transaction.coordinate
         is_read = transaction.is_read
         self.channel.issue_column(
@@ -458,21 +468,19 @@ class ConventionalMemoryController:
     # ------------------------------------------------------- event-driven core
 
     def next_event_ns(self) -> Optional[int]:
-        """Earliest instant > now at which the controller's state can change.
+        """The first instant at which an evaluation could change state.
 
-        The bound is the minimum over every stored future timestamp in the
-        channel hierarchy (bank timing windows, CAS/ACT spacing, bus
-        occupancies, C/A reuse) plus the refresh engines' deadline and
-        criticality transitions.  It is conservative:
-        evaluating the scheduler at the returned instant may still be a
-        no-op, but no command can become issueable strictly before it.
+        The earliest instant an evaluation could issue a command
+        (:meth:`FrFcfsScheduler.ready_ns`: ``now`` itself when backlog
+        entries wait for queue room that is free, else the earliest ready
+        instant of the heads and the refresh sweep), or, under active RAS,
+        admit a retry or run a scrub.  It may be ``now`` or earlier when
+        the controller can act at once; no command can issue strictly
+        before it.
         """
         now = self.now
-        best = self.channel.next_event_ns(now)
-        for engine in self.scheduler.refresh_engines:
-            candidate = engine.next_event_ns(now)
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
+        best = self.scheduler.ready_ns(self.read_queue, self.write_queue,
+                                       self._backlog, now)
         if self._ras_active:
             candidate = self._ras_wake(now)
             if candidate is not None and (best is None or candidate < best):
@@ -490,41 +498,22 @@ class ConventionalMemoryController:
         """Event-driven advance to ``target_ns`` (or until drained).
 
         Scheduling decisions are purely a function of (time, state), and
-        state only changes when a command issues, so after an idle
-        evaluation the controller can jump straight to the next constraint
-        expiry instead of re-evaluating every nanosecond.  After a
-        productive evaluation it advances one nanosecond, because the
-        C/A-pin model admits another command in the very next cycle.
-
-        Busy spans take the burst-train fast path: when at least
-        ``_MIN_TRAIN_HORIZON_NS`` remain before ``target_ns``, the
-        scheduler models the coming instants, and when any of them issues
-        a command (see :meth:`FrFcfsScheduler.plan_train`), the whole
-        span, idle instants included, is applied in one evaluation and
-        time jumps past it.  Trains are truncated at ``target_ns``, so
-        externally scheduled arrivals (``Simulation.at``) still land
+        state only changes when a command issues, so the event core
+        evaluates only the instants that can issue: one call of the
+        decision loop (:meth:`FrFcfsScheduler.plan_train`) walks them on
+        the live state and jumps over the rest.  It stops at ``target_ns``,
+        so externally scheduled arrivals (``Simulation.at``) still land
         cycle-exactly.
+
+        Active RAS pins the event core to single-step evaluation: the loop
+        runs neither retry admissions nor scrub instants.  After an idle
+        step the controller jumps to :meth:`next_event_ns`.
         """
+        if not self._ras_active:
+            self.scheduler.plan_train(self, target_ns, stop_when_idle)
+            return
         while self.now < target_ns:
             now = self.now
-            # Active RAS pins the event core to single-step evaluation:
-            # the train planner models only queue/refresh state, not
-            # mid-train retry admissions or scrub instants.
-            if not self._ras_active \
-                    and target_ns - now >= _MIN_TRAIN_HORIZON_NS:
-                train = self.scheduler.plan_train(
-                    self.read_queue, self.write_queue, self._backlog,
-                    now, target_ns,
-                    num_picks=self.config.num_pseudo_channels,
-                )
-                if train is not None:
-                    if self._obs is not None:
-                        self._obs.event(now, "train.plan",
-                                        steps=len(train.steps))
-                    self._apply_column_train(train)
-                    if stop_when_idle and not self._pending():
-                        return
-                    continue
             acted = self._step(now)
             if stop_when_idle and not self._pending():
                 self.now = now + 1
@@ -537,43 +526,6 @@ class ConventionalMemoryController:
                 self.now = target_ns
             else:
                 self.now = min(max(wake, now + 1), target_ns)
-
-    def _apply_column_train(self, train: ColumnTrain) -> None:
-        """Bulk-apply a planned burst train (one scheduler evaluation).
-
-        Every planned command is issued at its planned instant in
-        ``_step``'s order -- refresh, columns, rows -- through the same
-        validating channel calls the per-step path uses, so timing is
-        re-checked against the live channel state, planned refreshes
-        update the live refresh engines exactly as single-step issue
-        would (``RefreshRotation.note_issued`` raises on any target but
-        the most urgent), and a planner divergence raises instead of
-        silently corrupting statistics.  The queues (entries and bank
-        machines), backlog refills and the write-drain flag are installed
-        in bulk from the planner's model, which made exactly the per-step
-        pushes, removals and row changes.
-        """
-        for step in train.steps:
-            t = step.time_ns
-            if step.refresh is not None:
-                self._issue(step.refresh, t)
-            for transaction in step.columns:
-                self._issue_column(transaction, t)
-            for decision in step.rows:
-                self._issue(decision, t)
-        self.read_queue.assume(train.read_queue)
-        self.write_queue.assume(train.write_queue)
-        for _ in range(train.backlog_consumed):
-            self._backlog.popleft()
-        obs = self._obs
-        if obs is not None:
-            start = self.now
-            obs.span(start, max(train.end_ns - start, 1), "train.apply",
-                     steps=len(train.steps))
-            obs.count(train.end_ns, "controller.evaluations")
-        self.scheduler.set_draining(train.final_draining)
-        self.stats.evaluations += 1
-        self.now = train.end_ns + 1
 
     def advance_to(self, target_ns: int) -> None:
         """Advance to ``target_ns`` exactly, skipping event-free spans."""

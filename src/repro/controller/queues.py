@@ -20,8 +20,11 @@ scheduler evaluations: they change on :meth:`RequestQueue.push`, on
 :meth:`RequestQueue.remove`, and on every ACT and PRE the controller issues
 (:meth:`RequestQueue.note_row`).  FR-FCFS issues no auto-precharging CAS, so
 a bank's open row changes only by command.  A column pick walks the hit
-heads, a row pick walks the miss heads, and the burst-train planner models a
-run of evaluations on a :meth:`RequestQueue.fork`.
+heads and a row pick walks the miss heads, both in the per-instant
+scheduler (``FrFcfsScheduler.pick_column``/``pick_row``) and in the event
+core's decision loop (``FrFcfsScheduler.plan_train``), which reads the
+readiness of exactly these heads to find the next instant worth
+evaluating.
 """
 
 from __future__ import annotations
@@ -203,30 +206,3 @@ class RequestQueue:
                     count += 1
         self._hit_counts[index] = count
         self._update_heads(index)
-
-    def fork(self) -> "RequestQueue":
-        """An independent copy: changes to it leave this queue as it is.
-
-        The burst-train planner models a run of evaluations on forks of the
-        live queues, and the controller installs the forks it applies
-        (:meth:`assume`).
-        """
-        clone = RequestQueue.__new__(RequestQueue)
-        clone.capacity = self.capacity
-        clone.peak_occupancy = self.peak_occupancy
-        clone.entries = dict(self.entries)
-        clone.hit_heads = self.hit_heads[:]
-        clone.miss_heads = self.miss_heads[:]
-        clone._next_seq = self._next_seq
-        clone._open_rows = self._open_rows[:]
-        clone._fifos = [deque(fifo) for fifo in self._fifos]
-        clone._hit_counts = self._hit_counts[:]
-        clone._first_hits = self._first_hits[:]
-        clone._first_misses = self._first_misses[:]
-        return clone
-
-    def assume(self, other: "RequestQueue") -> None:
-        """Take over the whole state of ``other``, a fork of this queue
-        that is not used afterwards."""
-        for name in RequestQueue.__slots__:
-            setattr(self, name, getattr(other, name))

@@ -20,20 +20,6 @@ from repro.dram.commands import CommandKind
 from repro.dram.timing import TimingParameters
 
 
-def column_precharge_ready(timing: TimingParameters, is_read: bool,
-                           now: int) -> int:
-    """Earliest precharge instant implied by a column command at ``now``
-    (read-to-precharge vs write-recovery).
-
-    Pure helper shared by :meth:`Bank.issue_column` and the burst-train
-    planner so the recovery rule cannot drift between the live and modeled
-    paths.
-    """
-    if is_read:
-        return now + timing.tRTP
-    return now + timing.tCWL + timing.burst_ns + timing.tWR
-
-
 @dataclass
 class BankCounters:
     """Per-bank event counters used for statistics and energy accounting."""
@@ -179,24 +165,13 @@ class Bank:
                 f".r{row} at t={now}: the bank cannot issue it "
                 f"(open row {self.open_row})"
             )
-        recovery = column_precharge_ready(self.timing, is_read, now)
+        timing = self.timing
+        # Read-to-precharge, or write recovery after the write data.
+        recovery = now + timing.tRTP if is_read \
+            else now + timing.tCWL + timing.burst_ns + timing.tWR
         if recovery > self.next_pre:
             self.next_pre = recovery
         if is_read:
             self.counters.reads += 1
         else:
             self.counters.writes += 1
-
-    def next_event_ns(self, now: int) -> Optional[int]:
-        """Earliest timing window after ``now`` (a timing-window expiry is
-        the only way this bank's issueability changes with time).
-
-        A superset of the truly relevant instants is fine -- callers treat the
-        result as a conservative wake-up bound for event-driven scheduling.
-        """
-        best: Optional[int] = None
-        for candidate in (self.next_act, self.next_read, self.next_write,
-                          self.next_pre, self.next_refresh):
-            if candidate > now and (best is None or candidate < best):
-                best = candidate
-        return best

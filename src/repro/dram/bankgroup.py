@@ -25,8 +25,9 @@ class BankGroup:
     num_banks: int = 4
     banks: List[Bank] = field(default_factory=list)
 
-    # Time until which the shared BK-BUS (and I/O ctrl buffer) is occupied.
-    _bus_busy_until: int = 0
+    #: Time until which the shared BK-BUS (and I/O ctrl buffer) is
+    #: occupied (read by the scheduler's checks; :meth:`note_cas` sets it).
+    bus_busy_until: int = 0
 
     def __post_init__(self) -> None:
         if not self.banks:
@@ -40,30 +41,12 @@ class BankGroup:
     def bank(self, index: int) -> Bank:
         return self.banks[index]
 
-    def bus_free_at(self, now: int) -> bool:
-        """True if the BK-BUS can accept a new transfer at ``now``."""
-        return now >= self._bus_busy_until
-
-    @property
-    def bus_busy_until(self) -> int:
-        """Current BK-BUS occupancy horizon (read-only planner snapshot)."""
-        return self._bus_busy_until
-
     def note_cas(self, now: int) -> None:
         """Record a column command at ``now``: it occupies the BK-BUS for
         one core-frequency beat (tCCDL)."""
         busy_until = now + self.timing.tCCDL
-        if busy_until > self._bus_busy_until:
-            self._bus_busy_until = busy_until
-
-    def next_event_ns(self, now: int) -> "int | None":
-        """Earliest future instant the group's issueability can change."""
-        best = self._bus_busy_until if self._bus_busy_until > now else None
-        for bank in self.banks:
-            candidate = bank.next_event_ns(now)
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
-        return best
+        if busy_until > self.bus_busy_until:
+            self.bus_busy_until = busy_until
 
     def total_counter(self, name: str) -> int:
         """Sum a named counter across all banks in the group."""

@@ -9,7 +9,7 @@ those pins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dram.address import flat_bank_index
 from repro.dram.bank import Bank
@@ -65,12 +65,13 @@ class Channel:
         self.banks: List[Bank] = [
             bank for pc in self.pseudo_channels for bank in pc.all_banks()
         ]
-        # C/A bus occupancy: the last ns in which a row / column command was
-        # sent to each pseudo channel.  The two PCs share the physical pins
-        # but the command rate is high enough to serve one row and one column
-        # command per PC per nanosecond, which is what this tracks.
-        self._last_row_ca_time: List[int] = [-1] * config.num_pseudo_channels
-        self._last_col_ca_time: List[int] = [-1] * config.num_pseudo_channels
+        #: C/A bus occupancy: the last ns in which a row / column command
+        #: was sent to each pseudo channel.  The two PCs share the physical
+        #: pins but the command rate is high enough to serve one row and one
+        #: column command per PC per nanosecond, which is what this tracks.
+        #: Read by the controller's scheduler; only the issue methods write.
+        self.last_row_ca: List[int] = [-1] * config.num_pseudo_channels
+        self.last_column_ca: List[int] = [-1] * config.num_pseudo_channels
 
     # ------------------------------------------------------------- plumbing
 
@@ -89,8 +90,8 @@ class Channel:
 
     def _ca_bus_free(self, command: Command, now: int) -> bool:
         if command.kind.bus == "column":
-            return now > self._last_col_ca_time[command.pseudo_channel]
-        return now > self._last_row_ca_time[command.pseudo_channel]
+            return now > self.last_column_ca[command.pseudo_channel]
+        return now > self.last_row_ca[command.pseudo_channel]
 
     # -------------------------------------------------------------- issuing
 
@@ -108,7 +109,7 @@ class Channel:
         plain ints: the column C/A pins, then
         :meth:`PseudoChannel.can_issue_column` (the rule ``can_issue``
         applies to column commands too)."""
-        if now <= self._last_col_ca_time[pseudo_channel]:
+        if now <= self.last_column_ca[pseudo_channel]:
             return False
         return self.pseudo_channels[pseudo_channel].can_issue_column(
             stack_id, bank_group, bank, row, is_read, now)
@@ -123,13 +124,13 @@ class Channel:
         ``RuntimeError`` before any state changes when the column C/A pins
         are busy or :meth:`PseudoChannel.issue_column` rejects the command.
         """
-        if now <= self._last_col_ca_time[pseudo_channel]:
+        if now <= self.last_column_ca[pseudo_channel]:
             raise RuntimeError(
                 f"column C/A bus busy for {kind.label} on pc{pseudo_channel} "
                 f"at t={now}")
         self.pseudo_channels[pseudo_channel].issue_column(
             kind, stack_id, bank_group, bank, row, now)
-        self._last_col_ca_time[pseudo_channel] = now
+        self.last_column_ca[pseudo_channel] = now
 
     def issue(self, command: Command, now: int) -> None:
         kind = command.kind
@@ -138,33 +139,10 @@ class Channel:
                               command.bank_group, command.bank, command.row,
                               now)
             return
-        if now <= self._last_row_ca_time[command.pseudo_channel]:
+        if now <= self.last_row_ca[command.pseudo_channel]:
             raise RuntimeError(f"C/A bus busy for {command} at t={now}")
         self.pseudo_channels[command.pseudo_channel].issue(command, now)
-        self._last_row_ca_time[command.pseudo_channel] = now
-
-    def last_column_ca_time(self, pseudo_channel: int) -> int:
-        """Last ns the column C/A pins served ``pseudo_channel`` (snapshot)."""
-        return self._last_col_ca_time[pseudo_channel]
-
-    def last_row_ca_time(self, pseudo_channel: int) -> int:
-        """Last ns the row C/A pins served ``pseudo_channel`` (snapshot)."""
-        return self._last_row_ca_time[pseudo_channel]
-
-    def next_event_ns(self, now: int) -> Optional[int]:
-        """Earliest future instant any channel constraint can expire."""
-        best: Optional[int] = None
-        for pc in self.pseudo_channels:
-            candidate = pc.next_event_ns(now)
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
-        for last in self._last_row_ca_time:
-            if last + 1 > now and (best is None or last + 1 < best):
-                best = last + 1
-        for last in self._last_col_ca_time:
-            if last + 1 > now and (best is None or last + 1 < best):
-                best = last + 1
-        return best
+        self.last_row_ca[command.pseudo_channel] = now
 
     # ----------------------------------------------------------------- stats
 

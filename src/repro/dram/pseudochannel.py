@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.dram.bank import Bank
 from repro.dram.bankgroup import BankGroup
@@ -19,28 +19,6 @@ from repro.dram.commands import Command, CommandKind
 from repro.dram.timing import TimingParameters
 
 _NEG_INF = -(10**9)
-
-
-@dataclass(frozen=True)
-class CasStateSnapshot:
-    """Read-only snapshot of a pseudo channel's command-timing state.
-
-    Used by the burst-train planner (:mod:`repro.controller.scheduler`) to
-    model column- and row-command readiness without mutating the live
-    objects.  The fields mirror, one for one, the private state
-    ``_column_slot_free`` (CAS spacing and the data-bus check) and the ACT
-    check of ``can_issue`` read.
-    """
-
-    last_cas_time: int
-    last_cas_bank_group: Optional[int]
-    last_cas_stack: Optional[int]
-    last_cas_was_read: Optional[bool]
-    last_write_data_end: int
-    data_bus_busy_until: int
-    last_act_time: int
-    last_act_bank_group: Optional[int]
-    act_window: Tuple[int, ...]
 
 
 @dataclass
@@ -58,63 +36,6 @@ class PseudoChannelCounters:
 
     def count(self, kind: CommandKind) -> int:
         return self.commands.get(kind.value, 0)
-
-
-def cas_ready_time(
-    timing: TimingParameters,
-    last_cas_time: int,
-    last_cas_bank_group: Optional[int],
-    last_cas_stack: Optional[int],
-    last_cas_was_read: Optional[bool],
-    last_write_data_end: int,
-    bank_group: int,
-    stack_id: int,
-    is_read: bool,
-) -> int:
-    """Earliest instant the next CAS may issue given the previous CAS.
-
-    Pure function over explicit state so :class:`PseudoChannel` (live
-    state) and the burst-train planner (modeled state) share one copy of
-    the CAS-spacing/turnaround rules and cannot drift.
-    """
-    if last_cas_time == _NEG_INF:
-        return 0
-    if last_cas_stack is not None and stack_id != last_cas_stack:
-        gap = timing.tCCDR
-    elif bank_group == last_cas_bank_group:
-        gap = timing.tCCDL
-    else:
-        gap = timing.tCCDS
-    ready = last_cas_time + gap
-    if last_cas_was_read is True and not is_read:
-        ready = max(ready, last_cas_time + timing.tRTW)
-    if last_cas_was_read is False and is_read:
-        wtr = timing.tWTRL if bank_group == last_cas_bank_group \
-            else timing.tWTRS
-        ready = max(ready, last_write_data_end + wtr)
-    return ready
-
-
-def act_ready_time(
-    timing: TimingParameters,
-    last_act_time: int,
-    last_act_bank_group: Optional[int],
-    act_window: Sequence[int],
-    bank_group: int,
-) -> int:
-    """Earliest instant the next ACT may issue under tRRD/tFAW.
-
-    Pure function shared by :class:`PseudoChannel` and the burst-train
-    planner (see :func:`cas_ready_time`).
-    """
-    ready = 0
-    if last_act_time != _NEG_INF:
-        gap = timing.tRRDL if bank_group == last_act_bank_group \
-            else timing.tRRDS
-        ready = last_act_time + gap
-    if len(act_window) >= 4:
-        ready = max(ready, act_window[0] + timing.tFAW)
-    return ready
 
 
 class PseudoChannel:
@@ -143,16 +64,17 @@ class PseudoChannel:
         ]
         self.counters = PseudoChannelCounters()
 
-        # Cross-bank timing state.
-        self._last_act_time: int = _NEG_INF
-        self._last_act_bank_group: Optional[int] = None
-        self._act_window: Deque[int] = deque()  # for tFAW
-        self._last_cas_time: int = _NEG_INF
-        self._last_cas_bank_group: Optional[int] = None
-        self._last_cas_stack: Optional[int] = None
-        self._last_cas_was_read: Optional[bool] = None
-        self._last_write_data_end: int = _NEG_INF
-        self._data_bus_busy_until: int = 0
+        # Cross-bank timing state: read by the controller's scheduler,
+        # changed only by the issue methods.
+        self.last_act_time: int = _NEG_INF
+        self.last_act_bank_group: Optional[int] = None
+        self.act_window: Deque[int] = deque()  # for tFAW
+        self.last_cas_time: int = _NEG_INF
+        self.last_cas_bank_group: Optional[int] = None
+        self.last_cas_stack: Optional[int] = None
+        self.last_cas_was_read: Optional[bool] = None
+        self.last_write_data_end: int = _NEG_INF
+        self.data_bus_busy_until: int = 0
 
     # ------------------------------------------------------------- structure
 
@@ -171,38 +93,57 @@ class PseudoChannel:
     def num_banks(self) -> int:
         return self.num_bank_groups * self.banks_per_group * self.num_stack_ids
 
-    # -------------------------------------------------------------- timing
+    # ------------------------------------------------------- ready instants
 
-    def cas_state_snapshot(self) -> CasStateSnapshot:
-        """Snapshot the command-timing state for read-only planning."""
-        return CasStateSnapshot(
-            last_cas_time=self._last_cas_time,
-            last_cas_bank_group=self._last_cas_bank_group,
-            last_cas_stack=self._last_cas_stack,
-            last_cas_was_read=self._last_cas_was_read,
-            last_write_data_end=self._last_write_data_end,
-            data_bus_busy_until=self._data_bus_busy_until,
-            last_act_time=self._last_act_time,
-            last_act_bank_group=self._last_act_bank_group,
-            act_window=tuple(self._act_window),
-        )
+    def column_ready_time(self, stack_id: int, bank_group: int,
+                          is_read: bool) -> int:
+        """Earliest instant the cross-bank column rule admits a RD
+        (``is_read``) or WR: the latest of the BK-BUS (``bank_group``'s)
+        and data-bus occupancy, CAS-to-CAS spacing and the read/write
+        turnarounds.  The one copy of the rule: validation asks
+        ``now >= column_ready_time(...)``, and the scheduler's checks and
+        wake-ups read the same instant."""
+        timing = self.timing
+        ready = self.stacks[stack_id][bank_group].bus_busy_until
+        data_bus = self.data_bus_busy_until - (
+            timing.tCL if is_read else timing.tCWL)
+        if data_bus > ready:
+            ready = data_bus
+        last = self.last_cas_time
+        if last == _NEG_INF:
+            return ready
+        if self.last_cas_stack is not None and stack_id != self.last_cas_stack:
+            spacing = last + timing.tCCDR
+        elif bank_group == self.last_cas_bank_group:
+            spacing = last + timing.tCCDL
+        else:
+            spacing = last + timing.tCCDS
+        if spacing > ready:
+            ready = spacing
+        was_read = self.last_cas_was_read
+        if was_read is True and not is_read:
+            turnaround = last + timing.tRTW
+        elif was_read is False and is_read:
+            turnaround = self.last_write_data_end + (
+                timing.tWTRL if bank_group == self.last_cas_bank_group
+                else timing.tWTRS)
+        else:
+            return ready
+        return turnaround if turnaround > ready else ready
+
+    def act_ready_time(self, bank_group: int) -> int:
+        """Earliest instant the next ACT may issue under tRRD/tFAW."""
+        ready = 0
+        if self.last_act_time != _NEG_INF:
+            gap = self.timing.tRRDL \
+                if bank_group == self.last_act_bank_group \
+                else self.timing.tRRDS
+            ready = self.last_act_time + gap
+        if len(self.act_window) >= 4:
+            ready = max(ready, self.act_window[0] + self.timing.tFAW)
+        return ready
 
     # ------------------------------------------------------------ can_issue
-
-    def _column_slot_free(self, group: BankGroup, stack_id: int,
-                          bank_group: int, is_read: bool, now: int) -> bool:
-        """The cross-bank column rule: CAS spacing and turnaround, then
-        data-bus and BK-BUS (``group``'s) occupancy."""
-        timing = self.timing
-        if now < cas_ready_time(
-                timing, self._last_cas_time, self._last_cas_bank_group,
-                self._last_cas_stack, self._last_cas_was_read,
-                self._last_write_data_end, bank_group, stack_id, is_read):
-            return False
-        if now + (timing.tCL if is_read else timing.tCWL) \
-                < self._data_bus_busy_until:
-            return False
-        return group.bus_free_at(now)
 
     def can_issue_column(self, stack_id: int, bank_group: int, bank: int,
                          row: int, is_read: bool, now: int) -> bool:
@@ -215,10 +156,9 @@ class PseudoChannel:
         :class:`Command`; :meth:`can_issue` delegates every RD and WR to
         it.
         """
-        group = self.stacks[stack_id][bank_group]
-        return self._column_slot_free(group, stack_id, bank_group, is_read,
-                                      now) \
-            and group.banks[bank].can_issue_column(row, is_read, now)
+        return now >= self.column_ready_time(stack_id, bank_group, is_read) \
+            and self.stacks[stack_id][bank_group].banks[bank] \
+            .can_issue_column(row, is_read, now)
 
     def can_issue(self, command: Command, now: int) -> bool:
         """Check all PC- and bank-level constraints for ``command`` at ``now``."""
@@ -227,9 +167,8 @@ class PseudoChannel:
             return self.can_issue_column(
                 command.stack_id, command.bank_group, command.bank,
                 command.row, kind is CommandKind.RD, now)
-        if kind is CommandKind.ACT and now < act_ready_time(
-                self.timing, self._last_act_time, self._last_act_bank_group,
-                self._act_window, command.bank_group):
+        if kind is CommandKind.ACT \
+                and now < self.act_ready_time(command.bank_group):
             return False
         if kind is CommandKind.REFAB:
             return all(
@@ -255,8 +194,7 @@ class PseudoChannel:
         """
         is_read = kind.is_read
         group = self.stacks[stack_id][bank_group]
-        if not self._column_slot_free(group, stack_id, bank_group, is_read,
-                                      now):
+        if now < self.column_ready_time(stack_id, bank_group, is_read):
             raise RuntimeError(
                 f"cannot issue {kind.label} to sid{stack_id}.bg{bank_group}"
                 f".ba{bank}.r{row} at t={now}")
@@ -266,18 +204,18 @@ class PseudoChannel:
         counters = self.counters
         commands = counters.commands
         commands[kind.label] = commands.get(kind.label, 0) + 1
-        self._last_cas_time = now
-        self._last_cas_bank_group = bank_group
-        self._last_cas_stack = stack_id
-        self._last_cas_was_read = is_read
+        self.last_cas_time = now
+        self.last_cas_bank_group = bank_group
+        self.last_cas_stack = stack_id
+        self.last_cas_was_read = is_read
         data_end = now + (t.tCL if is_read else t.tCWL) + t.burst_ns
-        if data_end > self._data_bus_busy_until:
-            self._data_bus_busy_until = data_end
+        if data_end > self.data_bus_busy_until:
+            self.data_bus_busy_until = data_end
         counters.data_bus_busy_ns += t.burst_ns
         if is_read:
             counters.bytes_read += t.access_granularity_bytes
         else:
-            self._last_write_data_end = data_end
+            self.last_write_data_end = data_end
             counters.bytes_written += t.access_granularity_bytes
 
     def issue(self, command: Command, now: int) -> None:
@@ -300,11 +238,11 @@ class PseudoChannel:
         if kind is CommandKind.ACT:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
             bank.apply(kind, now, command.row)
-            self._last_act_time = now
-            self._last_act_bank_group = command.bank_group
-            self._act_window.append(now)
-            while len(self._act_window) > 4:
-                self._act_window.popleft()
+            self.last_act_time = now
+            self.last_act_bank_group = command.bank_group
+            self.act_window.append(now)
+            while len(self.act_window) > 4:
+                self.act_window.popleft()
         elif kind is CommandKind.PRE:
             bank = self.bank(command.bank_group, command.bank, command.stack_id)
             bank.apply(kind, now, command.row)
@@ -322,46 +260,6 @@ class PseudoChannel:
             pass  # mode register writes have no timing effect in this model
         else:
             raise ValueError(f"pseudo channel cannot issue {kind}")
-
-    def next_event_ns(self, now: int) -> Optional[int]:
-        """Earliest future instant any PC-level or bank-level constraint can
-        expire.
-
-        The candidate set is a sound superset: every stored timestamp that
-        feeds ``can_issue`` is offset by each gap that could apply to it
-        (tCCDS/tCCDL/tCCDR, turnarounds, tRRDS/tRRDL, tFAW, data-bus and
-        BK-BUS occupancy), so no issueability transition can occur strictly
-        between ``now`` and the returned time.  Extra candidates merely cost
-        a no-op evaluation.
-        """
-        t = self.timing
-        candidates = []
-        if self._last_cas_time != _NEG_INF:
-            base = self._last_cas_time
-            candidates += [base + t.tCCDS, base + t.tCCDL, base + t.tCCDR,
-                           base + t.tRTW]
-        if self._last_write_data_end != _NEG_INF:
-            candidates += [self._last_write_data_end + t.tWTRS,
-                           self._last_write_data_end + t.tWTRL]
-        if self._last_act_time != _NEG_INF:
-            candidates += [self._last_act_time + t.tRRDS,
-                           self._last_act_time + t.tRRDL]
-        if len(self._act_window) >= 4:
-            candidates.append(self._act_window[0] + t.tFAW)
-        if self._data_bus_busy_until > 0:
-            candidates += [self._data_bus_busy_until - t.tCL,
-                           self._data_bus_busy_until - t.tCWL,
-                           self._data_bus_busy_until]
-        best: Optional[int] = None
-        for candidate in candidates:
-            if candidate > now and (best is None or candidate < best):
-                best = candidate
-        for stack in self.stacks:
-            for group in stack:
-                candidate = group.next_event_ns(now)
-                if candidate is not None and (best is None or candidate < best):
-                    best = candidate
-        return best
 
     # ----------------------------------------------------------------- stats
 

@@ -9,8 +9,8 @@ single simulated outcome:
   threaded through ``ScenarioSpec``/``FleetSpec.base``; disabled means
   no sink exists and every hook short-circuits on one ``is not None``;
 * :class:`TraceRecorder` (:mod:`repro.obs.trace`) -- bounded structured
-  events (scheduler evaluations, the conventional controller's train
-  plan/apply spans, refresh issues and critical-PRE escalations, RAS
+  events (decision-bearing scheduler evaluations, refresh issues and
+  critical-PRE escalations, RAS
   ladder steps, serving admission / rejection / prefill-chunk /
   decode-iteration events, fleet routing decisions) with
   byte-deterministic Chrome trace-event JSON (Perfetto-loadable) and

@@ -59,24 +59,29 @@ class MetricSeries:
         """Accumulate ``delta`` into the window containing ``ts_ns``."""
         if self.kind != "counter":
             raise TypeError(f"series {self.name!r} is a {self.kind}")
-        self._update(ts_ns, delta, accumulate=True)
+        windows = self._windows
+        if windows and windows[-1][0] == ts_ns // self.interval_ns:
+            windows[-1][1] += delta
+        else:
+            self._update(ts_ns, delta, accumulate=True)
 
     def set(self, ts_ns: int, value: float) -> None:
         """Record ``value`` for the window containing ``ts_ns`` (last
         write wins within one window)."""
         if self.kind != "gauge":
             raise TypeError(f"series {self.name!r} is a {self.kind}")
-        self._update(ts_ns, value, accumulate=False)
+        windows = self._windows
+        if windows and windows[-1][0] == ts_ns // self.interval_ns:
+            windows[-1][1] = value
+        else:
+            self._update(ts_ns, value, accumulate=False)
 
     def _update(self, ts_ns: int, value: float, accumulate: bool) -> None:
+        """Record ``value`` in the window containing ``ts_ns``, which is
+        not the newest window (``add`` and ``set`` update that one in
+        place: most samples land there)."""
         window = ts_ns // self.interval_ns
         windows = self._windows
-        if windows and windows[-1][0] == window:
-            if accumulate:
-                windows[-1][1] += value
-            else:
-                windows[-1][1] = value
-            return
         if windows and window < windows[-1][0]:
             # Rare out-of-order update (hooks fire in sim-time order on
             # any single run, but merged sources may interleave): fold

@@ -7,7 +7,7 @@ runner: the model hands out bit-identical faults whether a workload runs
 in-process, under ``workers=2``, or under the ``spawn`` start method,
 and a checkpointed run resumed mid-campaign re-draws exactly the faults
 it would have seen uninterrupted (the model itself pickles trivially --
-it is just its config).
+it is just its config, plus hashers derived from it).
 
 Three fault populations are drawn, one per
 :class:`~repro.reliability.taxonomy.DeviceFaultKind` family:
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.reliability.taxonomy import DeviceFaultKind
 
@@ -131,22 +131,39 @@ class FaultDraw:
 
 
 class DeviceFaultModel:
-    """Stateless fault source; all state lives in the frozen config."""
+    """Stateless fault source; all state lives in the frozen config (the
+    per-kind hashers derive from it, and a pickle carries the config
+    alone)."""
 
     def __init__(self, config: ReliabilityConfig) -> None:
         self.config = config
+        self._hashers: Dict[str, "hashlib._Hash"] = {}
+
+    def __getstate__(self) -> Dict[str, ReliabilityConfig]:
+        return {"config": self.config}
+
+    def __setstate__(self, state: Dict[str, ReliabilityConfig]) -> None:
+        self.__init__(state["config"])
 
     # ------------------------------------------------------------- PRNG
     def _uniform(self, kind: str, *key: object) -> float:
         """Deterministic uniform in [0, 1) from ``(seed, kind, key)``.
 
-        ``repr`` of small int/str tuples is platform- and
-        version-stable, and BLAKE2b is part of hashlib everywhere this
-        runs, so equal keys give equal draws on any worker.
+        The BLAKE2b digest of ``repr((seed, kind, key))``: ``repr`` of
+        small int/str tuples is platform- and version-stable, and BLAKE2b
+        is part of hashlib everywhere this runs, so equal keys give equal
+        draws on any worker.  The payload's prefix up to ``key`` is
+        hashed once per kind, and each draw hashes only the rest on a
+        copy of that hasher.
         """
-        payload = repr((self.config.seed, kind, key)).encode("ascii")
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        return int.from_bytes(digest, "big") / 2.0 ** 64
+        hasher = self._hashers.get(kind)
+        if hasher is None:
+            prefix = repr((self.config.seed, kind))[:-1] + ", "
+            hasher = self._hashers[kind] = hashlib.blake2b(
+                prefix.encode("ascii"), digest_size=8)
+        hasher = hasher.copy()
+        hasher.update((repr(key) + ")").encode("ascii"))
+        return int.from_bytes(hasher.digest(), "big") / 2.0 ** 64
 
     def _poisson(self, mean: float, kind: str, *key: object) -> int:
         """Inverse-CDF Poisson draw from a single uniform."""

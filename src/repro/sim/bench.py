@@ -145,13 +145,13 @@ def _hbm4_tick_vs_event(total_bytes: int, repeats: int,
 
 def streaming_conventional_comparison(total_bytes: int = 512 * 1024,
                                       repeats: int = 2) -> Dict[str, Any]:
-    """Burst-train gate row: the conventional controller on a saturated
-    streaming drain, event core (with burst trains) vs the 1-ns tick core.
+    """Conventional event-core gate row: the conventional controller on a
+    saturated streaming drain, event core vs the 1-ns tick core.
 
     The drain is cycle-exact across cores (asserted), so the row compares
     wall-clock plus the scheduler-evaluation counts -- the tick core
-    evaluates once per nanosecond, while the event core's burst trains
-    cover whole runs of column/row commands per evaluation.
+    evaluates once per nanosecond, while one call of the event core's
+    decision loop walks a whole advance and jumps over idle instants.
     ``evaluation_reduction`` is the ``bench-smoke`` gate for the paper's
     headline saturation scenario.
     """
@@ -167,13 +167,13 @@ def streaming_conventional_refresh_comparison(
     total_bytes: int = 512 * 1024,
     repeats: int = 2,
 ) -> Dict[str, Any]:
-    """Refresh-enabled burst-train gate row.
+    """Refresh-enabled conventional event-core gate row.
 
     Same saturated streaming drain as
     :func:`streaming_conventional_comparison` but with per-bank refresh
-    *on* -- the configuration the paper actually evaluates.  Refresh-aware
-    planning must keep trains engaged across REFpb issue points, so
-    ``evaluation_reduction`` here is gated by ``bench-smoke``'s
+    *on* -- the configuration the paper actually evaluates.  The decision
+    loop issues the REFpbs inside the advance, so ``evaluation_reduction``
+    here is gated by ``bench-smoke``'s
     ``--min-refresh-evaluation-reduction``.
     """
     row = {"scenario": "streaming_conventional_refresh"}
@@ -366,8 +366,8 @@ def measure_checkpoint_roundtrip(system: str, total_bytes: int,
     """Snapshot+restore overhead and resume bit-identity for one system.
 
     Runs a refresh-enabled streaming drain uninterrupted, then reruns it
-    with a cut at the halfway point: advance to ``end/2`` (a planned hbm4
-    burst train truncates at the cut through the arrival-truncation path),
+    with a cut at the halfway point: advance to ``end/2`` (the hbm4 event
+    core's loop stops at the cut as it does at an arrival),
     snapshot the controller, restore from the pickled checkpoint, and
     finish.  ``identical`` requires the resumed run to match the
     uninterrupted one bit-for-bit (end time and full stats object);
@@ -870,15 +870,15 @@ GATES: List[Gate] = [
          lambda row, t: row["speedup"] < t,
          "conventional streaming speedup {row[speedup]:.2f}x is below the "
          "{flag} gate of {threshold:g}x",
-         1.2, "exit non-zero when the conventional event core (burst "
-              "trains) is slower than this multiple of its tick core on "
-              "the streaming drain (0 disables)"),
+         1.2, "exit non-zero when the conventional event core is slower "
+              "than this multiple of its tick core on the streaming drain "
+              "(0 disables)"),
     Gate("min-evaluation-reduction", "streaming_conventional", None,
          lambda row, t: row["evaluation_reduction"] < t,
          "conventional scheduler-evaluation reduction "
          "{row[evaluation_reduction]:.1f}x is below the {flag} gate of "
          "{threshold:g}x",
-         10.0, "exit non-zero when burst trains cut conventional scheduler "
+         10.0, "exit non-zero when the event core cuts conventional scheduler "
                "evaluations by less than this factor on the streaming "
                "drain (0 disables)"),
     Gate("min-refresh-evaluation-reduction", "streaming_conventional_refresh",
@@ -887,7 +887,7 @@ GATES: List[Gate] = [
          "refresh-enabled evaluation reduction "
          "{row[evaluation_reduction]:.1f}x is below the {flag} gate of "
          "{threshold:g}x",
-         5.0, "exit non-zero when refresh-aware burst trains cut "
+         5.0, "exit non-zero when the refresh-enabled event core cuts "
               "conventional scheduler evaluations by less than this factor "
               "on the refresh-enabled streaming drain -- the configuration "
               "the paper evaluates (0 disables)"),

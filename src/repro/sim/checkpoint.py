@@ -18,10 +18,9 @@ before this module a crash lost all of its progress.  A
 Restoring a checkpoint and continuing is **bit-identical** to never
 having stopped: the equivalence suite (``tests/sim/test_checkpoint.py``)
 proves it for both controllers, refresh enabled, checkpoints taken
-mid-burst-train included -- a checkpoint request during a planned train
-truncates the train through the same arrival-truncation path a scheduled
-arrival uses, so the controller state at the cut is a state the
-uninterrupted run also visits.
+mid-burst included -- a checkpoint request is one more advance target, at
+which the event core stops exactly as at a scheduled arrival, so the
+controller state at the cut is a state the uninterrupted run also visits.
 
 Format
 ------
@@ -32,21 +31,27 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 5 pickles each conventional bank as its open row and timing
-windows (:class:`repro.dram.bank.Bank`, no state machine or pending
-auto-precharge) and the conventional controller without a train-planning
-cooldown.  Version 4, like it, pickles DRAM coordinates as immutable named
-tuples (:class:`repro.dram.address.DramCoordinate`) and the conventional
+Version 6 pickles the conventional pseudo channels' and channel's timing
+state under public field names (``last_cas_time``,
+``data_bus_busy_until``, ``last_row_ca`` and the like, read by the
+scheduler's decision loop) and the conventional controller's stats with
+an ``instants`` counter.  Version 5, like it, pickles each conventional
+bank as its open row and timing windows (:class:`repro.dram.bank.Bank`,
+no state machine or pending auto-precharge) and the conventional
+controller without a train-planning cooldown.  Version 4, like it,
+pickles DRAM coordinates as immutable named tuples
+(:class:`repro.dram.address.DramCoordinate`) and the conventional
 controller's stats without a per-kind command dict (the channel's own
 command counts hold them).  Version 3, like it, pickles the request
 queues with their bank machines
 (:class:`repro.controller.queues.RequestQueue`: admission sequence
 numbers, per-bank FIFOs, hit counts and head lists), but its coordinates
 were dataclass instances.  Version 2 queues were flat entry lists, and
-version 1 payloads also carried per-target refresh deadline dicts that the
-rotation-based trackers (:class:`repro.dram.refresh.RefreshRotation`,
-since version 2) never read.  All four are rejected rather than restored
-into a silently different state.
+version 1 payloads also carried per-target refresh deadline dicts that
+the rotation-based trackers
+(:class:`repro.dram.refresh.RefreshRotation`, since version 2) never
+read.  All five are rejected rather than restored into a silently
+different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
 format, a malicious file can execute code.  The digest detects
@@ -76,7 +81,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

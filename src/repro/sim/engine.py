@@ -152,12 +152,12 @@ class Simulation:
     def next_arrival_ns(self) -> Optional[int]:
         """Earliest scheduled arrival still pending, or ``None``.
 
-        This is the *train horizon* the engine hands to the controllers:
-        event-driven advances never cross it, and the controllers' burst
-        trains truncate at the ``advance_to`` target, so a request injected
-        via :meth:`at` is enqueued before any controller evaluates its
-        arrival instant -- even when a controller was mid-burst when the
-        arrival came due.
+        This is the *advance horizon* the engine hands to the controllers:
+        event-driven advances never cross it, and the controllers evaluate
+        no instant at or past the ``advance_to`` target, so a request
+        injected via :meth:`at` is enqueued before any controller evaluates
+        its arrival instant -- even when a controller was mid-burst when
+        the arrival came due.
         """
         return self._schedule[0][0] if self._schedule else None
 
@@ -186,8 +186,8 @@ class Simulation:
         """Advance all controllers by ``duration_ns``; returns the end time.
 
         Event-driven advances are bounded by :meth:`next_arrival_ns` (the
-        train horizon): a controller may jump -- or burst-train -- freely up
-        to the next scheduled arrival but never across it, so arrivals land
+        advance horizon): a controller may jump freely up to the next
+        scheduled arrival but never across it, so arrivals land
         cycle-exactly before any controller evaluates that instant.
         """
         end = self.now + duration_ns

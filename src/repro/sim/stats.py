@@ -123,8 +123,8 @@ class SimulationResult:
     """Full result bundle returned by the runner helpers.
 
     ``evaluations`` counts scheduler evaluations across the run's
-    controllers (one per single-step evaluation, plus one per burst train
-    the conventional controller applies).  It is excluded from equality:
+    controllers (one per single-step evaluation, plus one per call of the
+    conventional controller's event-core loop).  It is excluded from equality:
     different execution cores reach identical simulated results with
     different evaluation counts, and the counter exists to observe the
     event core's speedup mechanisms.

@@ -5,7 +5,7 @@ The driver is the bridge between a scenario's
 every ``(time_ns, transfer)`` record becomes a
 :meth:`repro.sim.engine.Simulation.at` callback that materializes the
 transfer as controller requests at its exact arrival instant, the engine
-advances arrival-to-arrival (trains truncate at the horizon), and the run
+advances arrival-to-arrival (no advance crosses the next one), and the run
 drains to idle after the last arrival.
 
 Contracts the driver relies on (tested in ``tests/sim/test_engine.py``):
@@ -27,10 +27,9 @@ in-flight state -- controller, issued-transfer records (request identity
 intact), and the not-yet-fired arrivals -- as one
 :class:`~repro.sim.checkpoint.Checkpoint`; :func:`resume_workload`
 finishes it.  The resumed :class:`WorkloadResult` is bit-identical to the
-uninterrupted run: the cut is just one more ``advance_to`` target, so a
-planned burst train truncates at it through the same arrival-truncation
-path a scheduled arrival uses, and the controllers are cycle-exact under
-any advance granularity.
+uninterrupted run: the cut is just one more ``advance_to`` target, at
+which the controllers stop exactly as at a scheduled arrival, and they
+are cycle-exact under any advance granularity.
 """
 
 from __future__ import annotations
@@ -432,7 +431,7 @@ def _run_closed_loop(spec: ScenarioSpec, *,
 
     Cadence slicing: since no launch comes before ``launch +
     iteration_interval_ns``, the driver first reaches that instant in one
-    ``run_for`` -- long enough for burst trains to engage -- and steps
+    ``run_for`` -- one call of the event core, however busy -- and steps
     event by event (:func:`_advance_until_complete`) only past it, i.e.
     when the iteration overran its cadence.  The server's last iteration
     (:meth:`ClosedLoopServer.finishing`) is not sliced: advancing past its
@@ -474,7 +473,7 @@ def _run_closed_loop(spec: ScenarioSpec, *,
                         for request in batch]
             if not server.finishing():
                 # The next launch is never before the cadence instant, so
-                # reach it in one advance (trains engage); the last
+                # reach it in one advance; the last
                 # iteration stops at its completion to keep ``end_ns``.
                 cadence = min(launch + interval, deadline_ns)
                 if cadence > simulation.now:
@@ -595,8 +594,8 @@ def checkpoint_workload(spec: ScenarioSpec, at_ns: int,
     """Run ``spec`` up to ``at_ns`` and capture the in-flight state.
 
     The cut instant is handed to the controllers as a plain ``advance_to``
-    target: a burst train planned across ``at_ns`` truncates at it through
-    the existing arrival-truncation path, so the captured state is one the
+    target, at which the controllers stop exactly as at a scheduled
+    arrival, so the captured state is one the
     uninterrupted run also passes through, and
     :func:`resume_workload` finishes bit-identically.  Arrivals due after
     ``at_ns`` are stored as ``(time_ns, transfer)`` payload pairs (the

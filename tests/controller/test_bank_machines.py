@@ -1,11 +1,11 @@
 """The request queues' live bank machines never drift.
 
 The conventional controller keeps its queues' bank machines up to date
-incrementally: on push, on every column issue, on every ACT and PRE, and by
-installing the planner's modeled queues when it applies a burst train.  This
-checks, after every scheduler evaluation and every applied train, that each
-queue's machines equal a from-scratch rebuild from its entries (in admission
-order) and the live ``Bank.open_row`` values.
+incrementally: on push, on every column issue, and on every ACT and PRE, on
+the tick core and in the event core's decision loop alike.  This checks,
+after every ``_step`` and every call of the loop, that each queue's machines
+equal a from-scratch rebuild from its entries (in admission order) and the
+live ``Bank.open_row`` values.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -52,9 +52,10 @@ def _assert_machines_exact(controller):
 
 
 def _checked(controller):
-    """Check the machines after every ``_step`` and applied train."""
-    step, apply_train = controller._step, controller._apply_column_train
-    checks = {"steps": 0, "trains": 0}
+    """Check the machines after every ``_step`` and every call of the
+    event core's decision loop (``FrFcfsScheduler.plan_train``)."""
+    step, loop = controller._step, controller.scheduler.plan_train
+    checks = {"steps": 0, "loops": 0}
 
     def checked_step(now):
         acted = step(now)
@@ -62,13 +63,15 @@ def _checked(controller):
         checks["steps"] += 1
         return acted
 
-    def checked_apply(train):
-        apply_train(train)
+    def checked_loop(mc, target_ns, stop_when_idle=False):
+        evaluations = mc.stats.evaluations
+        issued = loop(mc, target_ns, stop_when_idle)
         _assert_machines_exact(controller)
-        checks["trains"] += 1
+        checks["loops"] += mc.stats.evaluations - evaluations
+        return issued
 
     controller._step = checked_step
-    controller._apply_column_train = checked_apply
+    controller.scheduler.plan_train = checked_loop
     return checks
 
 
@@ -130,9 +133,8 @@ def test_bank_machines_match_a_rebuild_after_every_evaluation(spec):
         controller.run_until_idle(event_driven=event_driven)
         assert controller.read_queue.is_empty
         assert controller.write_queue.is_empty
-        # Every evaluation, step or train, was checked.
+        # Every evaluation, step or loop call, was checked.
         assert controller.stats.evaluations > 0
-        assert checks["steps"] + checks["trains"] \
+        assert checks["steps"] + checks["loops"] \
             == controller.stats.evaluations
-        if not event_driven:
-            assert checks["trains"] == 0
+        assert (checks["loops"] > 0) == event_driven

@@ -126,18 +126,3 @@ def test_remove_keeps_admission_order(transactions):
     assert queue.occupancy == 3
     with pytest.raises(ValueError):
         queue.remove(transactions[0])
-
-
-def test_fork_is_independent(transactions):
-    queue = _queue(8)
-    for t in transactions[:4]:
-        queue.push(t)
-    queue.note_row(transactions[0].bank_index, transactions[0].coordinate.row)
-    before = queue.machines()
-    fork = queue.fork()
-    assert fork.machines() == before
-    fork.remove(transactions[0])
-    fork.push(transactions[4])
-    fork.note_row(transactions[1].bank_index, 7)
-    assert queue.machines() == before
-    assert list(queue) == transactions[:4]

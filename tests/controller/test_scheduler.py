@@ -206,94 +206,13 @@ def test_refresh_decision_when_due(timing):
     assert decision.command.kind in (CommandKind.REFPB, CommandKind.PRE)
 
 
-def test_plan_train_reports_steps_and_end():
-    """The burst-train planner's (steps, end_ns) surface must be
-    self-consistent: from a cold start the train runs through the idle
-    instants of the tRRD-spaced ACT ramp, its steps are exactly the covered
-    instants that issue, in time order, and it ends at the 512-instant
-    window."""
-    mc = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
-    )
-    for block in range(16):
-        mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=block * 4096,
-                                 size_bytes=4096))
-    train = mc.scheduler.plan_train(
-        mc.read_queue, mc.write_queue, mc._backlog, now=mc.now,
-        target_ns=10_000, num_picks=mc.config.num_pseudo_channels,
-    )
-    assert train is not None
-    times = [step.time_ns for step in train.steps]
-    assert times == sorted(set(times))
-    assert mc.now <= times[0] and times[-1] <= train.end_ns
-    assert train.end_ns == mc.now + 511
-    assert all(step.refresh is not None or step.columns or step.rows
-               for step in train.steps)
-    # Covered instants that issue nothing have no step.
-    assert len(train.steps) < train.end_ns - mc.now + 1
-    # Some instants issue more than one command (the two PCs' ACTs).
-    assert any(len(step.columns) + len(step.rows) > 1
-               for step in train.steps)
-
-
-def _cold_loaded_controller() -> ConventionalMemoryController:
-    mc = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, enable_refresh=True)
-    )
-    for block in range(16):
-        mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=block * 4096,
-                                 size_bytes=4096))
-    mc._fill_queues()
-    return mc
-
-
-def _plan_cold(mc, now, target_ns=None):
-    return mc.scheduler.plan_train(
-        mc.read_queue, mc.write_queue, mc._backlog, now=now,
-        target_ns=now + 10_000 if target_ns is None else target_ns,
-        num_picks=mc.config.num_pseudo_channels,
-    )
-
-
-def _command_key(command):
-    return (command.kind, command.pseudo_channel, command.stack_id,
-            command.bank_group, command.bank, command.row)
-
-
-def _column_key(transaction):
-    coord = transaction.coordinate
-    kind = CommandKind.RD if transaction.is_read else CommandKind.WR
-    return (kind, coord.pseudo_channel, coord.stack_id, coord.bank_group,
-            coord.bank, coord.row)
-
-
-def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
-    """With refreshes due at the start, the plan carries each REFpb at the
-    very instant the per-step scheduler (``pick_refresh`` first in every
-    ``_step``) issues it, alongside the same ACTs and column commands."""
-    start = timing.tREFIpb
-    train = _plan_cold(_cold_loaded_controller(), start)
-    assert train is not None
-    planned, planned_columns = [], []
-    for step in train.steps:
-        t = step.time_ns
-        if step.refresh is not None:
-            planned.append((t, _command_key(step.refresh.command)))
-        for transaction in step.columns:
-            planned.append((t, _column_key(transaction)))
-            planned_columns.append((t, _column_key(transaction),
-                                    transaction.coordinate.column))
-        planned += [(t, _command_key(d.command)) for d in step.rows]
-    assert any(key[0] is CommandKind.REFPB for _, key in planned)
-
-    # Recorded at the channel, where every command the controller issues
-    # passes: refresh and row commands through ``issue``, columns through
-    # ``issue_column``.
-    stepper = _cold_loaded_controller()
-    issued, served = [], []
-    channel = stepper.channel
+def _record_issues(mc):
+    """Record ``(now, key)`` of every command ``mc``'s channel issues:
+    refresh and row commands pass ``Channel.issue``, columns
+    ``Channel.issue_column``."""
+    issued = []
+    channel = mc.channel
     issue, issue_column = channel.issue, channel.issue_column
-    serve = stepper._issue_column
 
     def record(command, now):
         issued.append((now, _command_key(command)))
@@ -303,81 +222,110 @@ def test_plan_train_splices_due_refresh_where_pick_refresh_issues_it(timing):
         issued.append((now, (kind, pc, sid, bank_group, bank, row)))
         issue_column(pc, kind, sid, bank_group, bank, row, now)
 
-    def record_serve(transaction, now):
-        served.append((now, _column_key(transaction),
-                       transaction.coordinate.column))
-        serve(transaction, now)
-
     channel.issue = record
     channel.issue_column = record_column
-    stepper._issue_column = record_serve
-    for t in range(start, train.end_ns + 1):
-        stepper._step(t)
-    assert issued == planned
-    assert served == planned_columns
+    return issued
 
 
-def _lone_read_controller() -> ConventionalMemoryController:
+def _command_key(command):
+    return (command.kind, command.pseudo_channel, command.stack_id,
+            command.bank_group, command.bank, command.row)
+
+
+def _cold_loaded_controller(
+        enable_refresh=True) -> ConventionalMemoryController:
+    mc = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1,
+                                enable_refresh=enable_refresh)
+    )
+    for block in range(16):
+        mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=block * 4096,
+                                 size_bytes=4096))
+    return mc
+
+
+def test_plan_train_walks_an_advance_and_jumps_over_idle_instants():
+    """One call of the decision loop covers a whole advance: it issues at
+    exactly the instants and commands ``_step`` does, counts one
+    evaluation, lands on the idle instants of the tRRD-spaced ACT ramp
+    only to jump past them, and returns how many instants issued."""
+    looped = _cold_loaded_controller(enable_refresh=False)
+    loop_issues = _record_issues(looped)
+    issuing = looped.scheduler.plan_train(looped, 512)
+    assert looped.now == 512
+    assert looped.stats.evaluations == 1
+    stepped = _cold_loaded_controller(enable_refresh=False)
+    step_issues = _record_issues(stepped)
+    assert sum(stepped._step(t) for t in range(512)) == issuing
+    assert loop_issues == step_issues
+    times = sorted({now for now, _ in loop_issues})
+    assert issuing == len(times)
+    # Some instants issue more than one command (the two PCs' ACTs) ...
+    assert len(loop_issues) > issuing
+    # ... and the loop evaluates few of the instants that issue nothing.
+    idle = looped.stats.instants - issuing
+    assert 0 < idle < 512 - issuing
+
+
+def test_plan_train_issues_due_refresh_where_pick_refresh_issues_it(timing):
+    """With refreshes due at the start, the loop issues each REFpb at the
+    very instant the per-step scheduler (``pick_refresh`` first in every
+    ``_step``) issues it, alongside the same ACTs and column commands."""
+    start = timing.tREFIpb
+    looped = _cold_loaded_controller()
+    looped.now = start
+    loop_issues = _record_issues(looped)
+    looped.scheduler.plan_train(looped, start + 600)
+    assert any(key[0] is CommandKind.REFPB for _, key in loop_issues)
+    stepped = _cold_loaded_controller()
+    step_issues = _record_issues(stepped)
+    for t in range(start, start + 600):
+        stepped._step(t)
+    assert loop_issues == step_issues
+
+
+def test_plan_train_returns_none_exactly_when_nothing_issues():
+    """Over a 4 ns advance a lone read issues only its ACT, at the first
+    instant, in one evaluation; then nothing issues before tRCD, and the
+    loop says so.  A target that is not after ``now`` evaluates
+    nothing."""
     mc = ConventionalMemoryController(
         config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
     )
     mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32))
-    return mc
+    issued = _record_issues(mc)
+    assert mc.scheduler.plan_train(mc, 0) is None
+    assert mc.stats.evaluations == 0
+    assert mc.scheduler.plan_train(mc, 4) == 1
+    assert issued == [(0, (CommandKind.ACT, 0, 0, 0, 0, 0))]
+    assert mc.now == 4 and mc.stats.evaluations == 1
+    # The idle instant after the ACT, then a jump to the target.
+    assert mc.stats.instants == 2
+    assert mc.scheduler.plan_train(mc, 8) is None
+    assert mc.now == 8 and len(issued) == 1
 
 
-def _bank_state(mc):
-    return [(bank.open_row, bank.next_act, bank.next_read, bank.next_write,
-             bank.next_pre, bank.next_refresh) for bank in mc.channel.banks]
-
-
-def test_a_train_of_one_issuing_instant_is_applied_and_equals_the_steps():
-    """Any train with an issuing instant is applied: over a 4 ns advance a
-    lone read issues only its ACT, at the first instant, and the event
-    core applies that one-step train in one evaluation, issuing exactly
-    what ``_step`` issues over the span.  The planner declines a span in
-    which nothing issues, and a target that is not after ``now``."""
-    planner = _lone_read_controller()
-    train = _plan_cold(planner, 0, target_ns=4)
-    assert train is not None and train.end_ns == 3
-    assert [step.time_ns for step in train.steps] == [0]
-    (step,) = train.steps
-    assert step.refresh is None and not step.columns
-    assert [_command_key(d.command) for d in step.rows] == [
-        (CommandKind.ACT, 0, 0, 0, 0, 0)]
-    assert _plan_cold(planner, 0, target_ns=0) is None
-
-    applied = _lone_read_controller()
-    applied.advance_to(4)
-    assert applied.stats.evaluations == 1
-    stepped = _lone_read_controller()
-    for t in range(4):
-        stepped._step(t)
-    assert applied.channel.command_counts() \
-        == stepped.channel.command_counts() == {"ACT": 1}
-    assert _bank_state(applied) == _bank_state(stepped)
-    # From here to tRCD nothing issues, so no train is offered.
-    assert _plan_cold(applied, 4, target_ns=8) is None
-
-
-def test_applying_a_train_with_an_out_of_rotation_refresh_raises(timing):
-    """A planned REFpb that is not the live engine's most urgent target
-    cannot be applied: the live refresh rotation rejects it."""
+def test_a_refresh_out_of_rotation_order_raises_in_the_loop(timing):
+    """The loop issues through the live refresh rotation: a REFpb to a
+    target that is not the engine's most urgent one raises."""
     start = timing.tREFIpb
     mc = _cold_loaded_controller()
-    train = _plan_cold(mc, start)
-    step = train.steps[0]
-    target = step.refresh.refresh_target
-    assert step.time_ns == start and target == mc.scheduler.refresh_engines[
-        step.refresh.command.pseudo_channel].most_urgent(start)
-    # Another closed bank of the same bank group: the channel takes its
-    # REFpb, only the rotation does not.
-    other = replace(target, bank=target.bank + 2)
-    step.refresh = replace(
-        step.refresh, refresh_target=other,
-        command=replace(step.refresh.command, bank=other.bank))
     mc.now = start
+    scheduler = mc.scheduler
+    pick_refresh = scheduler.pick_refresh
+
+    def wrong_bank(now):
+        decision = pick_refresh(now)
+        # Another closed bank of the same bank group: the channel takes
+        # its REFpb, only the rotation does not.
+        other = replace(decision.refresh_target,
+                        bank=decision.refresh_target.bank + 2)
+        return replace(decision, refresh_target=other,
+                       command=replace(decision.command, bank=other.bank))
+
+    scheduler.pick_refresh = wrong_bank
     with pytest.raises(ValueError, match="out of rotation order"):
-        mc._apply_column_train(train)
+        scheduler.plan_train(mc, start + 10)
 
 
 def test_pick_column_tests_a_blocked_bank_once(setup, timing):

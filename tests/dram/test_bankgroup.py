@@ -18,10 +18,9 @@ def test_group_creates_banks_with_matching_ids(group):
 
 
 def test_bus_reservation_blocks_for_tccdl(group, timing):
-    assert group.bus_free_at(0)
+    assert group.bus_busy_until == 0
     group.note_cas(0)
-    assert not group.bus_free_at(timing.tCCDL - 1)
-    assert group.bus_free_at(timing.tCCDL)
+    assert group.bus_busy_until == timing.tCCDL
 
 
 def test_total_counter_sums_across_banks(group, timing):

@@ -86,10 +86,13 @@ def _state(channel):
         channel.command_counts(),
         [asdict(group) for pc in channel.pseudo_channels
          for stack in pc.stacks for group in stack],
-        [pc.cas_state_snapshot() for pc in channel.pseudo_channels],
+        [(pc.last_cas_time, pc.last_cas_bank_group, pc.last_cas_stack,
+          pc.last_cas_was_read, pc.last_write_data_end,
+          pc.data_bus_busy_until, pc.last_act_time, pc.last_act_bank_group,
+          tuple(pc.act_window))
+         for pc in channel.pseudo_channels],
         [asdict(pc.counters) for pc in channel.pseudo_channels],
-        [(channel.last_column_ca_time(pc), channel.last_row_ca_time(pc))
-         for pc in range(len(channel.pseudo_channels))],
+        (tuple(channel.last_column_ca), tuple(channel.last_row_ca)),
     )
 
 

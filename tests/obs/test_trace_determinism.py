@@ -147,14 +147,19 @@ class TestEventTaxonomy:
         assert "controller.queue_depth" in series
         assert "serving.running_batch" in series
 
-    def test_burst_train_spans_recorded_when_saturated(self):
-        # The saturating open-loop scenario drives the conventional
-        # controller's train planner, so its trace must carry the
-        # plan/apply pair the profile keys on.
-        result = run_workload(_open_spec(system="hbm4", obs=ON))
-        names = {event.name for event in result.trace.events}
-        assert "train.plan" in names
-        assert "train.apply" in names
+    def test_saturated_hbm4_recording_is_identical_on_both_cores(self):
+        # The event core's decision loop records exactly what ``_step``
+        # records at each instant that issues a command, so a saturated
+        # hbm4 run, refresh on, writes the same bytes on the tick core.
+        spec = _open_spec(system="hbm4", obs=ON, enable_refresh=True)
+        event = run_workload(spec)
+        tick = run_workload(spec, event_driven=False)
+        assert to_chrome_trace(event.trace) == to_chrome_trace(tick.trace)
+        assert to_jsonl(event.trace) == to_jsonl(tick.trace)
+        assert event.metrics.as_dict() == tick.metrics.as_dict()
+        names = {event.name for event in event.trace.events}
+        assert {"scheduler.eval", "refresh.issue"} <= names
+        assert not any(name.startswith("train.") for name in names)
 
     def test_rome_trace_has_scheduler_evals_and_no_trains(self):
         # The RoMe controller plans no trains: every decision it makes is

@@ -5,15 +5,18 @@ no mutable RNG state -- because that is what makes fault campaigns
 bit-identical across workers, start methods, and checkpoint cuts.
 """
 
+import hashlib
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.reliability.faults import (
     DeviceFaultModel,
     FaultDraw,
     ReliabilityConfig,
 )
+from repro.reliability.taxonomy import DeviceFaultKind
 
 BANK = (0, 0, 0, 0)
 BITS = 4096 * 8
@@ -71,8 +74,26 @@ class TestDeterminism:
             model.draw(BANK, row, 999, 10, BITS)
         assert model.draw(BANK, 7, 123, 50, BITS) == before
 
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(-2**40, 2**40),
+           kind=st.sampled_from([kind.value for kind in DeviceFaultKind]),
+           key=st.lists(st.one_of(st.integers(-2**40, 2**40),
+                                  st.sampled_from(["a", "bank", "x'y"])),
+                        max_size=6))
+    def test_uniform_is_the_digest_of_the_key_repr(self, seed, kind, key):
+        # Hashing the payload prefix once per kind changes no draw: each
+        # is still BLAKE2b of ``repr((seed, kind, key))``, 1-tuple and
+        # empty keys included.
+        model = _model(seed=seed)
+        payload = repr((seed, kind, tuple(key))).encode("ascii")
+        digest = hashlib.blake2b(payload, digest_size=8).digest()
+        expected = int.from_bytes(digest, "big") / 2.0 ** 64
+        assert model._uniform(kind, *key) == expected
+        assert model._uniform(kind, *key) == expected
+
     def test_model_pickles_as_its_config(self):
         model = _model()
+        model.draw(BANK, 3, 77, 20, BITS)
         clone = pickle.loads(pickle.dumps(model))
         assert clone.config == model.config
         assert clone.draw(BANK, 3, 77, 20, BITS) == \

@@ -2,10 +2,9 @@
 
 The central claim under test: a checkpoint-restore-continue run is
 **bit-identical** to the uninterrupted run, on both controllers, with
-refresh enabled, including cuts that land inside a planned hbm4 burst
-train or a RoMe event-core jump (the cut is an ``advance_to`` target, so
-either truncates through the same arrival-truncation path a scheduled
-arrival uses).  Also covers the
+refresh enabled, including cuts that land inside an hbm4 busy period or
+a RoMe event-core jump (the cut is an ``advance_to`` target, where either
+event core stops as it does at a scheduled arrival).  Also covers the
 checkpoint format itself -- versioning, digest verification, on-disk
 round-trips, corrupt-file rejection -- and the engine's checkpointable
 arrival schedule.
@@ -108,10 +107,9 @@ class TestControllerBitIdentity:
 
     @pytest.mark.parametrize("system", ["rome", "hbm4"])
     def test_every_cut_point_is_bit_identical(self, system):
-        # Cuts at many offsets, including ones landing inside hbm4 burst
-        # trains or RoMe event-core jumps (saturated drain), all truncate
-        # through the arrival-truncation path and continue
-        # bit-identically.
+        # Cuts at many offsets, including ones landing inside hbm4 busy
+        # periods or RoMe event-core jumps (saturated drain), all stop the
+        # event core as an arrival does and continue bit-identically.
         build = _BUILDERS[system]
         baseline = build(total_bytes=32 * 1024)
         end_ns = baseline.run_until_idle()
@@ -178,10 +176,11 @@ class TestCheckpointFormat:
     def test_restore_rejects_unknown_version(self):
         # A newer version, and every older layout: v1 (per-target refresh
         # deadline dicts), v2 (request queues without bank machines), v3
-        # (dataclass DRAM coordinates) and v4 (banks with a state machine).
+        # (dataclass DRAM coordinates), v4 (banks with a state machine)
+        # and v5 (private pseudo-channel timing fields).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 4, 3, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 5, 4, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,

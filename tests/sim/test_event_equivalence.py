@@ -22,7 +22,6 @@ from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.virtual_bank import paper_vba_config
 from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
-from repro.dram.commands import CommandKind
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
@@ -211,7 +210,7 @@ def test_conventional_event_core_matches_tick_core(name, enable_refresh):
     assert fingerprints[0] == fingerprints[1]
 
 
-# ------------------------------------------------------------ burst trains
+# -------------------------------------------------------- saturated drains
 
 
 def _drain_conventional(trace, event_driven, enable_refresh=False):
@@ -235,18 +234,17 @@ def _drain_conventional(trace, event_driven, enable_refresh=False):
 @pytest.mark.parametrize("enable_refresh", [False, True])
 @pytest.mark.parametrize("name", ["streaming", "mixed", "random"])
 def test_conventional_burst_train_drain_is_bit_identical(name, enable_refresh):
-    """Full saturated drains (the burst-train scenario) match the tick core
-    stat-for-stat, command-for-command, and per-request."""
+    """Full saturated drains match the tick core stat-for-stat,
+    command-for-command, and per-request."""
     make = lambda: _conventional_trace(name, seed=13)
     event_controller, event = _drain_conventional(make(), True, enable_refresh)
     tick_controller, tick = _drain_conventional(make(), False, enable_refresh)
     assert event == tick
     if name == "streaming":
-        # The fast path must actually engage on saturated streaming -- with
-        # refresh *on* as well, since refresh-aware planning splices REFpb
-        # into trains instead of disengaging: >= 5x fewer scheduler
-        # evaluations than one-per-nanosecond (the full 512 KiB drain
-        # exceeds 10x; this smaller one keeps CI fast).
+        # The event core must evaluate far less often than once per ns on
+        # saturated streaming, with refresh *on* as well (its loop issues
+        # the REFpbs inside the advance): >= 5x fewer scheduler
+        # evaluations than one-per-nanosecond.
         assert event_controller.stats.evaluations * 5 \
             <= tick_controller.stats.evaluations
         if enable_refresh:
@@ -297,8 +295,8 @@ def _row_conflict_trace(num_requests=12):
 
 @pytest.mark.parametrize("enable_refresh", [False, True])
 def test_conventional_row_conflict_drain_is_bit_identical(enable_refresh):
-    """A drain dominated by row conflicts, whose trains carry ACTs and
-    PREs, matches the tick core stat-for-stat and per-request."""
+    """A drain dominated by row conflicts, whose busy periods carry ACTs
+    and PREs, matches the tick core stat-for-stat and per-request."""
     event_controller, event = _drain_conventional(
         _row_conflict_trace(), True, enable_refresh)
     tick_controller, tick = _drain_conventional(
@@ -312,28 +310,6 @@ def test_conventional_row_conflict_drain_is_bit_identical(enable_refresh):
 def _command_key(command):
     return (command.kind, command.pseudo_channel, command.stack_id,
             command.bank_group, command.bank, command.row)
-
-
-def _column_key(transaction):
-    coord = transaction.coordinate
-    kind = CommandKind.RD if transaction.is_read else CommandKind.WR
-    return (kind, coord.pseudo_channel, coord.stack_id, coord.bank_group,
-            coord.bank, coord.row)
-
-
-def _plan_every_instant(controller):
-    """Drain ``controller`` with the per-step core, asking the planner for
-    a train at every instant first; yields ``(now, train)`` per instant
-    before that instant's ``tick``."""
-    while controller._pending():
-        now = controller.now
-        train = controller.scheduler.plan_train(
-            controller.read_queue, controller.write_queue,
-            controller._backlog, now=now, target_ns=now + 10_000,
-            num_picks=controller.config.num_pseudo_channels,
-        )
-        yield now, train
-        controller.tick()
 
 
 def _record_channel_issues(controller):
@@ -364,92 +340,78 @@ def _record_channel_issues(controller):
     return issued, served
 
 
-def _planned(train):
-    """A train's commands (as keys) and served transactions, with their
-    instants, in issue order."""
-    commands, columns = [], []
-    for step in train.steps:
-        t = step.time_ns
-        if step.refresh is not None:
-            commands.append((t, _command_key(step.refresh.command)))
-        for transaction in step.columns:
-            commands.append((t, _column_key(transaction)))
-            columns.append((t, transaction))
-        commands.extend((t, _command_key(decision.command))
-                        for decision in step.rows)
-    return commands, columns
+def _issue_logs_of_both_cores(make_controller, make_requests):
+    """Drain fresh requests on a fresh controller with the tick core, then
+    with the event core, recording at the channel.  Asserts both cores
+    issue exactly the same commands at the same instants and serve the
+    same transactions at them; returns the event core's controller and
+    its logs (``(issued, served)``, served as transactions)."""
+    logs = []
+    for event_driven in (False, True):
+        controller = make_controller()
+        for request in make_requests():
+            controller.enqueue(request)
+        issued, served = _record_channel_issues(controller)
+        controller.run_until_idle(event_driven=event_driven)
+        logs.append((issued, served))
+    (tick_issued, tick_served), (issued, served) = logs
+    assert issued == tick_issued
 
+    def columns(log):
+        return {now: [(t.coordinate, t.is_read) for t in transactions]
+                for now, transactions in log.items()}
 
-def _assert_every_plan_matches_the_steps(controller):
-    """At every instant of a drain, the train the planner offers lists
-    exactly the commands the per-step scheduler then issues, and the
-    transactions it serves, over every instant the train covers (through
-    ``end_ns``, idle instants included).  Returns the command kinds
-    planned and the plans' covered spans."""
-    issued, served = _record_channel_issues(controller)
-    plans = {}
-    for now, train in _plan_every_instant(controller):
-        if train is not None:
-            plans[now] = (train.end_ns, *_planned(train))
-    planned_kinds = set()
-    spans = []
-    for start, (end_ns, commands, columns) in plans.items():
-        span = range(start, end_ns + 1)
-        assert commands == [(now, key) for now in span
-                            for key in issued.get(now, [])], start
-        assert columns == [(now, transaction) for now in span
-                           for transaction in served.get(now, [])], start
-        planned_kinds.update(key[0].value for _, key in commands)
-        spans.append(span)
-    return planned_kinds, spans
+    assert columns(served) == columns(tick_served)
+    return controller, issued, served
 
 
 @pytest.mark.parametrize("enable_refresh", [False, True])
-def test_every_plan_matches_the_commands_the_steps_issue(enable_refresh):
-    """At every instant of a row-conflict drain, the train the planner
-    offers lists exactly the commands the per-step scheduler then issues
-    over the instants the train covers."""
-    controller = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1,
-                                enable_refresh=enable_refresh)
-    )
-    for request in _row_conflict_trace(num_requests=8):
-        controller.enqueue(request)
-    planned_kinds, _ = _assert_every_plan_matches_the_steps(controller)
-    expected = {"ACT", "PRE", "RD", "WR"} | (
+def test_event_core_issues_the_commands_the_steps_issue(enable_refresh):
+    """On a row-conflict drain the event core's decision loop issues
+    every command -- ACT, PRE, RD, WR and REFpb -- at the very instant the
+    per-step scheduler does, and serves the same transactions."""
+    _, issued, _ = _issue_logs_of_both_cores(
+        lambda: ConventionalMemoryController(
+            config=ControllerConfig(num_stack_ids=1,
+                                    enable_refresh=enable_refresh)),
+        lambda: _row_conflict_trace(num_requests=8))
+    kinds = {key[0].value for keys in issued.values() for key in keys}
+    assert kinds == {"ACT", "PRE", "RD", "WR"} | (
         {"REFpb"} if enable_refresh else set())
-    assert planned_kinds == expected
 
 
-def test_a_train_serving_a_hit_behind_an_older_miss_matches_the_steps():
+def test_event_core_serves_a_hit_behind_an_older_miss_as_the_steps_do():
     """The per-step scheduler serves a row hit queued behind an older miss
     of the same bank (the pending-hit rule keeps the row open for it).
-    Trains cover such steps, and each train offered lists exactly the
-    commands and served transactions of the per-step core."""
-    controller = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, enable_refresh=False)
-    )
-    for request in _row_conflict_trace(num_requests=0):
-        controller.enqueue(request)
-    behind = []
-    issue_column = controller._issue_column
+    The event core serves those hits too, at the same instants."""
+    behind_per_core = []
 
-    def record(transaction, now):
-        queue = (controller.read_queue if transaction.is_read
-                 else controller.write_queue)
-        for older in queue:
-            if older is transaction:
-                break
-            if older.bank_index == transaction.bank_index \
-                    and not older.served:
-                behind.append(now)
-                break
-        issue_column(transaction, now)
+    def make_controller():
+        controller = ConventionalMemoryController(
+            config=ControllerConfig(num_stack_ids=1, enable_refresh=False))
+        issue_column = controller._issue_column
+        behind = []
+        behind_per_core.append(behind)
 
-    controller._issue_column = record
-    _, spans = _assert_every_plan_matches_the_steps(controller)
-    assert behind
-    assert all(any(now in span for span in spans) for now in behind)
+        def record(transaction, now):
+            queue = (controller.read_queue if transaction.is_read
+                     else controller.write_queue)
+            for older in queue:
+                if older is transaction:
+                    break
+                if older.bank_index == transaction.bank_index \
+                        and not older.served:
+                    behind.append(now)
+                    break
+            issue_column(transaction, now)
+
+        controller._issue_column = record
+        return controller
+
+    _issue_logs_of_both_cores(make_controller,
+                              lambda: _row_conflict_trace(num_requests=0))
+    tick_behind, event_behind = behind_per_core
+    assert event_behind and event_behind == tick_behind
 
 
 def _run_conventional_with_arrivals(event_driven, enable_refresh=False):
@@ -485,9 +447,9 @@ def _run_conventional_with_arrivals(event_driven, enable_refresh=False):
 
 @pytest.mark.parametrize("enable_refresh", [False, True])
 def test_arrival_mid_train_truncates_at_exact_nanosecond(enable_refresh):
-    """A ``Simulation.at`` arrival due mid-train must be enqueued before
-    any controller evaluates that instant: the event run (with burst
-    trains, refresh-aware when enabled) and the forced-lockstep run must
+    """A ``Simulation.at`` arrival due mid-burst must be enqueued before
+    any controller evaluates that instant: the event run (refresh on or
+    off) and the forced-lockstep run must
     agree on every statistic and on the arrivals' completion times."""
     fingerprints = []
     for event_driven in (False, True):
@@ -600,7 +562,7 @@ from repro.workloads.scenarios import ScenarioSpec  # noqa: E402
 from repro.workloads.serving import ServingConfig  # noqa: E402
 
 #: Small, dense shapes so the lockstep reference stays affordable while
-#: arrivals still land inside saturated (train-planned) spans.
+#: arrivals still land inside saturated spans.
 _WORKLOAD_SERVING = ServingConfig(
     model_name="grok-1",
     batch_capacity=2,
@@ -622,7 +584,7 @@ WORKLOAD_SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(WORKLOAD_SCENARIOS))
 def test_workload_event_run_is_lockstep_identical(name, system):
     """>= 3 workload-generated scenarios per controller: the event core
-    (hbm4 burst trains, arrival truncation) must reproduce the forced 1-ns
+    (arrival truncation included) must reproduce the forced 1-ns
     lockstep run bit-for-bit, WorkloadResult-for-WorkloadResult."""
     spec = ScenarioSpec(scenario=name, system=system,
                         serving=_WORKLOAD_SERVING,
@@ -640,14 +602,14 @@ def test_workload_arrival_on_train_boundary_truncates_identically(system):
     """run_for/next_arrival_ns interplay: a saturating drain transfer at
     t=0 keeps the channel saturated while a dense fixed-rate
     foreground lands arrivals throughout the drain -- including instants
-    that coincide with planned train boundaries.  Event and tick cores
+    inside busy periods.  Event and tick cores
     must truncate identically (extends the arrival-mid-train tests with a
     workload-generated schedule)."""
     from repro.workloads.arrivals import Transfer, compile_schedule
 
     drain = compile_schedule([0], [Transfer(read_bytes=48 * 1024, tag="drain")])
     # 97 ns spacing sweeps arrival instants across every phase of the
-    # hbm4 CAS-grid trains and of RoMe's row-command grid.
+    # hbm4 CAS grid and of RoMe's row-command grid.
     foreground = compile_schedule(
         [97 * (index + 1) for index in range(30)],
         [Transfer(read_bytes=4096, tag="fg")] * 30)
@@ -658,7 +620,7 @@ def test_workload_arrival_on_train_boundary_truncates_identically(system):
     lockstep = run_workload(spec, schedule=schedule, event_driven=False)
     assert event == lockstep
     # The merged load keeps the channel near peak through the horizon, so
-    # trains are planned while arrivals land.
+    # arrivals land in busy periods.
     assert event.utilization > 0.5
     # The event core must actually skip instants for the truncation to
     # matter.
@@ -710,8 +672,8 @@ def test_conventional_train_does_not_outlive_the_drain():
     postponement budget, the planner used to append a refresh-only step
     (a critical PRE) *after* the step that served the final transaction
     -- an instant a draining per-step core never evaluates, leaving the
-    event run one PRE and one nanosecond ahead.  Trains must end once
-    the modeled queues and backlog are exhausted."""
+    event run one PRE and one nanosecond ahead.  The event core must stop
+    once the queues and backlog are exhausted."""
     from repro.dram.timing import TimingParameters
 
     timing = TimingParameters(tREFIpb=163, tRFCpb=82)
@@ -854,7 +816,7 @@ def test_rome_refresh_knobs_property_bit_identity(
     assert fingerprints[0] == fingerprints[1]
 
 
-# ---------------------------------------- generated planner differential
+# ------------------------------------- generated tick-vs-event differential
 
 
 @st.composite
@@ -887,22 +849,22 @@ def _bank_focused_drains(draw):
 
 def _check_generated_drain(spec):
     num_stack_ids, enable_refresh, depth, requests = spec
-    controller = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=num_stack_ids,
-                                enable_refresh=enable_refresh,
-                                read_queue_depth=depth,
-                                write_queue_depth=depth)
-    )
-    for request in requests:
-        controller.enqueue(request)
-    assert _assert_every_plan_matches_the_steps(controller)[0]
+    _issue_logs_of_both_cores(
+        lambda: ConventionalMemoryController(
+            config=ControllerConfig(num_stack_ids=num_stack_ids,
+                                    enable_refresh=enable_refresh,
+                                    read_queue_depth=depth,
+                                    write_queue_depth=depth)),
+        lambda: [MemoryRequest(kind=request.kind, address=request.address,
+                               size_bytes=request.size_bytes)
+                 for request in requests])
 
 
 @settings(deadline=None, max_examples=8)
 @given(spec=_bank_focused_drains())
-def test_every_plan_matches_the_steps_on_generated_drains(spec):
-    """The plan-vs-steps differential of
-    ``test_every_plan_matches_the_commands_the_steps_issue`` on generated
+def test_event_core_issues_as_the_steps_on_generated_drains(spec):
+    """The issue-log differential of
+    ``test_event_core_issues_the_commands_the_steps_issue`` on generated
     drains (a small profile; the ``slow`` variant draws more)."""
     _check_generated_drain(spec)
 
@@ -910,117 +872,160 @@ def test_every_plan_matches_the_steps_on_generated_drains(spec):
 @pytest.mark.slow
 @settings(deadline=None, max_examples=300)
 @given(spec=_bank_focused_drains())
-def test_every_plan_matches_the_steps_on_many_generated_drains(spec):
+def test_event_core_issues_as_the_steps_on_many_generated_drains(spec):
     _check_generated_drain(spec)
 
 
-# ------------------------------------------ trains through idle instants
+# ------------------------------------------------------------- the wake-ups
 
 
 @st.composite
-def _drains_with_arrivals(draw):
-    """Refresh off or on -- on, with a short tREFIpb and tRFCpb and a
-    postponement budget of 0-2, so due refreshes keep waiting on open,
-    precharging and refreshing banks -- and two batches of mixed reads and
-    writes of 256 B-4 KiB on one or two banks and rows 0-2, the second
-    arriving mid-run."""
+def _wake_specs(draw):
+    """Refresh off, or on with drawn knobs -- a short tREFIpb and tRFCpb
+    and a postponement budget of 0-2, so due refreshes keep waiting on
+    open, precharging and refreshing banks; 1 or 2 stack IDs; a queue
+    depth of 8 or 64; two batches of mixed reads and writes of 32 B-4 KiB
+    on one or two (stack ID, bank) pairs and rows 0-2, the second arriving
+    mid-run; and the length of the event run's advances."""
     from repro.dram.timing import TimingParameters
 
+    num_stack_ids = draw(st.sampled_from([1, 2]))
     enable_refresh = draw(st.booleans())
-    timing = TimingParameters()
+    timing, max_postponed = TimingParameters(), None
     if enable_refresh:
         timing = TimingParameters(tREFIpb=draw(st.integers(40, 200)),
                                   tRFCpb=draw(st.integers(20, 120)))
-    max_postponed = draw(st.integers(0, 2))
-    mapping = ControllerConfig(num_stack_ids=1).local_mapping()
-    banks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2,
-                          unique=True))
+        max_postponed = draw(st.integers(0, 2))
+    depth = draw(st.sampled_from([8, 64]))
+    mapping = ControllerConfig(num_stack_ids=num_stack_ids).local_mapping()
+    banks = draw(st.lists(
+        st.tuples(st.integers(0, num_stack_ids - 1), st.integers(0, 3)),
+        min_size=1, max_size=2, unique=True))
 
     def batch():
         requests = []
-        for _ in range(draw(st.integers(2, 5))):
+        for _ in range(draw(st.integers(1, 5))):
+            stack_id, bank = draw(st.sampled_from(banks))
             first = DramCoordinate(
                 channel=0, pseudo_channel=draw(st.integers(0, 1)),
-                stack_id=0, bank_group=draw(st.integers(0, 3)),
-                bank=draw(st.sampled_from(banks)),
-                row=draw(st.integers(0, 2)), column=draw(st.integers(0, 31)))
+                stack_id=stack_id, bank_group=draw(st.integers(0, 3)),
+                bank=bank, row=draw(st.integers(0, 2)),
+                column=draw(st.integers(0, 31)))
             requests.append(MemoryRequest(
                 kind=draw(st.sampled_from([RequestKind.READ,
                                            RequestKind.WRITE])),
                 address=mapping.encode(first),
-                size_bytes=256 * draw(st.integers(1, 16))))
+                size_bytes=32 * draw(st.integers(1, 128))))
         return requests
 
+    config = ControllerConfig(num_stack_ids=num_stack_ids, timing=timing,
+                              enable_refresh=enable_refresh,
+                              read_queue_depth=depth, write_queue_depth=depth)
     first, second = batch(), batch()
     arrival_ns = draw(st.integers(1, 600))
-    return enable_refresh, timing, max_postponed, first, arrival_ns, second
+    slice_ns = draw(st.integers(1, 300))
+    return config, max_postponed, first, arrival_ns, second, slice_ns
 
 
-def _controller_state(controller):
-    """Everything an evaluation can change, in values comparable across a
-    deep copy of the controller."""
-    def entries(queue):
-        return [(t.coordinate, t.is_read) for t in queue]
+def _run_with_arrival(spec, controller, event_driven, advance):
+    """Run ``spec``'s two batches on ``controller``: the first at 0, the
+    second at its arrival instant, then 3 us more and a drain.
+    ``advance(end)`` runs the controller to ``end``."""
+    _, _, first, arrival_ns, second, _ = spec
+    for request in first:
+        controller.enqueue(MemoryRequest(
+            kind=request.kind, address=request.address,
+            size_bytes=request.size_bytes))
+    advance(arrival_ns)
+    for request in second:
+        controller.enqueue(MemoryRequest(
+            kind=request.kind, address=request.address,
+            size_bytes=request.size_bytes, arrival_ns=controller.now))
+    advance(controller.now + 3_000)
+    controller.run_until_idle(event_driven=event_driven)
+    assert controller.outstanding_requests == 0
+    return (controller.now, controller.stats,
+            controller.channel.command_counts())
 
-    channel = controller.channel
-    return (
-        controller.now,
-        controller.stats,
-        channel.command_counts(),
-        [(bank.open_row, bank.next_act, bank.next_read, bank.next_write,
-          bank.next_pre, bank.next_refresh)
-         for bank in channel.banks],
-        [pc.cas_state_snapshot() for pc in channel.pseudo_channels],
-        [(channel.last_column_ca_time(pc), channel.last_row_ca_time(pc))
-         for pc in range(len(channel.pseudo_channels))],
-        entries(controller.read_queue),
-        entries(controller.write_queue),
-        [(t.coordinate, t.is_read) for t in controller._backlog],
-        controller.scheduler._draining_writes,
-        [engine.issued for engine in controller.scheduler.refresh_engines],
-    )
+
+def _controller_of(spec):
+    config, max_postponed, *_ = spec
+    controller = ConventionalMemoryController(config=config)
+    for engine in controller.scheduler.refresh_engines:
+        engine.max_postponed = max_postponed
+    return controller
 
 
 @settings(deadline=None, max_examples=25)
-@given(spec=_drains_with_arrivals())
-def test_applied_trains_equal_the_steps_over_their_whole_span(spec):
-    """Every train the event core applies covers ``start .. end_ns``,
-    idle instants included: replaying ``_step`` over that span on a copy
-    of the controller issues exactly the train's commands and leaves the
-    state the train installs.  Trains do run through instants that issue
-    nothing."""
-    import copy
+@given(spec=_wake_specs())
+def test_no_command_issues_before_the_wake(spec):
+    """Stepping ``_step`` one ns at a time issues nothing strictly before
+    ``next_event_ns()`` (checked at every advance boundary of a sliced
+    event run) or before the instant the event core's loop jumps to after
+    an idle instant (checked at every jump), until new requests arrive:
+    both wakes are lower bounds of the next issue.  The steps are the
+    tick core's run of the same inputs, whose state at every instant is
+    the event core's (the two runs end identical).  The jumps are also
+    exact: each that the tick run reaches lands on an issuing instant."""
+    from bisect import bisect_left
 
-    enable_refresh, timing, max_postponed, first, arrival_ns, second = spec
-    controller = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, timing=timing,
-                                enable_refresh=enable_refresh))
-    for engine in controller.scheduler.refresh_engines:
-        engine.max_postponed = max_postponed
-    apply = controller._apply_column_train
-    idle_instants = []
+    tick = _controller_of(spec)
+    issuing = []
+    step = tick._step
 
-    def checked_apply(train):
-        start = controller.now
-        replay = copy.deepcopy(controller)
-        issued, _ = _record_channel_issues(replay)
-        for now in range(start, train.end_ns + 1):
-            replay._step(now)
-        replay.now = train.end_ns + 1
-        commands, _ = _planned(train)
-        assert commands == [(now, key) for now in sorted(issued)
-                            for key in issued[now]]
-        apply(train)
-        assert _controller_state(controller) == _controller_state(replay)
-        idle_instants.append(train.end_ns - start + 1 - len(train.steps))
+    def recorded_step(now):
+        acted = step(now)
+        if acted:
+            issuing.append(now)
+        return acted
 
-    controller._apply_column_train = checked_apply
-    for request in first:
-        controller.enqueue(request)
-    controller.run_for(arrival_ns)
-    for request in second:
-        request.arrival_ns = controller.now
-        controller.enqueue(request)
-    controller.run_until_idle()
-    assert controller.outstanding_requests == 0
-    assert any(idle > 0 for idle in idle_instants)
+    tick._step = recorded_step
+    tick_end = _run_with_arrival(
+        spec, tick, False, lambda end: tick.run_for(end - tick.now,
+                                                     event_driven=False))
+
+    # Until ``arrival``: the instant the next requests are enqueued.
+    arrival = spec[3]
+
+    def next_issue(start):
+        """The first instant from ``start`` on at which ``_step`` issues
+        before the next arrival, or None."""
+        index = bisect_left(issuing, start)
+        if index == len(issuing) or issuing[index] >= arrival:
+            return None
+        return issuing[index]
+
+    def assert_wake(start, wake, what):
+        issue = next_issue(start)
+        assert issue is None or wake is not None and issue >= wake, \
+            f"{what} is {wake}, but _step issues at {issue}"
+
+    controller = _controller_of(spec)
+    scheduler = controller.scheduler
+    wake_ns = scheduler._wake_ns
+    landed = []
+
+    def checked_wake(t, served, sweep_at):
+        wake = wake_ns(t, served, sweep_at)
+        assert next_issue(t) != t
+        assert_wake(t + 1, wake, f"the loop's jump from idle {t}")
+        if wake is not None and wake < min(arrival, tick.now):
+            landed.append(next_issue(wake) == wake)
+        return wake
+
+    scheduler._wake_ns = checked_wake
+
+    def advance(end):
+        while controller.now < end:
+            assert_wake(controller.now, controller.next_event_ns(),
+                        f"next_event_ns() at {controller.now}")
+            controller.advance_to(min(controller.now + spec[-1], end))
+
+    def advance_to_arrival(end):
+        nonlocal arrival
+        advance(end)
+        arrival = float("inf")
+
+    assert _run_with_arrival(spec, controller, True,
+                             advance_to_arrival) == tick_end
+    assert all(landed)
