@@ -15,9 +15,8 @@ over the instants at which nothing can issue.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from collections import deque
 
@@ -178,13 +177,11 @@ class ConventionalMemoryController:
         self.stats = ControllerStats()
         self._pending_transactions: Dict[int, int] = {}
         self._requests: Dict[int, MemoryRequest] = {}
-        # RAS: per-transaction ECC classification plus the retry-replay
-        # heap.  Inactive (no config, or all-zero rates) keeps every hook
-        # short-circuited so the baseline path stays bit-identical.
+        # RAS: per-transaction ECC classification and the replays it
+        # schedules.  Inactive (no config, or all-zero rates) keeps every
+        # hook short-circuited so the baseline path stays bit-identical.
         self.ras: Optional[RasEngine] = None
         self._ras_active = False
-        self._retries: List[Tuple[int, int, Transaction]] = []
-        self._retry_seq = 0
         if reliability is not None:
             from repro.reliability.ras import RasEngine as _RasEngine
 
@@ -252,32 +249,10 @@ class ConventionalMemoryController:
             retry_attempt=source.retry_attempt + 1)
         self._requests[retry_request.request_id] = retry_request
         self._pending_transactions[retry_request.request_id] = 1
-        retry = Transaction(
+        self.ras.schedule_replay(ready_ns, Transaction(
             request=retry_request, coordinate=transaction.coordinate,
             size_bytes=transaction.size_bytes, arrival_ns=ready_ns,
-            is_read=True, bank_index=transaction.bank_index)
-        self._retry_seq += 1
-        heapq.heappush(self._retries, (ready_ns, self._retry_seq, retry))
-
-    def _ras_step(self, now: int) -> None:
-        """Run scrub passes due by ``now`` and admit ready retries."""
-        self.ras.run_scrub(now)
-        if self._retries and self._retries[0][0] <= now:
-            ready: List[Transaction] = []
-            while self._retries and self._retries[0][0] <= now:
-                ready.append(heapq.heappop(self._retries)[2])
-            # Replays jump the backlog (they are the oldest traffic in
-            # the system); earliest-ready first.
-            self._backlog.extendleft(reversed(ready))
-
-    def _ras_wake(self, now: int) -> Optional[int]:
-        """Earliest future instant the RAS layer needs an evaluation."""
-        wake = self.ras.next_event_ns(now)
-        if self._retries:
-            ready = self._retries[0][0]
-            if wake is None or ready < wake:
-                wake = ready
-        return wake
+            is_read=True, bank_index=transaction.bank_index))
 
     def _fill_queues(self) -> None:
         while self._backlog:
@@ -298,9 +273,8 @@ class ConventionalMemoryController:
         self.stats.evaluations += 1
         self.stats.instants += 1
         if self._ras_active:
-            self._ras_step(now)
+            self.ras.admit_due(now, self._backlog)
         self._fill_queues()
-        timing = self.config.timing
         issued_any = False
 
         # 1. Refresh has priority when it can no longer be postponed.
@@ -383,26 +357,12 @@ class ConventionalMemoryController:
             # Classify the read at its issue instant (the draw key); a
             # DUE verdict schedules a command replay after the data would
             # have returned, plus deterministic backoff.
-            offlined = self.ras.stats.offlined_banks
-            verdict = self.ras.on_read(
+            delay = self.ras.check_read(
                 (coord.pseudo_channel, coord.stack_id, coord.bank_group,
                  coord.bank),
-                coord.row, now,
-                attempt=transaction.request.retry_attempt)
-            if verdict.retry_delay_ns is not None:
-                self._schedule_retry(
-                    transaction, data_ns + verdict.retry_delay_ns)
-            if obs is not None:
-                outcome = verdict.outcome.value
-                if outcome != "clean":
-                    obs.count(now, f"ras.{outcome}")
-                if verdict.retry_delay_ns is not None:
-                    obs.event(now, "ras.retry",
-                              delay_ns=verdict.retry_delay_ns)
-                if verdict.spared_now:
-                    obs.event(now, "ras.spare")
-                if self.ras.stats.offlined_banks > offlined:
-                    obs.event(now, "ras.offline")
+                coord.row, now, transaction.request.retry_attempt, obs)
+            if delay is not None:
+                self._schedule_retry(transaction, data_ns + delay)
         transaction.served = True
         transaction.data_ready_ns = data_ns
         request = transaction.request
@@ -474,24 +434,25 @@ class ConventionalMemoryController:
         (:meth:`FrFcfsScheduler.ready_ns`: ``now`` itself when backlog
         entries wait for queue room that is free, else the earliest ready
         instant of the heads and the refresh sweep), or, under active RAS,
-        admit a retry or run a scrub.  It may be ``now`` or earlier when
-        the controller can act at once; no command can issue strictly
+        the instant the RAS layer admits a replay or runs a scrub pass
+        (:meth:`RasEngine.next_event_ns`).  It may be ``now`` or earlier
+        when the controller can act at once; no command can issue strictly
         before it.
         """
-        now = self.now
         best = self.scheduler.ready_ns(self.read_queue, self.write_queue,
-                                       self._backlog, now)
+                                       self._backlog, self.now)
         if self._ras_active:
-            candidate = self._ras_wake(now)
+            candidate = self.ras.next_event_ns()
             if candidate is not None and (best is None or candidate < best):
                 best = candidate
         return best
 
     def _pending(self) -> bool:
+        # A queued replay is booked in ``_pending_transactions`` when it is
+        # scheduled (``_schedule_retry``).
         return bool(
             self._backlog or not self.read_queue.is_empty
             or not self.write_queue.is_empty or self._pending_transactions
-            or self._retries
         )
 
     def _advance(self, target_ns: int, stop_when_idle: bool = False) -> None:
@@ -503,29 +464,11 @@ class ConventionalMemoryController:
         decision loop (:meth:`FrFcfsScheduler.plan_train`) walks them on
         the live state and jumps over the rest.  It stops at ``target_ns``,
         so externally scheduled arrivals (``Simulation.at``) still land
-        cycle-exactly.
-
-        Active RAS pins the event core to single-step evaluation: the loop
-        runs neither retry admissions nor scrub instants.  After an idle
-        step the controller jumps to :meth:`next_event_ns`.
+        cycle-exactly.  Active RAS runs in the same loop: its scrub passes
+        and replay admissions are instants the loop lands on
+        (:meth:`RasEngine.next_event_ns`).
         """
-        if not self._ras_active:
-            self.scheduler.plan_train(self, target_ns, stop_when_idle)
-            return
-        while self.now < target_ns:
-            now = self.now
-            acted = self._step(now)
-            if stop_when_idle and not self._pending():
-                self.now = now + 1
-                return
-            if acted:
-                self.now = now + 1
-                continue
-            wake = self.next_event_ns()
-            if wake is None:
-                self.now = target_ns
-            else:
-                self.now = min(max(wake, now + 1), target_ns)
+        self.scheduler.plan_train(self, target_ns, stop_when_idle)
 
     def advance_to(self, target_ns: int) -> None:
         """Advance to ``target_ns`` exactly, skipping event-free spans."""
@@ -574,7 +517,7 @@ class ConventionalMemoryController:
         """Collect counters needed by the energy model."""
         commands = self.channel.command_counts()
         activates = commands.get("ACT", 0)
-        precharges = commands.get("PRE", 0) + commands.get("PREA", 0)
+        precharges = commands.get("PRE", 0)
         interface_commands = sum(commands.values())
         return EnergyCounters(
             activates=activates,
@@ -582,7 +525,7 @@ class ConventionalMemoryController:
             reads_bytes=self.stats.bytes_read,
             writes_bytes=self.stats.bytes_written,
             interface_commands=interface_commands,
-            refreshes=commands.get("REFpb", 0) + commands.get("REFab", 0),
+            refreshes=commands.get("REFpb", 0),
             elapsed_ns=float(self.now),
             num_channels=1,
             row_bytes=self.config.timing.row_size_bytes,

@@ -26,8 +26,10 @@ an instant that issues nothing the loop jumps to the earliest instant at
 which an enabled head or the refresh sweep could issue: each ready instant
 is the latest of the instants its rule's windows open (C/A slot, bank
 window, CAS spacing and turnaround, data bus, BK-BUS, tRRD/tFAW, refresh
-deadline and criticality).  The controller's ``next_event_ns`` is the same
-minimum (:meth:`FrFcfsScheduler.ready_ns`).
+deadline and criticality), or to the RAS layer's next instant under live
+faults (a scrub pass or a replay admission, run first at its instant as
+``_step`` runs it).  The controller's ``next_event_ns`` is the same minimum
+(:meth:`FrFcfsScheduler.ready_ns` and the RAS layer's instant).
 
 The per-instant picks (:meth:`~FrFcfsScheduler.pick_refresh`,
 :meth:`~FrFcfsScheduler.pick_column`, :meth:`~FrFcfsScheduler.pick_row`) are
@@ -337,15 +339,19 @@ class FrFcfsScheduler:
         return best
 
     def _wake_ns(self, t: int, served: Sequence[RequestQueue],
-                 sweep_at: Optional[int]) -> Optional[int]:
+                 sweep_at: Optional[int],
+                 ras_at: Optional[int]) -> Optional[int]:
         """The next instant worth evaluating after ``t``, an instant that
         issued nothing (so nothing changed): the earliest ready instant of
         the heads of ``served`` and of the refresh sweep (``sweep_at``, its
-        ready instant, ``None`` without refresh), but at least ``t + 1``;
+        ready instant, ``None`` without refresh), and the RAS layer's next
+        instant (``ras_at``, ``None`` without one), but at least ``t + 1``;
         ``None`` when nothing could ever issue."""
         wake = self._heads_ready_ns(served)
         if sweep_at is not None and (wake is None or sweep_at < wake):
             wake = sweep_at
+        if ras_at is not None and (wake is None or ras_at < wake):
+            wake = ras_at
         return None if wake is None else max(t + 1, wake)
 
     def ready_ns(self, read_queue: RequestQueue, write_queue: RequestQueue,
@@ -388,7 +394,10 @@ class FrFcfsScheduler:
         issues is followed by the next one, since the C/A pins admit
         another command the next nanosecond; after one that issues nothing
         the loop jumps to the earliest ready instant of the enabled heads
-        and the refresh sweep, and to ``target_ns`` when nothing is left.
+        and the refresh sweep, or to the RAS layer's next instant (a scrub
+        pass or a replay admission, which ``_step`` runs first at its
+        instant, as the loop does), and to ``target_ns`` when nothing is
+        left.
         With ``stop_when_idle`` it also stops after the instant that leaves
         no work pending, as the tick core's drain does.  It sets
         ``controller.now`` to the first instant it did not evaluate.
@@ -414,6 +423,11 @@ class FrFcfsScheduler:
         rq, wq = controller.read_queue, controller.write_queue
         issue_column, issue = controller._issue_column, controller._issue
         traced = controller._obs is not None
+        # Under active RAS, the instant its next scrub pass or replay is
+        # due; a DUE read may queue a replay, so it is re-read after every
+        # column.  ``None`` without RAS or at zero rate.
+        ras = controller.ras if controller._ras_active else None
+        ras_at = None if ras is None else ras.next_event_ns()
         # The refresh sweep runs only from the instant it could act
         # (``_sweep_ready_ns``).  A refresh changes its engine's target, and
         # an ACT or PRE to a target bank may open that target earlier, so
@@ -424,6 +438,10 @@ class FrFcfsScheduler:
         issuing = instants = 0
         while True:
             instants += 1
+            if ras_at is not None and t >= ras_at:
+                ras.admit_due(t, controller._backlog)
+                ras_at = ras.next_event_ns()
+                refill = True
             if refill:
                 # Only a column frees queue room, so only then can a refill
                 # admit work (and move the write-drain hysteresis).
@@ -526,6 +544,8 @@ class FrFcfsScheduler:
                 t += 1
                 if columns:
                     refill = True
+                    if ras is not None:
+                        ras_at = ras.next_event_ns()
                     if stop_when_idle and not controller._pending():
                         break
                 if wake_sweep:
@@ -534,7 +554,7 @@ class FrFcfsScheduler:
                 if sweep_at is not None:
                     # Exact again: a column may have delayed a PRE window.
                     sweep_at = self._sweep_ready_ns()
-                wake = self._wake_ns(t, served, sweep_at)
+                wake = self._wake_ns(t, served, sweep_at, ras_at)
                 t = target_ns if wake is None else wake
             if t >= target_ns:
                 t = target_ns

@@ -202,14 +202,12 @@ class RoMeMemoryController:
         self._duration = {True: t.tRD_row, False: t.tWR_row}
         self._occupancy = {True: t.tR2RS, False: t.tW2WS}
         self._row_bytes = self.config.vba.effective_row_bytes
-        # RAS: fault classification plus the retry-replay heap.  With no
+        # RAS: fault classification and the replays it schedules.  With no
         # config (or a zero-rate one) ``_ras_active`` is False and every
         # hook below short-circuits, keeping the baseline code path
         # bit-identical.
         self.ras: Optional[RasEngine] = None
         self._ras_active = False
-        self._retries: List[Tuple[int, int, RowRequest]] = []
-        self._retry_seq = 0
         if reliability is not None:
             from repro.reliability.ras import RasEngine as _RasEngine
 
@@ -243,35 +241,11 @@ class RoMeMemoryController:
             request.stack_id, request.vba = target
         self._backlog.append(request)
 
-    # ---------------------------------------------------------------- RAS
-
-    def _schedule_retry(self, request: RowRequest, ready_ns: int) -> None:
-        """Queue a command replay of ``request`` at ``ready_ns``."""
-        retry = replace(request, arrival_ns=ready_ns, issue_ns=None,
-                        completion_ns=None,
-                        retry_attempt=request.retry_attempt + 1)
-        self._retry_seq += 1
-        heapq.heappush(self._retries, (ready_ns, self._retry_seq, retry))
-
-    def _ras_step(self, now: int) -> None:
-        """Run scrub passes due by ``now`` and admit ready retries."""
-        self.ras.run_scrub(now)
-        if self._retries and self._retries[0][0] <= now:
-            ready: List[RowRequest] = []
-            while self._retries and self._retries[0][0] <= now:
-                ready.append(heapq.heappop(self._retries)[2])
-            # Replays jump the backlog (retried reads are the oldest
-            # traffic in the system); earliest-ready first.
-            self._backlog.extendleft(reversed(ready))
-
-    def _ras_wake(self, now: int) -> Optional[int]:
-        """Earliest future instant the RAS layer needs an evaluation."""
-        wake = self.ras.next_event_ns(now)
-        if self._retries:
-            ready = self._retries[0][0]
-            if wake is None or ready < wake:
-                wake = ready
-        return wake
+    def _pending(self) -> bool:
+        """Whether work is left: backlog, queue entries, or queued RAS
+        replays."""
+        return bool(self._backlog or self.queue or self._ras_active
+                    and self.ras.pending_replays)
 
     def _fill_queue(self) -> None:
         while self._backlog and len(self.queue) < self.config.request_queue_depth:
@@ -490,25 +464,15 @@ class RoMeMemoryController:
                 # Classify the read at its issue instant (the draw key);
                 # a DUE verdict schedules a command replay after the data
                 # would have returned, plus deterministic backoff.
-                offlined = self.ras.stats.offlined_banks
-                verdict = self.ras.on_read(
+                delay = self.ras.check_read(
                     (request.stack_id, request.vba), request.row, now,
-                    attempt=request.retry_attempt)
-                if verdict.retry_delay_ns is not None:
-                    self._schedule_retry(
-                        request,
-                        request.completion_ns + verdict.retry_delay_ns)
-                if obs is not None:
-                    outcome = verdict.outcome.value
-                    if outcome != "clean":
-                        obs.count(now, f"ras.{outcome}")
-                    if verdict.retry_delay_ns is not None:
-                        obs.event(now, "ras.retry",
-                                  delay_ns=verdict.retry_delay_ns)
-                    if verdict.spared_now:
-                        obs.event(now, "ras.spare")
-                    if self.ras.stats.offlined_banks > offlined:
-                        obs.event(now, "ras.offline")
+                    request.retry_attempt, obs)
+                if delay is not None:
+                    ready_ns = request.completion_ns + delay
+                    self.ras.schedule_replay(ready_ns, replace(
+                        request, arrival_ns=ready_ns, issue_ns=None,
+                        completion_ns=None,
+                        retry_attempt=request.retry_attempt + 1))
         else:
             self.stats.served_writes += 1
             self.stats.bytes_written += row_bytes
@@ -545,7 +509,7 @@ class RoMeMemoryController:
         """One scheduling evaluation at ``now``; True if a command issued."""
         self.stats.evaluations += 1
         if self._ras_active:
-            self._ras_step(now)
+            self.ras.admit_due(now, self._backlog)
         self._release_finished(now)
         self._retire_completed(now)
         self._fill_queue()
@@ -610,7 +574,7 @@ class RoMeMemoryController:
         if refresh_wake is not None and (wake is None or refresh_wake < wake):
             wake = refresh_wake
         if self._ras_active:
-            ras_wake = self._ras_wake(now)
+            ras_wake = self.ras.next_event_ns()
             if ras_wake is not None and (wake is None or ras_wake < wake):
                 wake = ras_wake
         return wake
@@ -624,11 +588,11 @@ class RoMeMemoryController:
         the refresh hint and deadline, RAS wake-ups), clamped to
         ``target_ns`` so externally scheduled arrivals land cycle-exactly.
         """
-        ras_active = self._ras_active
+        ras = self.ras if self._ras_active else None
         while self.now < target_ns:
             now = self.now
-            if ras_active:
-                self._ras_step(now)
+            if ras is not None:
+                ras.admit_due(now, self._backlog)
             self._release_finished(now)
             self._retire_completed(now)
             self._fill_queue()
@@ -641,8 +605,7 @@ class RoMeMemoryController:
                 issued_data = self._try_issue_data(now)
             if (issued_refresh or issued_data) and self._obs is not None:
                 self._note_evaluation(now)
-            if stop_when_idle and not (self._backlog or self.queue
-                                       or self._retries):
+            if stop_when_idle and not self._pending():
                 self.now = now + 1
                 return
             if issued_refresh:
@@ -662,8 +625,8 @@ class RoMeMemoryController:
                 due = self.refresh.next_event_ns(now)
                 if due is not None and (wake is None or due < wake):
                     wake = due
-            if ras_active:
-                ras_wake = self._ras_wake(now)
+            if ras is not None:
+                ras_wake = ras.next_event_ns()
                 if ras_wake is not None and (wake is None or ras_wake < wake):
                     wake = ras_wake
             if wake is None:
@@ -689,7 +652,7 @@ class RoMeMemoryController:
 
     def run_until_idle(self, max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                        event_driven: bool = True) -> int:
-        while self._backlog or self.queue or self._retries:
+        while self._pending():
             if self.now >= max_ns:
                 raise RuntimeError("RoMe controller did not drain in time")
             if event_driven:
@@ -718,7 +681,8 @@ class RoMeMemoryController:
 
     @property
     def outstanding_requests(self) -> int:
-        return len(self.queue) + len(self._backlog) + len(self._retries)
+        replays = self.ras.pending_replays if self._ras_active else 0
+        return len(self.queue) + len(self._backlog) + replays
 
     def bandwidth_utilization(self) -> float:
         """Fraction of peak channel bandwidth delivered so far."""

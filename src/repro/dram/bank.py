@@ -80,13 +80,15 @@ class Bank:
 
         ACT and REFpb need a closed bank, PRE an open one.  Cross-bank
         constraints (tRRD, tFAW, tCCD, bus turnaround) are checked by the
-        pseudo channel, not here.
+        pseudo channel, not here.  Any other kind raises ``ValueError``: no
+        controller issues PREA, REFab, MRS or an auto-precharging CAS, so
+        the bank does not model them.
         """
         if kind is CommandKind.RD or kind is CommandKind.WR:
             return self.can_issue_column(row, kind is CommandKind.RD, now)
         if kind is CommandKind.ACT:
             return self.open_row is None and now >= self.next_act
-        if kind is CommandKind.PRE or kind is CommandKind.PREA:
+        if kind is CommandKind.PRE:
             return self.open_row is not None and now >= self.next_pre
         if kind is CommandKind.REFPB:
             return self.open_row is None and now >= self.next_act \
@@ -129,7 +131,7 @@ class Bank:
             self.next_pre = max(self.next_pre, now + t.tRAS)
             self.next_act = max(self.next_act, now + t.tRC)
             self.counters.activates += 1
-        elif kind is CommandKind.PRE or kind is CommandKind.PREA:
+        elif kind is CommandKind.PRE:
             self.open_row = None
             self.next_act = max(self.next_act, now + t.tRP)
             self.counters.precharges += 1

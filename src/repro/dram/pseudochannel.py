@@ -161,7 +161,11 @@ class PseudoChannel:
             .can_issue_column(row, is_read, now)
 
     def can_issue(self, command: Command, now: int) -> bool:
-        """Check all PC- and bank-level constraints for ``command`` at ``now``."""
+        """Check all PC- and bank-level constraints for ``command`` at ``now``.
+
+        RD, WR, ACT, PRE and REFpb are the kinds a controller issues; any
+        other raises ``ValueError`` (:meth:`Bank.can_issue`).
+        """
         kind = command.kind
         if kind is CommandKind.RD or kind is CommandKind.WR:
             return self.can_issue_column(
@@ -170,13 +174,6 @@ class PseudoChannel:
         if kind is CommandKind.ACT \
                 and now < self.act_ready_time(command.bank_group):
             return False
-        if kind is CommandKind.REFAB:
-            return all(
-                b.can_issue(CommandKind.REFPB, now)
-                for b in self.all_banks()
-            )
-        if kind is CommandKind.PREA:
-            return True
         bank = self.bank(command.bank_group, command.bank, command.stack_id)
         return bank.can_issue(kind, now, command.row)
 
@@ -235,31 +232,14 @@ class PseudoChannel:
         if not self.can_issue(command, now):
             raise RuntimeError(f"cannot issue {command} at t={now}")
         self.counters.note_command(kind)
+        self.bank(command.bank_group, command.bank, command.stack_id) \
+            .apply(kind, now, command.row)
         if kind is CommandKind.ACT:
-            bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.apply(kind, now, command.row)
             self.last_act_time = now
             self.last_act_bank_group = command.bank_group
             self.act_window.append(now)
             while len(self.act_window) > 4:
                 self.act_window.popleft()
-        elif kind is CommandKind.PRE:
-            bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.apply(kind, now, command.row)
-        elif kind is CommandKind.PREA:
-            for bank in self.all_banks():
-                if bank.can_issue(CommandKind.PRE, now):
-                    bank.apply(CommandKind.PRE, now)
-        elif kind is CommandKind.REFPB:
-            bank = self.bank(command.bank_group, command.bank, command.stack_id)
-            bank.apply(kind, now)
-        elif kind is CommandKind.REFAB:
-            for bank in self.all_banks():
-                bank.apply(CommandKind.REFPB, now)
-        elif kind is CommandKind.MRS:
-            pass  # mode register writes have no timing effect in this model
-        else:
-            raise ValueError(f"pseudo channel cannot issue {kind}")
 
     # ----------------------------------------------------------------- stats
 

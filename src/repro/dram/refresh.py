@@ -2,7 +2,7 @@
 
 Both the baseline and RoMe employ per-bank refresh (REFpb) to improve
 bandwidth availability (Section VI-A), so the conventional controller issues
-REFpb only (the device still accepts REFab, see
+REFpb only (the device raises ``ValueError`` on REFab, see
 :mod:`repro.dram.pseudochannel`).  The refresh engine tracks when the next
 refresh is due and exposes the overdue refreshes to the memory controller's
 refresh scheduler, which may postpone them up to a bounded debt.

@@ -27,18 +27,31 @@ period: each pass rewrites one previously-touched row (round-robin),
 clearing its retention clock and proactively sparing sticky rows it
 finds, before they cost demand reads their retry budgets.
 
-Everything here is plain picklable state (dicts/sets/ints -- hashes are
-recomputed per draw, never stored), so checkpoint/restore of a
-controller mid-campaign stays bit-identical.
+The engine also owns the layer's timeline, for both controllers alike:
+the replay queue (:meth:`RasEngine.schedule_replay`), the instants it
+needs an evaluation at (:meth:`RasEngine.next_event_ns`: the next scrub
+pass or the earliest replay), and the per-instant step that runs the
+scrub passes and admits the replays due (:meth:`RasEngine.admit_due`).
+A controller supplies only what differs between them: the replay payload
+it queues, its bank key, and when a refresh resets a retention clock.
+
+Everything here is plain picklable state (dicts/sets/ints and the queued
+replay payloads -- hashes are recomputed per draw, never stored), so
+checkpoint/restore of a controller mid-campaign stays bit-identical.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Deque, Dict, Iterable, List,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.core.ecc import EccCapability, EccOutcome, capability_for
 from repro.reliability.faults import DeviceFaultModel, ReliabilityConfig
+
+if TYPE_CHECKING:
+    from repro.obs.sink import ObsSink
 
 __all__ = ["RasEngine", "ReadVerdict", "ReliabilityStats"]
 
@@ -150,6 +163,10 @@ class RasEngine:
         self._next_scrub_ns: Optional[int] = (
             interval if self.active and interval > 0 else None
         )
+        #: Replays of DUE reads, a min-heap of ``(ready_ns, seq, payload)``;
+        #: ``seq`` keeps equal instants in scheduling order.
+        self._replays: List[Tuple[int, int, Any]] = []
+        self._replay_seq = 0
 
     # --------------------------------------------------------- clocks
     def note_refresh(self, bank: BankKey, now_ns: int) -> None:
@@ -224,6 +241,27 @@ class RasEngine:
         return ReadVerdict(outcome=outcome, faulty_bits=faulty_bits,
                            spared_now=spared_now)
 
+    def check_read(self, bank: BankKey, row: int, now_ns: int, attempt: int,
+                   obs: Optional[ObsSink] = None) -> Optional[int]:
+        """:meth:`on_read` for a controller's read issued at ``now_ns``:
+        records the verdict on ``obs`` (``ras.<outcome>`` counts, and
+        ``ras.retry``, ``ras.spare`` and ``ras.offline`` events) and
+        returns the replay delay, ``None`` when no replay is due."""
+        offlined = self.stats.offlined_banks
+        verdict = self.on_read(bank, row, now_ns, attempt)
+        delay = verdict.retry_delay_ns
+        if obs is not None:
+            outcome = verdict.outcome.value
+            if outcome != "clean":
+                obs.count(now_ns, f"ras.{outcome}")
+            if delay is not None:
+                obs.event(now_ns, "ras.retry", delay_ns=delay)
+            if verdict.spared_now:
+                obs.event(now_ns, "ras.spare")
+            if self.stats.offlined_banks > offlined:
+                obs.event(now_ns, "ras.offline")
+        return delay
+
     def _spare_row(self, bank: BankKey, row: int) -> bool:
         """Consume a spare for ``(bank, row)``; True if budget allowed."""
         used = self._spares_used.get(bank, 0)
@@ -261,10 +299,38 @@ class RasEngine:
         self.stats.remapped_requests += 1
         return healthy[(self._bank_index[bank] + row) % len(healthy)]
 
-    # ------------------------------------------------------ scrubbing
-    def next_event_ns(self, now_ns: int) -> Optional[int]:
-        """Next instant the engine needs the controller to wake it."""
-        return self._next_scrub_ns
+    # ---------------------------------------------------- the timeline
+    def schedule_replay(self, ready_ns: int, payload: Any) -> None:
+        """Queue ``payload``, a controller's replay of a DUE read, for
+        admission at ``ready_ns``."""
+        self._replay_seq += 1
+        heapq.heappush(self._replays, (ready_ns, self._replay_seq, payload))
+
+    @property
+    def pending_replays(self) -> int:
+        """Replays queued and not yet admitted."""
+        return len(self._replays)
+
+    def next_event_ns(self) -> Optional[int]:
+        """The next instant the engine needs an evaluation at: the next
+        scrub pass or the earliest queued replay; ``None`` for neither."""
+        wake = self._next_scrub_ns
+        replays = self._replays
+        if replays and (wake is None or replays[0][0] < wake):
+            wake = replays[0][0]
+        return wake
+
+    def admit_due(self, now_ns: int, backlog: Deque[Any]) -> None:
+        """Run the scrub passes due by ``now_ns`` and put the replays
+        ready by then at the front of ``backlog``, earliest first (they
+        are the oldest traffic in the system)."""
+        self.run_scrub(now_ns)
+        replays = self._replays
+        if replays and replays[0][0] <= now_ns:
+            ready = []
+            while replays and replays[0][0] <= now_ns:
+                ready.append(heapq.heappop(replays)[2])
+            backlog.extendleft(reversed(ready))
 
     def run_scrub(self, now_ns: int) -> None:
         """Run every scrub pass scheduled at or before ``now_ns``.

@@ -31,14 +31,18 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 6 pickles the conventional pseudo channels' and channel's timing
-state under public field names (``last_cas_time``,
-``data_bus_busy_until``, ``last_row_ca`` and the like, read by the
-scheduler's decision loop) and the conventional controller's stats with
-an ``instants`` counter.  Version 5, like it, pickles each conventional
-bank as its open row and timing windows (:class:`repro.dram.bank.Bank`,
-no state machine or pending auto-precharge) and the conventional
-controller without a train-planning cooldown.  Version 4, like it,
+Version 7 pickles the queued RAS replays of both controllers, and their
+sequence counter, in the controller's
+:class:`~repro.reliability.ras.RasEngine` (``_replays``, ``_replay_seq``)
+instead of in the controller.  Version 6, like it, pickles the
+conventional pseudo channels' and channel's timing state under public
+field names (``last_cas_time``, ``data_bus_busy_until``, ``last_row_ca``
+and the like, read by the scheduler's decision loop) and the
+conventional controller's stats with an ``instants`` counter.  Version
+5, like it, pickles each conventional bank as its open row and timing
+windows (:class:`repro.dram.bank.Bank`, no state machine or pending
+auto-precharge) and the conventional controller without a train-planning
+cooldown.  Version 4, like it,
 pickles DRAM coordinates as immutable named tuples
 (:class:`repro.dram.address.DramCoordinate`) and the conventional
 controller's stats without a per-kind command dict (the channel's own
@@ -50,7 +54,7 @@ were dataclass instances.  Version 2 queues were flat entry lists, and
 version 1 payloads also carried per-target refresh deadline dicts that
 the rotation-based trackers
 (:class:`repro.dram.refresh.RefreshRotation`, since version 2) never
-read.  All five are rejected rather than restored into a silently
+read.  All six are rejected rather than restored into a silently
 different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
@@ -81,7 +85,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

@@ -97,10 +97,16 @@ def test_counters_track_bytes_and_commands(pc, timing):
     assert pc.counters.data_bus_busy_ns == 2 * timing.burst_ns
 
 
-def test_refab_refreshes_all_banks(pc, timing):
-    pc.issue(Command(kind=CommandKind.REFAB), now=0)
-    for bank in pc.all_banks():
-        assert bank.counters.refreshes == 1
+@pytest.mark.parametrize("kind", [CommandKind.PREA, CommandKind.REFAB,
+                                  CommandKind.MRS])
+def test_commands_no_controller_issues_raise(pc, kind):
+    # Neither controller issues precharge-all, all-bank refresh or a mode
+    # register write, so the device models none of them.
+    with pytest.raises(ValueError):
+        pc.can_issue(Command(kind=kind), now=0)
+    with pytest.raises(ValueError):
+        pc.issue(Command(kind=kind), now=100)
+    assert pc.command_counts() == {}
 
 
 def test_data_bus_utilization_bounds(pc, timing):

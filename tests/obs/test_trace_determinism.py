@@ -19,6 +19,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.obs import ObsConfig, to_chrome_trace, to_jsonl
+from repro.reliability import ReliabilityConfig
 from repro.workloads import (
     SLOSpec,
     ScenarioSpec,
@@ -160,6 +161,30 @@ class TestEventTaxonomy:
         names = {event.name for event in event.trace.events}
         assert {"scheduler.eval", "refresh.issue"} <= names
         assert not any(name.startswith("train.") for name in names)
+
+    def test_hbm4_recording_under_live_faults_is_identical_on_both_cores(self):
+        # Under live faults the event core runs the RAS layer inside its
+        # decision loop: the RAS records (DUE replays, spared rows,
+        # offlined banks) land at the same instants as on the tick core,
+        # and the whole recording is the same bytes.
+        faults = ReliabilityConfig(seed=9, hard_row_rate=0.1,
+                                   transient_ber=1e-3, scrub_interval_ns=333,
+                                   spare_rows_per_bank=1,
+                                   offline_after_row_failures=2)
+        spec = _open_spec(system="hbm4", obs=ON, enable_refresh=True,
+                          reliability=faults)
+        event = run_workload(spec)
+        tick = run_workload(spec, event_driven=False)
+        assert event == tick
+        assert event.reliability == tick.reliability
+        assert to_chrome_trace(event.trace) == to_chrome_trace(tick.trace)
+        assert to_jsonl(event.trace) == to_jsonl(tick.trace)
+        assert event.metrics.as_dict() == tick.metrics.as_dict()
+        for name in ("ras.retry", "ras.spare", "ras.offline"):
+            instants = [e.ts_ns for e in event.trace.events if e.name == name]
+            assert instants, name
+            assert instants == [e.ts_ns for e in tick.trace.events
+                                if e.name == name]
 
     def test_rome_trace_has_scheduler_evals_and_no_trains(self):
         # The RoMe controller plans no trains: every decision it makes is

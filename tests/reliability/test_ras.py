@@ -6,6 +6,7 @@ seeded draws deterministic by construction (rate 1.0 or rate 0.0).
 """
 
 import pickle
+from collections import deque
 
 import pytest
 
@@ -123,13 +124,52 @@ class TestScrub:
 
     def test_next_event_exposes_the_scrub_schedule(self):
         engine = _engine(scrub_interval_ns=500)
-        assert engine.next_event_ns(0) == 500
+        assert engine.next_event_ns() == 500
         engine.run_scrub(500)
-        assert engine.next_event_ns(500) == 1_000
+        assert engine.next_event_ns() == 1_000
 
     def test_no_scrub_means_no_wakeups(self):
         engine = _engine(scrub_interval_ns=0)
-        assert engine.next_event_ns(0) is None
+        assert engine.next_event_ns() is None
+
+
+class TestReplays:
+    def test_next_event_is_the_earlier_of_scrub_and_replay(self):
+        engine = _engine(scrub_interval_ns=500)
+        engine.schedule_replay(700, "late")
+        assert engine.next_event_ns() == 500
+        engine.schedule_replay(300, "early")
+        assert engine.next_event_ns() == 300
+        assert engine.pending_replays == 2
+
+    def test_admit_due_puts_ready_replays_first_earliest_first(self):
+        engine = _engine(scrub_interval_ns=0)
+        for ready_ns, payload in ((200, "b"), (100, "a"), (200, "c"),
+                                  (900, "later")):
+            engine.schedule_replay(ready_ns, payload)
+        backlog = deque(["queued"])
+        engine.admit_due(199, backlog)
+        assert list(backlog) == ["a", "queued"]
+        engine.admit_due(200, backlog)
+        # Equal instants keep their scheduling order.
+        assert list(backlog) == ["b", "c", "a", "queued"]
+        assert engine.pending_replays == 1
+        assert engine.next_event_ns() == 900
+
+    def test_admit_due_runs_the_scrub_passes_due(self):
+        engine = _engine(hard_row_rate=0.0, retention_ber=1e-4,
+                         scrub_interval_ns=1_000)
+        engine.on_read(BANKS[0], 0, 100)
+        engine.admit_due(2_500, deque())
+        assert engine.stats.scrub_passes == 2
+        assert engine.next_event_ns() == 3_000
+
+    def test_check_read_returns_the_replay_delay(self):
+        engine = _engine(max_retries=1, retry_backoff_ns=40)
+        assert engine.check_read(BANKS[0], 0, 100, 0) == 40
+        # Budget spent: the spare row gets one final replay.
+        assert engine.check_read(BANKS[0], 0, 200, 1) == 80
+        assert engine.check_read(BANKS[0], 0, 300, 2) is None
 
 
 class TestStats:

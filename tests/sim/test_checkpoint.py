@@ -176,11 +176,12 @@ class TestCheckpointFormat:
     def test_restore_rejects_unknown_version(self):
         # A newer version, and every older layout: v1 (per-target refresh
         # deadline dicts), v2 (request queues without bank machines), v3
-        # (dataclass DRAM coordinates), v4 (banks with a state machine)
-        # and v5 (private pseudo-channel timing fields).
+        # (dataclass DRAM coordinates), v4 (banks with a state machine),
+        # v5 (private pseudo-channel timing fields) and v6 (RAS replays
+        # queued in the controller).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 5, 4, 3, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,

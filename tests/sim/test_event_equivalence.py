@@ -22,6 +22,7 @@ from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.virtual_bank import paper_vba_config
 from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
+from repro.reliability import ReliabilityConfig
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
@@ -343,10 +344,11 @@ def _record_channel_issues(controller):
 def _issue_logs_of_both_cores(make_controller, make_requests):
     """Drain fresh requests on a fresh controller with the tick core, then
     with the event core, recording at the channel.  Asserts both cores
-    issue exactly the same commands at the same instants and serve the
-    same transactions at them; returns the event core's controller and
-    its logs (``(issued, served)``, served as transactions)."""
-    logs = []
+    issue exactly the same commands at the same instants, serve the same
+    transactions at them and end equal (end instant, stats, RAS stats);
+    returns the event core's controller and its logs (``(issued,
+    served)``, served as transactions)."""
+    logs, ends = [], []
     for event_driven in (False, True):
         controller = make_controller()
         for request in make_requests():
@@ -354,8 +356,11 @@ def _issue_logs_of_both_cores(make_controller, make_requests):
         issued, served = _record_channel_issues(controller)
         controller.run_until_idle(event_driven=event_driven)
         logs.append((issued, served))
+        ends.append((controller.now, controller.stats,
+                     controller.ras and controller.ras.stats))
     (tick_issued, tick_served), (issued, served) = logs
     assert issued == tick_issued
+    assert ends[0] == ends[1]
 
     def columns(log):
         return {now: [(t.coordinate, t.is_read) for t in transactions]
@@ -378,6 +383,37 @@ def test_event_core_issues_the_commands_the_steps_issue(enable_refresh):
     kinds = {key[0].value for keys in issued.values() for key in keys}
     assert kinds == {"ACT", "PRE", "RD", "WR"} | (
         {"REFpb"} if enable_refresh else set())
+
+
+@pytest.mark.parametrize("enable_refresh", [False, True])
+@pytest.mark.parametrize("scrub_interval_ns", [0, 200])
+@pytest.mark.parametrize("hard_row_rate", [0.02, 0.5])
+def test_event_core_issues_as_the_steps_under_live_faults(
+        enable_refresh, scrub_interval_ns, hard_row_rate):
+    """Under live faults the event core runs the RAS layer in its loop:
+    DUE reads queue replays, replays are admitted and scrub passes run at
+    their instants, banks go offline -- and every command issues at the
+    instant the per-step scheduler issues it.  ``hard_row_rate=0.5``
+    makes most reads replay until their rows are spared."""
+    reliability = ReliabilityConfig(
+        seed=11, transient_ber=2e-4, retention_ber=4e-5,
+        hard_row_rate=hard_row_rate, scrub_interval_ns=scrub_interval_ns,
+        retry_backoff_ns=7, spare_rows_per_bank=1,
+        offline_after_row_failures=2)
+    controller, _, served = _issue_logs_of_both_cores(
+        lambda: ConventionalMemoryController(
+            config=ControllerConfig(num_stack_ids=1,
+                                    enable_refresh=enable_refresh),
+            reliability=reliability),
+        lambda: _row_conflict_trace(num_requests=8))
+    stats = controller.ras.stats
+    assert stats.retries_scheduled > 0 and stats.recovered_reads > 0
+    assert any(transaction.request.retry_attempt > 0
+               for transactions in served.values()
+               for transaction in transactions)
+    assert (stats.scrub_passes > 0) == (scrub_interval_ns > 0)
+    if hard_row_rate > 0.1:
+        assert stats.offlined_banks > 0
 
 
 def test_event_core_serves_a_hit_behind_an_older_miss_as_the_steps_do():
@@ -886,7 +922,10 @@ def _wake_specs(draw):
     open, precharging and refreshing banks; 1 or 2 stack IDs; a queue
     depth of 8 or 64; two batches of mixed reads and writes of 32 B-4 KiB
     on one or two (stack ID, bank) pairs and rows 0-2, the second arriving
-    mid-run; and the length of the event run's advances."""
+    mid-run; the length of the event run's advances; and no fault config,
+    or live faults whose hard rows replay reads (backoff 0-50 ns), whose
+    scrub passes (if any) run every 50-400 ns and whose failing banks may
+    go offline."""
     from repro.dram.timing import TimingParameters
 
     num_stack_ids = draw(st.sampled_from([1, 2]))
@@ -924,14 +963,26 @@ def _wake_specs(draw):
     first, second = batch(), batch()
     arrival_ns = draw(st.integers(1, 600))
     slice_ns = draw(st.integers(1, 300))
-    return config, max_postponed, first, arrival_ns, second, slice_ns
+    reliability = None
+    if draw(st.booleans()):
+        reliability = ReliabilityConfig(
+            seed=draw(st.integers(0, 1_000)),
+            transient_ber=draw(st.sampled_from([0.0, 1e-3])),
+            hard_row_rate=draw(st.sampled_from([0.1, 0.5])),
+            max_retries=draw(st.integers(0, 2)),
+            retry_backoff_ns=draw(st.sampled_from([0, 7, 50])),
+            scrub_interval_ns=draw(st.sampled_from([0, 50, 400])),
+            spare_rows_per_bank=draw(st.integers(0, 2)),
+            offline_after_row_failures=draw(st.integers(0, 2)))
+    return (config, max_postponed, reliability, first, arrival_ns, second,
+            slice_ns)
 
 
 def _run_with_arrival(spec, controller, event_driven, advance):
     """Run ``spec``'s two batches on ``controller``: the first at 0, the
     second at its arrival instant, then 3 us more and a drain.
     ``advance(end)`` runs the controller to ``end``."""
-    _, _, first, arrival_ns, second, _ = spec
+    _, _, _, first, arrival_ns, second, _ = spec
     for request in first:
         controller.enqueue(MemoryRequest(
             kind=request.kind, address=request.address,
@@ -945,12 +996,14 @@ def _run_with_arrival(spec, controller, event_driven, advance):
     controller.run_until_idle(event_driven=event_driven)
     assert controller.outstanding_requests == 0
     return (controller.now, controller.stats,
-            controller.channel.command_counts())
+            controller.channel.command_counts(),
+            controller.ras and controller.ras.stats)
 
 
 def _controller_of(spec):
-    config, max_postponed, *_ = spec
-    controller = ConventionalMemoryController(config=config)
+    config, max_postponed, reliability, *_ = spec
+    controller = ConventionalMemoryController(config=config,
+                                              reliability=reliability)
     for engine in controller.scheduler.refresh_engines:
         engine.max_postponed = max_postponed
     return controller
@@ -965,8 +1018,10 @@ def test_no_command_issues_before_the_wake(spec):
     an idle instant (checked at every jump), until new requests arrive:
     both wakes are lower bounds of the next issue.  The steps are the
     tick core's run of the same inputs, whose state at every instant is
-    the event core's (the two runs end identical).  The jumps are also
-    exact: each that the tick run reaches lands on an issuing instant."""
+    the event core's (the two runs end identical).  The jumps to a ready
+    instant are also exact: each that the tick run reaches lands on an
+    issuing instant.  A jump to the RAS layer's next instant need not
+    issue (a scrub pass, or a replay whose bank is busy)."""
     from bisect import bisect_left
 
     tick = _controller_of(spec)
@@ -985,7 +1040,7 @@ def test_no_command_issues_before_the_wake(spec):
                                                      event_driven=False))
 
     # Until ``arrival``: the instant the next requests are enqueued.
-    arrival = spec[3]
+    arrival = spec[4]
 
     def next_issue(start):
         """The first instant from ``start`` on at which ``_step`` issues
@@ -1005,11 +1060,12 @@ def test_no_command_issues_before_the_wake(spec):
     wake_ns = scheduler._wake_ns
     landed = []
 
-    def checked_wake(t, served, sweep_at):
-        wake = wake_ns(t, served, sweep_at)
+    def checked_wake(t, served, sweep_at, ras_at):
+        wake = wake_ns(t, served, sweep_at, ras_at)
         assert next_issue(t) != t
         assert_wake(t + 1, wake, f"the loop's jump from idle {t}")
-        if wake is not None and wake < min(arrival, tick.now):
+        if wake is not None and wake < min(arrival, tick.now) \
+                and (ras_at is None or wake < ras_at):
             landed.append(next_issue(wake) == wake)
         return wake
 
