@@ -43,6 +43,9 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
     from repro.reliability.faults import ReliabilityConfig
     from repro.reliability.ras import RasEngine
 
+# Looked up once: each ``CommandKind.X`` is a descriptor call on Python 3.11.
+_RD, _WR = CommandKind.RD, CommandKind.WR
+
 #: Fields a mapping must share with the controller configuration.
 _BANK_GEOMETRY = ("num_pseudo_channels", "num_stack_ids", "num_bank_groups",
                   "banks_per_group")
@@ -344,7 +347,7 @@ class ConventionalMemoryController:
         coord = transaction.coordinate
         is_read = transaction.is_read
         self.channel.issue_column(
-            coord.pseudo_channel, CommandKind.RD if is_read else CommandKind.WR,
+            coord.pseudo_channel, _RD if is_read else _WR,
             coord.stack_id, coord.bank_group, coord.bank, coord.row, now)
         timing = self.config.timing
         data_ns = now + (timing.tCL if is_read else timing.tCWL) \

@@ -17,24 +17,27 @@ instead.  It walks the instants of an advance on the live state -- the
 channel's banks and pseudo channels, the request queues' bank machines and
 the refresh engines -- in ``_step``'s order: the refill (only after a column
 freed queue room), the refresh sweep, the column picks from the hit heads
-and the row picks from the miss heads.  Each pick is an integer check of the
-device rule, read off the live fields, and each command issues at once
-through ``Channel.issue_column`` or ``Channel.issue``, which validate it again
-and raise before any state changes: a wrong decision raises instead of
-silently corrupting results.  Nothing changes while nothing issues, so after
-an instant that issues nothing the loop jumps to the earliest instant at
-which an enabled head or the refresh sweep could issue: each ready instant
-is the latest of the instants its rule's windows open (C/A slot, bank
-window, CAS spacing and turnaround, data bus, BK-BUS, tRRD/tFAW, refresh
-deadline and criticality), or to the RAS layer's next instant under live
-faults (a scrub pass or a replay admission, run first at its instant as
-``_step`` runs it).  The controller's ``next_event_ns`` is the same minimum
+and the row picks from the miss heads.  Each device rule is one ready
+instant, stated once by the channel: ``Channel.column_ready_ns`` for a RD
+or WR and ``Channel.row_ready_ns`` for an ACT, PRE or REFpb (the bank's
+windows, the pseudo channel's CAS spacing, turnarounds, bus occupancy,
+tRRD and tFAW, and the channel's C/A slot).  A pick is ``t >= ready``, and
+each command issues at once through ``Channel.issue_column`` or
+``Channel.issue``, which validate it against the same instant and raise
+before any state changes: a wrong decision raises instead of silently
+corrupting results.  Nothing changes while nothing issues, so after an
+instant that issues nothing the loop jumps to the earliest ready instant of
+an enabled head or of the refresh sweep (the latest of its target's
+deadline, or deadline plus slack, and its REFpb's or PRE's ready instant),
+or to the RAS layer's next instant under live faults (a scrub pass or a
+replay admission, run first at its instant as ``_step`` runs it).  The
+controller's ``next_event_ns`` is the same minimum
 (:meth:`FrFcfsScheduler.ready_ns` and the RAS layer's instant).
 
 The per-instant picks (:meth:`~FrFcfsScheduler.pick_refresh`,
 :meth:`~FrFcfsScheduler.pick_column`, :meth:`~FrFcfsScheduler.pick_row`) are
-the tick core's scheduler: an independent implementation the event core is
-checked against, instant for instant.
+the tick core's scheduler: an independent scheduler over the same device
+rule, which the event core is checked against, instant for instant.
 
 Bank machines
 -------------
@@ -55,8 +58,7 @@ and no evaluation sweeps the channel with a tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Transaction
@@ -99,12 +101,6 @@ class FrFcfsScheduler:
         self.channel = channel
         self.refresh_engines = refresh_engines or []
         self._draining_writes = False
-        #: Per engine, the bank of each rotation target, in rotation order:
-        #: the next target's bank is ``[issued % len]``.
-        self._refresh_banks = [
-            [channel.banks[channel.bank_index(pc, *key)]
-             for key in engine.keys]
-            for pc, engine in enumerate(self.refresh_engines)]
 
     # ------------------------------------------------------------ utilities
 
@@ -153,17 +149,18 @@ class FrFcfsScheduler:
 
     def queue_priority(
         self, read_queue: RequestQueue, write_queue: RequestQueue
-    ) -> List[Tuple[RequestQueue, bool]]:
-        """Queue service order for one evaluation (updates drain hysteresis)."""
-        if self.update_write_drain(write_queue) or read_queue.is_empty:
-            return [(write_queue, True), (read_queue, True)]
-        return [(read_queue, True), (write_queue, False)]
+    ) -> Tuple[RequestQueue, ...]:
+        """The queues one evaluation serves, in priority order (updates the
+        drain hysteresis)."""
+        return self._served_queues(self.update_write_drain(write_queue),
+                                   read_queue, write_queue)
 
     @staticmethod
     def _served_queues(draining: bool, read_queue: RequestQueue,
                        write_queue: RequestQueue) -> Tuple[RequestQueue, ...]:
-        """The enabled queues of :meth:`queue_priority`'s order, for the
-        write-drain mode ``draining``."""
+        """The queues served under the write-drain mode ``draining``, in
+        priority order: writes first while draining or when no read waits,
+        else reads alone."""
         if draining or read_queue.is_empty:
             return (write_queue, read_queue)
         return (read_queue,)
@@ -191,11 +188,8 @@ class FrFcfsScheduler:
                 return SchedulerDecision(command=refpb, refresh_target=target)
             if engine.is_critical(target, now):
                 # Critical: the bank must be made refreshable -- precharge
-                # it if it still holds an open row.
-                bank = channel.pseudo_channel(pc_index).bank(
-                    target.bank_group, target.bank, target.stack_id)
-                if bank.open_row is None:
-                    continue
+                # it if it still holds an open row (a closed one takes no
+                # PRE).
                 pre = self._pre_command(pc_index, target.stack_id,
                                         target.bank_group, target.bank)
                 if channel.can_issue(pre, now):
@@ -204,55 +198,45 @@ class FrFcfsScheduler:
 
     # --------------------------------------------------------------- picking
 
-    def pick_column(
-        self,
-        queues: Iterable[Tuple[RequestQueue, bool]],
-        now: int,
-    ) -> Optional[Transaction]:
+    def pick_column(self, queues: Sequence[RequestQueue],
+                    now: int) -> Optional[Transaction]:
         """Pick the transaction of the oldest first-ready column command.
 
-        ``queues`` is an iterable of (queue, enabled) pairs in priority
-        order, so the controller can prioritize reads or drain writes.
-        Within a queue, the oldest ready hit (FR-FCFS) is the first ready
-        one among the queue's hit heads -- each bank's oldest pending hit,
-        in admission order.  A column command's readiness depends only on
-        its pseudo-channel/stack/bank group/bank, RD vs WR, the open row
-        (every candidate is a hit on it) and ``now`` -- never on the column
-        or the request -- so a bank's younger hits are ready exactly when
-        its oldest is, and each bank is tested once.  The test is
-        :meth:`Channel.can_issue_column`, on plain ints.
+        ``queues`` are the served queues in priority order
+        (:meth:`queue_priority`), so the controller can prioritize reads or
+        drain writes.  Within a queue, the oldest ready hit (FR-FCFS) is the
+        first ready one among the queue's hit heads -- each bank's oldest
+        pending hit, in admission order.  A column command's readiness
+        depends only on its pseudo-channel/stack/bank group/bank, RD vs WR
+        and ``now`` (every candidate is a hit on the open row) -- never on
+        the column or the request -- so a bank's younger hits are ready
+        exactly when its oldest is, and each bank is tested once:
+        ``now >= Channel.column_ready_ns(...)``.
         """
-        can_issue_column = self.channel.can_issue_column
-        for queue, enabled in queues:
-            if not enabled:
-                continue
+        column_ready = self.channel.column_ready_ns
+        for queue in queues:
             entries = queue.entries
             for seq in queue.hit_heads:
                 transaction = entries[seq]
                 coord = transaction.coordinate
-                if can_issue_column(coord.pseudo_channel, coord.stack_id,
-                                    coord.bank_group, coord.bank, coord.row,
-                                    transaction.is_read, now):
+                if now >= column_ready(coord.pseudo_channel, coord.stack_id,
+                                       coord.bank_group, coord.bank,
+                                       transaction.is_read):
                     return transaction
         return None
 
-    def pick_row(
-        self,
-        queues: Iterable[Tuple[RequestQueue, bool]],
-        now: int,
-    ) -> Optional[SchedulerDecision]:
+    def pick_row(self, queues: Sequence[RequestQueue],
+                 now: int) -> Optional[SchedulerDecision]:
         """Pick an ACT (row miss) or a PRE (row conflict).
 
         Row work is only for a bank whose oldest pending entry misses its
-        open row: the queue's miss heads, walked in admission order.  A
-        conflicting open row is closed only once the queue holds no
-        pending hit to it (open-page: hits are served before the row is
-        given up).
+        open row: the miss heads of the served ``queues``, walked in
+        admission order.  A conflicting open row is closed only once the
+        queue holds no pending hit to it (open-page: hits are served before
+        the row is given up).
         """
         can_issue = self.channel.can_issue
-        for queue, enabled in queues:
-            if not enabled:
-                continue
+        for queue in queues:
             entries = queue.entries
             for seq in queue.miss_heads:
                 transaction = entries[seq]
@@ -277,63 +261,59 @@ class FrFcfsScheduler:
         """The earliest instant :meth:`pick_refresh` could act, while no
         command issues: the earliest over the engines of the instant the
         next target's action opens.  A closed target bank takes its REFpb
-        from the target's deadline, its refresh and ACT windows and the
-        row C/A slot on; an open one is precharged once the target is
-        critical, its PRE window open and the row C/A slot free."""
-        row_ca = self.channel.last_row_ca
+        from the later of the target's deadline and the REFpb's ready
+        instant; an open one is precharged from the later of the instant
+        the target turns critical and the PRE's ready instant."""
+        row_ready = self.channel.row_ready_ns
+        refpb, pre = CommandKind.REFPB, CommandKind.PRE
         best = None
         for pc, engine in enumerate(self.refresh_engines):
-            banks = self._refresh_banks[pc]
-            bank = banks[engine.issued % len(banks)]
-            if bank.open_row is None:
-                ready = max(engine.due_ns(), bank.next_act,
-                            bank.next_refresh, row_ca[pc] + 1)
+            keys = engine.keys
+            stack_id, bank_group, bank = keys[engine.issued % len(keys)]
+            deadline = engine.due_ns()
+            ready = row_ready(pre, pc, stack_id, bank_group, bank)
+            if ready is None:  # closed
+                ready = row_ready(refpb, pc, stack_id, bank_group, bank)
             else:
-                ready = max(engine.due_ns() + engine.slack_ns(),
-                            bank.next_pre, row_ca[pc] + 1)
+                deadline += engine.slack_ns()
+            if deadline > ready:
+                ready = deadline
             if best is None or ready < best:
                 best = ready
         return best
 
-    def _heads_ready_ns(self, queues: Iterable[RequestQueue]
+    def _heads_ready_ns(self, queues: Sequence[RequestQueue]
                         ) -> Optional[int]:
         """The earliest instant any head of ``queues`` could issue,
         while no command issues: a hit head's RD or WR, a miss head's ACT,
         or its row-conflict PRE once the queue holds no hit to the open
         row (until then the hit head goes first)."""
-        channel = self.channel
-        banks, pcs = channel.banks, channel.pseudo_channels
-        per_pc = channel.config.banks_per_pseudo_channel
-        column_ca, row_ca = channel.last_column_ca, channel.last_row_ca
+        column_ready = self.channel.column_ready_ns
+        row_ready = self.channel.row_ready_ns
+        act, pre = CommandKind.ACT, CommandKind.PRE
         best = None
         for queue in queues:
             entries = queue.entries
             for seq in queue.hit_heads:
                 transaction = entries[seq]
-                index = transaction.bank_index
-                pc = index // per_pc
                 coord = transaction.coordinate
-                bank = banks[index]
-                is_read = transaction.is_read
-                ready = max(column_ca[pc] + 1,
-                            bank.next_read if is_read else bank.next_write,
-                            pcs[pc].column_ready_time(
-                                coord.stack_id, coord.bank_group, is_read))
+                ready = column_ready(coord.pseudo_channel, coord.stack_id,
+                                     coord.bank_group, coord.bank,
+                                     transaction.is_read)
                 if best is None or ready < best:
                     best = ready
             for seq in queue.miss_heads:
                 transaction = entries[seq]
                 index = transaction.bank_index
-                pc = index // per_pc
-                bank = banks[index]
-                if bank.open_row is None:
-                    ready = max(row_ca[pc] + 1, bank.next_act,
-                                pcs[pc].act_ready_time(
-                                    transaction.coordinate.bank_group))
+                if queue.open_row(index) is None:
+                    kind = act
                 elif queue.hit_count(index):
                     continue
                 else:
-                    ready = max(row_ca[pc] + 1, bank.next_pre)
+                    kind = pre
+                coord = transaction.coordinate
+                ready = row_ready(kind, coord.pseudo_channel, coord.stack_id,
+                                  coord.bank_group, coord.bank)
                 if best is None or ready < best:
                     best = ready
         return best
@@ -413,13 +393,21 @@ class FrFcfsScheduler:
         stats = controller.stats
         stats.evaluations += 1
         channel = self.channel
-        banks, pcs = channel.banks, channel.pseudo_channels
+        column_ready, row_ready = channel.column_ready_ns, channel.row_ready_ns
+        act, pre = CommandKind.ACT, CommandKind.PRE
+        # One column and one row command per pseudo channel and instant (a
+        # refresh takes its PC's row slot): per PC, the last instant the
+        # loop picked a column and a row command, so a PC that took its
+        # slot is skipped before asking the channel.
+        num_pcs = channel.config.num_pseudo_channels
+        column_taken = [-1] * num_pcs
+        row_taken = list(column_taken)
+        # Per bank, the ready instant last found for its miss head's ACT or
+        # PRE.  Only a row command can bring it earlier (tRRD across bank
+        # groups) or change the command, so each forgets its PC's entries.
         per_pc = channel.config.banks_per_pseudo_channel
-        column_ca, row_ca = channel.last_column_ca, channel.last_row_ca
-        # One column and one row command per pseudo channel and instant;
-        # a refresh-path command takes one unit of the row budget.
-        column_picks = range(len(pcs))
-        row_picks = (column_picks, range(len(pcs) - 1))
+        row_not_before = [0] * (num_pcs * per_pc)
+        unknown = [0] * per_pc
         rq, wq = controller.read_queue, controller.write_queue
         issue_column, issue = controller._issue_column, controller._issue
         traced = controller._obs is not None
@@ -446,8 +434,7 @@ class FrFcfsScheduler:
                 # Only a column frees queue room, so only then can a refill
                 # admit work (and move the write-drain hysteresis).
                 controller._fill_queues()
-                served = self._served_queues(self.update_write_drain(wq),
-                                             rq, wq)
+                served = self.queue_priority(rq, wq)
                 refill = False
 
             # -- 1. refresh ------------------------------------------------
@@ -459,83 +446,84 @@ class FrFcfsScheduler:
                     if decision is not None:
                         issue(decision, t)
                         controller._note_row(decision.command)
+                        pc = decision.command.pseudo_channel
+                        row_taken[pc] = t
+                        row_not_before[pc * per_pc:(pc + 1) * per_pc] = \
+                            unknown
                         refreshed = True
             wake_sweep = refreshed
 
-            # -- 2. columns: the first ready hit head, per pseudo channel --
-            columns = 0
-            for _ in column_picks:
-                picked = source = None
-                for source in served:
-                    entries = source.entries
-                    for seq in source.hit_heads:
-                        transaction = entries[seq]
-                        index = transaction.bank_index
-                        pc = index // per_pc
-                        if t <= column_ca[pc]:
-                            continue
-                        is_read = transaction.is_read
-                        bank = banks[index]
-                        if t < (bank.next_read if is_read
-                                else bank.next_write):
-                            continue
-                        coord = transaction.coordinate
-                        if t < pcs[pc].column_ready_time(
-                                coord.stack_id, coord.bank_group, is_read):
-                            continue
-                        picked = transaction
-                        break
-                    if picked is not None:
-                        break
-                if picked is None:
+            # -- 2. columns: the oldest ready hit head of each pseudo channel
+            # A command moves only its own pseudo channel's ready instants,
+            # so one walk over the heads finds the instant's picks in
+            # ``_step``'s order, and asks each head at most once.
+            picked = []
+            free = num_pcs
+            for source in served:
+                entries = source.entries
+                for seq in source.hit_heads:
+                    transaction = entries[seq]
+                    coord = transaction.coordinate
+                    pc = coord.pseudo_channel
+                    if column_taken[pc] != t and t >= column_ready(
+                            pc, coord.stack_id, coord.bank_group, coord.bank,
+                            transaction.is_read):
+                        picked.append((source, transaction))
+                        column_taken[pc] = t
+                        free -= 1
+                        if not free:
+                            break
+                if not free:
                     break
-                issue_column(picked, t)
-                source.remove(picked)
-                columns += 1
+            for source, transaction in picked:
+                issue_column(transaction, t)
+                source.remove(transaction)
+            columns = len(picked)
 
             # -- 3. rows: ACT or row-conflict PRE from the miss heads ------
             rows = 0
             if rq.miss_heads or wq.miss_heads:
-                for _ in row_picks[refreshed]:
-                    command = None
-                    for queue in served:
-                        entries = queue.entries
-                        for seq in queue.miss_heads:
-                            transaction = entries[seq]
-                            index = transaction.bank_index
-                            pc = index // per_pc
-                            if t <= row_ca[pc]:
-                                continue
-                            bank = banks[index]
-                            coord = transaction.coordinate
-                            if bank.open_row is not None:
-                                # Close the row only once this queue holds
-                                # no hit to it.
-                                if not queue.hit_count(index) \
-                                        and t >= bank.next_pre:
-                                    command = self._pre_command(
-                                        pc, coord.stack_id, coord.bank_group,
-                                        coord.bank)
-                                    break
-                                continue
-                            if t < bank.next_act:
-                                continue
-                            if t < pcs[pc].act_ready_time(coord.bank_group):
-                                continue
-                            command = self._act_command(transaction)
-                            break
-                        if command is not None:
-                            break
-                    if command is None:
-                        break
+                picked = []
+                for queue in served:
+                    entries = queue.entries
+                    for seq in queue.miss_heads:
+                        transaction = entries[seq]
+                        coord = transaction.coordinate
+                        pc = coord.pseudo_channel
+                        index = transaction.bank_index
+                        if row_taken[pc] == t or t < row_not_before[index]:
+                            continue
+                        if queue.open_row(index) is None:
+                            kind = act
+                        elif queue.hit_count(index):
+                            # Close the row only once this queue holds no
+                            # hit to it.
+                            continue
+                        else:
+                            kind = pre
+                        ready = row_ready(kind, pc, coord.stack_id,
+                                          coord.bank_group, coord.bank)
+                        if t < ready:
+                            row_not_before[index] = ready
+                            continue
+                        picked.append(
+                            self._act_command(transaction) if kind is act
+                            else self._pre_command(pc, coord.stack_id,
+                                                   coord.bank_group,
+                                                   coord.bank))
+                        row_taken[pc] = t
+                for command in picked:
                     issue(SchedulerDecision(command=command), t)
                     controller._note_row(command)
-                    rows += 1
+                    pc = command.pseudo_channel
+                    row_not_before[pc * per_pc:(pc + 1) * per_pc] = unknown
                     if sweep_at is not None:
-                        targets = self._refresh_banks[pc]
-                        if bank is targets[self.refresh_engines[pc].issued
-                                           % len(targets)]:
+                        engine = self.refresh_engines[pc]
+                        if engine.keys[engine.issued % len(engine.keys)] == (
+                                command.stack_id, command.bank_group,
+                                command.bank):
                             wake_sweep = True
+                rows = len(picked)
 
             if refreshed or columns or rows:
                 issuing += 1

@@ -390,6 +390,8 @@ class RoMeMemoryController:
         * when the backlog is non-empty, the earliest time a retirement can
           admit *and* issue a new request, ``max(first completion, bus
           free)`` -- a freshly filled entry cannot start before either;
+          under active RAS the first completion alone, where the retired
+          entry's slot fills;
         * when everything queued is in flight and no backlog remains, the
           last completion (the drain instant ``run_until_idle`` must land
           on exactly).
@@ -423,7 +425,11 @@ class RoMeMemoryController:
                 wake = slot_free
         if c_min is not None:
             if self._backlog:
-                fill = c_min if c_min > bus_free_at else bus_free_at
+                # Under active RAS the retirement itself is an instant: a
+                # replay admitted to the backlog front before the bus frees
+                # must not take the slot the older backlog head fills.
+                fill = c_min if c_min > bus_free_at or self._ras_active \
+                    else bus_free_at
                 if wake is None or fill < wake:
                     wake = fill
             elif not has_unissued and (wake is None or c_max < wake):

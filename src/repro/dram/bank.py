@@ -9,6 +9,10 @@ timing windows (earliest time each command class may next issue to the
 bank) do not: a precharge or refresh raises ``next_act`` to at least the
 instant its transient ends, and no controller issues an auto-precharging
 CAS (FR-FCFS is open-page), so no row closes by time passing alone.
+
+The windows are the bank's term of a command's ready instant, which
+:class:`~repro.dram.pseudochannel.PseudoChannel` states; the bank only
+applies what issues.
 """
 
 from __future__ import annotations
@@ -58,69 +62,16 @@ class Bank:
     next_pre: int = 0
     next_refresh: int = 0
 
-    # -------------------------------------------------------------- can_issue
-
-    def can_issue_column(self, row: Optional[int], is_read: bool,
-                         now: int) -> bool:
-        """Check the open row and timing window for a RD (``is_read``) or
-        WR to ``row`` at ``now``; ``row=None`` accepts whichever row is
-        open.
-
-        The single per-bank column rule: :meth:`can_issue` delegates RD and
-        WR to it, and :meth:`issue_column` validates with it.
-        """
-        open_row = self.open_row
-        if open_row is None or (row is not None and row != open_row):
-            return False
-        return now >= (self.next_read if is_read else self.next_write)
-
-    def can_issue(self, kind: CommandKind, now: int, row: Optional[int] = None) -> bool:
-        """Check the open row and timing windows for issuing ``kind`` at
-        ``now``.
-
-        ACT and REFpb need a closed bank, PRE an open one.  Cross-bank
-        constraints (tRRD, tFAW, tCCD, bus turnaround) are checked by the
-        pseudo channel, not here.  Any other kind raises ``ValueError``: no
-        controller issues PREA, REFab, MRS or an auto-precharging CAS, so
-        the bank does not model them.
-        """
-        if kind is CommandKind.RD or kind is CommandKind.WR:
-            return self.can_issue_column(row, kind is CommandKind.RD, now)
-        if kind is CommandKind.ACT:
-            return self.open_row is None and now >= self.next_act
-        if kind is CommandKind.PRE:
-            return self.open_row is not None and now >= self.next_pre
-        if kind is CommandKind.REFPB:
-            return self.open_row is None and now >= self.next_act \
-                and now >= self.next_refresh
-        raise ValueError(f"Bank cannot accept command kind {kind}")
-
-    # ------------------------------------------------------------------ issue
-
-    def issue(self, kind: CommandKind, now: int, row: Optional[int] = None) -> None:
-        """Validate ``kind`` at ``now`` with :meth:`can_issue`, then
-        :meth:`apply` it (column kinds: :meth:`issue_column`).
-
-        An illegal command raises ``RuntimeError`` so that scheduler bugs
-        surface immediately.
-        """
-        if kind.is_column:
-            self.issue_column(kind, row, now)
-            return
-        if not self.can_issue(kind, now, row):
-            raise RuntimeError(
-                f"illegal {kind.value} to bg{self.bank_group}.ba{self.bank_id} "
-                f"at t={now} (open row {self.open_row})"
-            )
-        self.apply(kind, now, row)
+    # ------------------------------------------------------------------ apply
 
     def apply(self, kind: CommandKind, now: int, row: Optional[int] = None) -> None:
-        """Apply the row/timing effects of issuing ``kind`` at ``now``.
+        """Apply the row/timing effects of an ACT, PRE or REFpb (``kind``)
+        at ``now``.
 
-        Does not validate: for callers that have just checked the command
-        with :meth:`can_issue` (the pseudo channel validates each row and
-        refresh command once, its bank included).  Column commands are
-        validated and applied in one call, :meth:`issue_column`.
+        Does not validate: the pseudo channel checks each command against
+        its ready instant first.  Any other kind raises ``ValueError``: no
+        controller issues PREA, REFab or MRS, so the bank does not model
+        them.
         """
         t = self.timing
         if kind is CommandKind.ACT:
@@ -140,33 +91,14 @@ class Bank:
             self.next_refresh = max(self.next_refresh, now + t.tREFIpb)
             self.counters.refreshes += 1
         else:
-            raise ValueError(f"Bank cannot accept command kind {kind}")
+            raise ValueError(f"Bank cannot accept command kind {kind.value}")
 
-    def issue_column(self, kind: CommandKind, row: Optional[int],
-                     now: int) -> None:
-        """Issue a RD or WR (``kind``) to ``row`` at ``now``.
+    def apply_column(self, is_read: bool, now: int) -> None:
+        """Apply the effects of a RD (``is_read``) or WR at ``now``.
 
-        The bank's one column path, validate-and-apply: the command is
-        checked with :meth:`can_issue_column` and ``RuntimeError`` is
-        raised before any state changes if it may not issue.  The pseudo
-        channel delegates to it after its own cross-bank checks.  RDA and
-        WRA raise ``ValueError``: no controller issues an auto-precharging
-        CAS, so the bank does not model one.
+        Does not validate: the pseudo channel checks the command against
+        its ready instant and the open row first.
         """
-        if kind is CommandKind.RD:
-            is_read = True
-        elif kind is CommandKind.WR:
-            is_read = False
-        else:
-            raise ValueError(
-                f"Bank.issue_column takes RD or WR, not {kind.value}: "
-                f"auto-precharging CAS is not modeled")
-        if not self.can_issue_column(row, is_read, now):
-            raise RuntimeError(
-                f"illegal {kind.value} to bg{self.bank_group}.ba{self.bank_id}"
-                f".r{row} at t={now}: the bank cannot issue it "
-                f"(open row {self.open_row})"
-            )
         timing = self.timing
         # Read-to-precharge, or write recovery after the write data.
         recovery = now + timing.tRTP if is_read \

@@ -3,13 +3,14 @@
 The channel models the shared command/address bus: in a given nanosecond one
 row command and one column command can be delivered (HBM defines separate row
 and column C/A pins, Section II-B), and the two pseudo channels contend for
-those pins.
+those pins.  The C/A slots are the channel's term of a command's ready
+instant (:meth:`Channel.column_ready_ns`, :meth:`Channel.row_ready_ns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.dram.address import flat_bank_index
 from repro.dram.bank import Bank
@@ -86,43 +87,58 @@ class Channel:
                                config.num_stack_ids, config.num_bank_groups,
                                config.banks_per_group)
 
-    # ----------------------------------------------------------- C/A sharing
+    # -------------------------------------------------------- ready instants
 
-    def _ca_bus_free(self, command: Command, now: int) -> bool:
-        if command.kind.bus == "column":
-            return now > self.last_column_ca[command.pseudo_channel]
-        return now > self.last_row_ca[command.pseudo_channel]
+    def column_ready_ns(self, pseudo_channel: int, stack_id: int,
+                        bank_group: int, bank: int,
+                        is_read: bool) -> Optional[int]:
+        """Earliest instant a RD (``is_read``) or WR to the open row of a
+        bank may issue (``None``: the bank is closed):
+        :meth:`PseudoChannel.column_ready_ns` and the next free column C/A
+        slot.  The one copy of the column rule, read by validation and by
+        the scheduler's picks and wake-ups; that the row is the open one
+        is a separate precondition."""
+        ready = self.pseudo_channels[pseudo_channel].column_ready_ns(
+            stack_id, bank_group, bank, is_read)
+        if ready is None:
+            return None
+        slot = self.last_column_ca[pseudo_channel] + 1
+        return slot if slot > ready else ready
+
+    def row_ready_ns(self, kind: CommandKind, pseudo_channel: int,
+                     stack_id: int, bank_group: int,
+                     bank: int) -> Optional[int]:
+        """Earliest instant an ACT, PRE or REFpb (``kind``) to a bank may
+        issue (``None``: the row state rules it out):
+        :meth:`PseudoChannel.row_ready_ns` and the next free row C/A slot.
+        The one copy of the row rule; other kinds raise ``ValueError``."""
+        ready = self.pseudo_channels[pseudo_channel].row_ready_ns(
+            kind, stack_id, bank_group, bank)
+        if ready is None:
+            return None
+        slot = self.last_row_ca[pseudo_channel] + 1
+        return slot if slot > ready else ready
 
     # -------------------------------------------------------------- issuing
 
     def can_issue(self, command: Command, now: int) -> bool:
-        """Check C/A availability plus all pseudo-channel constraints."""
-        if not self._ca_bus_free(command, now):
-            return False
-        pc = self.pseudo_channels[command.pseudo_channel]
-        return pc.can_issue(command, now)
-
-    def can_issue_column(self, pseudo_channel: int, stack_id: int,
-                         bank_group: int, bank: int, row: int, is_read: bool,
-                         now: int) -> bool:
-        """:meth:`can_issue` for a RD (``is_read``) or WR to ``row``, from
-        plain ints: the column C/A pins, then
-        :meth:`PseudoChannel.can_issue_column` (the rule ``can_issue``
-        applies to column commands too)."""
-        if now <= self.last_column_ca[pseudo_channel]:
-            return False
-        return self.pseudo_channels[pseudo_channel].can_issue_column(
-            stack_id, bank_group, bank, row, is_read, now)
+        """Whether ``now`` reaches ``command``'s ready instant and the row
+        state admits it: :meth:`PseudoChannel.can_issue`, then the C/A
+        slot of the command's bus."""
+        pc = command.pseudo_channel
+        slots = self.last_column_ca if command.kind.is_column \
+            else self.last_row_ca
+        return self.pseudo_channels[pc].can_issue(command, now) \
+            and now > slots[pc]
 
     def issue_column(self, pseudo_channel: int, kind: CommandKind,
                      stack_id: int, bank_group: int, bank: int, row: int,
                      now: int) -> None:
         """Issue a RD or WR (``kind``) to ``row``, from plain ints.
 
-        The column twin of :meth:`can_issue_column`, and the one column
-        path: :meth:`issue` delegates every column command here.  It raises
-        ``RuntimeError`` before any state changes when the column C/A pins
-        are busy or :meth:`PseudoChannel.issue_column` rejects the command.
+        The one column path (:meth:`issue` delegates here).  It raises
+        ``RuntimeError`` before any state change when the column C/A slot
+        is busy or :meth:`PseudoChannel.issue_column` rejects the command.
         """
         if now <= self.last_column_ca[pseudo_channel]:
             raise RuntimeError(
@@ -133,6 +149,9 @@ class Channel:
         self.last_column_ca[pseudo_channel] = now
 
     def issue(self, command: Command, now: int) -> None:
+        """Issue ``command``; ``RuntimeError`` before any state change when
+        its row C/A slot is busy or :meth:`PseudoChannel.issue` rejects it
+        (columns: :meth:`issue_column`)."""
         kind = command.kind
         if kind.is_column:
             self.issue_column(command.pseudo_channel, kind, command.stack_id,

@@ -4,7 +4,10 @@ Two pseudo channels (PCs) share one channel's C/A pins but split its data pins
 evenly (Section II-C).  The pseudo channel enforces every cross-bank timing
 constraint of the conventional interface: CAS-to-CAS spacing (tCCDS/tCCDL),
 ACT-to-ACT spacing (tRRDS/tRRDL, tFAW), write-to-read and read-to-write bus
-turnaround, and data-bus occupancy.
+turnaround, and data-bus occupancy.  Each is a term of a command's ready
+instant (:meth:`PseudoChannel.column_ready_ns`,
+:meth:`PseudoChannel.row_ready_ns`), stated once together with the bank's
+windows.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from repro.dram.commands import Command, CommandKind
 from repro.dram.timing import TimingParameters
 
 _NEG_INF = -(10**9)
+
+# Looked up once: each ``CommandKind.X`` is a descriptor call on Python 3.11.
+_RD, _WR = CommandKind.RD, CommandKind.WR
+_ACT, _PRE, _REFPB = CommandKind.ACT, CommandKind.PRE, CommandKind.REFPB
 
 
 @dataclass
@@ -95,23 +102,32 @@ class PseudoChannel:
 
     # ------------------------------------------------------- ready instants
 
-    def column_ready_time(self, stack_id: int, bank_group: int,
-                          is_read: bool) -> int:
-        """Earliest instant the cross-bank column rule admits a RD
-        (``is_read``) or WR: the latest of the BK-BUS (``bank_group``'s)
-        and data-bus occupancy, CAS-to-CAS spacing and the read/write
-        turnarounds.  The one copy of the rule: validation asks
-        ``now >= column_ready_time(...)``, and the scheduler's checks and
-        wake-ups read the same instant."""
+    def column_ready_ns(self, stack_id: int, bank_group: int, bank: int,
+                        is_read: bool) -> Optional[int]:
+        """Earliest instant a RD (``is_read``) or WR to the open row of a
+        bank may issue on this pseudo channel; ``None`` when the bank is
+        closed.
+
+        The latest of the bank's read or write window, BK-BUS
+        (``bank_group``'s) and data-bus occupancy, CAS-to-CAS spacing and
+        the read/write turnarounds.  Validation asks
+        ``now >= column_ready_ns(...)``; the channel adds its column C/A
+        slot (:meth:`Channel.column_ready_ns`).
+        """
+        group = self.stacks[stack_id][bank_group]
+        target = group.banks[bank]
+        if target.open_row is None:
+            return None
+        ready = target.next_read if is_read else target.next_write
+        if group.bus_busy_until > ready:
+            ready = group.bus_busy_until
         timing = self.timing
-        ready = self.stacks[stack_id][bank_group].bus_busy_until
         data_bus = self.data_bus_busy_until - (
             timing.tCL if is_read else timing.tCWL)
         if data_bus > ready:
             ready = data_bus
+        # Before the first CAS, ``last`` is ``_NEG_INF`` and no term binds.
         last = self.last_cas_time
-        if last == _NEG_INF:
-            return ready
         if self.last_cas_stack is not None and stack_id != self.last_cas_stack:
             spacing = last + timing.tCCDR
         elif bank_group == self.last_cas_bank_group:
@@ -131,51 +147,64 @@ class PseudoChannel:
             return ready
         return turnaround if turnaround > ready else ready
 
-    def act_ready_time(self, bank_group: int) -> int:
-        """Earliest instant the next ACT may issue under tRRD/tFAW."""
-        ready = 0
-        if self.last_act_time != _NEG_INF:
-            gap = self.timing.tRRDL \
-                if bank_group == self.last_act_bank_group \
-                else self.timing.tRRDS
-            ready = self.last_act_time + gap
+    def row_ready_ns(self, kind: CommandKind, stack_id: int, bank_group: int,
+                     bank: int) -> Optional[int]:
+        """Earliest instant an ACT, PRE or REFpb (``kind``) to a bank may
+        issue on this pseudo channel; ``None`` when the bank's row state
+        rules it out (ACT and REFpb need a closed bank, PRE an open one).
+
+        A PRE waits for the bank's precharge window, a REFpb for its
+        activate and refresh windows, an ACT for its activate window, tRRD
+        and tFAW.  Any other kind raises ``ValueError`` (no controller
+        issues PREA, REFab or MRS).  The channel adds its row C/A slot.
+        """
+        target = self.stacks[stack_id][bank_group].banks[bank]
+        if kind is not _ACT:
+            if kind is _PRE:
+                return None if target.open_row is None else target.next_pre
+            if kind is not _REFPB:
+                raise ValueError(f"the device does not model {kind.value}")
+            if target.open_row is not None:
+                return None
+            return max(target.next_act, target.next_refresh)
+        if target.open_row is not None:
+            return None
+        ready = target.next_act
+        timing = self.timing
+        # Before the first ACT, ``last_act_time`` is ``_NEG_INF``.
+        spacing = self.last_act_time + (
+            timing.tRRDL if bank_group == self.last_act_bank_group
+            else timing.tRRDS)
+        if spacing > ready:
+            ready = spacing
         if len(self.act_window) >= 4:
-            ready = max(ready, self.act_window[0] + self.timing.tFAW)
+            window = self.act_window[0] + timing.tFAW
+            if window > ready:
+                ready = window
         return ready
 
     # ------------------------------------------------------------ can_issue
 
-    def can_issue_column(self, stack_id: int, bank_group: int, bank: int,
-                         row: int, is_read: bool, now: int) -> bool:
-        """Check a RD (``is_read``) or WR to ``row`` at ``now`` against
-        every PC- and bank-level constraint.
-
-        The single column check: the cross-bank rule, then the bank's own
-        (:meth:`Bank.can_issue_column`).  It takes plain ints so a
-        scheduler can test a candidate without building a
-        :class:`Command`; :meth:`can_issue` delegates every RD and WR to
-        it.
-        """
-        return now >= self.column_ready_time(stack_id, bank_group, is_read) \
-            and self.stacks[stack_id][bank_group].banks[bank] \
-            .can_issue_column(row, is_read, now)
-
     def can_issue(self, command: Command, now: int) -> bool:
-        """Check all PC- and bank-level constraints for ``command`` at ``now``.
+        """Whether ``command`` may issue at ``now`` as far as this pseudo
+        channel and its banks know: ``now`` reaches its ready instant
+        (:meth:`column_ready_ns`, :meth:`row_ready_ns`) and a RD or WR
+        targets the open row.
 
         RD, WR, ACT, PRE and REFpb are the kinds a controller issues; any
-        other raises ``ValueError`` (:meth:`Bank.can_issue`).
+        other raises ``ValueError`` (:meth:`row_ready_ns`).
         """
         kind = command.kind
-        if kind is CommandKind.RD or kind is CommandKind.WR:
-            return self.can_issue_column(
+        if kind is _RD or kind is _WR:
+            ready = self.column_ready_ns(
                 command.stack_id, command.bank_group, command.bank,
-                command.row, kind is CommandKind.RD, now)
-        if kind is CommandKind.ACT \
-                and now < self.act_ready_time(command.bank_group):
-            return False
-        bank = self.bank(command.bank_group, command.bank, command.stack_id)
-        return bank.can_issue(kind, now, command.row)
+                kind is _RD)
+            return ready is not None and now >= ready and command.row == \
+                self.bank(command.bank_group, command.bank,
+                          command.stack_id).open_row
+        ready = self.row_ready_ns(kind, command.stack_id, command.bank_group,
+                                  command.bank)
+        return ready is not None and now >= ready
 
     # ---------------------------------------------------------------- issue
 
@@ -184,18 +213,27 @@ class PseudoChannel:
         """Issue a RD or WR (``kind``) to ``row``, from plain ints.
 
         The column twin of :meth:`issue`, which delegates every column
-        command to it.  The cross-bank rule is checked here and the bank's
-        by :meth:`Bank.issue_column`, which validates and applies in one
-        call; either raises ``RuntimeError`` before any state changes if
-        the command may not issue.
+        command to it.  It raises ``RuntimeError`` before any state changes
+        if ``now`` is before the ready instant (:meth:`column_ready_ns`) or
+        ``row`` is not the open row, and ``ValueError`` for RDA and WRA: no
+        controller issues an auto-precharging CAS, so none is modeled.
         """
-        is_read = kind.is_read
+        if kind is _RD:
+            is_read = True
+        elif kind is _WR:
+            is_read = False
+        else:
+            raise ValueError(
+                f"issue_column takes RD or WR, not {kind.value}: "
+                f"auto-precharging CAS is not modeled")
         group = self.stacks[stack_id][bank_group]
-        if now < self.column_ready_time(stack_id, bank_group, is_read):
+        target = group.banks[bank]
+        ready = self.column_ready_ns(stack_id, bank_group, bank, is_read)
+        if ready is None or now < ready or row != target.open_row:
             raise RuntimeError(
                 f"cannot issue {kind.label} to sid{stack_id}.bg{bank_group}"
-                f".ba{bank}.r{row} at t={now}")
-        group.banks[bank].issue_column(kind, row, now)
+                f".ba{bank}.r{row} at t={now} (open row {target.open_row})")
+        target.apply_column(is_read, now)
         group.note_cas(now)
         t = self.timing
         counters = self.counters
@@ -220,8 +258,8 @@ class PseudoChannel:
 
         Raises ``RuntimeError`` when a constraint would be violated so that
         scheduler bugs are surfaced instead of silently producing wrong
-        bandwidth numbers.  The command is validated once: :meth:`can_issue`
-        checks its bank too, so the bank's effects are applied directly.
+        bandwidth numbers.  The command is validated once, by
+        :meth:`can_issue`, so the bank's effects are applied directly.
         Column commands go through :meth:`issue_column`.
         """
         kind = command.kind
@@ -234,7 +272,7 @@ class PseudoChannel:
         self.counters.note_command(kind)
         self.bank(command.bank_group, command.bank, command.stack_id) \
             .apply(kind, now, command.row)
-        if kind is CommandKind.ACT:
+        if kind is _ACT:
             self.last_act_time = now
             self.last_act_bank_group = command.bank_group
             self.act_window.append(now)

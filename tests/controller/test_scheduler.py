@@ -45,8 +45,8 @@ def test_row_command_issued_before_column_for_closed_row(setup):
     request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
     for t in decompose(request, mapping):
         queue.push(t)
-    assert scheduler.pick_column([(queue, True)], now=0) is None
-    decision = scheduler.pick_row([(queue, True)], now=0)
+    assert scheduler.pick_column([queue], now=0) is None
+    decision = scheduler.pick_row([queue], now=0)
     assert decision is not None
     assert decision.command.kind is CommandKind.ACT
 
@@ -61,9 +61,9 @@ def test_column_command_prefers_oldest_ready(setup, timing):
         for t in decompose(request, mapping):
             t.arrival_ns = request.arrival_ns
             queue.push(t)
-    act = scheduler.pick_row([(queue, True)], now=0)
+    act = scheduler.pick_row([queue], now=0)
     _issue_row(channel, act.command, 0, queue)
-    picked = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
+    picked = scheduler.pick_column([queue], now=timing.tRCDRD)
     assert picked is not None
     assert picked.request is first
 
@@ -76,14 +76,14 @@ def test_pick_row_issues_precharge_on_conflict(setup, timing):
                         address=mapping.bytes_per_row_system, size_bytes=32)
     for t in decompose(near, mapping):
         queue.push(t)
-    act = scheduler.pick_row([(queue, True)], now=0)
+    act = scheduler.pick_row([queue], now=0)
     _issue_row(channel, act.command, 0, queue)
-    rd = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
+    rd = scheduler.pick_column([queue], now=timing.tRCDRD)
     _issue_column(channel, rd, timing.tRCDRD)
     queue.remove(rd)
     for t in decompose(far, mapping):
         queue.push(t)
-    decision = scheduler.pick_row([(queue, True)], now=timing.tRAS)
+    decision = scheduler.pick_row([queue], now=timing.tRAS)
     assert decision is not None
     assert decision.command.kind is CommandKind.PRE
 
@@ -99,8 +99,8 @@ def test_pick_row_keeps_row_open_while_a_hit_is_pending(setup, timing):
     _issue_row(channel, scheduler._act_command(opened[0]), 0, queue)
     for t in decompose(far, mapping) + decompose(near, mapping):
         queue.push(t)
-    assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
-    column = scheduler.pick_column([(queue, True)], now=timing.tRAS)
+    assert scheduler.pick_row([queue], now=timing.tRAS) is None
+    column = scheduler.pick_column([queue], now=timing.tRAS)
     assert column.request is near
 
 
@@ -111,12 +111,12 @@ def test_pick_row_keeps_an_open_row_open_without_a_conflict(setup, timing):
     request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
     for t in decompose(request, mapping):
         queue.push(t)
-    _issue_row(channel, scheduler.pick_row([(queue, True)], now=0).command,
+    _issue_row(channel, scheduler.pick_row([queue], now=0).command,
                0, queue)
-    assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
+    assert scheduler.pick_row([queue], now=timing.tRAS) is None
     queue.remove(queue.oldest())
     assert queue.is_empty
-    assert scheduler.pick_row([(queue, True)], now=timing.tRAS) is None
+    assert scheduler.pick_row([queue], now=timing.tRAS) is None
 
 
 def test_pick_row_closes_a_row_whose_hits_wait_only_in_another_queue(
@@ -135,7 +135,7 @@ def test_pick_row_closes_a_row_whose_hits_wait_only_in_another_queue(
         write_queue.push(t)
     for t in decompose(far, mapping):
         queue.push(t)
-    decision = scheduler.pick_row([(queue, True), (write_queue, True)],
+    decision = scheduler.pick_row([queue, write_queue],
                                   now=timing.tRAS)
     assert decision is not None
     assert decision.command.kind is CommandKind.PRE
@@ -153,19 +153,28 @@ def test_pick_row_activates_the_row_of_the_oldest_miss(setup):
     far_transactions = decompose(far, mapping)
     for t in far_transactions + decompose(near, mapping):
         queue.push(t)
-    decision = scheduler.pick_row([(queue, True)], now=0)
+    decision = scheduler.pick_row([queue], now=0)
     assert decision is not None
     assert decision.command.kind is CommandKind.ACT
     assert decision.command.row == far_transactions[0].coordinate.row
 
 
-def test_pick_row_skips_disabled_queues(setup):
-    channel, scheduler, mapping, queue = setup
-    request = MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=32)
-    for t in decompose(request, mapping):
-        queue.push(t)
-    assert scheduler.pick_row([(queue, False)], now=0) is None
-    assert scheduler.pick_column([(queue, False)], now=0) is None
+def test_queue_priority_serves_reads_alone_unless_draining(setup):
+    """The served queues are the service order: reads alone while some
+    read waits and writes are not draining, else writes before reads."""
+    channel, scheduler, mapping, read_queue = setup
+    write_queue = RequestQueue(capacity=8, num_banks=len(channel.banks))
+    assert scheduler.queue_priority(read_queue, write_queue) == (
+        write_queue, read_queue)
+    for t in decompose(MemoryRequest(kind=RequestKind.READ, address=0,
+                                     size_bytes=32), mapping):
+        read_queue.push(t)
+    assert scheduler.queue_priority(read_queue, write_queue) == (read_queue,)
+    for t in decompose(MemoryRequest(kind=RequestKind.WRITE, address=0,
+                                     size_bytes=6 * 32), mapping):
+        write_queue.push(t)
+    assert scheduler.queue_priority(read_queue, write_queue) == (
+        write_queue, read_queue)
 
 
 def test_write_drain_hysteresis():
@@ -346,13 +355,13 @@ def test_pick_column_tests_a_blocked_bank_once(setup, timing):
     _issue_row(channel, scheduler._act_command(bank_a[0]), timing.tRRDS,
                queue)
     asked = []
-    can_issue_column = channel.can_issue_column
+    column_ready_ns = channel.column_ready_ns
 
-    def spy(pc, sid, bank_group, bank, row, is_read, now):
+    def spy(pc, sid, bank_group, bank, is_read):
         asked.append(bank_group)
-        return can_issue_column(pc, sid, bank_group, bank, row, is_read, now)
+        return column_ready_ns(pc, sid, bank_group, bank, is_read)
 
-    channel.can_issue_column = spy
-    picked = scheduler.pick_column([(queue, True)], now=timing.tRCDRD)
+    channel.column_ready_ns = spy
+    picked = scheduler.pick_column([queue], now=timing.tRCDRD)
     assert picked is bank_b[0]
     assert asked == [1, 0]

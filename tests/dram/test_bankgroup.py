@@ -24,8 +24,8 @@ def test_bus_reservation_blocks_for_tccdl(group, timing):
 
 
 def test_total_counter_sums_across_banks(group, timing):
-    group.bank(0).issue(CommandKind.ACT, now=0, row=1)
-    group.bank(1).issue(CommandKind.ACT, now=0, row=1)
+    group.bank(0).apply(CommandKind.ACT, now=0, row=1)
+    group.bank(1).apply(CommandKind.ACT, now=0, row=1)
     assert group.total_counter("activates") == 2
 
 

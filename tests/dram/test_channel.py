@@ -1,11 +1,15 @@
-"""Tests for the channel-level C/A sharing and aggregation."""
+"""Tests for the channel-level C/A sharing, aggregation and ready
+instants."""
 
+import copy
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dram.channel import Channel, ChannelConfig
 from repro.dram.commands import Command, CommandKind
+from repro.dram.timing import TimingParameters
 
 
 @pytest.fixture
@@ -19,13 +23,16 @@ def test_channel_structure(channel):
     assert channel.config.peak_bandwidth_bytes_per_ns == 64
 
 
-def test_ca_bus_allows_one_row_command_per_pc_per_ns(channel):
+def test_ca_bus_allows_one_row_command_per_pc_per_ns(channel, timing):
     act0 = Command(kind=CommandKind.ACT, pseudo_channel=0, bank_group=0, row=0)
-    act1 = Command(kind=CommandKind.ACT, pseudo_channel=0, bank_group=1, row=0)
     channel.issue(act0, now=0)
-    assert not channel.can_issue(act1, now=0)          # same PC, same ns
-    act_other_pc = Command(kind=CommandKind.ACT, pseudo_channel=1, bank_group=0, row=0)
-    assert channel.can_issue(act_other_pc, now=0)       # other PC is free
+    # Same PC: the next row slot is the next ns (and tRRDS later for an
+    # ACT); a PRE of the open bank waits only for its own tRAS.
+    assert channel.row_ready_ns(CommandKind.ACT, 0, 0, 1, 0) == timing.tRRDS
+    assert channel.row_ready_ns(CommandKind.REFPB, 0, 0, 1, 0) == 1
+    assert channel.row_ready_ns(CommandKind.PRE, 0, 0, 0, 0) == timing.tRAS
+    # The other PC is free.
+    assert channel.row_ready_ns(CommandKind.ACT, 1, 0, 0, 0) == 0
 
 
 def test_row_and_column_buses_are_independent(channel, timing):
@@ -118,9 +125,17 @@ def test_issue_column_rejects_before_changing_state(channel, timing, case):
     if case in ("busy-ca", "tccdl"):
         channel.issue_column(0, CommandKind.RD, 0, 0, 0, 5, ready)
     assert timing.tCCDS < timing.tCCDL
-    now = rejected[-1]
-    assert not channel.can_issue_column(*rejected[:1], *rejected[2:6],
-                                        True, now)
+    pc, kind, sid, bank_group, bank, row, now = rejected
+    assert not channel.can_issue(
+        Command(kind=kind, pseudo_channel=pc, stack_id=sid,
+                bank_group=bank_group, bank=bank, row=row), now)
+    ready_ns = channel.column_ready_ns(pc, sid, bank_group, bank, True)
+    if case == "closed":
+        assert ready_ns is None
+    elif case == "other-row":
+        assert ready_ns <= now  # ruled out by the row, not by time
+    else:
+        assert ready_ns > now
     before = _state(channel)
     with pytest.raises(RuntimeError):
         channel.issue_column(*rejected)
@@ -145,8 +160,97 @@ def test_issue_column_rejects_an_auto_precharging_cas(channel, timing, kind):
     """RDA/WRA are not modeled: the channel raises ``ValueError`` naming
     the kind before any state changes, also when a RD/WR would issue."""
     ready = _open_two_banks(channel, timing) + timing.tRCDWR
-    assert channel.can_issue_column(0, 0, 0, 0, 5, kind.is_read, ready)
+    assert channel.column_ready_ns(0, 0, 0, 0, kind.is_read) <= ready
     before = _state(channel)
     with pytest.raises(ValueError, match=kind.value):
         channel.issue_column(0, kind, 0, 0, 0, 5, ready)
     assert _state(channel) == before
+
+
+@pytest.mark.parametrize("kind", [CommandKind.PREA, CommandKind.REFAB,
+                                  CommandKind.MRS, CommandKind.RDA,
+                                  CommandKind.WRA])
+def test_commands_no_controller_issues_raise(channel, timing, kind):
+    """PREA, REFab, MRS and the auto-precharging CASes are not modeled:
+    asking for their readiness or issuing them raises ``ValueError``
+    before any state changes."""
+    ready = _open_two_banks(channel, timing) + timing.tRCDWR
+    command = Command(kind=kind, pseudo_channel=0, row=5)
+    before = _state(channel)
+    with pytest.raises(ValueError):
+        channel.can_issue(command, ready)
+    with pytest.raises(ValueError):
+        channel.issue(command, ready)
+    if not kind.is_column:
+        with pytest.raises(ValueError):
+            channel.row_ready_ns(kind, 0, 0, 0, 0)
+    assert _state(channel) == before
+
+
+# --------------------------------------------- ready instants as validation
+
+_KINDS = (CommandKind.RD, CommandKind.WR, CommandKind.ACT, CommandKind.PRE,
+          CommandKind.REFPB)
+
+#: A command to a bank of a two-PC, two-stack, 2x2-bank channel: (kind, pc,
+#: stack ID, bank group, bank, row).
+_commands = st.tuples(st.sampled_from(_KINDS), st.integers(0, 1),
+                      st.integers(0, 1), st.integers(0, 1),
+                      st.integers(0, 1), st.integers(0, 2))
+
+
+def _ready_ns(channel, kind, pc, sid, bank_group, bank):
+    if kind.is_column:
+        return channel.column_ready_ns(pc, sid, bank_group, bank,
+                                       kind.is_read)
+    return channel.row_ready_ns(kind, pc, sid, bank_group, bank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=st.lists(st.tuples(_commands, st.integers(0, 40)),
+                        max_size=40),
+       probes=st.lists(_commands, min_size=1, max_size=8))
+def test_the_ready_instant_is_the_first_instant_validation_admits(history,
+                                                                  probes):
+    """After any legal device history, for every RD/WR/ACT/PRE/REFpb:
+    the ready instant is ``None`` exactly when the bank's row state rules
+    the command out; otherwise ``can_issue`` is false one ns before it and
+    true at it, and ``issue`` raises before it, changing nothing, and
+    issues at it.  A RD or WR to a row that is not open never issues."""
+    channel = Channel(ChannelConfig(timing=TimingParameters(),
+                                    num_bank_groups=2, banks_per_group=2,
+                                    num_stack_ids=2))
+    now = 0
+    for (kind, pc, sid, bank_group, bank, row), delay in history:
+        ready = _ready_ns(channel, kind, pc, sid, bank_group, bank)
+        if ready is None:
+            continue
+        if kind.is_column:
+            row = channel.pseudo_channels[pc].bank(bank_group, bank,
+                                                   sid).open_row
+        now = max(now, ready) + delay
+        channel.issue(Command(kind=kind, pseudo_channel=pc, stack_id=sid,
+                              bank_group=bank_group, bank=bank, row=row),
+                      now)
+    for kind, pc, sid, bank_group, bank, row in probes:
+        open_row = channel.pseudo_channels[pc].bank(bank_group, bank,
+                                                    sid).open_row
+        ready = _ready_ns(channel, kind, pc, sid, bank_group, bank)
+        needs_open = kind.is_column or kind is CommandKind.PRE
+        assert (ready is None) == ((open_row is None) == needs_open)
+        command = Command(kind=kind, pseudo_channel=pc, stack_id=sid,
+                          bank_group=bank_group, bank=bank, row=row)
+        before = _state(channel)
+        if ready is None or kind.is_column and row != open_row:
+            late = now + 10 ** 6
+            assert not channel.can_issue(command, late)
+            with pytest.raises(RuntimeError):
+                channel.issue(command, late)
+            assert _state(channel) == before
+            continue
+        assert not channel.can_issue(command, ready - 1)
+        assert channel.can_issue(command, ready)
+        with pytest.raises(RuntimeError):
+            channel.issue(command, ready - 1)
+        assert _state(channel) == before
+        copy.deepcopy(channel).issue(command, ready)

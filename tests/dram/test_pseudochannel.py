@@ -1,4 +1,5 @@
-"""Tests for pseudo-channel level (cross-bank) timing constraints."""
+"""Tests for pseudo-channel level (cross-bank) timing constraints: the
+pseudo channel's terms of each command's ready instant."""
 
 import pytest
 
@@ -20,32 +21,63 @@ def _rd(bank_group=0, bank=0, row=0, column=0):
                    row=row, column=column)
 
 
+def _act_ready(pc, bank_group, bank=0):
+    return pc.row_ready_ns(CommandKind.ACT, 0, bank_group, bank)
+
+
+def _ready(pc, bank_group=0, bank=0):
+    """The bank's ready instants: ACT, PRE, REFpb, RD, WR."""
+    return (pc.row_ready_ns(CommandKind.ACT, 0, bank_group, bank),
+            pc.row_ready_ns(CommandKind.PRE, 0, bank_group, bank),
+            pc.row_ready_ns(CommandKind.REFPB, 0, bank_group, bank),
+            pc.column_ready_ns(0, bank_group, bank, True),
+            pc.column_ready_ns(0, bank_group, bank, False))
+
+
 def test_structure_counts(pc):
     assert pc.num_banks == 16
     assert len(pc.all_banks()) == 16
 
 
+def test_a_closed_bank_takes_act_and_refpb_but_no_pre_or_column(pc):
+    assert _ready(pc) == (0, None, 0, None, None)
+
+
+def test_an_open_bank_takes_pre_and_columns_but_no_act_or_refpb(pc, timing):
+    pc.issue(_act(row=5), now=0)
+    # However late: an open bank takes neither another ACT nor a REFpb.
+    assert _ready(pc) == (None, timing.tRAS, None, timing.tRCDRD,
+                          timing.tRCDWR)
+
+
+def test_refresh_waits_for_the_precharge_and_trc(pc, timing):
+    pc.issue(_act(), now=0)
+    pc.issue(Command(kind=CommandKind.PRE), now=timing.tRAS)
+    assert _ready(pc)[2] == max(timing.tRAS + timing.tRP, timing.tRC)
+
+
+def test_refresh_blocks_activation_and_the_next_refresh(pc, timing):
+    pc.issue(Command(kind=CommandKind.REFPB), now=0)
+    assert _ready(pc) == (timing.tRFCpb, None,
+                          max(timing.tRFCpb, timing.tREFIpb), None, None)
+
+
 def test_act_to_act_different_bank_group_spacing(pc, timing):
     pc.issue(_act(bank_group=0), now=0)
-    cmd = _act(bank_group=1)
-    assert not pc.can_issue(cmd, now=timing.tRRDS - 1)
-    assert pc.can_issue(cmd, now=timing.tRRDS)
+    assert _act_ready(pc, bank_group=1) == timing.tRRDS
 
 
 def test_act_to_act_same_bank_group_uses_longer_spacing(pc, timing):
     pc.issue(_act(bank_group=0, bank=0), now=0)
-    cmd = _act(bank_group=0, bank=1)
-    assert not pc.can_issue(cmd, now=timing.tRRDL - 1)
-    assert pc.can_issue(cmd, now=timing.tRRDL)
+    assert _act_ready(pc, bank_group=0, bank=1) == timing.tRRDL
 
 
 def test_tfaw_limits_fifth_activate(pc, timing):
     times = [0, timing.tRRDS, 2 * timing.tRRDS, 3 * timing.tRRDS]
     for i, t in enumerate(times):
         pc.issue(_act(bank_group=i, bank=0), now=t)
-    fifth = _act(bank_group=0, bank=1)
-    assert not pc.can_issue(fifth, now=times[-1] + timing.tRRDL)
-    assert pc.can_issue(fifth, now=timing.tFAW)
+    assert times[-1] + timing.tRRDL < timing.tFAW
+    assert _act_ready(pc, bank_group=0, bank=1) == timing.tFAW
 
 
 def test_cas_spacing_same_vs_different_bank_group(pc, timing):
@@ -53,11 +85,8 @@ def test_cas_spacing_same_vs_different_bank_group(pc, timing):
     pc.issue(_act(bank_group=1), now=timing.tRRDS)
     first_rd = timing.tRCDRD + timing.tRRDS
     pc.issue(_rd(bank_group=0), now=first_rd)
-    same_bg = _rd(bank_group=0, column=1)
-    diff_bg = _rd(bank_group=1, column=0)
-    assert not pc.can_issue(same_bg, now=first_rd + timing.tCCDS)
-    assert pc.can_issue(diff_bg, now=first_rd + timing.tCCDS)
-    assert pc.can_issue(same_bg, now=first_rd + timing.tCCDL)
+    assert pc.column_ready_ns(0, 0, 0, True) == first_rd + timing.tCCDL
+    assert pc.column_ready_ns(0, 1, 0, True) == first_rd + timing.tCCDS
 
 
 def test_write_to_read_turnaround(pc, timing):
@@ -65,10 +94,9 @@ def test_write_to_read_turnaround(pc, timing):
     pc.issue(_act(bank_group=1), now=timing.tRRDS)
     wr_time = timing.tRCDWR + timing.tRRDS
     pc.issue(Command(kind=CommandKind.WR, bank_group=0, row=0, column=0), now=wr_time)
-    rd = _rd(bank_group=1)
     write_data_end = wr_time + timing.tCWL + timing.burst_ns
-    assert not pc.can_issue(rd, now=write_data_end + timing.tWTRS - 1)
-    assert pc.can_issue(rd, now=write_data_end + timing.tWTRS)
+    assert pc.column_ready_ns(0, 1, 0, True) == \
+        write_data_end + timing.tWTRS
 
 
 def test_read_to_write_turnaround(pc, timing):
@@ -76,9 +104,19 @@ def test_read_to_write_turnaround(pc, timing):
     pc.issue(_act(bank_group=1), now=timing.tRRDS)
     rd_time = timing.tRCDRD + timing.tRRDS
     pc.issue(_rd(bank_group=0), now=rd_time)
-    wr = Command(kind=CommandKind.WR, bank_group=1, row=0, column=0)
-    assert not pc.can_issue(wr, now=rd_time + timing.tRTW - 1)
-    assert pc.can_issue(wr, now=rd_time + timing.tRTW)
+    assert pc.column_ready_ns(0, 1, 0, False) == rd_time + timing.tRTW
+
+
+def test_a_column_to_another_row_never_issues(pc, timing):
+    """The ready instant is the open row's; a RD to another row of the
+    bank is ruled out by the row state, however late."""
+    pc.issue(_act(bank_group=0, row=1), now=0)
+    late = 10 * timing.tRC
+    assert pc.column_ready_ns(0, 0, 0, True) == timing.tRCDRD
+    assert pc.can_issue(_rd(row=1), now=late)
+    assert not pc.can_issue(_rd(row=2), now=late)
+    with pytest.raises(RuntimeError, match="cannot issue"):
+        pc.issue(_rd(row=2), now=late)
 
 
 def test_illegal_issue_raises(pc):

@@ -22,6 +22,7 @@ from repro.core.controller import RoMeControllerConfig, RoMeMemoryController
 from repro.core.interface import RowRequest, RowRequestKind, requests_for_transfer
 from repro.core.virtual_bank import paper_vba_config
 from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
+from repro.dram.timing import TimingParameters
 from repro.reliability import ReliabilityConfig
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
@@ -82,14 +83,44 @@ ROME_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROME_SCENARIOS))
+def _faulty_rows():
+    """60 single-stack requests, 80% reads: under live faults a replay
+    reaches the backlog front while a retired entry's slot waits to
+    fill."""
+    rng = random.Random(7)
+    return [
+        RowRequest(
+            kind=RowRequestKind.RD_ROW if rng.random() < 0.8
+            else RowRequestKind.WR_ROW,
+            vba=rng.randrange(8),
+            row=rng.randrange(64),
+        )
+        for _ in range(60)
+    ]
+
+
+#: The tick-core comparison also runs live faults, which the seed reference
+#: does not model: (refresh, requests, stack IDs, reliability) per case.
+ROME_TICK_SCENARIOS = {
+    name: (enable_refresh, make_requests, 2, None)
+    for name, (enable_refresh, make_requests) in ROME_SCENARIOS.items()
+}
+ROME_TICK_SCENARIOS["live-faults"] = (
+    True, _faulty_rows, 1,
+    ReliabilityConfig(seed=11, transient_ber=2e-4, retention_ber=4e-5,
+                      hard_row_rate=0.02, scrub_interval_ns=1_000))
+
+
+@pytest.mark.parametrize("name", sorted(ROME_TICK_SCENARIOS))
 def test_rome_event_core_matches_tick_core(name):
-    enable_refresh, make_requests = ROME_SCENARIOS[name]
+    enable_refresh, make_requests, stacks, reliability = \
+        ROME_TICK_SCENARIOS[name]
 
     def make_controller():
         return RoMeMemoryController(
-            config=RoMeControllerConfig(num_stack_ids=2,
-                                        enable_refresh=enable_refresh)
+            config=RoMeControllerConfig(num_stack_ids=stacks,
+                                        enable_refresh=enable_refresh),
+            reliability=reliability,
         )
 
     event = _run_rome(make_controller, make_requests(),
@@ -179,14 +210,23 @@ def _conventional_trace(name: str, seed: int):
     return random_trace(192, 1 << 22, request_bytes=256, seed=seed)
 
 
+#: The paper's timing, and one whose tRRDL exceeds twice tRRDS: an ACT to
+#: another bank group can then bring a waiting ACT's ready instant earlier.
+CONVENTIONAL_TIMINGS = {"paper": TimingParameters(),
+                        "wide-trrd": TimingParameters(tRRDS=1, tRRDL=6)}
+
+
+@pytest.mark.parametrize("timing", sorted(CONVENTIONAL_TIMINGS))
 @pytest.mark.parametrize("name", ["streaming", "mixed", "random"])
 @pytest.mark.parametrize("enable_refresh", [False, True])
-def test_conventional_event_core_matches_tick_core(name, enable_refresh):
+def test_conventional_event_core_matches_tick_core(name, enable_refresh,
+                                                   timing):
     fingerprints = []
     for event_driven in (False, True):
         controller = ConventionalMemoryController(
             config=ControllerConfig(num_stack_ids=1,
-                                    enable_refresh=enable_refresh)
+                                    enable_refresh=enable_refresh,
+                                    timing=CONVENTIONAL_TIMINGS[timing])
         )
         for request in _conventional_trace(name, seed=5):
             controller.enqueue(request)
@@ -710,8 +750,6 @@ def test_conventional_train_does_not_outlive_the_drain():
     -- an instant a draining per-step core never evaluates, leaving the
     event run one PRE and one nanosecond ahead.  The event core must stop
     once the queues and backlog are exhausted."""
-    from repro.dram.timing import TimingParameters
-
     timing = TimingParameters(tREFIpb=163, tRFCpb=82)
     fingerprints = []
     for event_driven in (False, True):
@@ -799,8 +837,6 @@ def test_conventional_refresh_knobs_property_bit_identity(
     design space: deadline cadence (tREFIpb), stall length (tRFCpb), the
     postponement bound / criticality threshold, and the stack IDs the
     (stack ID, bank group, bank) rotation runs over."""
-    from repro.dram.timing import TimingParameters
-
     timing = TimingParameters(tREFIpb=trefipb, tRFCpb=trfcpb)
     fingerprints = []
     for event_driven in (False, True):
@@ -834,8 +870,6 @@ def test_rome_refresh_knobs_property_bit_identity(
     """Same sweep on the RoMe controller: the planner's modeled refresh
     FSM pool, VBA stalls, and criticality transitions must stay exact for
     any legal knob combination."""
-    from repro.dram.timing import TimingParameters
-
     conventional = TimingParameters(tREFIpb=trefipb, tRFCpb=trfcpb)
     fingerprints = []
     for event_driven in (False, True):
@@ -926,8 +960,6 @@ def _wake_specs(draw):
     or live faults whose hard rows replay reads (backoff 0-50 ns), whose
     scrub passes (if any) run every 50-400 ns and whose failing banks may
     go offline."""
-    from repro.dram.timing import TimingParameters
-
     num_stack_ids = draw(st.sampled_from([1, 2]))
     enable_refresh = draw(st.booleans())
     timing, max_postponed = TimingParameters(), None
