@@ -16,7 +16,7 @@ over the instants at which nothing can issue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from collections import deque
 
@@ -204,6 +204,15 @@ class ConventionalMemoryController:
         # every hook short-circuited on one ``is not None`` check, so the
         # unobserved path stays bit-identical to the pre-obs tree.
         self._obs = obs
+        # The sink's recorders of the per-command series
+        # (:meth:`ObsSink.recorder`), each resolved on its first record.
+        self._record_bandwidth: Optional[Callable[[int, float], None]] = None
+        self._record_evaluation: Optional[Callable[[int, float], None]] = None
+        self._record_queue_depth: Optional[Callable[[int, float], None]] = None
+        timing = self.config.timing
+        #: Issue-to-data-end latency of a WR and of a RD (index ``is_read``).
+        self._data_latency = (timing.tCWL + timing.burst_ns,
+                              timing.tCL + timing.burst_ns)
         self.now = 0
 
     # -------------------------------------------------------------- enqueue
@@ -258,12 +267,15 @@ class ConventionalMemoryController:
             is_read=True, bank_index=transaction.bank_index))
 
     def _fill_queues(self) -> None:
-        while self._backlog:
-            transaction = self._backlog[0]
-            queue = self.read_queue if transaction.is_read else self.write_queue
-            if not queue.push(transaction):
+        """Admit backlog entries, oldest first, while the head's queue has
+        room."""
+        backlog = self._backlog
+        read_queue, write_queue = self.read_queue, self.write_queue
+        while backlog:
+            queue = read_queue if backlog[0].is_read else write_queue
+            if len(queue.entries) >= queue.capacity:
                 break
-            self._backlog.popleft()
+            queue.push(backlog.popleft())
 
     # ------------------------------------------------------------------ tick
 
@@ -330,10 +342,17 @@ class ConventionalMemoryController:
         """
         obs = self._obs
         obs.event(now, "scheduler.eval")
-        obs.count(now, "controller.evaluations")
-        obs.gauge(now, "controller.queue_depth",
-                  self.read_queue.occupancy + self.write_queue.occupancy
-                  + len(self._backlog))
+        record = self._record_evaluation
+        if record is None:
+            record = self._record_evaluation = obs.recorder(
+                "controller.evaluations")
+        record(now, 1.0)
+        record = self._record_queue_depth
+        if record is None:
+            record = self._record_queue_depth = obs.recorder(
+                "controller.queue_depth", "gauge")
+        record(now, len(self.read_queue.entries)
+               + len(self.write_queue.entries) + len(self._backlog))
 
     def tick(self) -> None:
         """Advance the controller by one nanosecond (legacy tick core)."""
@@ -349,13 +368,14 @@ class ConventionalMemoryController:
         self.channel.issue_column(
             coord.pseudo_channel, _RD if is_read else _WR,
             coord.stack_id, coord.bank_group, coord.bank, coord.row, now)
-        timing = self.config.timing
-        data_ns = now + (timing.tCL if is_read else timing.tCWL) \
-            + timing.burst_ns
+        data_ns = now + self._data_latency[is_read]
         obs = self._obs
         if obs is not None:
-            obs.count(data_ns, "controller.bandwidth_bytes",
-                      float(transaction.size_bytes))
+            record = self._record_bandwidth
+            if record is None:
+                record = self._record_bandwidth = obs.recorder(
+                    "controller.bandwidth_bytes")
+            record(data_ns, float(transaction.size_bytes))
         if self._ras_active and is_read:
             # Classify the read at its issue instant (the draw key); a
             # DUE verdict schedules a command replay after the data would
@@ -451,12 +471,15 @@ class ConventionalMemoryController:
         return best
 
     def _pending(self) -> bool:
-        # A queued replay is booked in ``_pending_transactions`` when it is
-        # scheduled (``_schedule_retry``).
-        return bool(
-            self._backlog or not self.read_queue.is_empty
-            or not self.write_queue.is_empty or self._pending_transactions
-        )
+        """Whether any accepted request is still outstanding.
+
+        Every backlogged, queued or replayed transaction's request is
+        booked in ``_pending_transactions`` until its last column issues
+        (:meth:`enqueue`, and :meth:`_schedule_retry` when a replay is
+        scheduled), so the booking alone answers; a request of no
+        transactions completes on arrival and is never booked.
+        """
+        return bool(self._pending_transactions)
 
     def _advance(self, target_ns: int, stop_when_idle: bool = False) -> None:
         """Event-driven advance to ``target_ns`` (or until drained).

@@ -154,13 +154,14 @@ class RequestQueue:
     def push(self, transaction: Transaction) -> bool:
         """Admit ``transaction``; returns False when the queue is full."""
         entries = self.entries
-        if len(entries) >= self.capacity:
+        occupancy = len(entries) + 1
+        if occupancy > self.capacity:
             return False
         seq = self._next_seq
         self._next_seq = seq + 1
         entries[seq] = transaction
-        if len(entries) > self.peak_occupancy:
-            self.peak_occupancy = len(entries)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         index = transaction.bank_index
         fifo = self._fifos[index]
         fifo.append(seq)

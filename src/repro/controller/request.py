@@ -87,19 +87,15 @@ def decompose(request: MemoryRequest, mapping: AddressMapping) -> List[Transacti
     """Split ``request`` into per-block transactions using ``mapping``.
 
     Each call builds fresh :class:`Transaction` queue entries that carry
-    the request's kind and arrival time.
+    the request's kind and arrival time, a chunk of blocks at a time
+    (:meth:`AddressMapping.range_chunks`).
     """
-    is_read = request.is_read
-    bank_index = mapping.bank_index
-    return [
-        Transaction(
-            request=request,
-            coordinate=coordinate,
-            size_bytes=mapping.granularity_bytes,
-            arrival_ns=request.arrival_ns,
-            is_read=is_read,
-            bank_index=bank_index(coordinate),
-        )
-        for coordinate in mapping.decode_range(request.address,
-                                               request.size_bytes)
-    ]
+    repeat = itertools.repeat
+    owner, size_bytes = repeat(request), repeat(mapping.granularity_bytes)
+    arrival_ns, is_read = repeat(request.arrival_ns), repeat(request.is_read)
+    transactions: List[Transaction] = []
+    for coordinates, bank_indices in mapping.range_chunks(
+            request.address, request.size_bytes):
+        transactions.extend(map(Transaction, owner, coordinates, size_bytes,
+                                arrival_ns, is_read, bank_indices))
+    return transactions

@@ -16,8 +16,9 @@ device timestamp for the next wake pays almost the tick core's price.
 instead.  It walks the instants of an advance on the live state -- the
 channel's banks and pseudo channels, the request queues' bank machines and
 the refresh engines -- in ``_step``'s order: the refill (only after a column
-freed queue room), the refresh sweep, the column picks from the hit heads
-and the row picks from the miss heads.  Each device rule is one ready
+freed queue room, and only while the backlog holds work), the refresh
+sweep, the column picks from the hit heads and the row picks from the miss
+heads.  Each device rule is one ready
 instant, stated once by the channel: ``Channel.column_ready_ns`` for a RD
 or WR and ``Channel.row_ready_ns`` for an ACT, PRE or REFpb (the bank's
 windows, the pseudo channel's CAS spacing, turnarounds, bus occupancy,
@@ -131,8 +132,8 @@ class FrFcfsScheduler:
     def update_write_drain(self, write_queue: RequestQueue) -> bool:
         """Hysteretic switch into/out of write-drain mode."""
         self._draining_writes = self._drain_step(
-            self._draining_writes, write_queue.occupancy, write_queue.capacity
-        )
+            self._draining_writes, len(write_queue.entries),
+            write_queue.capacity)
         return self._draining_writes
 
     def _drain_step(self, draining: bool, occupancy: int, capacity: int) -> bool:
@@ -161,7 +162,7 @@ class FrFcfsScheduler:
         """The queues served under the write-drain mode ``draining``, in
         priority order: writes first while draining or when no read waits,
         else reads alone."""
-        if draining or read_queue.is_empty:
+        if draining or not read_queue.entries:
             return (write_queue, read_queue)
         return (read_queue,)
 
@@ -409,6 +410,9 @@ class FrFcfsScheduler:
         row_not_before = [0] * (num_pcs * per_pc)
         unknown = [0] * per_pc
         rq, wq = controller.read_queue, controller.write_queue
+        backlog = controller._backlog
+        # The requests still outstanding (``controller._pending``).
+        pending = controller._pending_transactions
         issue_column, issue = controller._issue_column, controller._issue
         traced = controller._obs is not None
         # Under active RAS, the instant its next scrub pass or replay is
@@ -427,13 +431,14 @@ class FrFcfsScheduler:
         while True:
             instants += 1
             if ras_at is not None and t >= ras_at:
-                ras.admit_due(t, controller._backlog)
+                ras.admit_due(t, backlog)
                 ras_at = ras.next_event_ns()
                 refill = True
             if refill:
                 # Only a column frees queue room, so only then can a refill
                 # admit work (and move the write-drain hysteresis).
-                controller._fill_queues()
+                if backlog:
+                    controller._fill_queues()
                 served = self.queue_priority(rq, wq)
                 refill = False
 
@@ -478,7 +483,7 @@ class FrFcfsScheduler:
             for source, transaction in picked:
                 issue_column(transaction, t)
                 source.remove(transaction)
-            columns = len(picked)
+            columns = num_pcs - free
 
             # -- 3. rows: ACT or row-conflict PRE from the miss heads ------
             rows = 0
@@ -534,7 +539,7 @@ class FrFcfsScheduler:
                     refill = True
                     if ras is not None:
                         ras_at = ras.next_event_ns()
-                    if stop_when_idle and not controller._pending():
+                    if stop_when_idle and not pending:
                         break
                 if wake_sweep:
                     sweep_at = t

@@ -62,6 +62,12 @@ class VbaState(enum.Enum):
     REFRESHING = "refreshing"
 
 
+# Looked up once: each ``Enum.X`` is a descriptor call on Python 3.11, and
+# the issue path and the feasibility bound would pay it on every call.
+_RD_ROW = RowRequestKind.RD_ROW
+_READING, _WRITING = VbaState.READING, VbaState.WRITING
+
+
 @dataclass(frozen=True)
 class RoMeControllerConfig:
     """Static configuration of the RoMe memory controller."""
@@ -357,7 +363,7 @@ class RoMeMemoryController:
         else:
             start = self._last_issue_ns + self._gap_table[(
                 self._last_was_read,
-                request.kind is RowRequestKind.RD_ROW,
+                request.kind is _RD_ROW,
                 self._last_stack == request.stack_id,
             )]
         return max(start, tracker.busy_until, self._bus_free_at)
@@ -437,11 +443,11 @@ class RoMeMemoryController:
         return wake
 
     def _issue(self, request: RowRequest, tracker: _VbaTracker, now: int) -> None:
-        is_read = request.kind is RowRequestKind.RD_ROW
+        is_read = request.kind is _RD_ROW
         duration = self._duration[is_read]
         self._mark_busy(
             (request.stack_id, request.vba), tracker,
-            VbaState.READING if is_read else VbaState.WRITING,
+            _READING if is_read else _WRITING,
             now + duration,
         )
         self._bus_free_at = now + self._occupancy[is_read]

@@ -11,10 +11,12 @@ experiments.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 #: Recognized address fields, from least to most significant by default.
 FIELDS = ("column", "pseudo_channel", "channel", "bank_group", "bank",
@@ -49,6 +51,14 @@ def flat_bank_index(pseudo_channel: int, stack_id: int, bank_group: int,
 
 #: :class:`DramCoordinate` fields in constructor order.
 _COORDINATE_FIELDS = DramCoordinate._fields
+
+#: Builds a :class:`DramCoordinate` from one tuple of its fields (what the
+#: namedtuple's own ``__new__`` calls, without its Python frame).
+_new_tuple = tuple.__new__
+
+#: Most blocks one period of a mapping's fastest fields may span in the
+#: range decoder's table (:func:`_low_period`).
+_LOW_PERIOD_LIMIT = 4096
 
 #: The geometry attribute that sizes each address field.
 _FIELD_SIZES = {
@@ -110,6 +120,15 @@ class AddressMapping:
             self.field_size(field) for field in self.field_order))
         object.__setattr__(self, "_pick", operator.itemgetter(*(
             self.field_order.index(field) for field in _COORDINATE_FIELDS)))
+        # Each field's weight in the flat bank index, which is linear in
+        # the bank fields (0 off them), in ``field_order``.
+        units = {"pseudo_channel": (1, 0, 0, 0), "stack_id": (0, 1, 0, 0),
+                 "bank_group": (0, 0, 1, 0), "bank": (0, 0, 0, 1)}
+        geometry = (self.num_stack_ids, self.num_bank_groups,
+                    self.banks_per_group)
+        object.__setattr__(self, "_bank_weights", tuple(
+            flat_bank_index(*units[field], *geometry) if field in units
+            else 0 for field in self.field_order))
 
     # ------------------------------------------------------------ geometry
 
@@ -160,28 +179,59 @@ class AddressMapping:
     def decode_range(self, address: int, size_bytes: int) -> List[DramCoordinate]:
         """Decode every access-granularity block touched by ``[address, +size)``.
 
-        The first block is decoded once; each following block steps the
-        field digits like an odometer, fastest field first, carrying
-        upward (and wrapping past the capacity exactly as :meth:`decode`
-        does).
+        Equal, block for block, to :meth:`decode` of each block's address
+        (wrapping past the capacity exactly as it does), and built a chunk
+        at a time (:meth:`range_chunks`).
+        """
+        return list(itertools.chain.from_iterable(
+            coordinates for coordinates, _ in self.range_chunks(
+                address, size_bytes)))
+
+    def range_chunks(self, address: int, size_bytes: int
+                     ) -> Iterator[Tuple[Iterator[DramCoordinate],
+                                         Iterator[int]]]:
+        """Decode ``[address, +size)`` a chunk of blocks at a time.
+
+        Yields, per chunk in address order, an iterator over the chunk's
+        coordinates (those of :meth:`decode_range`) and one over their flat
+        bank indices (:meth:`bank_index`).  A chunk is the blocks that
+        share the digits of the slow fields: a run of one period of the
+        fastest fields, whose digit tuples and bank-index terms are tabled
+        once per geometry (:func:`_low_period`).  Each coordinate is that
+        table's tuple joined to the chunk's slow digits, each bank index
+        the two terms' sum, both built by ``map`` chains without a Python
+        call per block.  The slow digits wrap past the capacity as
+        :meth:`decode` wraps.
         """
         if size_bytes <= 0:
-            return []
-        digits = self._digits(address)
+            return
+        if address < 0:
+            raise ValueError("address must be non-negative")
         granularity = self.granularity_bytes
-        count = ((address + size_bytes - 1) // granularity
-                 - address // granularity + 1)
-        sizes = self._sizes
-        pick = self._pick
-        coordinates = []
-        for _ in range(count):
-            coordinates.append(DramCoordinate(*pick(digits)))
-            for position, size in enumerate(sizes):
-                digits[position] += 1
-                if digits[position] < size:
-                    break
-                digits[position] = 0
-        return coordinates
+        first = address // granularity
+        count = (address + size_bytes - 1) // granularity - first + 1
+        sizes, weights = self._sizes, self._bank_weights
+        low, digits, terms = _low_period(sizes, weights)
+        high_sizes, high_weights = sizes[low:], weights[low:]
+        period = len(digits)
+        high, start = divmod(first, period)
+        pick, add = self._pick, operator.add
+        coordinate_type = itertools.repeat(DramCoordinate)
+        while count:
+            end = min(period, start + count)
+            rest, high_digits = high, []
+            for size in high_sizes:
+                rest, digit = divmod(rest, size)
+                high_digits.append(digit)
+            high_digits = tuple(high_digits)
+            high_term = sum(map(operator.mul, high_digits, high_weights))
+            yield (map(_new_tuple, coordinate_type, map(pick, map(
+                       add, digits[start:end],
+                       itertools.repeat(high_digits)))),
+                   map(add, terms[start:end], itertools.repeat(high_term)))
+            count -= end - start
+            start = 0
+            high += 1
 
     def bank_index(self, coordinate: DramCoordinate) -> int:
         """Flat index of ``coordinate``'s bank within its channel (see
@@ -193,6 +243,30 @@ class AddressMapping:
 
     def channel_of(self, address: int) -> int:
         return self.decode(address).channel
+
+
+@functools.lru_cache(maxsize=64)
+def _low_period(sizes: Sequence[int], weights: Sequence[int]
+                ) -> Tuple[int, Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The range decoder's table for fields of ``sizes`` and bank-index
+    ``weights``, both in ``field_order``.
+
+    Returns the number of fastest fields whose joint period spans at most
+    ``_LOW_PERIOD_LIMIT`` blocks; their digit tuples over one period, in
+    odometer order (the first field fastest); and each tuple's term of the
+    flat bank index.  Mappings of one geometry share it.
+    """
+    low, period = 0, 1
+    while low < len(sizes) and period * sizes[low] <= _LOW_PERIOD_LIMIT:
+        period *= sizes[low]
+        low += 1
+    # ``product`` steps its last factor fastest, so the fields go in
+    # reversed and each tuple comes out reversed back.
+    digits = tuple(combination[::-1] for combination in itertools.product(
+        *map(range, reversed(sizes[:low]))))
+    terms = tuple(sum(map(operator.mul, combination, weights))
+                  for combination in digits)
+    return low, digits, terms
 
 
 def baseline_hbm4_mapping(num_channels: int = 32) -> AddressMapping:

@@ -15,7 +15,7 @@ bit-identically.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import MetricRegistry
@@ -71,3 +71,25 @@ class ObsSink:
         metrics = self.metrics
         if metrics is not None:
             metrics.gauge(name).set(ts_ns, value)
+
+    def recorder(self, name: str,
+                 kind: str = "counter") -> Callable[[int, float], None]:
+        """What :meth:`count` (``kind`` ``"counter"``) or :meth:`gauge`
+        (``"gauge"``) does for ``name``, resolved once: the series' ``add``
+        or ``set``, registered now as their first call would register it,
+        or a no-op when metrics are off.
+
+        For a hot path that records one series per command: it resolves
+        the recorder on its first record, so the registry fills in the
+        same order as through :meth:`count` and :meth:`gauge`.
+        """
+        metrics = self.metrics
+        if metrics is None:
+            return _discard
+        if kind == "counter":
+            return metrics.counter(name).add
+        return metrics.gauge(name).set
+
+
+def _discard(ts_ns: int, value: float) -> None:
+    """The recorder of a sink without metrics."""

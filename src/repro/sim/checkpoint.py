@@ -31,10 +31,13 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 7 pickles the queued RAS replays of both controllers, and their
-sequence counter, in the controller's
-:class:`~repro.reliability.ras.RasEngine` (``_replays``, ``_replay_seq``)
-instead of in the controller.  Version 6, like it, pickles the
+Version 8 pickles the conventional controller with its per-direction
+data latencies and its observability recorders (``_data_latency``,
+``_record_bandwidth`` and the like).  Version 7, like it, pickles the
+queued RAS replays of both controllers, and their sequence counter, in
+the controller's :class:`~repro.reliability.ras.RasEngine`
+(``_replays``, ``_replay_seq``) instead of in the controller.  Version
+6, like it, pickles the
 conventional pseudo channels' and channel's timing state under public
 field names (``last_cas_time``, ``data_bus_busy_until``, ``last_row_ca``
 and the like, read by the scheduler's decision loop) and the
@@ -54,7 +57,7 @@ were dataclass instances.  Version 2 queues were flat entry lists, and
 version 1 payloads also carried per-target refresh deadline dicts that
 the rotation-based trackers
 (:class:`repro.dram.refresh.RefreshRotation`, since version 2) never
-read.  All six are rejected rather than restored into a silently
+read.  All seven are rejected rather than restored into a silently
 different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
@@ -85,7 +88,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

@@ -1,5 +1,8 @@
 """Tests for the conventional FR-FCFS memory controller."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
@@ -229,3 +232,56 @@ def test_ras_remap_moves_the_bank_index_with_the_coordinate():
     mc.run_until_idle()
     assert request.completion_ns is not None
     assert mc.channel.banks[0].counters.reads == 0
+
+
+def _outstanding(mc):
+    """Per request id, its transactions waiting in the backlog, in either
+    queue or in the RAS layer's replay queue."""
+    replays = [entry[2] for entry in mc.ras._replays]
+    return Counter(transaction.request.request_id
+                   for transaction in itertools.chain(
+                       mc._backlog, mc.read_queue, mc.write_queue, replays))
+
+
+@pytest.mark.parametrize("event_driven", [False, True], ids=["tick", "event"])
+def test_pending_is_the_booking_of_every_waiting_transaction(event_driven):
+    """At every instant a request is booked in ``_pending_transactions``
+    exactly while transactions of it wait (backlogged, queued or queued
+    for replay), with their count, so ``_pending()`` -- the booking alone
+    -- is whether any work waits.  The drain runs under live faults, so
+    DUE reads queue replays, and takes requests of no transactions, which
+    complete on arrival and are never booked."""
+    mc = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, read_queue_depth=16,
+                                write_queue_depth=16),
+        reliability=ReliabilityConfig(
+            seed=11, transient_ber=2e-4, retention_ber=4e-5,
+            hard_row_rate=0.5, retry_backoff_ns=7, spare_rows_per_bank=1,
+            offline_after_row_failures=2))
+    batches = [mixed_trace(16 * 1024, request_bytes=1024,
+                           write_fraction=0.25, seed=seed,
+                           start_address=seed * 65536)
+               + [MemoryRequest(kind=kind, address=64, size_bytes=0)
+                  for kind in RequestKind]
+               for seed in range(2)]
+    empty = [request for batch in batches for request in batch
+             if not request.size_bytes]
+    replays_seen = False
+    for batch in batches:
+        for request in batch:
+            mc.enqueue(request)
+        while True:
+            outstanding = _outstanding(mc)
+            assert dict(outstanding) == mc._pending_transactions
+            assert mc._pending() == bool(outstanding)
+            replays_seen = replays_seen or mc.ras.pending_replays > 0
+            if not mc._pending():
+                break
+            if event_driven:
+                mc.advance_to(mc.now + 3)
+            else:
+                mc.tick()
+    assert replays_seen
+    assert all(request.completion_ns == 0 for request in empty)
+    assert all(request.completion_ns is not None
+               for batch in batches for request in batch)

@@ -1,9 +1,11 @@
 """Tests for host requests and their decomposition into transactions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controller.request import MemoryRequest, RequestKind, decompose
-from repro.dram.address import baseline_hbm4_mapping
+from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
+from tests.dram.test_address import chunked_mappings, ranges_near_the_wrap
 
 
 def test_request_ids_are_unique():
@@ -67,3 +69,35 @@ def test_decompose_carries_the_request_kind_and_arrival(kind):
     assert all(t.arrival_ns == 17 for t in transactions)
     assert all(t.is_write == (kind is RequestKind.WRITE)
                for t in transactions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decompose_matches_the_per_block_reference(data):
+    """``decompose`` builds, per touched block, the transaction the
+    per-block path builds: ``decode`` of the block's address, that
+    coordinate's ``bank_index``, and the request's size, arrival and
+    direction -- fresh objects on every call."""
+    mapping = data.draw(chunked_mappings())
+    address, size_bytes = data.draw(ranges_near_the_wrap(mapping))
+    request = MemoryRequest(
+        kind=data.draw(st.sampled_from(list(RequestKind))), address=address,
+        size_bytes=size_bytes,
+        arrival_ns=data.draw(st.integers(min_value=0, max_value=10**9)))
+    transactions = decompose(request, mapping)
+    granularity = mapping.granularity_bytes
+    blocks = range(address // granularity,
+                   (address + size_bytes - 1) // granularity + 1)
+    assert len(transactions) == len(blocks)
+    for transaction, block in zip(transactions, blocks):
+        coordinate = transaction.coordinate
+        assert type(coordinate) is DramCoordinate
+        assert coordinate == mapping.decode(block * granularity)
+        assert transaction.bank_index == mapping.bank_index(coordinate)
+        assert transaction.request is request
+        assert transaction.size_bytes == granularity
+        assert transaction.arrival_ns == request.arrival_ns
+        assert transaction.is_read == request.is_read
+        assert not transaction.served and transaction.data_ready_ns is None
+    again = decompose(request, mapping)
+    assert len({id(t) for t in transactions + again}) == 2 * len(blocks)

@@ -149,6 +149,55 @@ def test_decode_range_wraps_past_capacity_like_decode():
     assert mapping.decode(mapping.capacity_bytes) == mapping.decode(0)
 
 
+@st.composite
+def chunked_mappings(draw):
+    """Geometries whose fastest fields span more blocks than the range
+    decoder tables (4,096), with any field order and granularity."""
+    size = st.sampled_from([1, 2, 3, 4, 8, 16, 64])
+    return AddressMapping(
+        granularity_bytes=draw(st.sampled_from([1, 32, 96, 4096])),
+        num_channels=draw(size),
+        num_pseudo_channels=draw(size),
+        num_stack_ids=draw(size),
+        num_bank_groups=draw(size),
+        banks_per_group=draw(size),
+        rows_per_bank=draw(size),
+        columns_per_row=draw(size),
+        field_order=tuple(draw(st.permutations(FIELDS))),
+    )
+
+
+@st.composite
+def ranges_near_the_wrap(draw, mapping):
+    """An unaligned ``(address, size_bytes)`` that starts anywhere in the
+    first two capacities or just below a capacity multiple, and spans up
+    to a few thousand blocks."""
+    granularity, capacity = mapping.granularity_bytes, mapping.capacity_bytes
+    reach = 5000 * granularity
+    address = draw(st.one_of(
+        st.integers(min_value=0, max_value=2 * capacity),
+        st.builds(lambda multiple, back: max(0, multiple * capacity - back),
+                  st.integers(min_value=1, max_value=3),
+                  st.integers(min_value=1, max_value=reach))))
+    return address, draw(st.integers(min_value=1, max_value=reach))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_range_chunks_match_per_block_decode_and_bank_index(data):
+    mapping = data.draw(chunked_mappings())
+    address, size_bytes = data.draw(ranges_near_the_wrap(mapping))
+    coordinates = []
+    for chunk_coordinates, chunk_bank_indices in mapping.range_chunks(
+            address, size_bytes):
+        chunk_coordinates = list(chunk_coordinates)
+        assert list(chunk_bank_indices) == [
+            mapping.bank_index(coord) for coord in chunk_coordinates]
+        coordinates.extend(chunk_coordinates)
+    assert coordinates == _per_block_decode(mapping, address, size_bytes)
+    assert all(type(coord) is DramCoordinate for coord in coordinates)
+
+
 @pytest.mark.parametrize("address, size_bytes", [(-32, 32), (-1, 64)])
 def test_negative_address_raises(address, size_bytes):
     mapping = baseline_hbm4_mapping()

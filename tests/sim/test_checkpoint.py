@@ -177,11 +177,12 @@ class TestCheckpointFormat:
         # A newer version, and every older layout: v1 (per-target refresh
         # deadline dicts), v2 (request queues without bank machines), v3
         # (dataclass DRAM coordinates), v4 (banks with a state machine),
-        # v5 (private pseudo-channel timing fields) and v6 (RAS replays
-        # queued in the controller).
+        # v5 (private pseudo-channel timing fields), v6 (RAS replays
+        # queued in the controller) and v7 (a conventional controller
+        # without its data latencies and obs recorders).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,
