@@ -16,7 +16,8 @@ over the instants at which nothing can issue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Tuple)
 
 from collections import deque
 
@@ -266,9 +267,12 @@ class ConventionalMemoryController:
             size_bytes=transaction.size_bytes, arrival_ns=ready_ns,
             is_read=True, bank_index=transaction.bank_index))
 
-    def _fill_queues(self) -> None:
+    def _refill(self) -> Tuple[RequestQueue, ...]:
         """Admit backlog entries, oldest first, while the head's queue has
-        room."""
+        room, then step the write-drain hysteresis; returns the queues an
+        evaluation serves, in priority order
+        (:meth:`FrFcfsScheduler.queue_priority`).  ``_step`` and the event
+        core's loop call it once per refill."""
         backlog = self._backlog
         read_queue, write_queue = self.read_queue, self.write_queue
         while backlog:
@@ -276,6 +280,7 @@ class ConventionalMemoryController:
             if len(queue.entries) >= queue.capacity:
                 break
             queue.push(backlog.popleft())
+        return self.scheduler.queue_priority(read_queue, write_queue)
 
     # ------------------------------------------------------------------ tick
 
@@ -289,7 +294,7 @@ class ConventionalMemoryController:
         self.stats.instants += 1
         if self._ras_active:
             self.ras.admit_due(now, self._backlog)
-        self._fill_queues()
+        priority = self._refill()
         issued_any = False
 
         # 1. Refresh has priority when it can no longer be postponed.
@@ -303,8 +308,6 @@ class ConventionalMemoryController:
 
         # 2. Column commands (row hits), one per pseudo channel, respecting
         #    write-drain mode.
-        priority = self.scheduler.queue_priority(self.read_queue,
-                                                 self.write_queue)
         for _ in range(self.config.num_pseudo_channels):
             transaction = self.scheduler.pick_column(priority, now)
             if transaction is None:
@@ -365,9 +368,8 @@ class ConventionalMemoryController:
         cannot drift; its queue entry is the caller's to retire)."""
         coord = transaction.coordinate
         is_read = transaction.is_read
-        self.channel.issue_column(
-            coord.pseudo_channel, _RD if is_read else _WR,
-            coord.stack_id, coord.bank_group, coord.bank, coord.row, now)
+        self.channel.issue_column(transaction.bank_index,
+                                  _RD if is_read else _WR, coord.row, now)
         data_ns = now + self._data_latency[is_read]
         obs = self._obs
         if obs is not None:
@@ -481,8 +483,10 @@ class ConventionalMemoryController:
         """
         return bool(self._pending_transactions)
 
-    def _advance(self, target_ns: int, stop_when_idle: bool = False) -> None:
-        """Event-driven advance to ``target_ns`` (or until drained).
+    def _advance(self, target_ns: int,
+                 until: Optional[Callable[[], bool]] = None) -> None:
+        """Event-driven advance to ``target_ns``, or until ``until()``
+        holds (:meth:`FrFcfsScheduler.plan_train`).
 
         Scheduling decisions are purely a function of (time, state), and
         state only changes when a command issues, so the event core
@@ -494,7 +498,7 @@ class ConventionalMemoryController:
         and replay admissions are instants the loop lands on
         (:meth:`RasEngine.next_event_ns`).
         """
-        self.scheduler.plan_train(self, target_ns, stop_when_idle)
+        self.scheduler.plan_train(self, target_ns, until)
 
     def advance_to(self, target_ns: int) -> None:
         """Advance to ``target_ns`` exactly, skipping event-free spans."""
@@ -504,15 +508,30 @@ class ConventionalMemoryController:
 
     def run_until_idle(self, max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                        event_driven: bool = True) -> int:
-        """Run until all accepted requests have completed; returns end time."""
-        while self._pending():
+        """Run until all accepted requests have completed; returns end time
+        (:meth:`run_until`)."""
+        pending = self._pending_transactions
+        return self.run_until(lambda: not pending, max_ns, event_driven)
+
+    def run_until(self, done: Callable[[], bool],
+                  max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
+                  event_driven: bool = True) -> int:
+        """Run until ``done()`` holds; returns the end time, the instant
+        after the one that made it hold.
+
+        ``done`` may only change when a column issues (a column completes
+        a request), so it is asked after each instant that issued one.
+        The closed-loop driver waits for one iteration's requests this
+        way, which may complete before other work (RAS replays) drains.
+        """
+        while not done():
             if self.now >= max_ns:
                 raise RuntimeError(
                     f"controller did not drain within {max_ns} ns; "
                     f"{len(self._pending_transactions)} requests outstanding"
                 )
             if event_driven:
-                self._advance(max_ns, stop_when_idle=True)
+                self._advance(max_ns, until=done)
             else:
                 self.tick()
         return self.now

@@ -178,12 +178,30 @@ class RequestQueue:
 
     def remove(self, transaction: Transaction) -> None:
         """Drop a pending ``transaction`` (the controller removes each one
-        as it issues its column command)."""
+        as it issues its column command).
+
+        The common case is a bank's oldest entry and hit head followed by
+        another hit to the same row: that entry becomes the bank's hit
+        head in place, and the bank keeps no miss head."""
         index = transaction.bank_index
         fifo = self._fifos[index]
         entries = self.entries
         if fifo and entries[fifo[0]] is transaction:
             seq = fifo.popleft()
+            open_row = self._open_rows[index]
+            if fifo and transaction.coordinate.row == open_row \
+                    and entries[fifo[0]].coordinate.row == open_row:
+                del entries[seq]
+                self._hit_counts[index] -= 1
+                following = self._first_hits[index] = fifo[0]
+                heads = self.hit_heads
+                position = bisect_left(heads, seq)
+                if heads[-1] == seq or heads[position + 1] > following:
+                    heads[position] = following
+                else:
+                    del heads[position]
+                    insort(heads, following)
+                return
         else:
             for seq in fifo:
                 if entries[seq] is transaction:

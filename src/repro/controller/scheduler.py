@@ -16,22 +16,29 @@ device timestamp for the next wake pays almost the tick core's price.
 instead.  It walks the instants of an advance on the live state -- the
 channel's banks and pseudo channels, the request queues' bank machines and
 the refresh engines -- in ``_step``'s order: the refill (only after a column
-freed queue room, and only while the backlog holds work), the refresh
-sweep, the column picks from the hit heads and the row picks from the miss
-heads.  Each device rule is one ready
-instant, stated once by the channel: ``Channel.column_ready_ns`` for a RD
-or WR and ``Channel.row_ready_ns`` for an ACT, PRE or REFpb (the bank's
-windows, the pseudo channel's CAS spacing, turnarounds, bus occupancy,
-tRRD and tFAW, and the channel's C/A slot).  A pick is ``t >= ready``, and
-each command issues at once through ``Channel.issue_column`` or
-``Channel.issue``, which validate it against the same instant and raise
-before any state changes: a wrong decision raises instead of silently
-corrupting results.  Nothing changes while nothing issues, so after an
-instant that issues nothing the loop jumps to the earliest ready instant of
-an enabled head or of the refresh sweep (the latest of its target's
-deadline, or deadline plus slack, and its REFpb's or PRE's ready instant),
-or to the RAS layer's next instant under live faults (a scrub pass or a
-replay admission, run first at its instant as ``_step`` runs it).  The
+freed queue room; one controller call, ``_refill``, admits backlog work and
+steps the write-drain hysteresis), the refresh sweep, the column picks from
+the hit heads and the row picks from the miss heads.  Each device rule is
+one ready instant, stated once by the channel: ``Channel.column_ready_ns``
+for a RD or WR and ``Channel.row_ready_ns`` for an ACT, PRE or REFpb (the
+bank's windows, the pseudo channel's CAS spacing, turnarounds, bus
+occupancy, tRRD and tFAW, and the channel's C/A slot).  A column is
+addressed by its transaction's flat bank index, and the loop asks the
+pseudo channel's rule (``PseudoChannel.column_ready_ns``) directly: it
+takes at most one column per pseudo channel and instant, so the column C/A
+slot, which binds only at the instant of the pseudo channel's last column,
+never binds at an ask.  The slots stay in the channel, the interface the
+pseudo channels share, and the channel checks them on every issue.  A pick
+is ``t >= ready``, and each command issues at once through
+``Channel.issue_column`` or ``Channel.issue``, which validate it against
+the full ready instant and raise before any state changes: a wrong
+decision raises instead of silently corrupting results.  Nothing changes
+while nothing issues, so after an instant that issues nothing the loop
+jumps to the earliest ready instant of an enabled head or of the refresh
+sweep (the latest of its target's deadline, or deadline plus slack, and
+its REFpb's or PRE's ready instant), or to the RAS layer's next instant
+under live faults (a scrub pass or a replay admission, run first at its
+instant as ``_step`` runs it).  The
 controller's ``next_event_ns`` is the same minimum
 (:meth:`FrFcfsScheduler.ready_ns` and the RAS layer's instant).
 
@@ -59,7 +66,8 @@ and no evaluation sweeps the channel with a tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Transaction
@@ -129,39 +137,24 @@ class FrFcfsScheduler:
             bank=bank,
         )
 
-    def update_write_drain(self, write_queue: RequestQueue) -> bool:
-        """Hysteretic switch into/out of write-drain mode."""
-        self._draining_writes = self._drain_step(
-            self._draining_writes, len(write_queue.entries),
-            write_queue.capacity)
-        return self._draining_writes
-
-    def _drain_step(self, draining: bool, occupancy: int, capacity: int) -> bool:
-        """Pure write-drain hysteresis step (shared with :meth:`ready_ns`,
-        which must not switch the mode)."""
-        if capacity == 0:
-            return False
-        fraction = occupancy / capacity
-        if not draining and fraction >= _WRITE_DRAIN_HIGH:
-            return True
-        if draining and fraction <= _WRITE_DRAIN_LOW:
-            return False
-        return draining
-
     def queue_priority(
         self, read_queue: RequestQueue, write_queue: RequestQueue
     ) -> Tuple[RequestQueue, ...]:
-        """The queues one evaluation serves, in priority order (updates the
-        drain hysteresis)."""
-        return self._served_queues(self.update_write_drain(write_queue),
-                                   read_queue, write_queue)
-
-    @staticmethod
-    def _served_queues(draining: bool, read_queue: RequestQueue,
-                       write_queue: RequestQueue) -> Tuple[RequestQueue, ...]:
-        """The queues served under the write-drain mode ``draining``, in
-        priority order: writes first while draining or when no read waits,
-        else reads alone."""
+        """The queues one evaluation serves, in priority order, after one
+        step of the write-drain hysteresis: writes first while draining or
+        when no read waits, else reads alone.  The one copy of the
+        hysteresis: draining starts at :data:`_WRITE_DRAIN_HIGH` of the
+        write queue's capacity and stops at :data:`_WRITE_DRAIN_LOW`."""
+        capacity = write_queue.capacity
+        if capacity:
+            fraction = len(write_queue.entries) / capacity
+            if self._draining_writes:
+                draining = fraction > _WRITE_DRAIN_LOW
+            else:
+                draining = fraction >= _WRITE_DRAIN_HIGH
+        else:
+            draining = False
+        self._draining_writes = draining
         if draining or not read_queue.entries:
             return (write_queue, read_queue)
         return (read_queue,)
@@ -212,16 +205,14 @@ class FrFcfsScheduler:
         and ``now`` (every candidate is a hit on the open row) -- never on
         the column or the request -- so a bank's younger hits are ready
         exactly when its oldest is, and each bank is tested once:
-        ``now >= Channel.column_ready_ns(...)``.
+        ``now >= Channel.column_ready_ns(bank_index, is_read)``.
         """
         column_ready = self.channel.column_ready_ns
         for queue in queues:
             entries = queue.entries
             for seq in queue.hit_heads:
                 transaction = entries[seq]
-                coord = transaction.coordinate
-                if now >= column_ready(coord.pseudo_channel, coord.stack_id,
-                                       coord.bank_group, coord.bank,
+                if now >= column_ready(transaction.bank_index,
                                        transaction.is_read):
                     return transaction
         return None
@@ -288,19 +279,25 @@ class FrFcfsScheduler:
         """The earliest instant any head of ``queues`` could issue,
         while no command issues: a hit head's RD or WR, a miss head's ACT,
         or its row-conflict PRE once the queue holds no hit to the open
-        row (until then the hit head goes first)."""
-        column_ready = self.channel.column_ready_ns
-        row_ready = self.channel.row_ready_ns
+        row (until then the hit head goes first).
+
+        A column's ready instant is its pseudo channel's: the channel's
+        column C/A slot binds only at an instant that issued a column, and
+        the instants this is asked for issued none (``controller.now`` is
+        past every issue)."""
+        channel = self.channel
+        bank_pcs = channel.bank_pcs
+        column_rules = [pc.column_ready_ns for pc in channel.pseudo_channels]
+        row_ready = channel.row_ready_ns
         act, pre = CommandKind.ACT, CommandKind.PRE
         best = None
         for queue in queues:
             entries = queue.entries
             for seq in queue.hit_heads:
                 transaction = entries[seq]
-                coord = transaction.coordinate
-                ready = column_ready(coord.pseudo_channel, coord.stack_id,
-                                     coord.bank_group, coord.bank,
-                                     transaction.is_read)
+                index = transaction.bank_index
+                ready = column_rules[bank_pcs[index]](index,
+                                                      transaction.is_read)
                 if best is None or ready < best:
                     best = ready
             for seq in queue.miss_heads:
@@ -351,11 +348,12 @@ class FrFcfsScheduler:
             head = backlog[0]
             if not (read_queue if head.is_read else write_queue).is_full:
                 return now
-        draining = self._drain_step(self._draining_writes,
-                                    write_queue.occupancy,
-                                    write_queue.capacity)
-        best = self._heads_ready_ns(
-            self._served_queues(draining, read_queue, write_queue))
+        # The queues the evaluation would serve; the mode itself switches
+        # only at an evaluation's refill.
+        draining = self._draining_writes
+        served = self.queue_priority(read_queue, write_queue)
+        self._draining_writes = draining
+        best = self._heads_ready_ns(served)
         sweep = self._sweep_ready_ns()
         if sweep is not None and (best is None or sweep < best):
             best = sweep
@@ -365,7 +363,8 @@ class FrFcfsScheduler:
 
     def plan_train(self, controller: ConventionalMemoryController,
                    target_ns: int,
-                   stop_when_idle: bool = False) -> Optional[int]:
+                   until: Optional[Callable[[], bool]] = None
+                   ) -> Optional[int]:
         """Run ``controller``'s event core from its ``now`` to ``target_ns``.
 
         The one decision loop (see the module docstring): every instant
@@ -379,7 +378,9 @@ class FrFcfsScheduler:
         pass or a replay admission, which ``_step`` runs first at its
         instant, as the loop does), and to ``target_ns`` when nothing is
         left.
-        With ``stop_when_idle`` it also stops after the instant that leaves
+        With ``until`` it also stops after the first column-issuing
+        instant after which ``until()`` holds (only a column completes a
+        request): ``run_until_idle`` stops after the instant that leaves
         no work pending, as the tick core's drain does.  It sets
         ``controller.now`` to the first instant it did not evaluate.
 
@@ -394,13 +395,18 @@ class FrFcfsScheduler:
         stats = controller.stats
         stats.evaluations += 1
         channel = self.channel
-        column_ready, row_ready = channel.column_ready_ns, channel.row_ready_ns
+        row_ready = channel.row_ready_ns
         act, pre = CommandKind.ACT, CommandKind.PRE
         # One column and one row command per pseudo channel and instant (a
         # refresh takes its PC's row slot): per PC, the last instant the
         # loop picked a column and a row command, so a PC that took its
-        # slot is skipped before asking the channel.
-        num_pcs = channel.config.num_pseudo_channels
+        # slot is skipped before asking for a ready instant.  So the
+        # channel's column C/A slot never binds at an ask, and a column
+        # asks its pseudo channel's rule directly, by the transaction's
+        # flat bank index; ``issue_column`` still checks the slot.
+        bank_pcs = channel.bank_pcs
+        column_rules = [pc.column_ready_ns for pc in channel.pseudo_channels]
+        num_pcs = len(column_rules)
         column_taken = [-1] * num_pcs
         row_taken = list(column_taken)
         # Per bank, the ready instant last found for its miss head's ACT or
@@ -410,9 +416,7 @@ class FrFcfsScheduler:
         row_not_before = [0] * (num_pcs * per_pc)
         unknown = [0] * per_pc
         rq, wq = controller.read_queue, controller.write_queue
-        backlog = controller._backlog
-        # The requests still outstanding (``controller._pending``).
-        pending = controller._pending_transactions
+        backlog, refill_queues = controller._backlog, controller._refill
         issue_column, issue = controller._issue_column, controller._issue
         traced = controller._obs is not None
         # Under active RAS, the instant its next scrub pass or replay is
@@ -437,9 +441,7 @@ class FrFcfsScheduler:
             if refill:
                 # Only a column frees queue room, so only then can a refill
                 # admit work (and move the write-drain hysteresis).
-                if backlog:
-                    controller._fill_queues()
-                served = self.queue_priority(rq, wq)
+                served = refill_queues()
                 refill = False
 
             # -- 1. refresh ------------------------------------------------
@@ -468,11 +470,10 @@ class FrFcfsScheduler:
                 entries = source.entries
                 for seq in source.hit_heads:
                     transaction = entries[seq]
-                    coord = transaction.coordinate
-                    pc = coord.pseudo_channel
-                    if column_taken[pc] != t and t >= column_ready(
-                            pc, coord.stack_id, coord.bank_group, coord.bank,
-                            transaction.is_read):
+                    index = transaction.bank_index
+                    pc = bank_pcs[index]
+                    if column_taken[pc] != t and t >= column_rules[pc](
+                            index, transaction.is_read):
                         picked.append((source, transaction))
                         column_taken[pc] = t
                         free -= 1
@@ -539,7 +540,7 @@ class FrFcfsScheduler:
                     refill = True
                     if ras is not None:
                         ras_at = ras.next_event_ns()
-                    if stop_when_idle and not pending:
+                    if until is not None and until():
                         break
                 if wake_sweep:
                     sweep_at = t

@@ -34,7 +34,8 @@ import enum
 import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Tuple)
 
 from repro.core.command_generator import CommandGenerator
 from repro.core.interface import RowRequest, RowRequestKind
@@ -591,8 +592,10 @@ class RoMeMemoryController:
                 wake = ras_wake
         return wake
 
-    def _advance(self, target_ns: int, stop_when_idle: bool = False) -> None:
-        """Event-driven advance to ``target_ns`` (or until drained).
+    def _advance(self, target_ns: int,
+                 until: Optional[Callable[[], bool]] = None) -> None:
+        """Event-driven advance to ``target_ns``, or until ``until()``
+        holds after an evaluation.
 
         Each iteration is one scheduler evaluation -- release, retire,
         fill, then refresh-before-data issue -- after which time jumps to
@@ -617,7 +620,7 @@ class RoMeMemoryController:
                 issued_data = self._try_issue_data(now)
             if (issued_refresh or issued_data) and self._obs is not None:
                 self._note_evaluation(now)
-            if stop_when_idle and not self._pending():
+            if until is not None and until():
                 self.now = now + 1
                 return
             if issued_refresh:
@@ -664,17 +667,29 @@ class RoMeMemoryController:
 
     def run_until_idle(self, max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                        event_driven: bool = True) -> int:
-        while self._pending():
-            if self.now >= max_ns:
-                raise RuntimeError("RoMe controller did not drain in time")
-            if event_driven:
-                self._advance(max_ns, stop_when_idle=True)
-            else:
-                self.tick()
-        # Let the final in-flight command complete.
+        """Run until no work is left (:meth:`run_until`), then to the end
+        of the last in-flight command; returns the end time."""
+        self.run_until(lambda: not self._pending(), max_ns, event_driven)
         self.now = max(
             self.now, max(tracker.busy_until for tracker in self._vbas.values())
         )
+        return self.now
+
+    def run_until(self, done: Callable[[], bool],
+                  max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
+                  event_driven: bool = True) -> int:
+        """Run until ``done()`` holds after an evaluation; returns the end
+        time, the instant after that evaluation.  Unlike
+        :meth:`run_until_idle` it does not wait for in-flight data: the
+        closed-loop driver waits for one iteration's requests this way
+        (a request completes when it issues)."""
+        while not done():
+            if self.now >= max_ns:
+                raise RuntimeError("RoMe controller did not drain in time")
+            if event_driven:
+                self._advance(max_ns, until=done)
+            else:
+                self.tick()
         return self.now
 
     def run_for(self, duration_ns: int, event_driven: bool = True) -> None:

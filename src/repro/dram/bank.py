@@ -11,8 +11,11 @@ instant its transient ends, and no controller issues an auto-precharging
 CAS (FR-FCFS is open-page), so no row closes by time passing alone.
 
 The windows are the bank's term of a command's ready instant, which
-:class:`~repro.dram.pseudochannel.PseudoChannel` states; the bank only
-applies what issues.
+:class:`~repro.dram.pseudochannel.PseudoChannel` states.  The bank
+applies the row commands that issue (:meth:`Bank.apply`); a RD or WR only
+moves its precharge window and counters, which the pseudo channel's
+column issue sets next to the column rule
+(:meth:`~repro.dram.pseudochannel.PseudoChannel.issue_column`).
 """
 
 from __future__ import annotations
@@ -92,20 +95,3 @@ class Bank:
             self.counters.refreshes += 1
         else:
             raise ValueError(f"Bank cannot accept command kind {kind.value}")
-
-    def apply_column(self, is_read: bool, now: int) -> None:
-        """Apply the effects of a RD (``is_read``) or WR at ``now``.
-
-        Does not validate: the pseudo channel checks the command against
-        its ready instant and the open row first.
-        """
-        timing = self.timing
-        # Read-to-precharge, or write recovery after the write data.
-        recovery = now + timing.tRTP if is_read \
-            else now + timing.tCWL + timing.burst_ns + timing.tWR
-        if recovery > self.next_pre:
-            self.next_pre = recovery
-        if is_read:
-            self.counters.reads += 1
-        else:
-            self.counters.writes += 1

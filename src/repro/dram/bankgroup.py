@@ -26,7 +26,9 @@ class BankGroup:
     banks: List[Bank] = field(default_factory=list)
 
     #: Time until which the shared BK-BUS (and I/O ctrl buffer) is
-    #: occupied (read by the scheduler's checks; :meth:`note_cas` sets it).
+    #: occupied: one core-frequency beat (tCCDL) past each column command
+    #: (a term of the pseudo channel's column rule; its column issue sets
+    #: it).
     bus_busy_until: int = 0
 
     def __post_init__(self) -> None:
@@ -40,13 +42,6 @@ class BankGroup:
 
     def bank(self, index: int) -> Bank:
         return self.banks[index]
-
-    def note_cas(self, now: int) -> None:
-        """Record a column command at ``now``: it occupies the BK-BUS for
-        one core-frequency beat (tCCDL)."""
-        busy_until = now + self.timing.tCCDL
-        if busy_until > self.bus_busy_until:
-            self.bus_busy_until = busy_until
 
     def total_counter(self, name: str) -> int:
         """Sum a named counter across all banks in the group."""

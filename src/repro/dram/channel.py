@@ -4,7 +4,24 @@ The channel models the shared command/address bus: in a given nanosecond one
 row command and one column command can be delivered (HBM defines separate row
 and column C/A pins, Section II-B), and the two pseudo channels contend for
 those pins.  The C/A slots are the channel's term of a command's ready
-instant (:meth:`Channel.column_ready_ns`, :meth:`Channel.row_ready_ns`).
+instant (:meth:`Channel.column_ready_ns`, :meth:`Channel.row_ready_ns`),
+and the issue methods check them before the pseudo channel validates the
+rest.
+
+The slots stay here, not in :class:`PseudoChannel`: they are the external
+interface the two pseudo channels share, and RoMe's in-die command
+expansion is checked against a pseudo channel alone
+(``CommandGenerator.validate_against_channel``), without them.  A slot
+binds only at an instant that already took a command on its pseudo
+channel, so a scheduler that issues at most one column per pseudo channel
+and instant (the conventional controller's decision loop) may ask
+:meth:`PseudoChannel.column_ready_ns` directly: for a pseudo channel whose
+last column went out before ``t``, ``t`` reaches that instant exactly when
+it reaches :meth:`Channel.column_ready_ns`.
+
+Columns are addressed by the flat bank index
+(:func:`~repro.dram.address.flat_bank_index`) their transactions carry;
+:attr:`Channel.bank_pcs` maps it to the pseudo channel.
 """
 
 from __future__ import annotations
@@ -12,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dram.address import flat_bank_index
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandKind
 from repro.dram.pseudochannel import PseudoChannel
@@ -62,9 +78,15 @@ class Channel:
             )
             for pc in range(config.num_pseudo_channels)
         ]
-        #: Every bank of the channel, in :func:`flat_bank_index` order.
+        #: Every bank of the channel, in
+        #: :func:`~repro.dram.address.flat_bank_index` order.
         self.banks: List[Bank] = [
             bank for pc in self.pseudo_channels for bank in pc.all_banks()
+        ]
+        #: Per flat bank index: the pseudo channel of the bank.
+        self.bank_pcs: List[int] = [
+            pc.pseudo_channel_id for pc in self.pseudo_channels
+            for _ in range(pc.num_banks)
         ]
         #: C/A bus occupancy: the last ns in which a row / column command
         #: was sent to each pseudo channel.  The two PCs share the physical
@@ -81,28 +103,27 @@ class Channel:
 
     def bank_index(self, pseudo_channel: int, stack_id: int, bank_group: int,
                    bank: int) -> int:
-        """Index of a bank in :attr:`banks` (:func:`flat_bank_index`)."""
-        config = self.config
-        return flat_bank_index(pseudo_channel, stack_id, bank_group, bank,
-                               config.num_stack_ids, config.num_bank_groups,
-                               config.banks_per_group)
+        """Index of a bank in :attr:`banks`
+        (:func:`~repro.dram.address.flat_bank_index`); ``IndexError`` for a
+        bank the channel does not have."""
+        return self.pseudo_channels[pseudo_channel].bank_index(
+            stack_id, bank_group, bank)
 
     # -------------------------------------------------------- ready instants
 
-    def column_ready_ns(self, pseudo_channel: int, stack_id: int,
-                        bank_group: int, bank: int,
+    def column_ready_ns(self, bank_index: int,
                         is_read: bool) -> Optional[int]:
-        """Earliest instant a RD (``is_read``) or WR to the open row of a
-        bank may issue (``None``: the bank is closed):
-        :meth:`PseudoChannel.column_ready_ns` and the next free column C/A
-        slot.  The one copy of the column rule, read by validation and by
-        the scheduler's picks and wake-ups; that the row is the open one
-        is a separate precondition."""
-        ready = self.pseudo_channels[pseudo_channel].column_ready_ns(
-            stack_id, bank_group, bank, is_read)
+        """Earliest instant a RD (``is_read``) or WR to the open row of
+        bank ``bank_index`` (:meth:`bank_index`) may issue (``None``: the
+        bank is closed): :meth:`PseudoChannel.column_ready_ns` and the next
+        free column C/A slot.  The one copy of the column rule, read by
+        validation and by the tick core's picks; that the row is the open
+        one is a separate precondition."""
+        pc = self.bank_pcs[bank_index]
+        ready = self.pseudo_channels[pc].column_ready_ns(bank_index, is_read)
         if ready is None:
             return None
-        slot = self.last_column_ca[pseudo_channel] + 1
+        slot = self.last_column_ca[pc] + 1
         return slot if slot > ready else ready
 
     def row_ready_ns(self, kind: CommandKind, pseudo_channel: int,
@@ -131,22 +152,21 @@ class Channel:
         return self.pseudo_channels[pc].can_issue(command, now) \
             and now > slots[pc]
 
-    def issue_column(self, pseudo_channel: int, kind: CommandKind,
-                     stack_id: int, bank_group: int, bank: int, row: int,
+    def issue_column(self, bank_index: int, kind: CommandKind, row: int,
                      now: int) -> None:
-        """Issue a RD or WR (``kind``) to ``row``, from plain ints.
+        """Issue a RD or WR (``kind``) to ``row`` of bank ``bank_index``
+        (:meth:`bank_index`).
 
         The one column path (:meth:`issue` delegates here).  It raises
         ``RuntimeError`` before any state change when the column C/A slot
         is busy or :meth:`PseudoChannel.issue_column` rejects the command.
         """
-        if now <= self.last_column_ca[pseudo_channel]:
+        pc = self.bank_pcs[bank_index]
+        if now <= self.last_column_ca[pc]:
             raise RuntimeError(
-                f"column C/A bus busy for {kind.label} on pc{pseudo_channel} "
-                f"at t={now}")
-        self.pseudo_channels[pseudo_channel].issue_column(
-            kind, stack_id, bank_group, bank, row, now)
-        self.last_column_ca[pseudo_channel] = now
+                f"column C/A bus busy for {kind.label} on pc{pc} at t={now}")
+        self.pseudo_channels[pc].issue_column(bank_index, kind, row, now)
+        self.last_column_ca[pc] = now
 
     def issue(self, command: Command, now: int) -> None:
         """Issue ``command``; ``RuntimeError`` before any state change when
@@ -154,9 +174,10 @@ class Channel:
         (columns: :meth:`issue_column`)."""
         kind = command.kind
         if kind.is_column:
-            self.issue_column(command.pseudo_channel, kind, command.stack_id,
-                              command.bank_group, command.bank, command.row,
-                              now)
+            self.issue_column(
+                self.bank_index(command.pseudo_channel, command.stack_id,
+                                command.bank_group, command.bank),
+                kind, command.row, now)
             return
         if now <= self.last_row_ca[command.pseudo_channel]:
             raise RuntimeError(f"C/A bus busy for {command} at t={now}")

@@ -31,9 +31,13 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 8 pickles the conventional controller with its per-direction
-data latencies and its observability recorders (``_data_latency``,
-``_record_bandwidth`` and the like).  Version 7, like it, pickles the
+Version 9 pickles each conventional pseudo channel with its table of
+banks by flat bank index (``banks_by_index``) and the channel with the
+pseudo channel of each flat bank index (``bank_pcs``), which address the
+column rule and the column issue.  Version 8, like it, pickles the
+conventional controller with its per-direction data latencies and its
+observability recorders (``_data_latency``, ``_record_bandwidth`` and the
+like).  Version 7, like it, pickles the
 queued RAS replays of both controllers, and their sequence counter, in
 the controller's :class:`~repro.reliability.ras.RasEngine`
 (``_replays``, ``_replay_seq``) instead of in the controller.  Version
@@ -57,7 +61,7 @@ were dataclass instances.  Version 2 queues were flat entry lists, and
 version 1 payloads also carried per-target refresh deadline dicts that
 the rotation-based trackers
 (:class:`repro.dram.refresh.RefreshRotation`, since version 2) never
-read.  All seven are rejected rather than restored into a silently
+read.  All eight are rejected rather than restored into a silently
 different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
@@ -88,7 +92,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import MemoryRequest, RequestKind
@@ -393,13 +393,15 @@ def _advance_until_complete(simulation: Simulation, controller: Any,
 
     :func:`_run_closed_loop` has already advanced to the iteration's
     cadence instant in one ``run_for``, so this loop only runs for an
-    iteration that overran its cadence (or the last one, which is not
-    sliced).  It steps to ``controller.next_event_ns()`` -- the same
-    instants the event core picks on its own -- so the advance trajectory
-    (and with it every launch decision) is a pure function of controller
-    state.  The cycle-exact controllers reach identical states at
-    identical instants under any advance slicing, and under the event and
-    lockstep cores, which keeps closed-loop results bit-identical.
+    iteration that overran its cadence (the last one runs to its
+    completion in one ``controller.run_until`` call instead).  It steps to
+    ``controller.next_event_ns()`` -- the same instants the event core
+    picks on its own -- so the advance trajectory (and with it every
+    launch decision) is a pure function of controller state; while the
+    controller can issue at once, that is one nanosecond at a time.  The
+    cycle-exact controllers reach identical states at identical instants
+    under any advance slicing, and under the event and lockstep cores,
+    which keeps closed-loop results bit-identical.
     """
     while any(request.completion_ns is None for request in requests):
         target = controller.next_event_ns()
@@ -413,6 +415,24 @@ def _advance_until_complete(simulation: Simulation, controller: Any,
                 f"deadline ({deadline_ns} ns)")
         simulation.run_for(target - simulation.now)
     return max(request.completion_ns for request in requests)
+
+
+def _completed(requests: Sequence[Any]) -> Callable[[], bool]:
+    """A predicate: whether every one of ``requests`` has completed.  It
+    skips the requests already found complete, so a wait of many calls
+    asks each request about once while they complete in order."""
+    waiting = [request for request in requests
+               if request.completion_ns is None]
+    checked = 0
+
+    def done() -> bool:
+        nonlocal checked
+        while checked < len(waiting) \
+                and waiting[checked].completion_ns is not None:
+            checked += 1
+        return checked == len(waiting)
+
+    return done
 
 
 def _run_closed_loop(spec: ScenarioSpec, *,
@@ -435,7 +455,14 @@ def _run_closed_loop(spec: ScenarioSpec, *,
     event by event (:func:`_advance_until_complete`) only past it, i.e.
     when the iteration overran its cadence.  The server's last iteration
     (:meth:`ClosedLoopServer.finishing`) is not sliced: advancing past its
-    completion would stretch ``end_ns`` and the bandwidth window.
+    completion would stretch ``end_ns`` and the bandwidth window.  No
+    launch follows it, so one ``controller.run_until`` call -- one call of
+    the event core -- runs to the instant after the one that completes
+    its requests, where stepping event by event would stop too; then
+    :meth:`ClosedLoopServer.finish_iteration` records it, and
+    ``controller.run_until_idle`` drains what is left (RAS replays, and
+    RoMe's in-flight data), exactly as after an iteration stepped to its
+    completion.
 
     ``plan`` overrides the scenario registry's serving plan -- the fleet
     layer replays *routed* arrival instants through the same loop, so a
@@ -471,15 +498,21 @@ def _run_closed_loop(spec: ScenarioSpec, *,
             issued.extend(fired)
             requests = [request for _, _, batch in fired
                         for request in batch]
-            if not server.finishing():
+            if server.finishing():
+                # The last iteration stops at its completion to keep
+                # ``end_ns``: one controller call runs to it.
+                controller.run_until(_completed(requests), deadline_ns,
+                                     event_driven=event_driven)
+                completion = max(request.completion_ns
+                                 for request in requests)
+            else:
                 # The next launch is never before the cadence instant, so
-                # reach it in one advance; the last
-                # iteration stops at its completion to keep ``end_ns``.
+                # reach it in one advance.
                 cadence = min(launch + interval, deadline_ns)
                 if cadence > simulation.now:
                     simulation.run_for(cadence - simulation.now)
-            completion = _advance_until_complete(simulation, controller,
-                                                 requests, deadline_ns)
+                completion = _advance_until_complete(
+                    simulation, controller, requests, deadline_ns)
         else:
             completion = launch
         server.finish_iteration(launch, completion)

@@ -63,9 +63,9 @@ def _checked(controller):
         checks["steps"] += 1
         return acted
 
-    def checked_loop(mc, target_ns, stop_when_idle=False):
+    def checked_loop(mc, target_ns, *stops):
         evaluations = mc.stats.evaluations
-        issued = loop(mc, target_ns, stop_when_idle)
+        issued = loop(mc, target_ns, *stops)
         _assert_machines_exact(controller)
         checks["loops"] += mc.stats.evaluations - evaluations
         return issued

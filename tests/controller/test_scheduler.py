@@ -34,10 +34,21 @@ def _issue_row(channel, command, now, *queues):
 
 
 def _issue_column(channel, transaction, now):
-    coord = transaction.coordinate
     kind = CommandKind.RD if transaction.is_read else CommandKind.WR
-    channel.issue_column(coord.pseudo_channel, kind, coord.stack_id,
-                         coord.bank_group, coord.bank, coord.row, now)
+    channel.issue_column(transaction.bank_index, kind,
+                         transaction.coordinate.row, now)
+
+
+def column_key(channel, bank_index, kind, row):
+    """The ``(kind, pc, stack ID, bank group, bank, row)`` key of a column
+    command ``Channel.issue_column`` takes by flat bank index, decoded
+    from the channel's geometry (the inverse of ``flat_bank_index``)."""
+    config = channel.config
+    rest, bank = divmod(bank_index, config.banks_per_group)
+    rest, bank_group = divmod(rest, config.num_bank_groups)
+    pc, sid = divmod(rest, config.num_stack_ids)
+    assert pc < config.num_pseudo_channels
+    return (kind, pc, sid, bank_group, bank, row)
 
 
 def test_row_command_issued_before_column_for_closed_row(setup):
@@ -183,15 +194,18 @@ def test_write_drain_hysteresis():
                                 write_queue_depth=8)
     )
     scheduler = mc.scheduler
-    write_queue = mc.write_queue
-    assert not scheduler.update_write_drain(write_queue)
+    read_queue, write_queue = mc.read_queue, mc.write_queue
+    assert mc._refill() == (write_queue, read_queue)
+    assert not scheduler._draining_writes
     request = MemoryRequest(kind=RequestKind.WRITE, address=0, size_bytes=8 * 32)
     mc.enqueue(request)
-    mc._fill_queues()
-    assert scheduler.update_write_drain(write_queue)  # above high watermark
+    mc._refill()
+    assert write_queue.occupancy == 8
+    assert scheduler._draining_writes  # above high watermark
     while write_queue.occupancy > 1:
         write_queue.remove(write_queue.oldest())
-    assert not scheduler.update_write_drain(write_queue)  # below low watermark
+    scheduler.queue_priority(read_queue, write_queue)
+    assert not scheduler._draining_writes  # below low watermark
 
 
 @pytest.mark.parametrize("draining, occupancy, expected", [
@@ -203,7 +217,14 @@ def test_write_drain_hysteresis():
 def test_write_drain_watermarks_are_three_quarters_and_one_quarter(
         setup, draining, occupancy, expected):
     channel, scheduler, mapping, queue = setup
-    assert scheduler._drain_step(draining, occupancy, capacity=8) is expected
+    write_queue = RequestQueue(capacity=8, num_banks=len(channel.banks))
+    for t in decompose(MemoryRequest(kind=RequestKind.WRITE, address=0,
+                                     size_bytes=occupancy * 32), mapping):
+        write_queue.push(t)
+    assert write_queue.occupancy == occupancy
+    scheduler._draining_writes = draining
+    scheduler.queue_priority(queue, write_queue)
+    assert scheduler._draining_writes is expected
 
 
 def test_refresh_decision_when_due(timing):
@@ -227,9 +248,9 @@ def _record_issues(mc):
         issued.append((now, _command_key(command)))
         issue(command, now)
 
-    def record_column(pc, kind, sid, bank_group, bank, row, now):
-        issued.append((now, (kind, pc, sid, bank_group, bank, row)))
-        issue_column(pc, kind, sid, bank_group, bank, row, now)
+    def record_column(bank_index, kind, row, now):
+        issued.append((now, column_key(channel, bank_index, kind, row)))
+        issue_column(bank_index, kind, row, now)
 
     channel.issue = record
     channel.issue_column = record_column
@@ -357,11 +378,13 @@ def test_pick_column_tests_a_blocked_bank_once(setup, timing):
     asked = []
     column_ready_ns = channel.column_ready_ns
 
-    def spy(pc, sid, bank_group, bank, is_read):
-        asked.append(bank_group)
-        return column_ready_ns(pc, sid, bank_group, bank, is_read)
+    def spy(bank_index, is_read):
+        asked.append(bank_index)
+        return column_ready_ns(bank_index, is_read)
 
     channel.column_ready_ns = spy
     picked = scheduler.pick_column([queue], now=timing.tRCDRD)
     assert picked is bank_b[0]
-    assert asked == [1, 0]
+    assert asked == [bank_a[0].bank_index, bank_b[0].bank_index]
+    assert [column_key(channel, index, None, None)[3] for index in asked] \
+        == [1, 0]

@@ -5,7 +5,8 @@ issued command moves (the bank's terms of the ready instants, which
 import pytest
 
 from repro.dram.bank import Bank
-from repro.dram.commands import CommandKind
+from repro.dram.commands import Command, CommandKind
+from repro.dram.pseudochannel import PseudoChannel
 
 
 @pytest.fixture
@@ -37,17 +38,25 @@ def test_activate_to_activate_respects_trc(bank, timing):
     assert bank.next_act == timing.tRC
 
 
-def test_read_pushes_out_precharge_by_trtp(bank, timing):
-    bank.apply(CommandKind.ACT, now=0, row=1)
+def _column(timing, kind, now):
+    """A one-bank pseudo channel after an ACT of row 1 at 0 and a ``kind``
+    column at ``now``: the column's effects on a bank are applied by the
+    pseudo channel's column issue.  Returns the bank."""
+    pc = PseudoChannel(timing=timing, num_bank_groups=1, banks_per_group=1)
+    pc.issue(Command(kind=CommandKind.ACT, row=1), now=0)
+    pc.issue(Command(kind=kind, row=1), now=now)
+    return pc.bank(0, 0)
+
+
+def test_read_pushes_out_precharge_by_trtp(timing):
     read_time = timing.tRAS  # late read
-    bank.apply_column(True, now=read_time)
+    bank = _column(timing, CommandKind.RD, read_time)
     assert bank.next_pre == read_time + timing.tRTP
 
 
-def test_write_recovery_delays_precharge(bank, timing):
-    bank.apply(CommandKind.ACT, now=0, row=1)
+def test_write_recovery_delays_precharge(timing):
     write_time = timing.tRCDWR
-    bank.apply_column(False, now=write_time)
+    bank = _column(timing, CommandKind.WR, write_time)
     assert bank.next_pre == \
         write_time + timing.tCWL + timing.burst_ns + timing.tWR
 
@@ -80,9 +89,8 @@ def test_commands_no_controller_issues_are_rejected(bank, timing, kind):
     assert (_windows(bank), bank.counters.as_dict()) == before
 
 
-def test_counters_track_events(bank, timing):
-    bank.apply(CommandKind.ACT, now=0, row=1)
-    bank.apply_column(True, now=timing.tRCDRD)
+def test_counters_track_events(timing):
+    bank = _column(timing, CommandKind.RD, timing.tRCDRD)
     bank.apply(CommandKind.PRE, now=timing.tRAS)
     counters = bank.counters.as_dict()
     assert counters["activates"] == 1

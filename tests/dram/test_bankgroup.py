@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dram.bankgroup import BankGroup
-from repro.dram.commands import CommandKind
+from repro.dram.commands import Command, CommandKind
+from repro.dram.pseudochannel import PseudoChannel
 
 
 @pytest.fixture
@@ -17,10 +18,15 @@ def test_group_creates_banks_with_matching_ids(group):
     assert [bank.bank_id for bank in group.banks] == [0, 1, 2, 3]
 
 
-def test_bus_reservation_blocks_for_tccdl(group, timing):
+def test_bus_reservation_blocks_for_tccdl(timing):
+    """A column occupies its bank group's BK-BUS for one tCCDL beat (the
+    pseudo channel's column issue reserves it)."""
+    pc = PseudoChannel(timing=timing, num_bank_groups=1, banks_per_group=1)
+    group = pc.stacks[0][0]
     assert group.bus_busy_until == 0
-    group.note_cas(0)
-    assert group.bus_busy_until == timing.tCCDL
+    pc.issue(Command(kind=CommandKind.ACT, row=0), now=0)
+    pc.issue(Command(kind=CommandKind.RD, row=0), now=timing.tRCDRD)
+    assert group.bus_busy_until == timing.tRCDRD + timing.tCCDL
 
 
 def test_total_counter_sums_across_banks(group, timing):

@@ -48,12 +48,25 @@ def test_row_and_column_buses_are_independent(channel, timing):
     channel.issue(act2, now=when)
 
 
-def test_issue_on_busy_ca_raises(channel):
+def test_issue_on_busy_ca_raises(channel, timing):
     act0 = Command(kind=CommandKind.ACT, pseudo_channel=0, bank_group=0, row=0)
     act1 = Command(kind=CommandKind.ACT, pseudo_channel=0, bank_group=1, row=0)
     channel.issue(act0, now=0)
     with pytest.raises(RuntimeError, match="C/A bus busy"):
         channel.issue(act1, now=0)
+    # The column slot: a second column to the pseudo channel in one ns
+    # raises at the channel, before the pseudo channel is asked.
+    channel.issue(act1, now=timing.tRRDS)
+    now = timing.tRRDS + timing.tCCDS + timing.tRCDRD
+    first, second = (channel.bank_index(0, 0, bank_group, 0)
+                     for bank_group in (0, 1))
+    channel.issue_column(first, CommandKind.RD, 0, now)
+    assert channel.pseudo_channels[0].column_ready_ns(second, True) \
+        == now + timing.tCCDS
+    before = _state(channel)
+    with pytest.raises(RuntimeError, match="column C/A bus busy"):
+        channel.issue_column(second, CommandKind.RD, 0, now)
+    assert _state(channel) == before
 
 
 def test_command_counts_aggregate_across_pcs(channel, timing):
@@ -123,13 +136,15 @@ def test_issue_column_rejects_before_changing_state(channel, timing, case):
         "tccdl": (0, CommandKind.RD, 0, 0, 0, 5, ready + timing.tCCDS),
     }[case]
     if case in ("busy-ca", "tccdl"):
-        channel.issue_column(0, CommandKind.RD, 0, 0, 0, 5, ready)
+        channel.issue_column(channel.bank_index(0, 0, 0, 0), CommandKind.RD,
+                             5, ready)
     assert timing.tCCDS < timing.tCCDL
     pc, kind, sid, bank_group, bank, row, now = rejected
     assert not channel.can_issue(
         Command(kind=kind, pseudo_channel=pc, stack_id=sid,
                 bank_group=bank_group, bank=bank, row=row), now)
-    ready_ns = channel.column_ready_ns(pc, sid, bank_group, bank, True)
+    index = channel.bank_index(pc, sid, bank_group, bank)
+    ready_ns = channel.column_ready_ns(index, True)
     if case == "closed":
         assert ready_ns is None
     elif case == "other-row":
@@ -138,7 +153,7 @@ def test_issue_column_rejects_before_changing_state(channel, timing, case):
         assert ready_ns > now
     before = _state(channel)
     with pytest.raises(RuntimeError):
-        channel.issue_column(*rejected)
+        channel.issue_column(index, kind, row, now)
     assert _state(channel) == before
 
 
@@ -150,7 +165,7 @@ def test_issue_column_equals_issue_of_the_same_command(timing, kind):
     _open_two_banks(by_ints, timing)
     by_command.issue(Command(kind=kind, pseudo_channel=0, bank_group=1,
                              row=5, column=3), now=ready)
-    by_ints.issue_column(0, kind, 0, 1, 0, 5, ready)
+    by_ints.issue_column(by_ints.bank_index(0, 0, 1, 0), kind, 5, ready)
     assert by_ints.command_counts() == by_command.command_counts()
     assert _state(by_ints) == _state(by_command)
 
@@ -160,10 +175,11 @@ def test_issue_column_rejects_an_auto_precharging_cas(channel, timing, kind):
     """RDA/WRA are not modeled: the channel raises ``ValueError`` naming
     the kind before any state changes, also when a RD/WR would issue."""
     ready = _open_two_banks(channel, timing) + timing.tRCDWR
-    assert channel.column_ready_ns(0, 0, 0, 0, kind.is_read) <= ready
+    index = channel.bank_index(0, 0, 0, 0)
+    assert channel.column_ready_ns(index, kind.is_read) <= ready
     before = _state(channel)
     with pytest.raises(ValueError, match=kind.value):
-        channel.issue_column(0, kind, 0, 0, 0, 5, ready)
+        channel.issue_column(index, kind, 5, ready)
     assert _state(channel) == before
 
 
@@ -201,22 +217,20 @@ _commands = st.tuples(st.sampled_from(_KINDS), st.integers(0, 1),
 
 def _ready_ns(channel, kind, pc, sid, bank_group, bank):
     if kind.is_column:
-        return channel.column_ready_ns(pc, sid, bank_group, bank,
-                                       kind.is_read)
+        return channel.column_ready_ns(
+            channel.bank_index(pc, sid, bank_group, bank), kind.is_read)
     return channel.row_ready_ns(kind, pc, sid, bank_group, bank)
 
 
-@settings(max_examples=150, deadline=None)
-@given(history=st.lists(st.tuples(_commands, st.integers(0, 40)),
-                        max_size=40),
-       probes=st.lists(_commands, min_size=1, max_size=8))
-def test_the_ready_instant_is_the_first_instant_validation_admits(history,
-                                                                  probes):
-    """After any legal device history, for every RD/WR/ACT/PRE/REFpb:
-    the ready instant is ``None`` exactly when the bank's row state rules
-    the command out; otherwise ``can_issue`` is false one ns before it and
-    true at it, and ``issue`` raises before it, changing nothing, and
-    issues at it.  A RD or WR to a row that is not open never issues."""
+#: A legal device history: commands with the delay past each one's ready
+#: instant at which it issues (one that is ruled out is skipped).
+_histories = st.lists(st.tuples(_commands, st.integers(0, 40)), max_size=40)
+
+
+def _replay(history, check=None):
+    """A two-PC, two-stack, 2x2-bank channel after issuing ``history``
+    (:data:`_histories`), calling ``check(channel)`` after each issue;
+    returns it and the last issue instant."""
     channel = Channel(ChannelConfig(timing=TimingParameters(),
                                     num_bank_groups=2, banks_per_group=2,
                                     num_stack_ids=2))
@@ -232,6 +246,22 @@ def test_the_ready_instant_is_the_first_instant_validation_admits(history,
         channel.issue(Command(kind=kind, pseudo_channel=pc, stack_id=sid,
                               bank_group=bank_group, bank=bank, row=row),
                       now)
+        if check is not None:
+            check(channel)
+    return channel, now
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=_histories,
+       probes=st.lists(_commands, min_size=1, max_size=8))
+def test_the_ready_instant_is_the_first_instant_validation_admits(history,
+                                                                  probes):
+    """After any legal device history, for every RD/WR/ACT/PRE/REFpb:
+    the ready instant is ``None`` exactly when the bank's row state rules
+    the command out; otherwise ``can_issue`` is false one ns before it and
+    true at it, and ``issue`` raises before it, changing nothing, and
+    issues at it.  A RD or WR to a row that is not open never issues."""
+    channel, now = _replay(history)
     for kind, pc, sid, bank_group, bank, row in probes:
         open_row = channel.pseudo_channels[pc].bank(bank_group, bank,
                                                     sid).open_row
@@ -254,3 +284,31 @@ def test_the_ready_instant_is_the_first_instant_validation_admits(history,
             channel.issue(command, ready - 1)
         assert _state(channel) == before
         copy.deepcopy(channel).issue(command, ready)
+
+
+def _column_slot_never_binds_past_the_last_column(channel):
+    for index, pc in enumerate(channel.bank_pcs):
+        after = channel.last_column_ca[pc] + 1
+        for is_read in (True, False):
+            by_channel = channel.column_ready_ns(index, is_read)
+            by_pc = channel.pseudo_channels[pc].column_ready_ns(index,
+                                                                is_read)
+            assert (by_channel is None) == (by_pc is None)
+            if by_pc is None:
+                continue
+            for t in {after, by_pc - 1, by_pc, by_channel - 1, by_channel}:
+                if t >= after:
+                    assert (t >= by_channel) == (t >= by_pc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=_histories)
+def test_past_the_last_column_the_pseudo_channel_rule_decides(history):
+    """After every issue of any legal device history, for every bank and
+    direction, and for a pseudo channel whose last column went out before
+    ``t``: ``t`` reaches the channel's column ready instant exactly when
+    it reaches the pseudo channel's (both ``None`` for a closed bank).
+    The column C/A slot binds only at the instant of the last column, so
+    a scheduler that takes one column per pseudo channel and instant may
+    ask the pseudo channel directly."""
+    _replay(history, check=_column_slot_never_binds_past_the_last_column)

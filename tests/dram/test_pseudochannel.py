@@ -25,13 +25,17 @@ def _act_ready(pc, bank_group, bank=0):
     return pc.row_ready_ns(CommandKind.ACT, 0, bank_group, bank)
 
 
+def _column_ready(pc, bank_group, is_read, bank=0):
+    return pc.column_ready_ns(pc.bank_index(0, bank_group, bank), is_read)
+
+
 def _ready(pc, bank_group=0, bank=0):
     """The bank's ready instants: ACT, PRE, REFpb, RD, WR."""
     return (pc.row_ready_ns(CommandKind.ACT, 0, bank_group, bank),
             pc.row_ready_ns(CommandKind.PRE, 0, bank_group, bank),
             pc.row_ready_ns(CommandKind.REFPB, 0, bank_group, bank),
-            pc.column_ready_ns(0, bank_group, bank, True),
-            pc.column_ready_ns(0, bank_group, bank, False))
+            _column_ready(pc, bank_group, True, bank),
+            _column_ready(pc, bank_group, False, bank))
 
 
 def test_structure_counts(pc):
@@ -85,8 +89,8 @@ def test_cas_spacing_same_vs_different_bank_group(pc, timing):
     pc.issue(_act(bank_group=1), now=timing.tRRDS)
     first_rd = timing.tRCDRD + timing.tRRDS
     pc.issue(_rd(bank_group=0), now=first_rd)
-    assert pc.column_ready_ns(0, 0, 0, True) == first_rd + timing.tCCDL
-    assert pc.column_ready_ns(0, 1, 0, True) == first_rd + timing.tCCDS
+    assert _column_ready(pc, 0, True) == first_rd + timing.tCCDL
+    assert _column_ready(pc, 1, True) == first_rd + timing.tCCDS
 
 
 def test_write_to_read_turnaround(pc, timing):
@@ -95,7 +99,7 @@ def test_write_to_read_turnaround(pc, timing):
     wr_time = timing.tRCDWR + timing.tRRDS
     pc.issue(Command(kind=CommandKind.WR, bank_group=0, row=0, column=0), now=wr_time)
     write_data_end = wr_time + timing.tCWL + timing.burst_ns
-    assert pc.column_ready_ns(0, 1, 0, True) == \
+    assert _column_ready(pc, 1, True) == \
         write_data_end + timing.tWTRS
 
 
@@ -104,7 +108,7 @@ def test_read_to_write_turnaround(pc, timing):
     pc.issue(_act(bank_group=1), now=timing.tRRDS)
     rd_time = timing.tRCDRD + timing.tRRDS
     pc.issue(_rd(bank_group=0), now=rd_time)
-    assert pc.column_ready_ns(0, 1, 0, False) == rd_time + timing.tRTW
+    assert _column_ready(pc, 1, False) == rd_time + timing.tRTW
 
 
 def test_a_column_to_another_row_never_issues(pc, timing):
@@ -112,7 +116,7 @@ def test_a_column_to_another_row_never_issues(pc, timing):
     bank is ruled out by the row state, however late."""
     pc.issue(_act(bank_group=0, row=1), now=0)
     late = 10 * timing.tRC
-    assert pc.column_ready_ns(0, 0, 0, True) == timing.tRCDRD
+    assert _column_ready(pc, 0, True) == timing.tRCDRD
     assert pc.can_issue(_rd(row=1), now=late)
     assert not pc.can_issue(_rd(row=2), now=late)
     with pytest.raises(RuntimeError, match="cannot issue"):

@@ -182,7 +182,7 @@ class TestCheckpointFormat:
         # without its data latencies and obs recorders).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 8, 7, 6, 5, 4, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,

@@ -28,6 +28,7 @@ from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
 from repro.sim.traces import mixed_trace, random_trace, streaming_trace
+from tests.controller.test_scheduler import column_key
 
 
 # --------------------------------------------------------------------- RoMe
@@ -366,10 +367,10 @@ def _record_channel_issues(controller):
         issued.setdefault(now, []).append(_command_key(command))
         issue(command, now)
 
-    def record_column(pc, kind, sid, bank_group, bank, row, now):
+    def record_column(bank_index, kind, row, now):
         issued.setdefault(now, []).append(
-            (kind, pc, sid, bank_group, bank, row))
-        issue_column(pc, kind, sid, bank_group, bank, row, now)
+            column_key(channel, bank_index, kind, row))
+        issue_column(bank_index, kind, row, now)
 
     def record_serve(transaction, now):
         served.setdefault(now, []).append(transaction)

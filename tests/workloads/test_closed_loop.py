@@ -392,6 +392,59 @@ class TestClosedLoopDeterminism:
             run_workload(_spec(scenario="streaming-drain"))
 
 
+# ------------------------------------------------- the last iteration
+
+
+class TestLastIterationDrain:
+    """The server's last iteration is drained by one
+    ``controller.run_until_idle`` call, which stops right after the
+    instant that completes it; earlier iterations that overrun their
+    cadence still step to ``next_event_ns``."""
+
+    def test_a_rate_probe_advances_the_engine_23_times(self, monkeypatch):
+        """One ``sustainable_rate_spec("hbm4")`` probe: one ``run_for``
+        per launch and cadence instant, none of them a 1 ns step (the
+        last iteration used to take 142 advances, 141 of them shorter
+        than 8 ns, one per instant that issued a command)."""
+        from repro.sim.bench import sustainable_rate_spec
+        from repro.sim.engine import Simulation
+
+        advances = []
+        run_for = Simulation.run_for
+
+        def record(simulation, duration_ns):
+            advances.append(duration_ns)
+            return run_for(simulation, duration_ns)
+
+        monkeypatch.setattr(Simulation, "run_for", record)
+        result = run_workload(sustainable_rate_spec("hbm4"))
+        assert len(advances) == 23
+        assert min(advances) >= 8
+        assert result.end_ns == 36_940
+
+    @pytest.mark.parametrize("system", ["hbm4", "rome"])
+    def test_event_and_lockstep_agree_with_live_faults_and_obs(self,
+                                                               system):
+        """With live faults and obs on, the event core's drain of the
+        last iteration ends where the lockstep core's ticks end: the same
+        ``end_ns``, server records and result (trace, metrics and RAS
+        counters included)."""
+        spec = _spec(system=system,
+                     obs=ObsConfig(trace=True, metrics=True),
+                     reliability=ReliabilityConfig(
+                         seed=11, transient_ber=2e-4, retention_ber=4e-5,
+                         hard_row_rate=0.5, scrub_interval_ns=1_000,
+                         retry_backoff_ns=7))
+        runs = [driver._run_closed_loop(spec, event_driven=event_driven)
+                for event_driven in (True, False)]
+        (event, event_server), (lockstep, lockstep_server) = runs
+        assert event.end_ns == lockstep.end_ns
+        assert event_server.records == lockstep_server.records
+        assert event == lockstep
+        assert event.reliability.retries_scheduled > 0
+        assert event.trace.events and event.metrics.names()
+
+
 # --------------------------------------------------------------- bisection
 
 
