@@ -24,6 +24,7 @@ from collections import deque
 from repro.controller.queues import RequestQueue
 from repro.controller.request import (
     MemoryRequest,
+    RequestCursor,
     RequestKind,
     Transaction,
     decompose,
@@ -160,9 +161,15 @@ class ConventionalMemoryController:
         self.read_queue = RequestQueue(self.config.read_queue_depth, num_banks)
         self.write_queue = RequestQueue(self.config.write_queue_depth,
                                         num_banks)
-        #: Host-side backlog: transactions waiting for queue space. Models
-        #: the limited look-ahead a finite CAM provides.
+        #: Host-side backlog: built transactions waiting for queue space,
+        #: oldest first -- RAS replays, then the window last built from
+        #: the head request cursor.  Models the limited look-ahead a
+        #: finite CAM provides.
         self._backlog: Deque[Transaction] = deque()
+        #: Requests whose blocks are not built into transactions yet, in
+        #: arrival order behind the backlog, and their unbuilt blocks.
+        self._cursors: Deque[RequestCursor] = deque()
+        self._unbuilt_blocks = 0
         refresh_engines: List[RefreshEngine] = []
         if self.config.enable_refresh:
             refresh_engines = [
@@ -219,30 +226,49 @@ class ConventionalMemoryController:
     # -------------------------------------------------------------- enqueue
 
     def enqueue(self, request: MemoryRequest) -> None:
-        """Accept a host request and split it into DRAM transactions."""
-        transactions = decompose(request, self.mapping)
-        if not transactions:
+        """Accept a host request: book its blocks as its pending
+        transactions and queue a :class:`RequestCursor` over them behind
+        earlier work.  Its transactions are built a window at a time as
+        the queues take them (:meth:`_refill`).
+
+        Once RAS has offlined a bank, a request is decomposed at once
+        instead, behind every earlier block, so that each transaction's
+        re-striping is decided at its arrival.
+        """
+        first, count = self.mapping.block_span(request.address,
+                                               request.size_bytes)
+        if not count:
             request.completion_ns = request.arrival_ns
             return
         self._requests[request.request_id] = request
-        self._pending_transactions[request.request_id] = len(transactions)
-        remap = self._ras_active and bool(self.ras.offline)
-        for transaction in transactions:
-            if remap:
-                # Graceful degradation: re-stripe transactions aimed at
-                # an offlined bank across the healthy ones (in-flight and
-                # queued work drains where it is).
-                coord = transaction.coordinate
-                key = (coord.pseudo_channel, coord.stack_id,
-                       coord.bank_group, coord.bank)
-                target = self.ras.remap(key, coord.row)
-                if target != key:
-                    coord = coord._replace(
-                        pseudo_channel=target[0], stack_id=target[1],
-                        bank_group=target[2], bank=target[3])
-                    transaction.coordinate = coord
-                    transaction.bank_index = self.mapping.bank_index(coord)
-            self._backlog.append(transaction)
+        self._pending_transactions[request.request_id] = count
+        if not (self._ras_active and self.ras.offline):
+            self._cursors.append(RequestCursor(
+                request, request.is_read, first, first + count))
+            self._unbuilt_blocks += count
+            return
+        backlog, mapping = self._backlog, self.mapping
+        for cursor in self._cursors:
+            backlog.extend(decompose(cursor.request, mapping,
+                                     cursor.next_block,
+                                     cursor.end_block - cursor.next_block))
+        self._cursors.clear()
+        self._unbuilt_blocks = 0
+        for transaction in decompose(request, mapping, first, count):
+            # Graceful degradation: re-stripe transactions aimed at an
+            # offlined bank across the healthy ones (in-flight and queued
+            # work drains where it is).
+            coord = transaction.coordinate
+            key = (coord.pseudo_channel, coord.stack_id, coord.bank_group,
+                   coord.bank)
+            target = self.ras.remap(key, coord.row)
+            if target != key:
+                coord = coord._replace(
+                    pseudo_channel=target[0], stack_id=target[1],
+                    bank_group=target[2], bank=target[3])
+                transaction.coordinate = coord
+                transaction.bank_index = mapping.bank_index(coord)
+            backlog.append(transaction)
 
     # ---------------------------------------------------------------- RAS
 
@@ -269,18 +295,49 @@ class ConventionalMemoryController:
 
     def _refill(self) -> Tuple[RequestQueue, ...]:
         """Admit backlog entries, oldest first, while the head's queue has
-        room, then step the write-drain hysteresis; returns the queues an
-        evaluation serves, in priority order
-        (:meth:`FrFcfsScheduler.queue_priority`).  ``_step`` and the event
-        core's loop call it once per refill."""
+        room, building the head cursor's next window whenever the built
+        backlog runs dry (:meth:`_build_window`), then step the
+        write-drain hysteresis; returns the queues an evaluation serves,
+        in priority order (:meth:`FrFcfsScheduler.queue_priority`).
+        ``_step`` and the event core's loop call it once per refill.
+
+        Admission order is block order within a request and arrival order
+        across requests, with replays first, however the blocks fall into
+        windows."""
         backlog = self._backlog
         read_queue, write_queue = self.read_queue, self.write_queue
-        while backlog:
-            queue = read_queue if backlog[0].is_read else write_queue
-            if len(queue.entries) >= queue.capacity:
+        while True:
+            while backlog:
+                queue = read_queue if backlog[0].is_read else write_queue
+                if len(queue.entries) >= queue.capacity:
+                    break
+                queue.push(backlog.popleft())
+            if backlog or not self._cursors or not self._build_window():
                 break
-            queue.push(backlog.popleft())
         return self.scheduler.queue_priority(read_queue, write_queue)
+
+    def _build_window(self) -> bool:
+        """Build the head cursor's next window of transactions into the
+        empty backlog if the cursor's queue has room; returns whether it
+        did.  A window is at most one queue depth of blocks, so the
+        controller holds at most that many built transactions beyond its
+        queues (RAS replays and the offlined-bank path of :meth:`enqueue`
+        aside)."""
+        cursor = self._cursors[0]
+        queue = self.read_queue if cursor.is_read else self.write_queue
+        depth = queue.capacity
+        if len(queue.entries) >= depth:
+            return False
+        first = cursor.next_block
+        count = min(depth, cursor.end_block - first)
+        self._backlog.extend(decompose(cursor.request, self.mapping, first,
+                                       count))
+        self._unbuilt_blocks -= count
+        if first + count == cursor.end_block:
+            self._cursors.popleft()
+        else:
+            cursor.next_block = first + count
+        return True
 
     # ------------------------------------------------------------------ tick
 
@@ -355,7 +412,8 @@ class ConventionalMemoryController:
             record = self._record_queue_depth = obs.recorder(
                 "controller.queue_depth", "gauge")
         record(now, len(self.read_queue.entries)
-               + len(self.write_queue.entries) + len(self._backlog))
+               + len(self.write_queue.entries) + len(self._backlog)
+               + self._unbuilt_blocks)
 
     def tick(self) -> None:
         """Advance the controller by one nanosecond (legacy tick core)."""
@@ -388,8 +446,6 @@ class ConventionalMemoryController:
                 coord.row, now, transaction.request.retry_attempt, obs)
             if delay is not None:
                 self._schedule_retry(transaction, data_ns + delay)
-        transaction.served = True
-        transaction.data_ready_ns = data_ns
         request = transaction.request
         pending = self._pending_transactions
         remaining = pending[request.request_id] - 1
@@ -456,16 +512,19 @@ class ConventionalMemoryController:
         """The first instant at which an evaluation could change state.
 
         The earliest instant an evaluation could issue a command
-        (:meth:`FrFcfsScheduler.ready_ns`: ``now`` itself when backlog
-        entries wait for queue room that is free, else the earliest ready
+        (:meth:`FrFcfsScheduler.ready_ns`: ``now`` itself when the next
+        admission, a built transaction or a cursor's next block, finds
+        room in its queue, else the earliest ready
         instant of the heads and the refresh sweep), or, under active RAS,
         the instant the RAS layer admits a replay or runs a scrub pass
         (:meth:`RasEngine.next_event_ns`).  It may be ``now`` or earlier
         when the controller can act at once; no command can issue strictly
         before it.
         """
+        backlog, cursors = self._backlog, self._cursors
+        head = backlog[0] if backlog else cursors[0] if cursors else None
         best = self.scheduler.ready_ns(self.read_queue, self.write_queue,
-                                       self._backlog, self.now)
+                                       head, self.now)
         if self._ras_active:
             candidate = self.ras.next_event_ns()
             if candidate is not None and (best is None or candidate < best):
@@ -475,11 +534,12 @@ class ConventionalMemoryController:
     def _pending(self) -> bool:
         """Whether any accepted request is still outstanding.
 
-        Every backlogged, queued or replayed transaction's request is
-        booked in ``_pending_transactions`` until its last column issues
-        (:meth:`enqueue`, and :meth:`_schedule_retry` when a replay is
-        scheduled), so the booking alone answers; a request of no
-        transactions completes on arrival and is never booked.
+        Every request with blocks not yet built, backlogged, queued or
+        replayed is booked in ``_pending_transactions`` with the count of
+        those blocks until its last column issues (:meth:`enqueue`, and
+        :meth:`_schedule_retry` when a replay is scheduled), so the
+        booking alone answers; a request of no blocks completes on
+        arrival and is never booked.
         """
         return bool(self._pending_transactions)
 

@@ -1,9 +1,16 @@
-"""Host-side memory requests and transactions.
+"""Host-side memory requests, request cursors and transactions.
 
 A host request arrives at the memory controller as a read or write of
 ``size_bytes`` at a physical address.  The controller's address mapping unit
 splits it into one DRAM transaction per access-granularity block (32 B for the
 HBM4 baseline, 4 KB for RoMe).
+
+The conventional controller does not split a request on arrival: it keeps a
+:class:`RequestCursor` (the request, its direction, its next block and its
+end block) and builds the transactions of the next window of blocks with
+:func:`decompose` only as its queues are about to take them.  A multi-KB
+transfer therefore holds Python objects for at most one window of blocks
+beyond the queues, not for every 32 B block it still has to move.
 """
 
 from __future__ import annotations
@@ -60,8 +67,7 @@ class Transaction:
     identical coordinates are still distinct queue entries.
 
     For the baseline controller a 4 KB host request decomposes into 128
-    32-byte transactions; for RoMe it maps to a single row-granularity
-    transaction.
+    32-byte transactions, built a window at a time (:func:`decompose`).
 
     ``is_read`` and ``bank_index`` (the flat index of the target bank,
     :meth:`AddressMapping.bank_index`) are set at construction, so the
@@ -75,27 +81,49 @@ class Transaction:
     arrival_ns: int
     is_read: bool
     bank_index: int
-    served: bool = False
-    data_ready_ns: Optional[int] = None
 
     @property
     def is_write(self) -> bool:
         return not self.is_read
 
 
-def decompose(request: MemoryRequest, mapping: AddressMapping) -> List[Transaction]:
-    """Split ``request`` into per-block transactions using ``mapping``.
+@dataclass(eq=False, slots=True)
+class RequestCursor:
+    """The blocks of a request whose transactions are not built yet.
+
+    Plain data, so a checkpoint pickles it as it is: the ``request``, its
+    direction (``is_read``, read where a queue is chosen for the next
+    admission), and the block numbers (``address // granularity_bytes``)
+    of its next unbuilt block and of the block past its last one.
+    """
+
+    request: MemoryRequest
+    is_read: bool
+    next_block: int
+    end_block: int
+
+
+def decompose(request: MemoryRequest, mapping: AddressMapping,
+              first: Optional[int] = None,
+              count: Optional[int] = None) -> List[Transaction]:
+    """Build the transactions of ``count`` blocks of ``request`` from
+    block number ``first`` on; by default, of every block it touches
+    (:meth:`AddressMapping.block_span`).
 
     Each call builds fresh :class:`Transaction` queue entries that carry
     the request's kind and arrival time, a chunk of blocks at a time
     (:meth:`AddressMapping.range_chunks`).
     """
+    if first is None:
+        first, count = mapping.block_span(request.address,
+                                          request.size_bytes)
+    granularity = mapping.granularity_bytes
     repeat = itertools.repeat
-    owner, size_bytes = repeat(request), repeat(mapping.granularity_bytes)
+    owner, size_bytes = repeat(request), repeat(granularity)
     arrival_ns, is_read = repeat(request.arrival_ns), repeat(request.is_read)
     transactions: List[Transaction] = []
     for coordinates, bank_indices in mapping.range_chunks(
-            request.address, request.size_bytes):
+            first * granularity, count * granularity):
         transactions.extend(map(Transaction, owner, coordinates, size_bytes,
                                 arrival_ns, is_read, bank_indices))
     return transactions

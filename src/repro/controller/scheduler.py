@@ -16,13 +16,15 @@ device timestamp for the next wake pays almost the tick core's price.
 instead.  It walks the instants of an advance on the live state -- the
 channel's banks and pseudo channels, the request queues' bank machines and
 the refresh engines -- in ``_step``'s order: the refill (only after a column
-freed queue room; one controller call, ``_refill``, admits backlog work and
-steps the write-drain hysteresis), the refresh sweep, the column picks from
-the hit heads and the row picks from the miss heads.  Each device rule is
-one ready instant, stated once by the channel: ``Channel.column_ready_ns``
-for a RD or WR and ``Channel.row_ready_ns`` for an ACT, PRE or REFpb (the
-bank's windows, the pseudo channel's CAS spacing, turnarounds, bus
-occupancy, tRRD and tFAW, and the channel's C/A slot).  A column is
+freed queue room; one controller call, ``_refill``, admits backlog work,
+building the next window of a request's transactions when the built
+backlog runs dry, and steps the write-drain hysteresis), the refresh
+sweep, the column picks from the hit heads and the row picks from the miss
+heads.  Each device rule is one ready instant, stated once by the channel:
+``Channel.column_ready_ns`` for a RD or WR and ``Channel.row_ready_ns``
+for an ACT, PRE or REFpb (the bank's windows, the pseudo channel's CAS
+spacing, turnarounds, bus occupancy, tRRD and tFAW, and the channel's C/A
+slot).  A column is
 addressed by its transaction's flat bank index, and the loop asks the
 pseudo channel's rule (``PseudoChannel.column_ready_ns``) directly: it
 takes at most one column per pseudo channel and instant, so the column C/A
@@ -67,10 +69,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.controller.queues import RequestQueue
-from repro.controller.request import Transaction
+from repro.controller.request import RequestCursor, Transaction
 from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandKind
 from repro.dram.refresh import RefreshEngine, RefreshTarget
@@ -333,21 +335,23 @@ class FrFcfsScheduler:
         return None if wake is None else max(t + 1, wake)
 
     def ready_ns(self, read_queue: RequestQueue, write_queue: RequestQueue,
-                 backlog: Sequence[Transaction], now: int) -> Optional[int]:
+                 head: Optional[Union[Transaction, RequestCursor]],
+                 now: int) -> Optional[int]:
         """The first instant from ``now`` on at which a per-instant
         evaluation could issue a command, while none issues; ``None`` if no
         evaluation ever would.
 
-        ``now`` itself when the evaluation would admit a backlog entry (it
-        may be ready at once); else the earliest ready instant of the heads
-        the write-drain mode would enable and of the refresh sweep.  Every
+        ``head`` is the controller's next admission: its first built
+        backlog entry, else its first request cursor, else ``None``.
+        ``now`` itself when the evaluation would admit it (it may be ready
+        at once); else the earliest ready instant of the heads the
+        write-drain mode would enable and of the refresh sweep.  Every
         ready instant is exact: an evaluation there issues, and none
         issues before.
         """
-        if backlog:
-            head = backlog[0]
-            if not (read_queue if head.is_read else write_queue).is_full:
-                return now
+        if head is not None and not (
+                read_queue if head.is_read else write_queue).is_full:
+            return now
         # The queues the evaluation would serve; the mode itself switches
         # only at an evaluation's refill.
         draining = self._draining_writes
@@ -440,7 +444,9 @@ class FrFcfsScheduler:
                 refill = True
             if refill:
                 # Only a column frees queue room, so only then can a refill
-                # admit work (and move the write-drain hysteresis).
+                # admit work, building a request cursor's next window when
+                # the built backlog runs dry (and move the write-drain
+                # hysteresis).
                 served = refill_queues()
                 refill = False
 

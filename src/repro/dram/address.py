@@ -187,6 +187,18 @@ class AddressMapping:
             coordinates for coordinates, _ in self.range_chunks(
                 address, size_bytes)))
 
+    def block_span(self, address: int, size_bytes: int) -> Tuple[int, int]:
+        """The first block number (``address // granularity_bytes``) and
+        the number of blocks ``[address, +size)`` touches; no blocks when
+        ``size_bytes <= 0``."""
+        if size_bytes <= 0:
+            return 0, 0
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        granularity = self.granularity_bytes
+        first = address // granularity
+        return first, (address + size_bytes - 1) // granularity - first + 1
+
     def range_chunks(self, address: int, size_bytes: int
                      ) -> Iterator[Tuple[Iterator[DramCoordinate],
                                          Iterator[int]]]:
@@ -203,13 +215,7 @@ class AddressMapping:
         call per block.  The slow digits wrap past the capacity as
         :meth:`decode` wraps.
         """
-        if size_bytes <= 0:
-            return
-        if address < 0:
-            raise ValueError("address must be non-negative")
-        granularity = self.granularity_bytes
-        first = address // granularity
-        count = (address + size_bytes - 1) // granularity - first + 1
+        first, count = self.block_span(address, size_bytes)
         sizes, weights = self._sizes, self._bank_weights
         low, digits, terms = _low_period(sizes, weights)
         high_sizes, high_weights = sizes[low:], weights[low:]

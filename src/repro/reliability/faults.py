@@ -132,12 +132,16 @@ class FaultDraw:
 
 class DeviceFaultModel:
     """Stateless fault source; all state lives in the frozen config (the
-    per-kind hashers derive from it, and a pickle carries the config
-    alone)."""
+    per-kind hashers and the memos of the time-independent draws derive
+    from it, and a pickle carries the config alone)."""
 
     def __init__(self, config: ReliabilityConfig) -> None:
         self.config = config
         self._hashers: Dict[str, "hashlib._Hash"] = {}
+        # The sticky draws depend on their key alone, so each key is drawn
+        # once: a drain rereads the same few rows thousands of times.
+        self._weak_banks: Dict[Tuple[object, ...], bool] = {}
+        self._hard_rows: Dict[Tuple[Tuple[object, ...], int], bool] = {}
 
     def __getstate__(self) -> Dict[str, ReliabilityConfig]:
         return {"config": self.config}
@@ -182,17 +186,23 @@ class DeviceFaultModel:
     # ----------------------------------------------------- fault draws
     def bank_is_weak(self, bank: Tuple[object, ...]) -> bool:
         """Sticky whole-bank defect: time-independent draw per bank."""
-        rate = self.config.hard_bank_rate
-        return rate > 0.0 and self._uniform(
-            DeviceFaultKind.HARD_BANK.value, *bank) < rate
+        weak = self._weak_banks.get(bank)
+        if weak is None:
+            rate = self.config.hard_bank_rate
+            weak = self._weak_banks[bank] = rate > 0.0 and self._uniform(
+                DeviceFaultKind.HARD_BANK.value, *bank) < rate
+        return weak
 
     def row_is_hard(self, bank: Tuple[object, ...], row: int) -> bool:
         """Sticky row defect (true also for every row of a weak bank)."""
-        rate = self.config.hard_row_rate
-        if rate > 0.0 and self._uniform(
-                DeviceFaultKind.HARD_ROW.value, *bank, row) < rate:
-            return True
-        return self.bank_is_weak(bank)
+        key = (bank, row)
+        hard = self._hard_rows.get(key)
+        if hard is None:
+            rate = self.config.hard_row_rate
+            hard = self._hard_rows[key] = (rate > 0.0 and self._uniform(
+                DeviceFaultKind.HARD_ROW.value, *bank, row) < rate) \
+                or self.bank_is_weak(bank)
+        return hard
 
     def draw(self, bank: Tuple[object, ...], row: int, now_ns: int,
              since_refresh_ns: int, codeword_bits: int,

@@ -31,13 +31,18 @@ or bit-rotted file fails loudly as :class:`CheckpointError`, never as a
 subtly wrong simulation).  On-disk files add a magic header so stray
 files are rejected before any unpickling happens.
 
-Version 9 pickles each conventional pseudo channel with its table of
-banks by flat bank index (``banks_by_index``) and the channel with the
-pseudo channel of each flat bank index (``bank_pcs``), which address the
-column rule and the column issue.  Version 8, like it, pickles the
-conventional controller with its per-direction data latencies and its
-observability recorders (``_data_latency``, ``_record_bandwidth`` and the
-like).  Version 7, like it, pickles the
+Version 10 pickles the conventional controller's unbuilt work as request
+cursors (:class:`repro.controller.request.RequestCursor`: the request, its
+direction, its next and end block numbers, all plain data) behind a
+backlog that holds at most one window of built transactions besides RAS
+replays, and its transactions without ``served`` and ``data_ready_ns``
+fields.  Version 9, like it, pickles each conventional pseudo channel
+with its table of banks by flat bank index (``banks_by_index``) and the
+channel with the pseudo channel of each flat bank index (``bank_pcs``),
+which address the column rule and the column issue.  Version 8, like
+it, pickles the conventional controller with its per-direction data
+latencies and its observability recorders (``_data_latency``,
+``_record_bandwidth`` and the like).  Version 7, like it, pickles the
 queued RAS replays of both controllers, and their sequence counter, in
 the controller's :class:`~repro.reliability.ras.RasEngine`
 (``_replays``, ``_replay_seq``) instead of in the controller.  Version
@@ -61,7 +66,7 @@ were dataclass instances.  Version 2 queues were flat entry lists, and
 version 1 payloads also carried per-target refresh deadline dicts that
 the rotation-based trackers
 (:class:`repro.dram.refresh.RefreshRotation`, since version 2) never
-read.  All eight are rejected rather than restored into a silently
+read.  All nine are rejected rather than restored into a silently
 different state.
 
 Only load checkpoint files you wrote yourself: like any pickle-based
@@ -92,7 +97,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

@@ -235,12 +235,18 @@ def test_ras_remap_moves_the_bank_index_with_the_coordinate():
 
 
 def _outstanding(mc):
-    """Per request id, its transactions waiting in the backlog, in either
-    queue or in the RAS layer's replay queue."""
+    """Per request id, its blocks not yet built (a request cursor's
+    remaining blocks) and its transactions waiting in the backlog, in
+    either queue or in the RAS layer's replay queue."""
     replays = [entry[2] for entry in mc.ras._replays]
-    return Counter(transaction.request.request_id
-                   for transaction in itertools.chain(
-                       mc._backlog, mc.read_queue, mc.write_queue, replays))
+    outstanding = Counter(transaction.request.request_id
+                          for transaction in itertools.chain(
+                              mc._backlog, mc.read_queue, mc.write_queue,
+                              replays))
+    for cursor in mc._cursors:
+        outstanding[cursor.request.request_id] += \
+            cursor.end_block - cursor.next_block
+    return outstanding
 
 
 @pytest.mark.parametrize("event_driven", [False, True], ids=["tick", "event"])

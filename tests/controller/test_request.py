@@ -51,11 +51,11 @@ def test_decompose_builds_fresh_transactions_on_every_call():
     request = MemoryRequest(kind=RequestKind.READ, address=4096,
                             size_bytes=4096)
     first = decompose(request, mapping)
-    first[0].served = True
+    first[0].bank_index = -1
     second = decompose(request, mapping)
     assert [t.coordinate for t in first] == [t.coordinate for t in second]
     assert all(a is not b for a, b in zip(first, second))
-    assert not any(t.served for t in second)
+    assert second[0].bank_index == mapping.bank_index(second[0].coordinate)
 
 
 @pytest.mark.parametrize("kind", list(RequestKind))
@@ -98,6 +98,41 @@ def test_decompose_matches_the_per_block_reference(data):
         assert transaction.size_bytes == granularity
         assert transaction.arrival_ns == request.arrival_ns
         assert transaction.is_read == request.is_read
-        assert not transaction.served and transaction.data_ready_ns is None
     again = decompose(request, mapping)
     assert len({id(t) for t in transactions + again}) == 2 * len(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_windows_build_the_whole_decomposition_in_order(data):
+    """Windows of consecutive blocks, as the controller builds them from a
+    request cursor, build the transactions of the whole request, block for
+    block; ``block_span`` gives its first block and block count."""
+    mapping = data.draw(chunked_mappings())
+    address, size_bytes = data.draw(ranges_near_the_wrap(mapping))
+    request = MemoryRequest(kind=data.draw(st.sampled_from(list(RequestKind))),
+                            address=address, size_bytes=size_bytes)
+    first, count = mapping.block_span(address, size_bytes)
+    granularity = mapping.granularity_bytes
+    assert first == address // granularity
+    assert count == (address + size_bytes - 1) // granularity - first + 1
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+    bounds = [0] + cuts + [count]
+    windows = [transaction for start, end in zip(bounds, bounds[1:])
+               for transaction in decompose(request, mapping, first + start,
+                                            end - start)]
+    whole = decompose(request, mapping)
+
+    def fields(transaction):
+        return (transaction.request, transaction.coordinate,
+                transaction.size_bytes, transaction.arrival_ns,
+                transaction.is_read, transaction.bank_index)
+
+    assert list(map(fields, windows)) == list(map(fields, whole))
+
+
+def test_a_request_of_no_bytes_spans_no_blocks():
+    mapping = baseline_hbm4_mapping(num_channels=2)
+    assert mapping.block_span(64, 0) == (0, 0)
+    request = MemoryRequest(kind=RequestKind.READ, address=64, size_bytes=0)
+    assert decompose(request, mapping) == []

@@ -135,6 +135,39 @@ class TestHardFaults:
         for row in range(16):
             assert model.row_is_hard(BANK, row)
 
+    def test_sticky_draws_are_drawn_once_per_key(self, monkeypatch):
+        """The time-independent draws are memoized per key: a repeat asks
+        no digest and gives the first draw, each the draw of its own key,
+        and the memo stays out of the pickle, which carries the config
+        alone."""
+        config = ReliabilityConfig(seed=5, hard_row_rate=0.3,
+                                   hard_bank_rate=0.3)
+        model = DeviceFaultModel(config)
+        banks = [(0, 0, bank_group, bank) for bank_group in range(4)
+                 for bank in range(4)]
+        first = [(model.bank_is_weak(bank), model.row_is_hard(bank, row))
+                 for bank in banks for row in range(8)]
+        pristine = pickle.dumps(DeviceFaultModel(config))
+        assert pickle.dumps(model) == pristine
+
+        def no_draw(*args):
+            raise AssertionError("a memoized draw hashed again")
+
+        monkeypatch.setattr(model, "_uniform", no_draw)
+        assert [(model.bank_is_weak(bank), model.row_is_hard(bank, row))
+                for bank in banks for row in range(8)] == first
+        uniform = DeviceFaultModel(config)._uniform
+        weak_banks = {
+            bank: uniform(DeviceFaultKind.HARD_BANK.value, *bank) < 0.3
+            for bank in banks}
+        assert first == [
+            (weak_banks[bank], weak_banks[bank] or uniform(
+                DeviceFaultKind.HARD_ROW.value, *bank, row) < 0.3)
+            for bank in banks for row in range(8)]
+        assert any(weak for weak, _ in first)
+        assert any(hard for _, hard in first)
+        assert not all(hard for _, hard in first)
+
 
 class TestRetentionScaling:
     def test_retention_mean_grows_with_time_since_refresh(self):

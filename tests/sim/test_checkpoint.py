@@ -30,7 +30,8 @@ from repro.sim.checkpoint import (
     snapshot_controller,
 )
 from repro.sim.engine import Simulation
-from repro.sim.traces import streaming_trace
+from repro.reliability import ReliabilityConfig
+from repro.sim.traces import mixed_trace, streaming_trace
 from repro.workloads.driver import (
     checkpoint_workload,
     resume_workload,
@@ -155,6 +156,67 @@ class TestControllerBitIdentity:
         assert observed.stats == baseline.stats
 
 
+def _transfers(reliability=None):
+    """A conventional controller holding 8 KiB transfers (four windows of
+    a 64-deep queue each), a quarter of them writes."""
+    controller = ConventionalMemoryController(
+        ControllerConfig(num_stack_ids=1), reliability=reliability)
+    for request in mixed_trace(64 * 1024, request_bytes=8192,
+                               write_fraction=0.25, seed=3):
+        controller.enqueue(request)
+    return controller
+
+
+def _mid_transfer(controller, replays):
+    """Whether ``controller`` is in the middle of a transfer: its head
+    request cursor is partly consumed, a window of it is built in the
+    backlog and, with ``replays``, RAS replays wait to be admitted."""
+    cursors, backlog = controller._cursors, controller._backlog
+    return bool(cursors) and any(
+        transaction.request is cursors[0].request for transaction in backlog
+    ) and (not replays or controller.ras.pending_replays > 0)
+
+
+class TestMidTransferCut:
+    """A cut with a request half built -- its cursor partly consumed and a
+    window of its transactions waiting for queue room -- resumes as the
+    uninterrupted run, on either core, with live faults and queued
+    replays too."""
+
+    @pytest.mark.parametrize("event_driven", [False, True],
+                             ids=["tick", "event"])
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["clean", "live-faults"])
+    def test_restore_resumes_as_the_uninterrupted_drain(self, event_driven,
+                                                        faulty):
+        reliability = ReliabilityConfig(
+            seed=11, transient_ber=2e-4, retention_ber=4e-5,
+            hard_row_rate=0.5, retry_backoff_ns=7) if faulty else None
+        baseline = _transfers(reliability)
+        end_ns = baseline.run_until_idle(event_driven=event_driven)
+
+        cut = _transfers(reliability)
+        while not _mid_transfer(cut, replays=faulty):
+            if event_driven:
+                cut.advance_to(cut.now + 1)
+            else:
+                cut.tick()
+        assert 0 < cut.now < end_ns
+        checkpoint = snapshot_controller(cut)
+        restored = restore_controller(checkpoint)
+        assert _mid_transfer(restored, replays=faulty)
+        assert restored.run_until_idle(event_driven=event_driven) == end_ns
+        assert restored.stats == baseline.stats
+        assert restored.channel.command_counts() == \
+            baseline.channel.command_counts()
+        if faulty:
+            assert restored.ras.stats == baseline.ras.stats
+            assert baseline.ras.stats.recovered_reads > 0
+        # The cut source, run on, agrees too: the snapshot took nothing.
+        assert cut.run_until_idle(event_driven=event_driven) == end_ns
+        assert cut.stats == baseline.stats
+
+
 class TestCheckpointFormat:
     def test_snapshot_kind_and_version(self):
         checkpoint = snapshot_controller(_loaded_rome())
@@ -182,7 +244,7 @@ class TestCheckpointFormat:
         # without its data latencies and obs recorders).
         for checkpoint in (snapshot_controller(_loaded_rome()),
                            snapshot_controller(_loaded_conventional())):
-            for version in (CHECKPOINT_VERSION + 1, 8, 7, 6, 5, 4, 3, 2, 1):
+            for version in (CHECKPOINT_VERSION + 1, 9, 8, 7, 6, 5, 4, 3, 2, 1):
                 stale = Checkpoint(version=version, kind=checkpoint.kind,
                                    now_ns=checkpoint.now_ns,
                                    payload=checkpoint.payload,

@@ -476,8 +476,7 @@ def test_event_core_serves_a_hit_behind_an_older_miss_as_the_steps_do():
             for older in queue:
                 if older is transaction:
                     break
-                if older.bank_index == transaction.bank_index \
-                        and not older.served:
+                if older.bank_index == transaction.bank_index:
                     behind.append(now)
                     break
             issue_column(transaction, now)
