@@ -59,15 +59,17 @@ def main() -> None:
     # Run the same workload halfway, then snapshot everything to disk.
     cut_ns = uninterrupted.horizon_ns // 2
     checkpoint = checkpoint_workload(spec, at_ns=cut_ns)
-    path = os.path.join(tempfile.mkdtemp(prefix="rome-ckpt-"), "demo.ckpt")
-    save_checkpoint(checkpoint, path)
-    print(f"checkpointed at {cut_ns} ns "
-          f"({os.path.getsize(path)} bytes on disk): {path}")
+    with tempfile.TemporaryDirectory(prefix="rome-ckpt-") as directory:
+        path = os.path.join(directory, "demo.ckpt")
+        save_checkpoint(checkpoint, path)
+        print(f"checkpointed at {cut_ns} ns "
+              f"({os.path.getsize(path)} bytes on disk): {path}")
 
-    # Simulate the kill: drop every live object.  Only the file survives.
-    del checkpoint
+        # Simulate the kill: drop every live object.  Only the file
+        # survives.
+        del checkpoint
 
-    resumed = resume_workload(load_checkpoint(path))
+        resumed = resume_workload(load_checkpoint(path))
     print(f"resumed run:       {resumed.summary()}")
 
     assert resumed == uninterrupted, "resume diverged from the uninterrupted run"

@@ -37,6 +37,7 @@ from repro.dram.commands import Command, CommandKind
 from repro.dram.energy import EnergyCounters
 from repro.dram.refresh import RefreshEngine
 from repro.dram.timing import TimingParameters
+from repro.drive import Driven
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
     # repro.core.ecc, whose package __init__ imports the RoMe controller,
@@ -134,7 +135,7 @@ class ControllerStats:
         }
 
 
-class ConventionalMemoryController:
+class ConventionalMemoryController(Driven):
     """The baseline (HBM4) memory controller for one channel."""
 
     def __init__(
@@ -415,11 +416,6 @@ class ConventionalMemoryController:
                + len(self.write_queue.entries) + len(self._backlog)
                + self._unbuilt_blocks)
 
-    def tick(self) -> None:
-        """Advance the controller by one nanosecond (legacy tick core)."""
-        self._step(self.now)
-        self.now += 1
-
     def _issue_column(self, transaction: Transaction, now: int) -> None:
         """Issue the RD or WR that serves ``transaction`` and book it
         served (shared by ``_step`` and the event core's loop so they
@@ -543,10 +539,10 @@ class ConventionalMemoryController:
         """
         return bool(self._pending_transactions)
 
-    def _advance(self, target_ns: int,
-                 until: Optional[Callable[[], bool]] = None) -> None:
-        """Event-driven advance to ``target_ns``, or until ``until()``
-        holds (:meth:`FrFcfsScheduler.plan_train`).
+    def advance_to(self, target_ns: int,
+                   until: Optional[Callable[[], bool]] = None) -> None:
+        """The event core: advance to ``target_ns``, or until ``until()``
+        holds (:class:`~repro.drive.Driven`).
 
         Scheduling decisions are purely a function of (time, state), and
         state only changes when a command issues, so the event core
@@ -560,49 +556,14 @@ class ConventionalMemoryController:
         """
         self.scheduler.plan_train(self, target_ns, until)
 
-    def advance_to(self, target_ns: int) -> None:
-        """Advance to ``target_ns`` exactly, skipping event-free spans."""
-        self._advance(target_ns)
-
     # ------------------------------------------------------------------ run
 
     def run_until_idle(self, max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                        event_driven: bool = True) -> int:
         """Run until all accepted requests have completed; returns end time
-        (:meth:`run_until`)."""
+        (:meth:`~repro.drive.Driven.run_until`)."""
         pending = self._pending_transactions
         return self.run_until(lambda: not pending, max_ns, event_driven)
-
-    def run_until(self, done: Callable[[], bool],
-                  max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
-                  event_driven: bool = True) -> int:
-        """Run until ``done()`` holds; returns the end time, the instant
-        after the one that made it hold.
-
-        ``done`` may only change when a column issues (a column completes
-        a request), so it is asked after each instant that issued one.
-        The closed-loop driver waits for one iteration's requests this
-        way, which may complete before other work (RAS replays) drains.
-        """
-        while not done():
-            if self.now >= max_ns:
-                raise RuntimeError(
-                    f"controller did not drain within {max_ns} ns; "
-                    f"{len(self._pending_transactions)} requests outstanding"
-                )
-            if event_driven:
-                self._advance(max_ns, until=done)
-            else:
-                self.tick()
-        return self.now
-
-    def run_for(self, duration_ns: int, event_driven: bool = True) -> None:
-        end = self.now + duration_ns
-        if event_driven:
-            self.advance_to(end)
-        else:
-            while self.now < end:
-                self.tick()
 
     # ---------------------------------------------------------------- stats
 

@@ -16,12 +16,13 @@ accumulated here for energy accounting.
 
 Simulation core
 ---------------
-The controller exposes two cycle-exact execution modes:
+The controller exposes two cycle-exact execution modes, driven through
+the shared drive layer (:class:`repro.drive.Driven`):
 
-* the legacy 1-ns core (:meth:`RoMeMemoryController.tick`), which performs one
-  scheduling evaluation per nanosecond, and
-* the event-driven core (:meth:`RoMeMemoryController.advance_to` /
-  :meth:`RoMeMemoryController.next_event_ns`), which computes the next
+* the tick core, which evaluates :meth:`RoMeMemoryController._step` once
+  per nanosecond, and
+* the event core (:meth:`RoMeMemoryController.advance_to`), which
+  evaluates an instant with the same ``_step``, then computes the next
   *interesting* timestamp (VBA release, data-bus free, command-gap expiry,
   in-flight completion, refresh deadline/criticality) and jumps straight to
   it.  Both cores produce identical statistics; the event core is what the
@@ -45,6 +46,7 @@ from repro.core.virtual_bank import VirtualBankConfig, paper_vba_config
 from repro.defaults import DEFAULT_DRAIN_HORIZON_NS
 from repro.dram.energy import EnergyCounters
 from repro.dram.timing import TimingParameters
+from repro.drive import Driven
 from repro.latency import LatencyAccumulator
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.reliability pulls
@@ -149,7 +151,7 @@ class _VbaTracker:
         return now >= self.busy_until
 
 
-class RoMeMemoryController:
+class RoMeMemoryController(Driven):
     """Row-granularity memory controller for one RoMe channel."""
 
     def __init__(self, config: Optional[RoMeControllerConfig] = None,
@@ -518,20 +520,27 @@ class RoMeMemoryController:
             if request.completion_ns is None or now < request.completion_ns
         )
 
-    def _step(self, now: int) -> bool:
-        """One scheduling evaluation at ``now``; True if a command issued."""
+    def _step(self, now: int) -> Tuple[bool, Optional[int]]:
+        """One scheduling evaluation at ``now``: release, retire, fill,
+        then refresh before data.
+
+        Returns what the event core's jump needs: whether a refresh
+        issued, and the refresh path's wake hint when it did not
+        (:meth:`_try_issue_refresh`).  A data issue needs no result of
+        its own: the jump recomputes the queue-side bound after it
+        (:meth:`_data_wake`).
+        """
         self.stats.evaluations += 1
         if self._ras_active:
             self.ras.admit_due(now, self._backlog)
         self._release_finished(now)
         self._retire_completed(now)
         self._fill_queue()
-        issued, _ = self._try_issue_refresh(now)
-        if not issued:
-            issued = self._try_issue_data(now)
+        issued_refresh, refresh_hint = self._try_issue_refresh(now)
+        issued = issued_refresh or self._try_issue_data(now)
         if issued and self._obs is not None:
             self._note_evaluation(now)
-        return issued
+        return issued_refresh, refresh_hint
 
     def _note_evaluation(self, now: int) -> None:
         """Obs hook for one decision-bearing scheduler evaluation.
@@ -549,11 +558,6 @@ class RoMeMemoryController:
         obs.count(now, "controller.evaluations")
         obs.gauge(now, "controller.queue_depth",
                   len(self.queue) + len(self._backlog))
-
-    def tick(self) -> None:
-        """Advance the controller by one nanosecond (legacy tick core)."""
-        self._step(self.now)
-        self.now += 1
 
     # ------------------------------------------------------- event-driven core
 
@@ -592,34 +596,21 @@ class RoMeMemoryController:
                 wake = ras_wake
         return wake
 
-    def _advance(self, target_ns: int,
-                 until: Optional[Callable[[], bool]] = None) -> None:
-        """Event-driven advance to ``target_ns``, or until ``until()``
-        holds after an evaluation.
+    def advance_to(self, target_ns: int,
+                   until: Optional[Callable[[], bool]] = None) -> None:
+        """The event core: advance to ``target_ns``, or until ``until()``
+        holds after an evaluation (:class:`~repro.drive.Driven`).
 
-        Each iteration is one scheduler evaluation -- release, retire,
-        fill, then refresh-before-data issue -- after which time jumps to
-        the earliest instant anything could change (:meth:`_data_wake`,
-        the refresh hint and deadline, RAS wake-ups), clamped to
-        ``target_ns`` so externally scheduled arrivals land cycle-exactly.
+        Each iteration is one scheduler evaluation (:meth:`_step`), after
+        which time jumps to the earliest instant anything could change
+        (:meth:`_data_wake`, the refresh hint and deadline, RAS wake-ups),
+        clamped to ``target_ns`` so externally scheduled arrivals land
+        cycle-exactly.
         """
         ras = self.ras if self._ras_active else None
         while self.now < target_ns:
             now = self.now
-            if ras is not None:
-                ras.admit_due(now, self._backlog)
-            self._release_finished(now)
-            self._retire_completed(now)
-            self._fill_queue()
-            self.stats.evaluations += 1
-            issued_refresh, refresh_hint = self._try_issue_refresh(now)
-            issued_data = False
-            if not issued_refresh:
-                # A data issue needs no special-casing here: the post-step
-                # ``_data_wake`` recomputation below already reflects it.
-                issued_data = self._try_issue_data(now)
-            if (issued_refresh or issued_data) and self._obs is not None:
-                self._note_evaluation(now)
+            issued_refresh, refresh_hint = self._step(now)
             if until is not None and until():
                 self.now = now + 1
                 return
@@ -659,46 +650,18 @@ class RoMeMemoryController:
                 self._fill_queue()
             self.now = jump
 
-    def advance_to(self, target_ns: int) -> None:
-        """Advance to ``target_ns`` exactly, skipping event-free spans."""
-        self._advance(target_ns)
-
     # ------------------------------------------------------------------- run
 
     def run_until_idle(self, max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
                        event_driven: bool = True) -> int:
-        """Run until no work is left (:meth:`run_until`), then to the end
-        of the last in-flight command; returns the end time."""
+        """Run until no work is left
+        (:meth:`~repro.drive.Driven.run_until`), then to the end of the
+        last in-flight command; returns the end time."""
         self.run_until(lambda: not self._pending(), max_ns, event_driven)
         self.now = max(
             self.now, max(tracker.busy_until for tracker in self._vbas.values())
         )
         return self.now
-
-    def run_until(self, done: Callable[[], bool],
-                  max_ns: int = DEFAULT_DRAIN_HORIZON_NS,
-                  event_driven: bool = True) -> int:
-        """Run until ``done()`` holds after an evaluation; returns the end
-        time, the instant after that evaluation.  Unlike
-        :meth:`run_until_idle` it does not wait for in-flight data: the
-        closed-loop driver waits for one iteration's requests this way
-        (a request completes when it issues)."""
-        while not done():
-            if self.now >= max_ns:
-                raise RuntimeError("RoMe controller did not drain in time")
-            if event_driven:
-                self._advance(max_ns, until=done)
-            else:
-                self.tick()
-        return self.now
-
-    def run_for(self, duration_ns: int, event_driven: bool = True) -> None:
-        end = self.now + duration_ns
-        if event_driven:
-            self.advance_to(end)
-        else:
-            while self.now < end:
-                self.tick()
 
     # ----------------------------------------------------------------- stats
 

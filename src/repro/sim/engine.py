@@ -8,53 +8,29 @@ wrappers use.
 
 Execution model
 ---------------
-By default the engine is *event-driven*: controllers expose
-``advance_to(target_ns)`` and ``next_event_ns()`` (see
-:class:`EventDriven`), and the engine advances every controller straight
-to the next scheduled arrival (or the end of the run), letting each one
-skip its own event-free spans, instead of ticking every nanosecond.  Both
-memory controllers in this tree implement the protocol cycle-exactly, so
-results are identical to lockstep ticking, only orders of magnitude faster
-on sparse timelines.
+By default the engine is *event-driven*: it advances every controller
+straight to the next scheduled arrival, or to the end of the run, with one
+``advance_to(target_ns)`` call each, and each controller skips its own
+event-free spans inside that call (the event core of the shared drive
+layer, :class:`repro.drive.Driven`).  Both memory controllers are
+cycle-exact under any such slicing, so results are identical to lockstep
+ticking, only orders of magnitude faster on sparse timelines.
 
 Request arrivals over time are modelled with :meth:`Simulation.at`, which
 schedules a callback at an absolute timestamp; the engine guarantees the
 callback runs before any controller evaluates that instant.
 
-Two legacy escape hatches force per-nanosecond lockstep stepping: passing an
-``on_cycle`` hook (which by contract must run every nanosecond), or driving
-controllers that only implement ``tick()``.
+Passing an ``on_cycle`` hook (which by contract must run every nanosecond)
+forces per-nanosecond lockstep stepping with each controller's ``tick()``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-
-class Tickable(Protocol):
-    """Anything that advances one nanosecond at a time."""
-
-    now: int
-
-    def tick(self) -> None:  # pragma: no cover - protocol definition
-        ...
-
-
-class EventDriven(Protocol):
-    """A tickable that can also jump across event-free spans."""
-
-    now: int
-
-    def tick(self) -> None:  # pragma: no cover - protocol definition
-        ...
-
-    def advance_to(self, target_ns: int) -> None:  # pragma: no cover
-        ...
-
-    def next_event_ns(self) -> Optional[int]:  # pragma: no cover
-        ...
+from repro.drive import Driven
 
 
 @dataclass
@@ -64,9 +40,7 @@ class Simulation:
     Parameters
     ----------
     controllers:
-        The per-channel controllers to drive.  If every one implements
-        the :class:`EventDriven` protocol the engine time-skips;
-        otherwise it falls back to 1-ns lockstep.
+        The per-channel controllers to drive.
     on_cycle:
         Optional per-nanosecond hook (forces lockstep); prefer
         :meth:`at` for injecting requests at known arrival times.
@@ -80,7 +54,7 @@ class Simulation:
     frozen seed oracle in ``tests/sim/test_event_equivalence.py``).
     """
 
-    controllers: Sequence[Tickable]
+    controllers: Sequence[Driven]
     #: Called once per nanosecond before the controllers tick.  Setting this
     #: forces legacy lockstep stepping; prefer :meth:`at` for injecting
     #: requests at known arrival times.
@@ -163,14 +137,6 @@ class Simulation:
 
     # ------------------------------------------------------------- stepping
 
-    def _lockstep_required(self) -> bool:
-        if self.on_cycle is not None:
-            return True
-        return any(
-            not (hasattr(c, "advance_to") and hasattr(c, "next_event_ns"))
-            for c in self.controllers
-        )
-
     def step(self) -> None:
         """Advance every controller by exactly one nanosecond (lockstep)."""
         self._fire_due()
@@ -191,7 +157,7 @@ class Simulation:
         cycle-exactly before any controller evaluates that instant.
         """
         end = self.now + duration_ns
-        if self._lockstep_required():
+        if self.on_cycle is not None:
             while self.now < end:
                 self.step()
             return self.now

@@ -66,7 +66,7 @@ Two levels of parallelism are offered:
 * :func:`run_system_until_idle_result` -- shard the per-channel
   *controllers* of one multi-channel memory system through the same
   executor (the controllers are independent between arrival points; the
-  engine's ``advance_to``/``next_event_ns`` protocol is the cut point).
+  controllers' ``advance_to`` event core is the cut point).
 """
 
 from __future__ import annotations

@@ -385,38 +385,6 @@ def _collect_result(spec: ScenarioSpec, transfers: int, horizon_ns: int,
 # -------------------------------------------------------------- closed loop
 
 
-def _advance_until_complete(simulation: Simulation, controller: Any,
-                            requests: Sequence[Any],
-                            deadline_ns: int) -> int:
-    """Advance until every request of one iteration has completed; return
-    the iteration's completion instant (the closed-loop launch gate).
-
-    :func:`_run_closed_loop` has already advanced to the iteration's
-    cadence instant in one ``run_for``, so this loop only runs for an
-    iteration that overran its cadence (the last one runs to its
-    completion in one ``controller.run_until`` call instead).  It steps to
-    ``controller.next_event_ns()`` -- the same instants the event core
-    picks on its own -- so the advance trajectory (and with it every
-    launch decision) is a pure function of controller state; while the
-    controller can issue at once, that is one nanosecond at a time.  The
-    cycle-exact controllers reach identical states at identical instants
-    under any advance slicing, and under the event and lockstep cores,
-    which keeps closed-loop results bit-identical.
-    """
-    while any(request.completion_ns is None for request in requests):
-        target = controller.next_event_ns()
-        if target is None or target <= simulation.now:
-            # No stored future constraint: the controller has fresh work
-            # to evaluate (advance_to performs it), so step one instant.
-            target = simulation.now + 1
-        if target > deadline_ns:
-            raise RuntimeError(
-                f"closed-loop iteration still incomplete at the drain "
-                f"deadline ({deadline_ns} ns)")
-        simulation.run_for(target - simulation.now)
-    return max(request.completion_ns for request in requests)
-
-
 def _completed(requests: Sequence[Any]) -> Callable[[], bool]:
     """A predicate: whether every one of ``requests`` has completed.  It
     skips the requests already found complete, so a wait of many calls
@@ -449,20 +417,20 @@ def _run_closed_loop(spec: ScenarioSpec, *,
     launch gates on ``max(accelerator cadence, completion)``.  Returns
     the result plus the server, whose per-request records tests inspect.
 
-    Cadence slicing: since no launch comes before ``launch +
+    One wait: since no launch comes before ``launch +
     iteration_interval_ns``, the driver first reaches that instant in one
-    ``run_for`` -- one call of the event core, however busy -- and steps
-    event by event (:func:`_advance_until_complete`) only past it, i.e.
-    when the iteration overran its cadence.  The server's last iteration
-    (:meth:`ClosedLoopServer.finishing`) is not sliced: advancing past its
-    completion would stretch ``end_ns`` and the bandwidth window.  No
-    launch follows it, so one ``controller.run_until`` call -- one call of
-    the event core -- runs to the instant after the one that completes
-    its requests, where stepping event by event would stop too; then
-    :meth:`ClosedLoopServer.finish_iteration` records it, and
+    ``run_for`` -- one call of the event core, however busy -- and then
+    waits for the iteration's requests in one ``controller.run_until``
+    call.  That call returns at once unless the iteration overran its
+    cadence; then it stops at the instant after the one that completes
+    them.
+    The server's last iteration (:meth:`ClosedLoopServer.finishing`)
+    skips the cadence advance: advancing past its completion would
+    stretch ``end_ns`` and the bandwidth window.  No arrival is pending
+    during a wait (each launch fires at registration), so the engine
+    clock then just takes the controller's.  After the last iteration,
     ``controller.run_until_idle`` drains what is left (RAS replays, and
-    RoMe's in-flight data), exactly as after an iteration stepped to its
-    completion.
+    RoMe's in-flight data).
 
     ``plan`` overrides the scenario registry's serving plan -- the fleet
     layer replays *routed* arrival instants through the same loop, so a
@@ -498,21 +466,17 @@ def _run_closed_loop(spec: ScenarioSpec, *,
             issued.extend(fired)
             requests = [request for _, _, batch in fired
                         for request in batch]
-            if server.finishing():
-                # The last iteration stops at its completion to keep
-                # ``end_ns``: one controller call runs to it.
-                controller.run_until(_completed(requests), deadline_ns,
-                                     event_driven=event_driven)
-                completion = max(request.completion_ns
-                                 for request in requests)
-            else:
+            if not server.finishing():
                 # The next launch is never before the cadence instant, so
-                # reach it in one advance.
+                # reach it in one advance.  The last iteration stops at
+                # its completion instead, to keep ``end_ns``.
                 cadence = min(launch + interval, deadline_ns)
                 if cadence > simulation.now:
                     simulation.run_for(cadence - simulation.now)
-                completion = _advance_until_complete(
-                    simulation, controller, requests, deadline_ns)
+            controller.run_until(_completed(requests), deadline_ns,
+                                 event_driven=event_driven)
+            simulation.now = controller.now
+            completion = max(request.completion_ns for request in requests)
         else:
             completion = launch
         server.finish_iteration(launch, completion)

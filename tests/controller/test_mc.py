@@ -176,14 +176,6 @@ def test_bank_counters_add_up_to_the_channel_command_counts():
     assert totals["refreshes"] == mc.stats.refreshes_issued > 0
 
 
-def test_run_until_idle_raises_when_budget_exhausted():
-    mc = _controller()
-    mc.enqueue(MemoryRequest(kind=RequestKind.READ, address=0, size_bytes=4096))
-    with pytest.raises(RuntimeError, match="did not drain"):
-        mc.run_until_idle(max_ns=5)
-
-
-
 @pytest.mark.parametrize("num_stack_ids", [1, 2])
 def test_transaction_bank_index_names_the_channel_bank(num_stack_ids):
     """Every block of a local mapping indexes ``Channel.banks`` at the bank

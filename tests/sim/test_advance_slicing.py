@@ -1,9 +1,10 @@
 """Arbitrary advance slicing is one advance.
 
 The closed-loop driver reaches each decode cadence instant in a single
-``run_for`` and only then steps event by event; that is sound only if
-cutting an advance at any instants leaves the controllers exactly where
-one uninterrupted advance does.  Both controllers are loaded with a
+``run_for`` and only then waits for the iteration's requests in one
+``controller.run_until`` call; that is sound only if cutting an advance
+at any instants leaves the controllers exactly where one uninterrupted
+advance does.  Both controllers are loaded with a
 streaming transfer plus staggered arrivals (registered as engine
 arrivals, as the driver does) and run to the same horizon in one call
 and in slices cut at drawn instants (scattered, or every ``stride`` ns).

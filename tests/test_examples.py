@@ -7,6 +7,7 @@ compiled so that API drift in the library breaks the build immediately.
 import importlib.util
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -111,12 +112,16 @@ def test_trace_decode_serving_example_record_helper():
     assert "serving.running_batch" in first.metrics.names()
 
 
-def test_checkpointed_long_run_example_end_to_end(capsys, monkeypatch):
+def test_checkpointed_long_run_example_end_to_end(capsys, monkeypatch,
+                                                  tmp_path):
     # The checkpoint example is small enough to execute for real: it
-    # kills and resumes a run, and asserts bit-identity itself.
+    # kills and resumes a run, and asserts bit-identity itself.  Its
+    # checkpoint goes to a temporary directory that it removes again.
     monkeypatch.setattr(sys, "argv", ["checkpointed_long_run.py"])
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     module = _load("checkpointed_long_run.py")
     module.main()
     out = capsys.readouterr().out
     assert "bit-identical" in out
     assert "checkpointed at" in out
+    assert list(tmp_path.iterdir()) == []
