@@ -77,6 +77,11 @@ class ControllerConfig:
         )
 
     @property
+    def peak_bandwidth_bytes_per_ns(self) -> float:
+        """Peak data bandwidth of the channel in bytes per nanosecond."""
+        return self.channel_config().peak_bandwidth_bytes_per_ns
+
+    @property
     def banks_per_pseudo_channel(self) -> int:
         return self.num_bank_groups * self.banks_per_group * self.num_stack_ids
 
@@ -507,25 +512,30 @@ class ConventionalMemoryController(Driven):
     def next_event_ns(self) -> Optional[int]:
         """The first instant at which an evaluation could change state.
 
-        The earliest instant an evaluation could issue a command
-        (:meth:`FrFcfsScheduler.ready_ns`: ``now`` itself when the next
-        admission, a built transaction or a cursor's next block, finds
-        room in its queue, else the earliest ready
-        instant of the heads and the refresh sweep), or, under active RAS,
-        the instant the RAS layer admits a replay or runs a scrub pass
-        (:meth:`RasEngine.next_event_ns`).  It may be ``now`` or earlier
-        when the controller can act at once; no command can issue strictly
-        before it.
+        ``now`` itself when the next admission, a built transaction or a
+        cursor's next block, finds room in its queue (it may be ready at
+        once); else the earliest ready instant of the heads the write-drain
+        mode would enable, of the refresh sweep and, under active RAS, of
+        the RAS layer's next replay admission or scrub pass
+        (:meth:`FrFcfsScheduler.next_ready_ns`, the minimum the event
+        core's loop jumps to).  It may be ``now`` or earlier when the
+        controller can act at once; no command can issue strictly before
+        it.
         """
         backlog, cursors = self._backlog, self._cursors
         head = backlog[0] if backlog else cursors[0] if cursors else None
-        best = self.scheduler.ready_ns(self.read_queue, self.write_queue,
-                                       head, self.now)
-        if self._ras_active:
-            candidate = self.ras.next_event_ns()
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
-        return best
+        rq, wq = self.read_queue, self.write_queue
+        if head is not None and not (rq if head.is_read else wq).is_full:
+            return self.now
+        # The queues the evaluation would serve; the mode itself switches
+        # only at an evaluation's refill.
+        scheduler = self.scheduler
+        draining = scheduler._draining_writes
+        served = scheduler.queue_priority(rq, wq)
+        scheduler._draining_writes = draining
+        ras_at = self.ras.next_event_ns() if self._ras_active else None
+        return scheduler.next_ready_ns(served, scheduler._sweep_ready_ns(),
+                                       ras_at)
 
     def _pending(self) -> bool:
         """Whether any accepted request is still outstanding.

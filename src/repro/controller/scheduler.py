@@ -42,7 +42,8 @@ its REFpb's or PRE's ready instant), or to the RAS layer's next instant
 under live faults (a scrub pass or a replay admission, run first at its
 instant as ``_step`` runs it).  The
 controller's ``next_event_ns`` is the same minimum
-(:meth:`FrFcfsScheduler.ready_ns` and the RAS layer's instant).
+(:meth:`FrFcfsScheduler.next_ready_ns`) on the controller's state, or
+``now`` when the next admission finds room in its queue.
 
 The per-instant picks (:meth:`~FrFcfsScheduler.pick_refresh`,
 :meth:`~FrFcfsScheduler.pick_column`, :meth:`~FrFcfsScheduler.pick_row`) are
@@ -69,10 +70,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from repro.controller.queues import RequestQueue
-from repro.controller.request import RequestCursor, Transaction
+from repro.controller.request import Transaction
 from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandKind
 from repro.dram.refresh import RefreshEngine, RefreshTarget
@@ -318,50 +319,30 @@ class FrFcfsScheduler:
                     best = ready
         return best
 
-    def _wake_ns(self, t: int, served: Sequence[RequestQueue],
-                 sweep_at: Optional[int],
-                 ras_at: Optional[int]) -> Optional[int]:
-        """The next instant worth evaluating after ``t``, an instant that
-        issued nothing (so nothing changed): the earliest ready instant of
-        the heads of ``served`` and of the refresh sweep (``sweep_at``, its
-        ready instant, ``None`` without refresh), and the RAS layer's next
-        instant (``ras_at``, ``None`` without one), but at least ``t + 1``;
-        ``None`` when nothing could ever issue."""
+    def next_ready_ns(self, served: Sequence[RequestQueue],
+                      sweep_at: Optional[int],
+                      ras_at: Optional[int]) -> Optional[int]:
+        """The earliest instant anything could issue while nothing issues:
+        the earliest ready instant of the heads of ``served`` and of the
+        refresh sweep (``sweep_at``, its ready instant, ``None`` without
+        refresh), and the RAS layer's next instant (``ras_at``, ``None``
+        without one); ``None`` when nothing could ever issue.  Unclamped:
+        it may lie in the past.  The loop's jump and the controller's
+        ``next_event_ns`` both read it."""
         wake = self._heads_ready_ns(served)
         if sweep_at is not None and (wake is None or sweep_at < wake):
             wake = sweep_at
         if ras_at is not None and (wake is None or ras_at < wake):
             wake = ras_at
+        return wake
+
+    def _wake_ns(self, t: int, served: Sequence[RequestQueue],
+                 sweep_at: Optional[int],
+                 ras_at: Optional[int]) -> Optional[int]:
+        """The loop's jump from ``t``, an instant that issued nothing (so
+        nothing changed): :meth:`next_ready_ns`, but at least ``t + 1``."""
+        wake = self.next_ready_ns(served, sweep_at, ras_at)
         return None if wake is None else max(t + 1, wake)
-
-    def ready_ns(self, read_queue: RequestQueue, write_queue: RequestQueue,
-                 head: Optional[Union[Transaction, RequestCursor]],
-                 now: int) -> Optional[int]:
-        """The first instant from ``now`` on at which a per-instant
-        evaluation could issue a command, while none issues; ``None`` if no
-        evaluation ever would.
-
-        ``head`` is the controller's next admission: its first built
-        backlog entry, else its first request cursor, else ``None``.
-        ``now`` itself when the evaluation would admit it (it may be ready
-        at once); else the earliest ready instant of the heads the
-        write-drain mode would enable and of the refresh sweep.  Every
-        ready instant is exact: an evaluation there issues, and none
-        issues before.
-        """
-        if head is not None and not (
-                read_queue if head.is_read else write_queue).is_full:
-            return now
-        # The queues the evaluation would serve; the mode itself switches
-        # only at an evaluation's refill.
-        draining = self._draining_writes
-        served = self.queue_priority(read_queue, write_queue)
-        self._draining_writes = draining
-        best = self._heads_ready_ns(served)
-        sweep = self._sweep_ready_ns()
-        if sweep is not None and (best is None or sweep < best):
-            best = sweep
-        return best
 
     # ------------------------------------------------------ the event core
 

@@ -22,11 +22,12 @@ the shared drive layer (:class:`repro.drive.Driven`):
 * the tick core, which evaluates :meth:`RoMeMemoryController._step` once
   per nanosecond, and
 * the event core (:meth:`RoMeMemoryController.advance_to`), which
-  evaluates an instant with the same ``_step``, then computes the next
-  *interesting* timestamp (VBA release, data-bus free, command-gap expiry,
-  in-flight completion, refresh deadline/criticality) and jumps straight to
-  it.  Both cores produce identical statistics; the event core is what the
-  default ``run_until_idle``/``run_for`` paths use.
+  evaluates an instant with the same ``_step``, then jumps straight to
+  :meth:`RoMeMemoryController.next_event_ns`, the next *interesting*
+  timestamp (VBA release, data-bus free, command-gap expiry, in-flight
+  completion, refresh deadline/criticality, RAS wake-up).  Both cores
+  produce identical statistics; the event core is what the default
+  ``run_until_idle``/``run_for`` paths use.
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ class RoMeControllerConfig:
         """Bank FSM instances the controller provisions (5 in the paper)."""
         return self.max_data_fsms + self.max_refresh_fsms
 
+    @property
+    def peak_bandwidth_bytes_per_ns(self) -> float:
+        """Peak data bandwidth of one channel in bytes per nanosecond:
+        every pseudo channel moves its base access granularity once per
+        ``tCCDS``."""
+        return (self.vba.base_access_granularity_bytes
+                * self.vba.num_pseudo_channels
+                / self.conventional_timing.tCCDS)
+
 
 @dataclass
 class RoMeControllerStats:
@@ -116,11 +126,6 @@ class RoMeControllerStats:
     #: iteration).  Excluded from equality:
     #: it measures the speedup mechanism, not the simulated outcome.
     evaluations: int = field(default=0, compare=False)
-
-    @property
-    def read_latencies(self) -> List[int]:
-        """Bounded reservoir of read-latency samples (compatibility shim)."""
-        return list(self.read_latency.samples)
 
     @property
     def average_read_latency(self) -> float:
@@ -290,29 +295,21 @@ class RoMeMemoryController(Driven):
 
     # --------------------------------------------------------------- issue
 
-    def _try_issue_refresh(self, now: int) -> Tuple[bool, Optional[int]]:
-        """Try to issue the most urgent refresh.
-
-        Returns ``(issued, wake)``; when blocked, ``wake`` is the earliest
-        future time this particular decision could flip (the target VBA
-        freeing, or a refresh FSM releasing).  Deadline/criticality
-        transitions are tracked by the refresh scheduler's own
-        ``next_event_ns``.
-        """
+    def _try_issue_refresh(self, now: int) -> bool:
+        """Issue the most urgent refresh if it can issue at ``now``."""
         if self.refresh is None:
-            return False, None
+            return False
         key = self.refresh.most_urgent(now)
         if key is None:
-            return False, None
+            return False
         critical = self.refresh.is_critical(key, now)
         # Opportunistic refresh only when the target VBA is idle; critical
         # refresh waits for the VBA to drain but blocks new data commands to
         # it (handled implicitly because the VBA will be marked busy).
         stack_id, vba_index = key
         tracker = self._vbas[(stack_id, vba_index)]
-        block = self._refresh_block(now, tracker, critical)
-        if block is not None:
-            return False, block
+        if self._refresh_block(now, tracker, critical) is not None:
+            return False
         data_fsms, refresh_fsms = self._active_fsms(now)
         self._mark_busy(key, tracker, VbaState.REFRESHING,
                         now + self.refresh.stall_ns())
@@ -337,7 +334,7 @@ class RoMeMemoryController(Driven):
         self.stats.peak_active_fsms = max(
             self.stats.peak_active_fsms, data_fsms + refresh_fsms + 1
         )
-        return True, None
+        return True
 
     def _refresh_block(self, now: int, tracker: _VbaTracker,
                        critical: bool) -> Optional[int]:
@@ -520,27 +517,19 @@ class RoMeMemoryController(Driven):
             if request.completion_ns is None or now < request.completion_ns
         )
 
-    def _step(self, now: int) -> Tuple[bool, Optional[int]]:
+    def _step(self, now: int) -> bool:
         """One scheduling evaluation at ``now``: release, retire, fill,
-        then refresh before data.
-
-        Returns what the event core's jump needs: whether a refresh
-        issued, and the refresh path's wake hint when it did not
-        (:meth:`_try_issue_refresh`).  A data issue needs no result of
-        its own: the jump recomputes the queue-side bound after it
-        (:meth:`_data_wake`).
-        """
+        then refresh before data.  Returns whether a command issued."""
         self.stats.evaluations += 1
         if self._ras_active:
             self.ras.admit_due(now, self._backlog)
         self._release_finished(now)
         self._retire_completed(now)
         self._fill_queue()
-        issued_refresh, refresh_hint = self._try_issue_refresh(now)
-        issued = issued_refresh or self._try_issue_data(now)
+        issued = self._try_issue_refresh(now) or self._try_issue_data(now)
         if issued and self._obs is not None:
             self._note_evaluation(now)
-        return issued_refresh, refresh_hint
+        return issued
 
     def _note_evaluation(self, now: int) -> None:
         """Obs hook for one decision-bearing scheduler evaluation.
@@ -562,9 +551,8 @@ class RoMeMemoryController(Driven):
     # ------------------------------------------------------- event-driven core
 
     def _refresh_wake(self, now: int) -> Optional[int]:
-        """Earliest future instant the refresh path could act (read-only)."""
-        if self.refresh is None:
-            return None
+        """Earliest instant the refresh path could act (read-only; refresh
+        enabled)."""
         wake = self.refresh.next_event_ns(now)
         key = self.refresh.most_urgent(now)
         if key is not None:
@@ -577,19 +565,28 @@ class RoMeMemoryController(Driven):
         return wake
 
     def next_event_ns(self) -> Optional[int]:
-        """Earliest instant >= now at which this controller might act.
+        """Earliest instant at which this controller might act; the event
+        core's jump target.
 
         Considers un-issued request feasibility (command-gap expiry, target
         VBA release, bus free), FSM releases, retirements that admit backlog
-        entries, the drain instant, and refresh deadlines (including the
-        postponement-exhausted criticality transition).  Returns ``None``
-        when the controller is fully idle with refresh disabled.
+        entries, the drain instant, refresh deadlines (including the
+        postponement-exhausted criticality transition) and issueable
+        refreshes, and RAS wake-ups; ``now`` itself when the backlog's head
+        finds room in the queue (it may be ready at once).  It may be
+        ``now`` or earlier when the controller can act at once; no command
+        can issue strictly before it.  Returns ``None`` when the
+        controller is fully idle with refresh disabled.
         """
         now = self.now
+        if self._backlog and len(self.queue) < self.config.request_queue_depth:
+            return now
         wake = self._data_wake(now)
-        refresh_wake = self._refresh_wake(now)
-        if refresh_wake is not None and (wake is None or refresh_wake < wake):
-            wake = refresh_wake
+        if self.refresh is not None:
+            refresh_wake = self._refresh_wake(now)
+            if refresh_wake is not None and (wake is None
+                                             or refresh_wake < wake):
+                wake = refresh_wake
         if self._ras_active:
             ras_wake = self.ras.next_event_ns()
             if ras_wake is not None and (wake is None or ras_wake < wake):
@@ -602,46 +599,24 @@ class RoMeMemoryController(Driven):
         holds after an evaluation (:class:`~repro.drive.Driven`).
 
         Each iteration is one scheduler evaluation (:meth:`_step`), after
-        which time jumps to the earliest instant anything could change
-        (:meth:`_data_wake`, the refresh hint and deadline, RAS wake-ups),
+        which time jumps to :meth:`next_event_ns` (at least one ns on),
         clamped to ``target_ns`` so externally scheduled arrivals land
         cycle-exactly.
         """
-        ras = self.ras if self._ras_active else None
         while self.now < target_ns:
             now = self.now
-            issued_refresh, refresh_hint = self._step(now)
+            self._step(now)
             if until is not None and until():
                 self.now = now + 1
                 return
-            if issued_refresh:
-                # A data command may become issueable the very next
-                # nanosecond (refresh and data share the one-command-per-ns
-                # evaluation), so do not skip past it.
-                self.now = now + 1
-                continue
-            # The queue-side bound is recomputed after a data issue, so the
-            # jump target reflects the post-issue gap/bus/VBA state; the
-            # pre-issue refresh hint stays sound (a data issue can only
-            # delay the refresh path via state already in the candidates).
-            wake = self._data_wake(now)
-            if self.refresh is not None:
-                if refresh_hint is not None and (wake is None or refresh_hint < wake):
-                    wake = refresh_hint
-                due = self.refresh.next_event_ns(now)
-                if due is not None and (wake is None or due < wake):
-                    wake = due
-            if ras is not None:
-                ras_wake = ras.next_event_ns()
-                if ras_wake is not None and (wake is None or ras_wake < wake):
-                    wake = ras_wake
+            wake = self.next_event_ns()
             if wake is None:
                 jump = target_ns
             else:
                 jump = min(max(wake, now + 1), target_ns)
             if jump == target_ns and target_ns - 1 > now:
                 # Settle bookkeeping (releases/retirements/fills) that the
-                # legacy core would have performed on the skipped span, so
+                # tick core would have performed on the skipped span, so
                 # queue state at the boundary is tick-identical.  No command
                 # can issue in the span -- ``wake`` bounds that.
                 settle = target_ns - 1
@@ -666,10 +641,6 @@ class RoMeMemoryController(Driven):
     # ----------------------------------------------------------------- stats
 
     @property
-    def queue_occupancy(self) -> int:
-        return len(self.queue)
-
-    @property
     def outstanding_requests(self) -> int:
         replays = self.ras.pending_replays if self._ras_active else 0
         return len(self.queue) + len(self._backlog) + replays
@@ -678,14 +649,8 @@ class RoMeMemoryController(Driven):
         """Fraction of peak channel bandwidth delivered so far."""
         if self.now == 0:
             return 0.0
-        timing = self.config.conventional_timing
-        peak = (
-            self.config.vba.base_access_granularity_bytes
-            * self.config.vba.num_pseudo_channels
-            / timing.tCCDS
-        )
         delivered = (self.stats.bytes_read + self.stats.bytes_written) / self.now
-        return delivered / peak
+        return delivered / self.config.peak_bandwidth_bytes_per_ns
 
     def energy_counters(self) -> EnergyCounters:
         """Counters for the energy model, including command-generator work."""

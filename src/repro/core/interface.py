@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 _row_request_ids = itertools.count()
 
@@ -135,12 +135,3 @@ def _transfer_specs(
         remaining -= valid
         index += 1
     return specs
-
-
-def round_robin_by_channel(requests: List[RowRequest],
-                           num_channels: int) -> Iterator[List[RowRequest]]:
-    """Group ``requests`` per channel (used by multi-channel simulations)."""
-    buckets: List[List[RowRequest]] = [[] for _ in range(num_channels)]
-    for request in requests:
-        buckets[request.channel % num_channels].append(request)
-    return iter(buckets)

@@ -32,6 +32,10 @@ class Driven:
       evaluation at ``t``, stop there with ``now == t + 1``.  ``until``
       may only change when a command issues, so it is asked after each
       evaluation;
+    * ``next_event_ns()`` -- the earliest instant at which an evaluation
+      could act, ``now`` or earlier when it can act at once (``None``
+      when nothing ever could): the event core's jump target, strictly
+      before which no command issues;
     * ``outstanding_requests`` -- accepted requests not yet served.
     """
 

@@ -44,7 +44,7 @@ from repro.sim.stats import BandwidthResult, LatencyResult
 from repro.sim.sweep import SweepStats, run_sweep
 from repro.workloads.driver import (
     WorkloadResult,
-    _materializer,
+    _controller_config,
     _run_closed_loop,
 )
 from repro.workloads.scenarios import ScenarioSpec, ServingPlan, serving_plan
@@ -431,7 +431,7 @@ def _aggregate(spec: FleetSpec, base: ScenarioSpec, times: List[int],
                                  if result is not None])
     total_bytes = sum(result.bandwidth.bytes_transferred
                       for result in replica_results if result is not None)
-    peak_per_replica = _materializer(base).peak_bytes_per_ns()
+    peak_per_replica = _controller_config(base).peak_bandwidth_bytes_per_ns
     availability = sum(
         timeline.up_fraction(horizon_ns) for timeline in timelines
     ) / max(1, len(timelines))

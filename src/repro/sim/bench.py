@@ -10,8 +10,9 @@ Three cores are measured for the RoMe system:
 * ``seed-tick`` -- the frozen seed implementation
   (:class:`repro.sim.reference.ReferenceRoMeController`), one Python
   evaluation per nanosecond with the seed's full-scan hot path;
-* ``tick`` -- the current controller driven through its legacy 1-ns
-  ``tick()`` wrapper (shares the optimized internals);
+* ``tick`` -- the current controller's tick core
+  (:meth:`repro.drive.Driven.tick`: one ``_step`` per nanosecond, on the
+  same internals as the event core);
 * ``event`` -- the event-driven core (the default execution mode).
 
 The headline ``speedup`` of a comparison row is event vs. seed-tick: the

@@ -219,12 +219,7 @@ class RoMeMemorySystem:
         total_bytes = sum(
             c.stats.bytes_read + c.stats.bytes_written for c in self.controllers
         )
-        timing = self.controller_config.conventional_timing
-        peak_per_channel = (
-            self.controller_config.vba.base_access_granularity_bytes
-            * self.controller_config.vba.num_pseudo_channels
-            / timing.tCCDS
-        )
+        peak_per_channel = self.controller_config.peak_bandwidth_bytes_per_ns
         overfetch = sum(c.stats.overfetch_bytes for c in self.controllers)
         return SimulationResult(
             name=name,

@@ -193,8 +193,7 @@ class _RomeMaterializer:
         self.vba = paper_vba_config()
         self.obs = ObsSink.from_config(spec.obs, track="chan0")
         self.controller = RoMeMemoryController(
-            config=RoMeControllerConfig(num_stack_ids=1,
-                                        enable_refresh=spec.enable_refresh),
+            config=_controller_config(spec),
             reliability=spec.reliability,
             obs=self.obs,
         )
@@ -227,11 +226,6 @@ class _RomeMaterializer:
             self.controller.enqueue(request)
         return requests
 
-    def peak_bytes_per_ns(self) -> float:
-        timing = self.controller.config.conventional_timing
-        return (self.vba.base_access_granularity_bytes
-                * self.vba.num_pseudo_channels / timing.tCCDS)
-
     def bytes_moved(self) -> int:
         stats = self.controller.stats
         return stats.bytes_read + stats.bytes_written
@@ -248,8 +242,7 @@ class _ConventionalMaterializer:
     def __init__(self, spec: ScenarioSpec) -> None:
         self.obs = ObsSink.from_config(spec.obs, track="chan0")
         self.controller = ConventionalMemoryController(
-            config=ControllerConfig(num_stack_ids=1,
-                                    enable_refresh=spec.enable_refresh),
+            config=_controller_config(spec),
             reliability=spec.reliability,
             obs=self.obs,
         )
@@ -272,12 +265,18 @@ class _ConventionalMaterializer:
             self.controller.enqueue(request)
         return requests
 
-    def peak_bytes_per_ns(self) -> float:
-        return self.controller.channel.config.peak_bandwidth_bytes_per_ns
-
     def bytes_moved(self) -> int:
         stats = self.controller.stats
         return stats.bytes_read + stats.bytes_written
+
+
+def _controller_config(spec: ScenarioSpec):
+    """The configuration of the one channel ``spec`` runs on."""
+    if spec.system == "rome":
+        return RoMeControllerConfig(num_stack_ids=1,
+                                    enable_refresh=spec.enable_refresh)
+    return ControllerConfig(num_stack_ids=1,
+                            enable_refresh=spec.enable_refresh)
 
 
 def _materializer(spec: ScenarioSpec):
@@ -364,7 +363,7 @@ def _collect_result(spec: ScenarioSpec, transfers: int, horizon_ns: int,
         bandwidth=BandwidthResult(
             bytes_transferred=materializer.bytes_moved(),
             elapsed_ns=float(end_ns),
-            peak_bytes_per_ns=materializer.peak_bytes_per_ns(),
+            peak_bytes_per_ns=controller.config.peak_bandwidth_bytes_per_ns,
         ),
         latency=LatencyResult.from_accumulators([overall]),
         latency_by_tag={

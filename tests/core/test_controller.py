@@ -210,7 +210,7 @@ def test_read_latency_accumulator_is_bounded_and_exact():
     stats = mc.stats
     assert stats.read_latency.count == 64
     assert stats.average_read_latency == pytest.approx(
-        sum(stats.read_latencies) / 64
+        sum(stats.read_latency.samples) / 64
     )
     # Synthetic long-traffic check: the reservoir stays bounded while the
     # exact moments keep counting.
@@ -256,5 +256,5 @@ def test_next_event_is_immediate_for_critical_refresh_under_fsm_saturation():
     assert mc.refresh.is_critical(key, mc.now)
     assert mc._vbas[key].is_free(mc.now)
     assert mc.next_event_ns() == mc.now
-    issued, _ = mc._try_issue_refresh(mc.now)
+    issued = mc._try_issue_refresh(mc.now)
     assert issued

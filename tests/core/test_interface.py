@@ -6,7 +6,6 @@ from repro.core.interface import (
     RowRequest,
     RowRequestKind,
     requests_for_transfer,
-    round_robin_by_channel,
 )
 
 
@@ -81,19 +80,6 @@ def test_requests_for_transfer_empty_for_zero_bytes(total_bytes):
         total_bytes, RowRequestKind.RD_ROW, 4096, num_channels=1,
         vbas_per_channel=1
     ) == []
-
-
-def test_round_robin_by_channel_buckets_requests():
-    requests = requests_for_transfer(
-        6 * 4096,
-        kind=RowRequestKind.RD_ROW,
-        effective_row_bytes=4096,
-        num_channels=3,
-        vbas_per_channel=4,
-    )
-    buckets = list(round_robin_by_channel(requests, 3))
-    assert len(buckets) == 3
-    assert all(len(bucket) == 2 for bucket in buckets)
 
 
 LAYOUT = dict(effective_row_bytes=4096, num_channels=2, vbas_per_channel=4)

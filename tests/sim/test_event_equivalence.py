@@ -24,6 +24,7 @@ from repro.core.virtual_bank import paper_vba_config
 from repro.dram.address import DramCoordinate, baseline_hbm4_mapping
 from repro.dram.timing import TimingParameters
 from repro.reliability import ReliabilityConfig
+from repro.sim.bench import measure_rome_core
 from repro.sim.engine import Simulation
 from repro.sim.memory_system import MemorySystemConfig, RoMeMemorySystem
 from repro.sim.reference import ReferenceRoMeController
@@ -159,7 +160,7 @@ def test_rome_run_for_boundaries_are_tick_identical(depth):
             controller.run_for(333, event_driven=event_driven)
             states.append((
                 controller.now,
-                controller.queue_occupancy,
+                len(controller.queue),
                 controller.outstanding_requests,
                 controller.stats.served_reads,
                 controller.stats.served_writes,
@@ -587,6 +588,19 @@ def test_rome_refresh_enabled_event_core_drain_is_bounded_and_matches_seed():
     assert _rome_fingerprint(event, requests) == seed_fingerprint
     assert event.stats.refreshes_issued > 0
     _assert_rome_evaluations_bounded(event)
+
+
+def test_rome_event_core_jumps_over_the_instant_after_a_refresh():
+    """After a refresh issues, the event core jumps to ``next_event_ns()``
+    like after any other evaluation, instead of evaluating the next ns
+    unconditionally: the refresh-enabled 512 KiB streaming drain takes 168
+    evaluations (199 with the unconditional wake-up) and ends where the
+    tick core ends, with as many refreshes."""
+    event = measure_rome_core("event", 512 * 1024, enable_refresh=True)
+    tick = measure_rome_core("tick", 512 * 1024, enable_refresh=True)
+    assert event["evaluations"] == 168
+    assert (event["simulated_ns"], event["refreshes"]) \
+        == (tick["simulated_ns"], tick["refreshes"]) == (8_340, 34)
 
 
 def test_rome_arrival_mid_drain_with_refresh_is_lockstep_identical():
@@ -1117,3 +1131,166 @@ def test_no_command_issues_before_the_wake(spec):
     assert _run_with_arrival(spec, controller, True,
                              advance_to_arrival) == tick_end
     assert all(landed)
+
+
+@st.composite
+def _rome_wake_specs(draw):
+    """A RoMe run for the wake check: refresh off, or on with a short
+    tREFIpb/tRFCpb and 0-2 postponements; 1 or 2 stack IDs; a queue depth
+    of 1, 2 or 4; two batches of 1-12 row reads and writes, the second
+    arriving at 1-800 ns; an advance slice of 1-300 ns; and no faults, or
+    live faults whose failing reads replay (backoff 0-50 ns), whose scrub
+    passes (if any) run every 50-400 ns and whose failing VBAs may go
+    offline."""
+    enable_refresh = draw(st.booleans())
+    conventional, max_postponed = TimingParameters(), None
+    if enable_refresh:
+        conventional = TimingParameters(tREFIpb=draw(st.integers(40, 200)),
+                                        tRFCpb=draw(st.integers(20, 120)))
+        max_postponed = draw(st.integers(0, 2))
+    stacks = draw(st.sampled_from([1, 2]))
+    config = RoMeControllerConfig(
+        num_stack_ids=stacks, enable_refresh=enable_refresh,
+        conventional_timing=conventional,
+        request_queue_depth=draw(st.sampled_from([1, 2, 4])))
+    row = st.tuples(st.sampled_from([RowRequestKind.RD_ROW,
+                                     RowRequestKind.WR_ROW]),
+                    st.integers(0, stacks - 1), st.integers(0, 3),
+                    st.integers(0, 7))
+    first = draw(st.lists(row, min_size=1, max_size=12))
+    second = draw(st.lists(row, min_size=1, max_size=12))
+    arrival_ns = draw(st.integers(1, 800))
+    slice_ns = draw(st.integers(1, 300))
+    reliability = None
+    if draw(st.booleans()):
+        reliability = ReliabilityConfig(
+            seed=draw(st.integers(0, 1_000)),
+            transient_ber=draw(st.sampled_from([0.0, 1e-3])),
+            hard_row_rate=draw(st.sampled_from([0.1, 0.5])),
+            max_retries=draw(st.integers(0, 2)),
+            retry_backoff_ns=draw(st.sampled_from([0, 7, 50])),
+            scrub_interval_ns=draw(st.sampled_from([0, 50, 400])),
+            spare_rows_per_bank=draw(st.integers(0, 2)),
+            offline_after_row_failures=draw(st.integers(0, 2)))
+    return (config, max_postponed, reliability, first, arrival_ns, second,
+            slice_ns)
+
+
+def _run_rome_with_arrival(spec, controller, event_driven, advance):
+    """Run ``spec``'s two RoMe batches on ``controller``: the first at 0,
+    the second at its arrival instant, then 3 us more and a drain.
+    ``advance(end)`` runs the controller to ``end``."""
+    _, _, _, first, arrival_ns, second, _ = spec
+
+    def enqueue(batch):
+        requests = [RowRequest(kind=kind, stack_id=stack_id, vba=vba,
+                               row=row, arrival_ns=controller.now)
+                    for kind, stack_id, vba, row in batch]
+        for request in requests:
+            controller.enqueue(request)
+        return requests
+
+    requests = enqueue(first)
+    advance(arrival_ns)
+    requests += enqueue(second)
+    advance(controller.now + 3_000)
+    controller.run_until_idle(event_driven=event_driven)
+    assert controller.outstanding_requests == 0
+    return (_rome_fingerprint(controller, requests),
+            controller.ras and controller.ras.stats)
+
+
+def _rome_controller_of(spec):
+    config, max_postponed, reliability, *_ = spec
+    controller = RoMeMemoryController(config=config, reliability=reliability)
+    if max_postponed is not None:
+        controller.refresh.max_postponed = max_postponed
+    return controller
+
+
+@settings(deadline=None, max_examples=25)
+@given(spec=_rome_wake_specs())
+def test_rome_no_command_issues_before_the_wake(spec):
+    """The RoMe twin of :func:`test_no_command_issues_before_the_wake`.
+
+    Stepping ``_step`` one ns at a time issues nothing strictly before
+    ``next_event_ns()`` at any advance boundary of a sliced event run,
+    until new requests arrive.  Every jump ``advance_to`` makes is
+    ``max(now + 1, next_event_ns())`` after the evaluation at ``now``,
+    clamped to the target (``now + 1`` when ``until()`` stops it), and the
+    steps issue nothing strictly inside it: the wake the core jumps to is
+    a lower bound of the next issue.  The steps are the tick core's run
+    of the same inputs, whose state at every instant is the event core's
+    (the two runs end identical)."""
+    from bisect import bisect_left
+
+    tick = _rome_controller_of(spec)
+    issuing = []
+    tick_step = tick._step
+
+    def recorded_step(now):
+        issued = tick_step(now)
+        if issued:
+            issuing.append(now)
+        return issued
+
+    tick._step = recorded_step
+    tick_end = _run_rome_with_arrival(
+        spec, tick, False, lambda end: tick.run_for(end - tick.now,
+                                                     event_driven=False))
+
+    # Until ``arrival``: the instant the next requests are enqueued.
+    arrival = spec[4]
+
+    def assert_wake(start, wake, what):
+        index = bisect_left(issuing, start)
+        if index == len(issuing) or issuing[index] >= arrival:
+            return
+        issue = issuing[index]
+        assert wake is not None and issue >= wake, \
+            f"{what} is {wake}, but _step issues at {issue}"
+
+    controller = _rome_controller_of(spec)
+    # Per evaluation of the current ``advance_to`` call: its instant and
+    # where the call must jump from it.
+    jumps = []
+    call_target, call_until = None, None
+    step = controller._step
+
+    def spied_step(now):
+        issued = step(now)
+        if call_until is not None and call_until():
+            jump = now + 1
+        else:
+            wake = controller.next_event_ns()
+            jump = call_target if wake is None \
+                else min(max(now + 1, wake), call_target)
+        jumps.append((now, jump))
+        return issued
+
+    controller._step = spied_step
+    advance_to = controller.advance_to
+
+    def checked_advance_to(target_ns, until=None):
+        nonlocal call_target, call_until
+        call_target, call_until = target_ns, until
+        jumps.clear()
+        advance_to(target_ns, until)
+        landed = [now for now, _ in jumps[1:]] + [controller.now]
+        for (now, jump), lands in zip(jumps, landed):
+            assert lands == jump, \
+                f"the jump from {now} lands on {lands}, not {jump}"
+            assert_wake(now + 1, jump, f"the jump from {now}")
+
+    controller.advance_to = checked_advance_to
+
+    def advance_to_arrival(end):
+        nonlocal arrival
+        while controller.now < end:
+            assert_wake(controller.now, controller.next_event_ns(),
+                        f"next_event_ns() at {controller.now}")
+            controller.advance_to(min(controller.now + spec[-1], end))
+        arrival = float("inf")
+
+    assert _run_rome_with_arrival(spec, controller, True,
+                                  advance_to_arrival) == tick_end
